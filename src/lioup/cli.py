@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    lioup spectrum|sweep|find-ep|validate|evolve --config cfg.json [--out f] [--threads N]
+    lioup spectrum|sweep|find-ep|validate|evolve --config cfg.json [--out f]
 
 Configs are JSON; unknown keys are rejected before any computation.  Numeric
 output uses fixed %.12e formatting so identical configs produce byte-identical
@@ -92,7 +92,7 @@ def _system(cfg, p):
 
 
 def _liouvillian(cfg, p):
-    return superop.hybrid_liouvillian(_system(cfg, p), p.q, cfg["basis"])
+    return superop.generator(cfg["model"])(p, cfg["basis"])
 
 
 def _operator(cfg, p):
@@ -159,7 +159,7 @@ def _emit_metadata(cfg, out_path, extra=None):
             fh.write("\n")
 
 
-def cmd_spectrum(cfg, out_path, threads):
+def cmd_spectrum(cfg, out_path):
     tol_cluster = None
     if "spectrum" in cfg:
         _check_keys(cfg["spectrum"], {"tol_cluster"}, "config.spectrum")
@@ -185,7 +185,7 @@ def cmd_spectrum(cfg, out_path, threads):
     return 0
 
 
-def cmd_sweep(cfg, out_path, threads):
+def cmd_sweep(cfg, out_path):
     if "sweep" not in cfg:
         raise SchemaError("missing key 'config.sweep'")
     blk = cfg["sweep"]
@@ -209,7 +209,7 @@ def cmd_sweep(cfg, out_path, threads):
     builder = (lambda pp: _operator(cfg, pp)) if level == "operator" \
         else (lambda pp: _liouvillian(cfg, pp))
     grid = np.linspace(start, stop, points)
-    result = spectra.sweep(builder, parameter, grid, p, threads=threads)
+    result = spectra.sweep(builder, parameter, grid, p)
 
     nb = result.branches.shape[0]
     header = ([parameter] + [f"re_{k + 1}" for k in range(nb)]
@@ -224,14 +224,18 @@ def cmd_sweep(cfg, out_path, threads):
     _emit_metadata(cfg, out_path, extra={
         "branch_provenance": "columns follow the (re, im)-sorted eigenvalues "
                              "at the first grid point, continuity-tracked by "
-                             "minimal-total-distance assignment"})
+                             "minimal-total-distance assignment",
+        "ep_candidates": [{"index": i, parameter: _fmt(grid[i])}
+                          for i in result.ep_candidates],
+        "failures": [{"index": i, parameter: _fmt(grid[i]), "message": msg}
+                     for i, msg in result.failures]})
     if result.failures:
         for idx, msg in result.failures:
             print(f"warning: grid point {idx} failed: {msg}", file=sys.stderr)
     return 0
 
 
-def cmd_find_ep(cfg, out_path, threads):
+def cmd_find_ep(cfg, out_path):
     if "findep" not in cfg:
         raise SchemaError("missing key 'config.findep'")
     blk = cfg["findep"]
@@ -265,7 +269,7 @@ def cmd_find_ep(cfg, out_path, threads):
     return 0
 
 
-def cmd_evolve(cfg, out_path, threads):
+def cmd_evolve(cfg, out_path):
     if "evolve" not in cfg:
         raise SchemaError("missing key 'config.evolve'")
     blk = cfg["evolve"]
@@ -328,14 +332,13 @@ def main(argv=None):
         description="Spectra and exceptional points of the driven dissipative "
                     "alkali-vapor model")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("spectrum", "sweep", "find-ep", "evolve"):
+    for name in ("spectrum", "sweep", "find-ep", "evolve", "validate"):
         sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True)
+        if name != "validate":
+            sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--threads", type=int, default=None)
-    spv = sub.add_parser("validate")
-    spv.add_argument("--out", default=None)
-    spv.add_argument("--threads", type=int, default=None)
+        sp.add_argument("--threads", type=int, default=None,
+                        help="ignored; every command runs on one thread")
     args = parser.parse_args(argv)
 
     try:
@@ -344,7 +347,7 @@ def main(argv=None):
         cfg = load_config(args.config)
         handler = {"spectrum": cmd_spectrum, "sweep": cmd_sweep,
                    "find-ep": cmd_find_ep, "evolve": cmd_evolve}[args.command]
-        return handler(cfg, args.out, args.threads)
+        return handler(cfg, args.out)
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

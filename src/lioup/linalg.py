@@ -123,10 +123,23 @@ def eig(a, want_left=False):
 
 
 def eigvals(a):
-    """Eigenvalues only, in the same deterministic order as eig()."""
-    a = as_matrix(a, square=True)
+    """Eigenvalues only, in the same deterministic order as eig().
+
+    `a` is one square matrix or an (n, d, d) stack of them; each matrix's
+    eigenvalues are ordered on their own, and are the same bits as for a
+    separate call.
+    """
+    if np.ndim(a) == 3:
+        a = np.asarray(a, dtype=complex)
+        if a.shape[1] != a.shape[2] or a.shape[1] > MAX_DIM:
+            raise ValueError(f"expected a stack of square matrices up to "
+                             f"{MAX_DIM}x{MAX_DIM}, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError("matrix contains non-finite entries")
+    else:
+        a = as_matrix(a, square=True)
     w = np.linalg.eigvals(a)
-    return w[np.lexsort((w.imag, w.real))]
+    return np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=-1), axis=-1)
 
 
 def svd_rank(a, tol_rank=TOL_RANK):

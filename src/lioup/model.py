@@ -16,9 +16,12 @@ Basis conventions used throughout:
 All rates and frequencies are plain angular frequencies in one shared unit.
 """
 
+import dataclasses
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,18 +78,16 @@ class ModelParams:
                 raise ValueError(f"{name} is not finite")
 
     def replace(self, **kw):
-        """Copy with fields replaced; omega/omega_r stay mutually consistent."""
-        fields = dict(j=self.j, omega=self.omega, omega_r=self.omega_r,
-                      delta_rf=self.delta_rf, delta_opt=self.delta_opt,
-                      gamma_sp=self.gamma_sp, gamma_g=self.gamma_g, q=self.q)
+        """Copy with fields replaced; omega/omega_r stay mutually consistent.
+
+        Replacing one of the pair re-derives the other (with the new
+        gamma_sp, if that is replaced too).
+        """
         if "omega" in kw and "omega_r" not in kw:
-            fields["omega_r"] = None
-        if "omega_r" in kw and "omega" not in kw:
-            fields["omega"] = None
-        if "gamma_sp" in kw and "omega" in kw and "omega_r" not in kw:
-            fields["omega_r"] = None
-        fields.update(kw)
-        return ModelParams(**fields)
+            kw["omega_r"] = None
+        elif "omega_r" in kw and "omega" not in kw:
+            kw["omega"] = None
+        return dataclasses.replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -159,6 +160,8 @@ def build_spont_jumps(f, F, gamma_sp, convention="explicit"):
     the leading entry is +i * positive, which for f=1 -> F=0 reduces to the
     explicit i*sqrt(Gamma/3)|1,-eps><0,0| form.  Global per-operator phases
     do not affect relaxation, repopulation, or any spectrum.
+
+    The returned arrays are read-only.
     """
     f = HalfInteger.of(f)
     F = HalfInteger.of(F)
@@ -166,6 +169,14 @@ def build_spont_jumps(f, F, gamma_sp, convention="explicit"):
         raise ValueError("transition forbidden: |f - F| must be <= 1")
     if convention not in ("explicit", "generic"):
         raise ValueError(f"unknown convention {convention!r}")
+    ops = math.sqrt(gamma_sp) * _unit_spont_jumps(f, F, convention)
+    ops.flags.writeable = False
+    return list(ops)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_spont_jumps(f, F, convention):
+    # exact 3j symbols are slow; they depend only on (f, F, convention)
     ng, ne = f.twice + 1, F.twice + 1
     dim = ng + ne
     dphase = _I_POWER[(F.twice - f.twice) // 2]
@@ -177,15 +188,14 @@ def build_spont_jumps(f, F, gamma_sp, convention="explicit"):
             for k in range(ne):
                 tM = F.twice - 2 * k
                 w = wigner3j(f, 1, F, HalfInteger(-tm), eps, HalfInteger(tM))
-                op[i, ng + k] = dphase * math.sqrt(gamma_sp) * w
+                op[i, ng + k] = dphase * w
         return op
 
-    ops = []
-    for eps in (1, 0, -1):
-        if convention == "generic":
-            ops.append(generic(eps))
-        else:
-            ops.append(_phase_to_i(generic(-eps)))
+    if convention == "generic":
+        ops = np.array([generic(eps) for eps in (1, 0, -1)])
+    else:
+        ops = np.array([_phase_to_i(generic(-eps)) for eps in (1, 0, -1)])
+    ops.flags.writeable = False
     return ops
 
 
@@ -260,6 +270,21 @@ def build_full4_time_dep(p: ModelParams, omega_L, omega_laser, omega_0):
     return h_t
 
 
+def _warn_unless_fast_decay(p):
+    scale = max(p.j, abs(p.delta_rf), p.omega)
+    if p.gamma_sp < 10.0 * scale:
+        warnings.warn(
+            "effective reduction assumes gamma_sp to dominate ground-state "
+            f"scales (gamma_sp={p.gamma_sp:g}, max ground scale={scale:g})",
+            stacklevel=3,
+        )
+
+
+def _check_excited_nhh(h_e):
+    if abs(h_e) < 1e-300:
+        raise ValueError("excited-state NHH is singular (gamma_sp = delta_opt = 0)")
+
+
 def reduce_effective(sys4: LindbladSystem, p: ModelParams) -> EffectiveReduction:
     """Eliminate the fast excited state via the effective-operator reduction.
 
@@ -270,13 +295,7 @@ def reduce_effective(sys4: LindbladSystem, p: ModelParams) -> EffectiveReduction
     """
     ngr = sys4.dim - 1
     h = sys4.hamiltonian
-    scale = max(p.j, abs(p.delta_rf), p.omega)
-    if p.gamma_sp < 10.0 * scale:
-        warnings.warn(
-            "effective reduction assumes gamma_sp to dominate ground-state "
-            f"scales (gamma_sp={p.gamma_sp:g}, max ground scale={scale:g})",
-            stacklevel=2,
-        )
+    _warn_unless_fast_decay(p)
 
     h_g = h[:ngr, :ngr]
     h_e = h[ngr:, ngr:]
@@ -291,8 +310,7 @@ def reduce_effective(sys4: LindbladSystem, p: ModelParams) -> EffectiveReduction
     g_e = sum((op.conj().T @ op for op in spont),
               np.zeros((sys4.dim, sys4.dim), dtype=complex))[ngr:, ngr:]
     h_enh = h_e - 0.5j * g_e
-    if abs(h_enh[0, 0]) < 1e-300:
-        raise ValueError("excited-state NHH is singular (gamma_sp = delta_opt = 0)")
+    _check_excited_nhh(h_enh[0, 0])
     h_enh_inv = np.linalg.inv(h_enh)
 
     h_eff = h_g - 0.5 * (v_minus @ (h_enh_inv + h_enh_inv.conj().T) @ v_plus)
@@ -312,6 +330,66 @@ def build_eff3(p: ModelParams) -> LindbladSystem:
                               build_ground_relaxation(p.gamma_g)):
             jumps.append((f"g[{m:+d},{n:+d}]", op))
     return LindbladSystem(dim=3, hamiltonian=red.h_eff, jumps=tuple(jumps))
+
+
+@dataclass(frozen=True)
+class LinearForm:
+    """How a model's generator depends on its parameters.
+
+    The hybrid Liouvillian of `build(p)` at jump weight p.q is exactly
+    sum_k coefficients(p)[k] * B_k with fixed matrices B_k.  The B_k are not
+    written out: they follow from `build` at the `probes`, parameter sets
+    whose coefficient vectors are linearly independent (see
+    superop.generator), so the matrices stay defined by the builders alone.
+    """
+
+    dim: int
+    build: Callable[[ModelParams], LindbladSystem]
+    coefficients: Callable[[ModelParams], tuple]
+    probes: tuple  # of ModelParams, one per coefficient
+
+
+def _full4_coefficients(p):
+    # H is linear in delta_rf, j, omega_r and delta_opt; each dissipator
+    # scales with its rate and its jump (repopulation) part with q times it
+    return (p.delta_rf, p.j, p.omega_r, p.delta_opt,
+            p.gamma_sp, p.q * p.gamma_sp, p.gamma_g, p.q * p.gamma_g)
+
+
+def _eff3_coefficients(p):
+    # reduce_effective on build_full4_rwa: the excited state has the scalar
+    # NHH h_e = -delta_opt - i gamma_sp / 2 and couples to |1,0> through
+    # -omega_r, so h_eff = h_g - omega_r^2 Re(1/h_e) |1,0><1,0| and every
+    # reduced jump is sqrt(gamma_sp) omega_r / h_e times a fixed matrix
+    _warn_unless_fast_decay(p)
+    h_e = complex(-p.delta_opt, -0.5 * p.gamma_sp)
+    _check_excited_nhh(h_e)
+    shift = -p.omega_r ** 2 * (1.0 / h_e).real
+    rate = p.gamma_sp * p.omega_r ** 2 / abs(h_e) ** 2
+    return (p.delta_rf, p.j, shift, rate, p.q * rate,
+            p.gamma_g, p.q * p.gamma_g)
+
+
+# Probe values are powers of two small enough against gamma_sp = 1 that the
+# effective reduction does not warn; each probe adds one coefficient to the
+# ones before it.
+_PROBE = ModelParams(omega_r=0.0, gamma_sp=1.0, q=0.0)
+
+LINEAR_FORMS = {
+    "full4": LinearForm(
+        dim=4, build=build_full4_rwa, coefficients=_full4_coefficients,
+        probes=(_PROBE, _PROBE.replace(q=1.0), _PROBE.replace(delta_rf=0.0625),
+                _PROBE.replace(j=0.0625), _PROBE.replace(omega_r=0.25),
+                _PROBE.replace(delta_opt=0.0625), _PROBE.replace(gamma_g=1.0),
+                _PROBE.replace(gamma_g=1.0, q=1.0))),
+    "eff3": LinearForm(
+        dim=3, build=build_eff3, coefficients=_eff3_coefficients,
+        probes=(_PROBE.replace(delta_rf=0.0625), _PROBE.replace(j=0.0625),
+                _PROBE.replace(omega_r=0.25, delta_opt=0.5),
+                _PROBE.replace(omega_r=0.25),
+                _PROBE.replace(omega_r=0.25, q=1.0),
+                _PROBE.replace(gamma_g=1.0), _PROBE.replace(gamma_g=1.0, q=1.0))),
+}
 
 
 def gamma_lambda_forms(sys: LindbladSystem):

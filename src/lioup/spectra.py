@@ -9,7 +9,6 @@ an evolution cross-check (expm against eigen-expansion).
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,30 +302,34 @@ class SweepResult:
     failures: tuple = ()  # of (grid index, message)
 
 
-def sweep(builder, parameter, grid, base: ModelParams, threads=None,
-          gap_threshold=None):
+def sweep(builder, parameter, grid, base: ModelParams, gap_threshold=None):
     """Eigenvalue branches of builder(params) along one parameter grid.
 
-    Branches are tracked between consecutive grid points by the
-    minimal-total-distance assignment; grid points whose builder raises are
-    recorded as failures and their branch column is NaN.
+    The grid's matrices are built one after another and solved by one
+    batched eigensolve.  Branches are tracked between consecutive grid points
+    by the minimal-total-distance assignment; grid points whose builder or
+    eigensolve raises are recorded as failures and their branch column is NaN.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be ascending with at least 2 points")
 
-    def evaluate(x):
-        return linalg.eigvals(_matrix_of(builder(base.replace(**{parameter: float(x)}))))
-
+    stack, built, failures = None, [], []
+    for i, x in enumerate(grid):
+        try:
+            m = _matrix_of(builder(base.replace(**{parameter: float(x)})))
+            if stack is None:
+                stack = np.empty((grid.size,) + m.shape, dtype=complex)
+            stack[len(built)] = m
+        except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
+            failures.append((i, _describe(exc)))
+        else:
+            built.append(i)
+    values, failed = _eigvals_each(stack[:len(built)]) if built else ([], [])
     results = [None] * grid.size
-    failures = []
-    with ThreadPoolExecutor(max_workers=threads or None) as pool:
-        futs = {i: pool.submit(evaluate, x) for i, x in enumerate(grid)}
-        for i in range(grid.size):
-            try:
-                results[i] = futs[i].result()
-            except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
-                failures.append((i, f"{type(exc).__name__}: {exc}"))
+    for i, v in zip(built, values):
+        results[i] = v
+    failures = sorted(failures + [(built[k], msg) for k, msg in failed])
 
     good = [i for i, r in enumerate(results) if r is not None]
     if not good:
@@ -350,6 +353,30 @@ def sweep(builder, parameter, grid, base: ModelParams, threads=None,
     candidates = tuple(i for i in good if min_pairwise_gap(results[i]) < gap_threshold)
     return SweepResult(parameter=parameter, grid=grid, branches=branches,
                        ep_candidates=candidates, failures=tuple(failures))
+
+
+def _describe(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _eigvals_each(stack):
+    """Eigenvalues of each matrix of a stack, from one batched solve.
+
+    Should the batched solve raise, every matrix is solved on its own; the
+    ones that fail get None and come back as (position, message).
+    """
+    try:
+        return list(linalg.eigvals(stack)), []
+    except (ValueError, np.linalg.LinAlgError):
+        pass
+    values, failed = [], []
+    for k, m in enumerate(stack):
+        try:
+            values.append(linalg.eigvals(m))
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            values.append(None)
+            failed.append((k, _describe(exc)))
+    return values, failed
 
 
 def _gap_objective(values, target_mult):
@@ -392,14 +419,14 @@ def find_ep(builder, box, target_mult, base: ModelParams, n_coarse=None,
     if np.any(his <= los):
         raise ValueError("empty box")
 
-    def values_at(x):
+    def matrix_at(x):
         p = base.replace(**{n: float(v) for n, v in zip(names, x)})
-        return linalg.eigvals(_matrix_of(builder(p)))
+        return _matrix_of(builder(p))
 
     axes = [np.linspace(lo, hi, n_coarse) for lo, hi in zip(los, his)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    coarse_vals = [values_at(x) for x in pts]
+    coarse_vals = linalg.eigvals(np.array([matrix_at(x) for x in pts]))
     scale = max(spectral_diameter(v) for v in coarse_vals)
     if scale == 0.0:
         scale = 1.0
@@ -412,7 +439,7 @@ def find_ep(builder, box, target_mult, base: ModelParams, n_coarse=None,
     def objective(x):
         if np.any(x < los) or np.any(x > his):
             return float(scale)
-        return _gap_objective(values_at(x), target_mult)
+        return _gap_objective(linalg.eigvals(matrix_at(x)), target_mult)
 
     # seeds: local minima of the coarse landscape (grid-graph neighborhood)
     shape = tuple(len(ax) for ax in axes)

@@ -12,6 +12,15 @@ Two superoperator bases are supported:
 The hybrid Liouvillian is L(q) = -i Hhat_NH + q Lambdahat
 = -i Hhat + Gammahat + q Lambdahat: the relaxation part is always fully
 included, only the quantum-jump (repopulation) term is q-weighted.
+
+Every generator is assembled once, in Fock-Liouville form, from Kronecker
+products.  Its Gell-Mann matrix is the similarity S^H L S / 2 with
+S[:, i] = vec(s_i), cached per dimension.  `generator(name)` writes a
+model's L(p) as sum_k c_k(p) B_k over fixed Fock-Liouville matrices B_k,
+derived once per model from its builder, so sweeps and searches cost one
+small contraction per point.  `h_superop`, `gamma_superop` and
+`lambda_superop` evaluate M_ij = Tr(map(s_j) s_i)/2 directly; they are the
+independent reference the Kronecker path is tested against.
 """
 
 import functools
@@ -19,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LindbladSystem
+from . import model
+from .model import LindbladSystem, ModelParams
 
 GELLMANN = "gellmann"
 FOCKLIOUVILLE = "fockliouville"
@@ -55,7 +65,6 @@ class SuperOperator:
     basis: BasisTag
     origin: str  # "nhh" | "hybrid" | "liouvillian"
     q: float | None = None
-    parts: dict | None = None
 
     def to_json(self):
         return {
@@ -169,17 +178,13 @@ def h_superop(h, basis):
     return superop_of_map(lambda s: h @ s - s @ h, basis)
 
 
-def _gamma_superop_from_op(g, basis):
-    return superop_of_map(lambda s: -0.5 * (g @ s + s @ g), basis)
-
-
 def gamma_superop(jumps, basis):
     """Relaxation superoperator, -1/4 sum Tr({L^dag L, s_j} s_i); symmetric, real."""
     gm = _as_gm(basis)
     d = gm.dim
     g = sum((np.asarray(l, dtype=complex).conj().T @ np.asarray(l, dtype=complex)
              for l in jumps), np.zeros((d, d), dtype=complex))
-    return _gamma_superop_from_op(g, gm)
+    return superop_of_map(lambda s: -0.5 * (g @ s + s @ g), gm)
 
 
 def lambda_superop(jumps, basis):
@@ -196,6 +201,39 @@ def lambda_superop(jumps, basis):
     return superop_of_map(apply_fn, gm)
 
 
+@functools.lru_cache(maxsize=None)
+def _gellmann_similarity(d):
+    """(S, S^H / 2) with S[:, i] = vec(s_i), column stacking."""
+    s = _gellmann_cached(d).transpose(0, 2, 1).reshape(d * d, d * d).T.copy()
+    s_inv = 0.5 * s.conj().T
+    s.flags.writeable = s_inv.flags.writeable = False
+    return s, s_inv
+
+
+def _basis_tag(basis, dim):
+    if isinstance(basis, str):
+        basis = BasisTag(basis, dim)
+    elif isinstance(basis, GellMannBasis):
+        basis = basis.tag
+    elif not isinstance(basis, BasisTag):
+        raise ValueError(f"unknown basis {basis!r}")
+    if basis.dim != dim:
+        raise ValueError("dimension mismatch between system and basis")
+    return basis
+
+
+def _in_basis(m, tag):
+    """A Fock-Liouville matrix in the basis `tag`."""
+    if tag.kind == FOCKLIOUVILLE:
+        return m
+    s, s_inv = _gellmann_similarity(tag.dim)
+    return s_inv @ m @ s
+
+
+def _origin(q):
+    return "liouvillian" if q == 1.0 else "hybrid"
+
+
 def nhh_superop(h_nh, basis):
     """Superoperator of the jump-free generator rho -> -i(H rho - rho H^dag).
 
@@ -204,21 +242,10 @@ def nhh_superop(h_nh, basis):
     """
     h_nh = np.asarray(h_nh, dtype=complex)
     d = h_nh.shape[0]
-    if isinstance(basis, BasisTag) and basis.kind == FOCKLIOUVILLE:
-        if basis.dim != d:
-            raise ValueError("dimension mismatch")
-        eye = np.eye(d)
-        m = -1j * (np.kron(eye, h_nh) - np.kron(h_nh.conj(), eye))
-        return SuperOperator(matrix=m, basis=basis, origin="nhh", q=0.0)
-    gm = _as_gm(basis)
-    if gm.dim != d:
-        raise ValueError("dimension mismatch")
-    herm = 0.5 * (h_nh + h_nh.conj().T)
-    g = 1j * (h_nh - h_nh.conj().T)  # h_nh = herm - i g / 2, g Hermitian
-    m = -1j * h_superop(herm, gm) + _gamma_superop_from_op(g, gm)
-    return SuperOperator(matrix=m, basis=gm.tag, origin="nhh", q=0.0,
-                         parts={"h_part": h_superop(herm, gm),
-                                "gamma_part": _gamma_superop_from_op(g, gm)})
+    tag = _basis_tag(basis, d)
+    eye = np.eye(d)
+    m = -1j * (np.kron(eye, h_nh) - np.kron(h_nh.conj(), eye))
+    return SuperOperator(matrix=_in_basis(m, tag), basis=tag, origin="nhh", q=0.0)
 
 
 def hybrid_liouvillian(sys: LindbladSystem, q, basis) -> SuperOperator:
@@ -230,23 +257,9 @@ def hybrid_liouvillian(sys: LindbladSystem, q, basis) -> SuperOperator:
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    if isinstance(basis, str):
-        basis = BasisTag(basis, sys.dim)
-    origin = "liouvillian" if q == 1.0 else "hybrid"
-    if isinstance(basis, BasisTag) and basis.kind == FOCKLIOUVILLE:
-        m = _fock_liouville_matrix(sys, q)
-        return SuperOperator(matrix=m, basis=basis, origin=origin, q=float(q))
-    gm = _as_gm(basis)
-    if gm.dim != sys.dim:
-        raise ValueError("dimension mismatch between system and basis")
-    ops = sys.jump_ops()
-    hhat = h_superop(sys.hamiltonian, gm)
-    ghat = gamma_superop(ops, gm)
-    lhat = lambda_superop(ops, gm)
-    m = -1j * hhat + ghat + q * lhat
-    return SuperOperator(matrix=m, basis=gm.tag, origin=origin, q=float(q),
-                         parts={"h_part": hhat, "gamma_part": ghat,
-                                "lambda_part": lhat})
+    tag = _basis_tag(basis, sys.dim)
+    m = _in_basis(_fock_liouville_matrix(sys, q), tag)
+    return SuperOperator(matrix=m, basis=tag, origin=_origin(q), q=float(q))
 
 
 def _fock_liouville_matrix(sys: LindbladSystem, q):
@@ -267,6 +280,49 @@ def fock_liouville(sys: LindbladSystem, q) -> SuperOperator:
     return hybrid_liouvillian(sys, q, BasisTag(FOCKLIOUVILLE, sys.dim))
 
 
+@dataclass(frozen=True)
+class Generator:
+    """A model's hybrid Liouvillian as L(p) = sum_k c_k(p) B_k.
+
+    `terms` holds the fixed Fock-Liouville matrices B_k, flattened to rows;
+    `form.coefficients` gives the scalars c_k(p), and runs the model's
+    parameter checks.  Evaluating a point is one contraction, plus the
+    cached similarity for the Gell-Mann basis.
+    """
+
+    form: model.LinearForm
+    terms: np.ndarray  # (K, d^4), read-only
+
+    def matrix(self, p: ModelParams, basis) -> np.ndarray:
+        d = self.form.dim
+        c = np.array(self.form.coefficients(p), dtype=float)
+        return _in_basis((c @ self.terms).reshape(d * d, d * d),
+                         _basis_tag(basis, d))
+
+    def __call__(self, p: ModelParams, basis) -> SuperOperator:
+        """L(p.q) of the model at p: hybrid_liouvillian(build(p), p.q, basis)."""
+        tag = _basis_tag(basis, self.form.dim)
+        return SuperOperator(matrix=self.matrix(p, tag), basis=tag,
+                             origin=_origin(p.q), q=float(p.q))
+
+
+@functools.lru_cache(maxsize=None)
+def generator(name) -> Generator:
+    """The parametric generator of model `name` ("eff3" or "full4").
+
+    Built once per process: the Kronecker matrices at the model's probe
+    parameters are linear in the coefficient vectors there, which one small
+    solve inverts for the B_k.
+    """
+    form = model.LINEAR_FORMS[name]
+    coeffs = np.array([form.coefficients(p) for p in form.probes], dtype=float)
+    mats = np.array([_fock_liouville_matrix(form.build(p), p.q).ravel()
+                     for p in form.probes])
+    terms = np.linalg.solve(coeffs, mats)
+    terms.flags.writeable = False
+    return Generator(form=form, terms=terms)
+
+
 def isotropic_extension(base: SuperOperator, gamma_g, q) -> SuperOperator:
     """Add isotropic ground relaxation to an effective three-level Liouvillian.
 
@@ -284,5 +340,4 @@ def isotropic_extension(base: SuperOperator, gamma_g, q) -> SuperOperator:
     diag = np.full(9, gamma_g)
     diag[-1] = gamma_g * (1.0 - q)
     m = base.matrix - np.diag(diag)
-    return SuperOperator(matrix=m, basis=base.basis, origin=base.origin,
-                         q=base.q, parts=base.parts)
+    return SuperOperator(matrix=m, basis=base.basis, origin=base.origin, q=base.q)

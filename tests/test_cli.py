@@ -118,6 +118,28 @@ class TestSweepCommand:
         assert run(["sweep", "--config", cfg2, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_sidecar_lists_candidates_and_failures(self, tmp_path, capsys):
+        # omega = -10 cannot give omega_r; omega = 30 at j = 30/sqrt(2) is
+        # the operator pair EP
+        cfg = write_config(tmp_path, {
+            "model": "eff3",
+            "params": {"omega": 30.0, "j": 30.0 / math.sqrt(2.0), "q": 0.0},
+            "sweep": {"parameter": "omega", "start": -10.0, "stop": 30.0,
+                      "points": 5, "level": "operator"},
+        })
+        out = tmp_path / "ep.csv"
+        assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert "grid point 0 failed" in capsys.readouterr().err
+        meta = json.loads((tmp_path / "ep.csv.meta.json").read_text())
+        assert [c["index"] for c in meta["ep_candidates"]] == [4]
+        assert float(meta["ep_candidates"][0]["omega"]) == 30.0
+        [failure] = meta["failures"]
+        assert failure["index"] == 0 and float(failure["omega"]) == -10.0
+        assert failure["message"].startswith("ValueError")
+        # the CSV keeps its layout: the failed row is NaN
+        rows = out.read_text().splitlines()
+        assert len(rows) == 6 and "nan" in rows[1]
+
     def test_operator_level_sweep(self, tmp_path):
         cfg = write_config(tmp_path, {
             "model": "eff3",

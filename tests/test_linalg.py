@@ -62,6 +62,22 @@ class TestEig:
         assert np.array_equal(w1, w2)
         assert np.all(np.diff(w1.real) >= -1e-300)
 
+    @pytest.mark.parametrize("d", [3, 9, 16])
+    def test_stack_is_bitwise_the_per_matrix_result(self, rng, d):
+        stack = np.array([random_complex(rng, d) for _ in range(40)])
+        got = linalg.eigvals(stack)
+        assert got.shape == (40, d)
+        for w, a in zip(got, stack):
+            assert np.array_equal(w, linalg.eigvals(a))
+
+    def test_stack_validation(self):
+        with pytest.raises(ValueError):
+            linalg.eigvals(np.zeros((2, 2, 3)))
+        bad = np.zeros((3, 2, 2))
+        bad[1, 0, 0] = np.inf
+        with pytest.raises(ValueError):
+            linalg.eigvals(bad)
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             linalg.eig(np.zeros((2, 3)))

@@ -41,6 +41,10 @@ class TestModelParams:
         assert p2.omega_r == pytest.approx(math.sqrt(40.0 * GAMMA_D2))
         p3 = p.replace(j=5.0)
         assert p3.omega == p.omega and p3.omega_r == p.omega_r
+        # omega given with a new gamma_sp: omega_r follows both
+        p4 = p.replace(gamma_sp=1e6, omega=40.0)
+        assert p4.omega == 40.0
+        assert p4.omega_r == pytest.approx(math.sqrt(40.0 * 1e6))
 
 
 class TestTimeDependentBuilder:
@@ -151,6 +155,19 @@ class TestSpontaneousJumps:
     def test_forbidden_transition(self):
         with pytest.raises(ValueError):
             build_spont_jumps(1, 3, 1.0)
+
+    def test_returned_arrays_cannot_corrupt_the_cache(self):
+        first = build_spont_jumps(1, 0, 4.0)
+        want = [op.copy() for op in first]
+        with pytest.raises(ValueError):
+            first[0][2, 3] = 99.0
+        with pytest.raises(ValueError):
+            first[1] *= 2.0
+        for op, ref in zip(build_spont_jumps(1, 0, 4.0), want):
+            assert np.array_equal(op, ref)
+        # the cached unit-rate operators are scaled by sqrt(gamma_sp)
+        for op, unit in zip(first, build_spont_jumps(1, 0, 1.0)):
+            assert np.array_equal(op, 2.0 * unit)
 
 
 class TestFullFourLevel:

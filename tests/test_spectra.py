@@ -182,12 +182,22 @@ class TestSweep:
         good = [i for i in range(11) if i not in bad]
         assert np.isfinite(res.branches[:, good]).all()
 
-    def test_threads_agree_with_serial(self):
-        base = ModelParams(omega=30.0, j=10.0, q=1.0)
-        grid = np.linspace(5.0, 15.0, 21)
-        serial = sweep(lambda p: gm_liouvillian(p), "j", grid, base, threads=1)
-        parallel = sweep(lambda p: gm_liouvillian(p), "j", grid, base, threads=4)
-        assert np.array_equal(serial.branches, parallel.branches)
+    def test_eigensolve_failure_is_recorded_at_its_grid_index(self):
+        # a non-finite matrix makes the batched solve raise; the per-matrix
+        # fallback still attributes the failure to its own grid point
+        base = ModelParams(omega=30.0, j=10.0, q=0.0)
+
+        def builder(p):
+            h = h_nh_tuned(p.omega, p.j)
+            if 19.5 < p.j < 20.5:
+                h[0, 0] = np.nan
+            return h
+
+        res = sweep(builder, "j", np.linspace(15.0, 25.0, 11), base)
+        assert [i for i, _ in res.failures] == [5]
+        assert res.failures[0][1].startswith("ValueError")
+        assert np.isnan(res.branches[:, 5]).all()
+        assert np.isfinite(np.delete(res.branches, 5, axis=1)).all()
 
     def test_rejects_unsorted_grid(self):
         base = ModelParams(omega=30.0, j=10.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lioup import analytic, linalg, model, spectra, superop
 from lioup.model import LindbladSystem, ModelParams, build_eff3, build_ground_relaxation
@@ -259,6 +261,69 @@ class TestHybridLiouvillian:
                     scale = max(np.abs(want).max(), 1.0)
                     assert np.abs(got_gm - want).max() < 1e-11 * scale
                     assert np.abs(got_fl - want).max() < 1e-11 * scale
+
+
+class TestGellMannSimilarity:
+    def test_equals_the_direct_parts(self, rng):
+        # the Kronecker path through S^H L S / 2 against M_ij = Tr(map(s_j) s_i)/2
+        for d in (2, 3, 4):
+            gm = gellmann_basis(d)
+            sys = random_system(rng, d, 3)
+            ops = sys.jump_ops()
+            hhat = h_superop(sys.hamiltonian, gm)
+            ghat = gamma_superop(ops, gm)
+            lhat = lambda_superop(ops, gm)
+            for q in (0.0, 0.3, 1.0):
+                got = hybrid_liouvillian(sys, q, gm).matrix
+                want = -1j * hhat + ghat + q * lhat
+                assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+    def test_nhh_superop_equals_the_direct_parts(self, rng):
+        gm = gellmann_basis(3)
+        sys = random_system(rng, 3, 2)
+        ops = sys.jump_ops()
+        want = -1j * h_superop(sys.hamiltonian, gm) + gamma_superop(ops, gm)
+        got = nhh_superop(sys.h_nh(), gm).matrix
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+@st.composite
+def model_params(draw):
+    # ground scales stay below gamma_sp / 10, where the reduction is valid
+    gamma_sp = draw(st.floats(1e3, 1e8))
+    return ModelParams(
+        omega=draw(st.floats(0.0, 100.0)), j=draw(st.floats(0.0, 100.0)),
+        delta_rf=draw(st.floats(-100.0, 100.0)),
+        delta_opt=gamma_sp * draw(st.floats(-2.0, 2.0)), gamma_sp=gamma_sp,
+        gamma_g=draw(st.floats(0.0, 10.0)), q=draw(st.floats(0.0, 1.0)))
+
+
+class TestGenerator:
+    BUILDERS = {"eff3": build_eff3, "full4": model.build_full4_rwa}
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=model_params(), name=st.sampled_from(["eff3", "full4"]),
+           basis=st.sampled_from([GELLMANN, FOCKLIOUVILLE]))
+    def test_matches_the_builders(self, p, name, basis):
+        want = hybrid_liouvillian(self.BUILDERS[name](p), p.q, basis)
+        got = superop.generator(name)(p, basis)
+        assert np.abs(got.matrix - want.matrix).max() <= 1e-12 * np.abs(want.matrix).max()
+        assert (got.basis, got.origin, got.q) == (want.basis, want.origin, want.q)
+
+    def test_keeps_the_reduction_checks(self):
+        gen = superop.generator("eff3")
+        slow = ModelParams(omega_r=3.0, j=30.0, gamma_sp=10.0)
+        with pytest.warns(UserWarning, match="dominate"):
+            gen(slow, GELLMANN)
+        singular = ModelParams(omega=1.0, gamma_sp=1e-310)
+        for build in (build_eff3, lambda p: gen(p, GELLMANN)):
+            with pytest.warns(UserWarning), pytest.raises(ValueError, match="singular"):
+                build(singular)
+
+    def test_rejects_a_basis_of_another_dimension(self):
+        p = ModelParams(omega=30.0, j=10.0)
+        with pytest.raises(ValueError):
+            superop.generator("full4")(p, BasisTag(FOCKLIOUVILLE, 3))
 
 
 class TestFockLiouville:
