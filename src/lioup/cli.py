@@ -95,6 +95,12 @@ def _liouvillian(cfg, p):
     return superop.generator(cfg["model"])(p, cfg["basis"])
 
 
+def _gellmann_matrix(cfg, p):
+    """The real Gell-Mann generator matrix, whatever the config's basis:
+    S / sqrt(2) is unitary, so spectrum and conditioning are the same."""
+    return superop.generator(cfg["model"]).matrix(p, superop.GELLMANN)
+
+
 def _operator(cfg, p):
     return _system(cfg, p).h_nh()
 
@@ -207,19 +213,17 @@ def cmd_sweep(cfg, out_path):
 
     p = params_from_config(cfg)
     builder = (lambda pp: _operator(cfg, pp)) if level == "operator" \
-        else (lambda pp: _liouvillian(cfg, pp))
+        else (lambda pp: _gellmann_matrix(cfg, pp))
     grid = np.linspace(start, stop, points)
     result = spectra.sweep(builder, parameter, grid, p)
 
     nb = result.branches.shape[0]
     header = ([parameter] + [f"re_{k + 1}" for k in range(nb)]
               + [f"im_{k + 1}" for k in range(nb)])
-    lines = [",".join(header)]
-    for i, x in enumerate(result.grid):
-        row = [_fmt(x)]
-        row += [_fmt(z.real) for z in result.branches[:, i]]
-        row += [_fmt(z.imag) for z in result.branches[:, i]]
-        lines.append(",".join(row))
+    row_fmt = ",".join([FLOAT_FMT] * (1 + 2 * nb))
+    table = np.column_stack([result.grid, result.branches.real.T,
+                             result.branches.imag.T])
+    lines = [",".join(header)] + [row_fmt % tuple(row.tolist()) for row in table]
     _emit("\r\n".join(lines) + "\r\n", out_path)
     _emit_metadata(cfg, out_path, extra={
         "branch_provenance": "columns follow the (re, im)-sorted eigenvalues "

@@ -1,10 +1,11 @@
 """Dense complex linear algebra shared by every higher-level module.
 
-All matrices are plain numpy arrays of complex128.  Problem sizes are tiny
-(operators up to 16x16, superoperators up to 256x256), so the routines favor
-robustness and reproducibility over speed: LAPACK eigensolvers with a fixed
-deterministic eigenvalue ordering, SVD-based ranks, scaling-and-squaring
-expm, and the closed-form cubic with stable branch selection.
+Matrices are plain numpy arrays of complex128; eigvals() also keeps float64
+input real.  Problem sizes are tiny (operators up to 16x16, superoperators up
+to 256x256), so the routines favor robustness and reproducibility over speed:
+LAPACK eigensolvers with a fixed deterministic eigenvalue ordering, SVD-based
+ranks, scaling-and-squaring expm, and the closed-form cubic with stable
+branch selection.
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,16 @@ class ConvergenceError(RuntimeError):
     """Eigensolver failed to converge within the LAPACK iteration budget."""
 
 
+def real_or_complex(a):
+    """`a` as an array: float64 stays real, every other dtype becomes complex128.
+
+    A real matrix goes to the real LAPACK eigensolver, whose complex
+    eigenvalues come in exactly conjugate pairs.
+    """
+    a = np.asarray(a)
+    return a if a.dtype == np.float64 else a.astype(complex)
+
+
 def as_matrix(a, *, square=False, finite=True):
     """Coerce to a 2-D complex128 array, optionally enforcing squareness."""
     m = np.asarray(a, dtype=complex)
@@ -36,36 +47,6 @@ def as_matrix(a, *, square=False, finite=True):
     if finite and not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
-
-
-def _scale(a):
-    s = np.abs(a).max() if a.size else 0.0
-    return max(s, 1.0)
-
-
-def is_hermitian(a, tol=1e-12):
-    a = as_matrix(a, square=True)
-    return np.abs(a - a.conj().T).max() <= tol * _scale(a)
-
-
-def is_symmetric(a, tol=1e-12):
-    a = as_matrix(a, square=True)
-    return np.abs(a - a.T).max() <= tol * _scale(a)
-
-
-def is_antisymmetric(a, tol=1e-12):
-    a = as_matrix(a, square=True)
-    return np.abs(a + a.T).max() <= tol * _scale(a)
-
-
-def is_real(a, tol=1e-12):
-    a = as_matrix(a)
-    return np.abs(a.imag).max() <= tol * _scale(a)
-
-
-def is_imaginary(a, tol=1e-12):
-    a = as_matrix(a)
-    return np.abs(a.real).max() <= tol * _scale(a)
 
 
 @dataclass(frozen=True)
@@ -127,18 +108,16 @@ def eigvals(a):
 
     `a` is one square matrix or an (n, d, d) stack of them; each matrix's
     eigenvalues are ordered on their own, and are the same bits as for a
-    separate call.
+    separate call.  float64 input is solved in real arithmetic, any other
+    dtype as complex; the result is complex128 either way.
     """
-    if np.ndim(a) == 3:
-        a = np.asarray(a, dtype=complex)
-        if a.shape[1] != a.shape[2] or a.shape[1] > MAX_DIM:
-            raise ValueError(f"expected a stack of square matrices up to "
-                             f"{MAX_DIM}x{MAX_DIM}, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValueError("matrix contains non-finite entries")
-    else:
-        a = as_matrix(a, square=True)
-    w = np.linalg.eigvals(a)
+    a = real_or_complex(a)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] > MAX_DIM:
+        raise ValueError(f"expected a square matrix or a stack of them, up to "
+                         f"{MAX_DIM}x{MAX_DIM}, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
+    w = np.linalg.eigvals(a).astype(complex, copy=False)
     return np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=-1), axis=-1)
 
 

@@ -74,7 +74,7 @@ class ModelParams:
                 )
         for name in ("j", "omega", "omega_r", "delta_rf", "delta_opt",
                      "gamma_sp", "gamma_g", "q"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} is not finite")
 
     def replace(self, **kw):

@@ -29,9 +29,10 @@ TOL_CLASS_REL = 1e-8
 
 
 def _matrix_of(obj):
+    """The matrix of a builder's result; float64 stays real."""
     if isinstance(obj, superop.SuperOperator):
-        return obj.matrix
-    return np.asarray(obj, dtype=complex)
+        obj = obj.matrix
+    return linalg.real_or_complex(obj)
 
 
 def spectral_diameter(values):
@@ -39,13 +40,6 @@ def spectral_diameter(values):
     if values.size < 2:
         return 0.0
     return float(np.abs(values[:, None] - values[None, :]).max())
-
-
-def min_pairwise_gap(values):
-    values = np.asarray(values)
-    d = np.abs(values[:, None] - values[None, :])
-    d[np.diag_indices_from(d)] = np.inf
-    return float(d.min())
 
 
 def match_distance(a, b):
@@ -90,17 +84,6 @@ class SplittingTable:
     """Real and imaginary quasienergy splittings for all index pairs i < j."""
 
     pairs: tuple  # of (i, j, dE_real, dE_imag)
-
-    def get(self, i, j):
-        sign = 1.0
-        if i > j:
-            i, j, sign = j, i, -1.0
-        if i == j:
-            return (0.0, 0.0)
-        for a, b, dre, dim_ in self.pairs:
-            if (a, b) == (i, j):
-                return (sign * dre, sign * dim_)
-        raise KeyError((i, j))
 
 
 def splittings(values):
@@ -306,9 +289,16 @@ def sweep(builder, parameter, grid, base: ModelParams, gap_threshold=None):
     """Eigenvalue branches of builder(params) along one parameter grid.
 
     The grid's matrices are built one after another and solved by one
-    batched eigensolve.  Branches are tracked between consecutive grid points
-    by the minimal-total-distance assignment; grid points whose builder or
+    batched eigensolve, in real arithmetic while every matrix is float64.
+    Branches are tracked between consecutive grid points by the
+    minimal-total-distance assignment; grid points whose builder or
     eigensolve raises are recorded as failures and their branch column is NaN.
+
+    EP candidates are the points with more eigenvalue pairs closer than
+    gap_threshold (default 1e-5 of the largest spectral diameter on the grid)
+    than the fewest any point of the grid has.  Degeneracies present at every
+    point, such as the symmetry-protected exact doubles of a superoperator
+    spectrum, therefore flag nothing; a coalescence on top of them does.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -319,7 +309,9 @@ def sweep(builder, parameter, grid, base: ModelParams, gap_threshold=None):
         try:
             m = _matrix_of(builder(base.replace(**{parameter: float(x)})))
             if stack is None:
-                stack = np.empty((grid.size,) + m.shape, dtype=complex)
+                stack = np.empty((grid.size,) + m.shape, dtype=m.dtype)
+            elif not np.can_cast(m.dtype, stack.dtype):
+                stack = stack.astype(np.result_type(stack, m))
             stack[len(built)] = m
         except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
             failures.append((i, _describe(exc)))
@@ -347,12 +339,30 @@ def sweep(builder, parameter, grid, base: ModelParams, gap_threshold=None):
         branches[:, i] = ordered
         prev = ordered
 
-    if gap_threshold is None:
-        diam = max(spectral_diameter(results[i]) for i in good)
-        gap_threshold = 10.0 * TOL_CLUSTER_REL * diam
-    candidates = tuple(i for i in good if min_pairwise_gap(results[i]) < gap_threshold)
+    counts = _close_pairs(branches[:, good].T, gap_threshold)
+    fewest = counts.min()
+    candidates = tuple(i for i, c in zip(good, counts) if c > fewest)
     return SweepResult(parameter=parameter, grid=grid, branches=branches,
                        ep_candidates=candidates, failures=tuple(failures))
+
+
+def _close_pairs(values, threshold=None):
+    """Per row of `values` (points, n): eigenvalue pairs closer than threshold.
+
+    The default threshold is 10 * TOL_CLUSTER_REL times the largest spectral
+    diameter over all rows.  Each pass over the columns compares one column
+    with the ones after it, so no (points, n, n) array is formed.
+    """
+    cols = range(values.shape[1] - 1)
+    if threshold is None:
+        diam = max((np.abs(values[:, k + 1:] - values[:, k:k + 1]).max()
+                    for k in cols), default=0.0)
+        threshold = 10.0 * TOL_CLUSTER_REL * diam
+    counts = np.zeros(len(values), dtype=int)
+    for k in cols:
+        counts += np.count_nonzero(
+            np.abs(values[:, k + 1:] - values[:, k:k + 1]) < threshold, axis=1)
+    return counts
 
 
 def _describe(exc):

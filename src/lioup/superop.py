@@ -16,11 +16,13 @@ included, only the quantum-jump (repopulation) term is q-weighted.
 Every generator is assembled once, in Fock-Liouville form, from Kronecker
 products.  Its Gell-Mann matrix is the similarity S^H L S / 2 with
 S[:, i] = vec(s_i), cached per dimension.  `generator(name)` writes a
-model's L(p) as sum_k c_k(p) B_k over fixed Fock-Liouville matrices B_k,
-derived once per model from its builder, so sweeps and searches cost one
-small contraction per point.  `h_superop`, `gamma_superop` and
-`lambda_superop` evaluate M_ij = Tr(map(s_j) s_i)/2 directly; they are the
-independent reference the Kronecker path is tested against.
+model's L(p) as sum_k c_k(p) B_k.  The B_k are derived once per model from
+its builder in Fock-Liouville form, taken through the similarity and stored
+only in the Gell-Mann basis, where they are real: a point costs one small
+real contraction, and its Fock-Liouville matrix is S M S^H / 2.
+`h_superop`, `gamma_superop` and `lambda_superop` evaluate
+M_ij = Tr(map(s_j) s_i)/2 directly; they are the independent reference the
+Kronecker path is tested against.
 """
 
 import functools
@@ -280,24 +282,34 @@ def fock_liouville(sys: LindbladSystem, q) -> SuperOperator:
     return hybrid_liouvillian(sys, q, BasisTag(FOCKLIOUVILLE, sys.dim))
 
 
+# Largest imaginary part, relative to a term's largest entry, that counts as
+# rounding when a generator's Gell-Mann terms are made real.
+REAL_TERMS_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class Generator:
     """A model's hybrid Liouvillian as L(p) = sum_k c_k(p) B_k.
 
-    `terms` holds the fixed Fock-Liouville matrices B_k, flattened to rows;
-    `form.coefficients` gives the scalars c_k(p), and runs the model's
-    parameter checks.  Evaluating a point is one contraction, plus the
-    cached similarity for the Gell-Mann basis.
+    `terms` holds the fixed matrices B_k in the Gell-Mann basis, where they
+    are real, flattened to rows; `form.coefficients` gives the scalars
+    c_k(p), and runs the model's parameter checks.  A point is one real
+    contraction; its Fock-Liouville matrix is the similarity S M S^H / 2.
     """
 
     form: model.LinearForm
-    terms: np.ndarray  # (K, d^4), read-only
+    terms: np.ndarray  # (K, d^4) float64, read-only
 
     def matrix(self, p: ModelParams, basis) -> np.ndarray:
+        """float64 in the Gell-Mann basis, complex128 in Fock-Liouville."""
         d = self.form.dim
+        tag = _basis_tag(basis, d)
         c = np.array(self.form.coefficients(p), dtype=float)
-        return _in_basis((c @ self.terms).reshape(d * d, d * d),
-                         _basis_tag(basis, d))
+        m = (c @ self.terms).reshape(d * d, d * d)
+        if tag.kind == FOCKLIOUVILLE:
+            s, s_inv = _gellmann_similarity(d)
+            return s @ m @ s_inv
+        return m
 
     def __call__(self, p: ModelParams, basis) -> SuperOperator:
         """L(p.q) of the model at p: hybrid_liouvillian(build(p), p.q, basis)."""
@@ -312,13 +324,22 @@ def generator(name) -> Generator:
 
     Built once per process: the Kronecker matrices at the model's probe
     parameters are linear in the coefficient vectors there, which one small
-    solve inverts for the B_k.
+    solve inverts for the Fock-Liouville B_k.  These go through the cached
+    similarity to the Gell-Mann basis, where a Hermiticity-preserving map is
+    real; an imaginary part above rounding level raises ValueError.
     """
     form = model.LINEAR_FORMS[name]
+    n = form.dim ** 2
     coeffs = np.array([form.coefficients(p) for p in form.probes], dtype=float)
     mats = np.array([_fock_liouville_matrix(form.build(p), p.q).ravel()
                      for p in form.probes])
-    terms = np.linalg.solve(coeffs, mats)
+    s, s_inv = _gellmann_similarity(form.dim)
+    terms = s_inv @ np.linalg.solve(coeffs, mats).reshape(-1, n, n) @ s
+    imag = np.abs(terms.imag).max(axis=(1, 2))
+    if np.any(imag > REAL_TERMS_TOL * np.abs(terms).max(axis=(1, 2))):
+        raise ValueError(f"the Gell-Mann terms of model {name!r} are not real "
+                         f"(largest imaginary part {imag.max():.3e})")
+    terms = np.ascontiguousarray(terms.real).reshape(len(terms), n * n)
     terms.flags.writeable = False
     return Generator(form=form, terms=terms)
 

@@ -1,0 +1,61 @@
+"""Smoke run of the benchmark's command mix against its output oracle.
+
+perfbench/workloads.py and perfbench/oracle.py are loaded read-only from
+their source (no bytecode is written next to them).  Each command runs
+through cli.main with its output captured, and the oracle must find nothing
+wrong.  Small grids, one repetition, and no timing gates.
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import sys
+import types
+
+import numpy as np
+import pytest
+
+from lioup import cli
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+SEED = 3
+SWEEP_POINTS = 51
+
+
+def _load(name):
+    path = PERFBENCH / f"{name}.py"
+    mod = types.ModuleType(f"perfbench_{name}")
+    mod.__file__ = str(path)
+    sys.modules[mod.__name__] = mod  # dataclasses resolve their module here
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), mod.__dict__)
+    return mod
+
+
+workloads = _load("workloads")
+oracle = _load("oracle")
+
+
+def _commands():
+    rng = np.random.default_rng([SEED, workloads.WORKLOADS.index("sweep")])
+    sweeps = [workloads._sweep_command(rng, slot, points=SWEEP_POINTS)
+              for slot in range(workloads.PERIOD["sweep"])]
+    stream = workloads.commands("oneshot", SEED)
+    oneshots = [next(stream) for _ in range(workloads.PERIOD["oneshot"])]
+    return sweeps + oneshots
+
+
+COMMANDS = _commands()
+
+
+@pytest.mark.parametrize("cmd", COMMANDS,
+                         ids=[f"{k}-{c.subcommand}" for k, c in enumerate(COMMANDS)])
+def test_oracle_accepts_the_output(tmp_path, cmd):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cmd.config))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main([cmd.subcommand, "--config", str(path)])
+    assert rc == 0, err.getvalue()
+    fails, _ = oracle.check(cmd, out.getvalue(), err.getvalue())
+    assert fails == []

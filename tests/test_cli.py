@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lioup import cli
+from lioup import cli, model, spectra
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -117,6 +117,40 @@ class TestSweepCommand:
         out2 = tmp_path / "b.csv"
         assert run(["sweep", "--config", cfg2, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("model", ["eff3", "full4"])
+    def test_csv_does_not_depend_on_the_basis(self, tmp_path, model):
+        # sweeps solve the real Gell-Mann form whatever the configured basis
+        outs = []
+        for basis in ("gellmann", "fockliouville"):
+            cfg = write_config(tmp_path, {
+                "model": model, "basis": basis,
+                "params": {"omega": 30.0, "j": 10.0, "delta_rf": 4.0,
+                           "gamma_sp": 1e5, "gamma_g": 0.5, "q": 0.5},
+                "sweep": {"parameter": "j", "start": 5.0, "stop": 40.0,
+                          "points": 36},
+            }, name=f"{basis}.json")
+            outs.append(tmp_path / f"{basis}.csv")
+            assert run(["sweep", "--config", cfg, "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_rows_match_per_field_formatting(self, tmp_path):
+        # grid point 0 fails (omega < 0), so a NaN row is formatted too
+        cfg = {"model": "eff3",
+               "params": {"omega": 30.0, "j": 10.0, "q": 0.0},
+               "sweep": {"parameter": "omega", "start": -10.0, "stop": 30.0,
+                         "points": 9, "level": "operator"}}
+        out = tmp_path / "rows.csv"
+        assert run(["sweep", "--config", write_config(tmp_path, cfg),
+                    "--out", str(out)]) == 0
+        res = spectra.sweep(
+            lambda p: model.build_eff3(p).h_nh(), "omega",
+            np.linspace(-10.0, 30.0, 9), cli.params_from_config(cfg))
+        want = [",".join([cli._fmt(x)] + [cli._fmt(z.real) for z in col]
+                         + [cli._fmt(z.imag) for z in col])
+                for x, col in zip(res.grid, res.branches.T)]
+        assert out.read_bytes().decode().split("\r\n")[1:-1] == want
+        assert want[0].count("nan") == 6
 
     def test_sidecar_lists_candidates_and_failures(self, tmp_path, capsys):
         # omega = -10 cannot give omega_r; omega = 30 at j = 30/sqrt(2) is

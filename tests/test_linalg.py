@@ -70,6 +70,34 @@ class TestEig:
         for w, a in zip(got, stack):
             assert np.array_equal(w, linalg.eigvals(a))
 
+    @pytest.mark.parametrize("d", [3, 9, 16])
+    def test_real_stack_is_bitwise_the_per_matrix_result(self, rng, d):
+        stack = rng.normal(size=(40, d, d))
+        got = linalg.eigvals(stack)
+        assert got.dtype == complex
+        for w, a in zip(got, stack):
+            assert np.array_equal(w, linalg.eigvals(a))
+
+    @pytest.mark.parametrize("name", ["eff3", "full4"])
+    def test_real_solve_gives_exact_conjugate_pairs(self, rng, name):
+        p = model.ModelParams(omega=30.0, j=17.0, delta_rf=3.0, delta_opt=50.0,
+                              gamma_sp=1e4, gamma_g=0.5, q=0.4)
+        d2 = superop.generator(name).matrix(p, superop.GELLMANN).shape[0]
+        stack = np.array([superop.generator(name).matrix(p, superop.GELLMANN)]
+                         + [rng.normal(size=(d2, d2)) for _ in range(5)])
+        assert stack.dtype == np.float64
+        for a, w in zip(stack, linalg.eigvals(stack)):
+            assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))
+            w_complex = linalg.eigvals(a.astype(complex))
+            assert spectra.match_distance(w, w_complex) <= 1e-12 * np.abs(w).max()
+
+    def test_other_dtypes_are_solved_as_complex(self):
+        a = np.array([[0, 1], [-1, 0]], dtype=np.int64)
+        as_complex = linalg.eigvals(a.astype(complex))
+        assert np.array_equal(linalg.eigvals(a), as_complex)
+        assert np.array_equal(linalg.eigvals(a.astype(np.float32)[None])[0],
+                              as_complex)
+
     def test_stack_validation(self):
         with pytest.raises(ValueError):
             linalg.eigvals(np.zeros((2, 2, 3)))
@@ -208,16 +236,3 @@ class TestCubicRoots:
             for r in linalg.cubic_roots(c2, c1, c0):
                 assert abs(r ** 3 + c2 * r ** 2 + c1 * r + c0) <= 1e-8 * scale
 
-
-class TestPredicates:
-    def test_hermitian(self, rng):
-        a = random_complex(rng, 4)
-        assert linalg.is_hermitian(a + a.conj().T)
-        assert not linalg.is_hermitian(a + a.conj().T + 1e-6 * 1j * np.eye(4))
-
-    def test_symmetry_flavours(self, rng):
-        a = random_complex(rng, 4)
-        assert linalg.is_symmetric(a + a.T)
-        assert linalg.is_antisymmetric(a - a.T)
-        assert linalg.is_real(a.real)
-        assert linalg.is_imaginary(1j * a.real)

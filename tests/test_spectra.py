@@ -35,14 +35,10 @@ class TestSplittings:
         table = splittings([1.0 + 1j, 1.0 + 1j, 1.0 + 1j])
         assert all(re == 0.0 and im == 0.0 for _, _, re, im in table.pairs)
 
-    def test_antisymmetry_and_lookup(self):
+    def test_pairs_are_ordered_differences(self):
         table = splittings([1.0 + 2j, -0.5 + 1j, 0.25])
-        re, im = table.get(0, 1)
-        re_r, im_r = table.get(1, 0)
-        assert (re, im) == (-re_r, -im_r)
-        assert re == pytest.approx(1.5)
-        assert im == pytest.approx(1.0)
-        assert table.get(2, 2) == (0.0, 0.0)
+        assert table.pairs == ((0, 1, 1.5, 1.0), (0, 2, 0.75, 2.0),
+                               (1, 2, -0.75, 1.0))
 
     def test_jump_lifted_asymptote(self):
         omega, q, j = 30.0, 0.001, 4000.0
@@ -198,6 +194,46 @@ class TestSweep:
         assert res.failures[0][1].startswith("ValueError")
         assert np.isnan(res.branches[:, 5]).all()
         assert np.isfinite(np.delete(res.branches, 5, axis=1)).all()
+
+    def test_complex_matrices_after_real_ones_keep_their_imaginary_parts(self):
+        base = ModelParams(omega=30.0, j=10.0, q=0.0)
+
+        def builder(p):
+            # real up to j = 20, then a matrix with imaginary eigenvalues
+            if p.j <= 20.0:
+                return np.diag([p.j, 2.0 * p.j])
+            return np.diag([p.j + 1j * p.j, 2.0 * p.j - 1j])
+
+        res = sweep(builder, "j", np.linspace(15.0, 25.0, 11), base)
+        assert res.failures == ()
+        want = [np.sort_complex(linalg.eigvals(builder(base.replace(j=float(x)))))
+                for x in res.grid]
+        got = [np.sort_complex(res.branches[:, k]) for k in range(11)]
+        assert np.array_equal(np.array(got), np.array(want))
+        assert np.abs(res.branches[:, 6:].imag).min() >= 1.0
+
+    def test_persistent_doubles_are_not_candidates(self):
+        # the Gell-Mann superoperator keeps two exact doubles at every j;
+        # only the point with a coalescence on top of them is flagged
+        gen = superop.generator("eff3")
+        base = ModelParams(omega=30.0, j=10.0, q=0.5)
+        res = sweep(lambda p: gen(p, "gellmann"), "j",
+                    np.linspace(15.0, 25.0, 201), base)
+        assert res.ep_candidates == (100,)
+        ev = res.branches[:, 100]
+        assert np.count_nonzero(np.abs(ev + 20.0) < 1e-5) == 3
+
+    def test_close_pair_counts_match_all_pairs(self, rng):
+        values = rng.normal(size=(50, 9)) + 1j * rng.normal(size=(50, 9))
+        values[::7, 3] = values[::7, 5] + 1e-9
+        values[::5, :3] = values[::5, 8:9]
+        diam = max(spectra.spectral_diameter(v) for v in values)
+        for threshold in (None, 0.3):
+            tol = 10.0 * spectra.TOL_CLUSTER_REL * diam if threshold is None \
+                else threshold
+            want = [int(np.count_nonzero(np.triu(np.abs(v[:, None] - v[None, :])
+                                                 < tol, 1))) for v in values]
+            assert spectra._close_pairs(values, threshold).tolist() == want
 
     def test_rejects_unsorted_grid(self):
         base = ModelParams(omega=30.0, j=10.0)

@@ -320,6 +320,36 @@ class TestGenerator:
             with pytest.warns(UserWarning), pytest.raises(ValueError, match="singular"):
                 build(singular)
 
+    @pytest.mark.parametrize("name", ["eff3", "full4"])
+    def test_terms_are_real_and_fock_liouville_is_the_inverse_similarity(
+            self, name):
+        gen = superop.generator(name)
+        assert gen.terms.dtype == np.float64 and not gen.terms.flags.writeable
+        p = ModelParams(omega=30.0, j=12.0, delta_rf=2.0, delta_opt=40.0,
+                        gamma_sp=1e4, gamma_g=0.3, q=0.6)
+        m = gen.matrix(p, GELLMANN)
+        assert m.dtype == np.float64
+        d = gen.form.dim
+        s = np.array([vectorize(b, BasisTag(FOCKLIOUVILLE, d))
+                      for b in gellmann_basis(d).matrices]).T
+        want = s @ m @ s.conj().T / 2
+        got = gen.matrix(p, FOCKLIOUVILLE)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_build_rejects_terms_that_are_not_real(self, monkeypatch):
+        # -i[H, .] with a non-Hermitian H does not map Hermitian operators to
+        # Hermitian ones, so its Gell-Mann matrix is complex
+        form = model.LinearForm(
+            dim=2,
+            build=lambda p: LindbladSystem(
+                dim=2, hamiltonian=p.j * np.array([[0.0, 1.0], [0.0, 0.0]]),
+                hermitian=False),
+            coefficients=lambda p: (p.j,),
+            probes=(ModelParams(omega=1.0, j=1.0),))
+        monkeypatch.setitem(model.LINEAR_FORMS, "not_real", form)
+        with pytest.raises(ValueError, match="not real"):
+            superop.generator.__wrapped__("not_real")
+
     def test_rejects_a_basis_of_another_dimension(self):
         p = ModelParams(omega=30.0, j=10.0)
         with pytest.raises(ValueError):
