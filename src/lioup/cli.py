@@ -91,14 +91,11 @@ def _system(cfg, p):
     return model.build_eff3(p)
 
 
-def _liouvillian(cfg, p):
-    return superop.generator(cfg["model"])(p, cfg["basis"])
-
-
-def _gellmann_matrix(cfg, p):
-    """The real Gell-Mann generator matrix, whatever the config's basis:
-    S / sqrt(2) is unitary, so spectrum and conditioning are the same."""
-    return superop.generator(cfg["model"]).matrix(p, superop.GELLMANN)
+def _generator(cfg):
+    """The model's generator, which solves the real Gell-Mann form whatever
+    the config's basis: S / sqrt(2) is unitary, so spectrum and conditioning
+    are the same, and `basis` is only echoed in the metadata."""
+    return superop.generator(cfg["model"])
 
 
 def _operator(cfg, p):
@@ -172,12 +169,11 @@ def cmd_spectrum(cfg, out_path):
         tol_cluster = _number(cfg["spectrum"], "tol_cluster", "config.spectrum")
         if tol_cluster is not None and tol_cluster <= 0:
             raise SchemaError("'config.spectrum.tol_cluster' must be positive")
-    p = params_from_config(cfg)
-    sop = _liouvillian(cfg, p)
-    ev = linalg.eigvals(sop.matrix)
+    m = _generator(cfg).matrix(params_from_config(cfg))
+    ev = linalg.eigvals(m)
     classes = spectra.classify(ev)
     table = spectra.splittings(ev)
-    reports = spectra.detect_degeneracy(sop.matrix, tol_cluster=tol_cluster)
+    reports = spectra.detect_degeneracy(m, tol_cluster=tol_cluster)
     doc = {
         "metadata": _metadata(cfg),
         "eigenvalues": [_complex_json(z) for z in ev],
@@ -213,7 +209,7 @@ def cmd_sweep(cfg, out_path):
 
     p = params_from_config(cfg)
     builder = (lambda pp: _operator(cfg, pp)) if level == "operator" \
-        else (lambda pp: _gellmann_matrix(cfg, pp))
+        else _generator(cfg).matrix
     grid = np.linspace(start, stop, points)
     result = spectra.sweep(builder, parameter, grid, p)
 
@@ -265,7 +261,7 @@ def cmd_find_ep(cfg, out_path):
 
     p = params_from_config(cfg)
     builder = (lambda pp: _operator(cfg, pp)) if level == "operator" \
-        else (lambda pp: _liouvillian(cfg, pp))
+        else _generator(cfg).matrix
     reports = spectra.find_ep(builder, box, target, p)
     doc = {"metadata": _metadata(cfg),
            "reports": [_report_json(r) for r in reports]}
@@ -289,7 +285,7 @@ def cmd_evolve(cfg, out_path):
     if p.q != 1.0:
         raise SchemaError("'config.params.q' must be 1 for evolve: hybrid "
                           "generators with q < 1 are not trace-preserving")
-    sop = _liouvillian(cfg, p)
+    sop = _generator(cfg)(p)
     d = 4 if cfg["model"] == "full4" else 3
 
     spec0 = blk.get("rho0", "mixed")
@@ -341,8 +337,6 @@ def main(argv=None):
         if name != "validate":
             sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--threads", type=int, default=None,
-                        help="ignored; every command runs on one thread")
     args = parser.parse_args(argv)
 
     try:

@@ -3,9 +3,9 @@
 Matrices are plain numpy arrays of complex128; eigvals() also keeps float64
 input real.  Problem sizes are tiny (operators up to 16x16, superoperators up
 to 256x256), so the routines favor robustness and reproducibility over speed:
-LAPACK eigensolvers with a fixed deterministic eigenvalue ordering, SVD-based
-ranks, scaling-and-squaring expm, and the closed-form cubic with stable
-branch selection.
+LAPACK eigensolvers with a fixed deterministic eigenvalue ordering,
+scaling-and-squaring expm, and the closed-form cubic with stable branch
+selection.
 """
 
 from dataclasses import dataclass
@@ -119,23 +119,6 @@ def eigvals(a):
         raise ValueError("matrix contains non-finite entries")
     w = np.linalg.eigvals(a).astype(complex, copy=False)
     return np.take_along_axis(w, np.lexsort((w.imag, w.real), axis=-1), axis=-1)
-
-
-def svd_rank(a, tol_rank=TOL_RANK):
-    """Number of singular values above tol_rank * sigma_max (0 for the zero matrix)."""
-    a = as_matrix(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol_rank * s[0]))
-
-
-def kron(a, b):
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[0] * b.shape[0] > MAX_DIM or a.shape[1] * b.shape[1] > MAX_DIM:
-        raise ValueError("Kronecker product exceeds the desk-scale cap")
-    return np.kron(a, b)
 
 
 def expm(a):

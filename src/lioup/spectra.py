@@ -565,7 +565,7 @@ def evolve_check(l: superop.SuperOperator, rho0, t):
     leak trace by construction.  A defective Liouvillian disables the
     eigen-expansion path and is flagged.
     """
-    if l.q is None or l.q != 1.0:
+    if l.q != 1.0:
         raise ValueError("evolve_check requires q = 1: hybrid generators are "
                          "not trace-preserving")
     rho0 = np.asarray(rho0, dtype=complex)

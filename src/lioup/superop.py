@@ -1,6 +1,6 @@
 """Vectorization of density matrices and assembly of (hybrid) Liouvillians.
 
-Two superoperator bases are supported:
+Two superoperator bases are defined:
 
 * generalized Gell-Mann: Hermitian trace-orthogonal set, Tr(s_i s_j) = 2 d_ij,
   ordered symmetric pairs (j<k lexicographic), antisymmetric pairs, diagonal
@@ -13,16 +13,15 @@ The hybrid Liouvillian is L(q) = -i Hhat_NH + q Lambdahat
 = -i Hhat + Gammahat + q Lambdahat: the relaxation part is always fully
 included, only the quantum-jump (repopulation) term is q-weighted.
 
-Every generator is assembled once, in Fock-Liouville form, from Kronecker
-products.  Its Gell-Mann matrix is the similarity S^H L S / 2 with
-S[:, i] = vec(s_i), cached per dimension.  `generator(name)` writes a
-model's L(p) as sum_k c_k(p) B_k.  The B_k are derived once per model from
-its builder in Fock-Liouville form, taken through the similarity and stored
-only in the Gell-Mann basis, where they are real: a point costs one small
-real contraction, and its Fock-Liouville matrix is S M S^H / 2.
+Gell-Mann is the computational basis.  `generator(name)` writes a model's
+L(p) as sum_k c_k(p) B_k with real Gell-Mann B_k, so a point costs one
+small real contraction; the spectrum does not depend on the basis.  The B_k
+are derived once per model from its builder through `hybrid_liouvillian`'s
+Kronecker assembly and the cached similarity S^H L S / 2 with
+S[:, i] = vec(s_i).  `hybrid_liouvillian` and `nhh_superop` accept either
+basis and are the references the generator is tested against;
 `h_superop`, `gamma_superop` and `lambda_superop` evaluate
-M_ij = Tr(map(s_j) s_i)/2 directly; they are the independent reference the
-Kronecker path is tested against.
+M_ij = Tr(map(s_j) s_i)/2 directly, independently of the Kronecker path.
 """
 
 import functools
@@ -61,29 +60,19 @@ class GellMannBasis:
 
 @dataclass(frozen=True)
 class SuperOperator:
-    """A d^2 x d^2 matrix tagged with its basis convention and origin."""
+    """A d^2 x d^2 matrix tagged with its basis and the jump weight q.
+
+    `generator(name)(p)` gives the float64 Gell-Mann form; the reference
+    builders `hybrid_liouvillian` and `nhh_superop` give either basis.
+    """
 
     matrix: np.ndarray
     basis: BasisTag
-    origin: str  # "nhh" | "hybrid" | "liouvillian"
-    q: float | None = None
-
-    def to_json(self):
-        return {
-            "basis": {"kind": self.basis.kind, "dim": self.basis.dim},
-            "origin": self.origin,
-            "q": self.q,
-            "matrix": matrix_to_json(self.matrix),
-        }
-
-
-def matrix_to_json(m):
-    """Nested lists of [re, im] pairs."""
-    m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    q: float
 
 
 def matrix_from_json(rows):
+    """A complex matrix from nested lists of [re, im] pairs."""
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
@@ -232,10 +221,6 @@ def _in_basis(m, tag):
     return s_inv @ m @ s
 
 
-def _origin(q):
-    return "liouvillian" if q == 1.0 else "hybrid"
-
-
 def nhh_superop(h_nh, basis):
     """Superoperator of the jump-free generator rho -> -i(H rho - rho H^dag).
 
@@ -247,21 +232,21 @@ def nhh_superop(h_nh, basis):
     tag = _basis_tag(basis, d)
     eye = np.eye(d)
     m = -1j * (np.kron(eye, h_nh) - np.kron(h_nh.conj(), eye))
-    return SuperOperator(matrix=_in_basis(m, tag), basis=tag, origin="nhh", q=0.0)
+    return SuperOperator(matrix=_in_basis(m, tag), basis=tag, q=0.0)
 
 
 def hybrid_liouvillian(sys: LindbladSystem, q, basis) -> SuperOperator:
     """Hybrid Liouvillian L(q) = -i Hhat + Gammahat + q Lambdahat.
 
     q = 0 is the NHH superoperator of the system, q = 1 the full Lindblad
-    generator (tagged "liouvillian").  `basis` may be a GellMannBasis, a
-    BasisTag, or one of the strings "gellmann" / "fockliouville".
+    generator.  `basis` may be a GellMannBasis, a BasisTag, or one of the
+    strings "gellmann" / "fockliouville".
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
     tag = _basis_tag(basis, sys.dim)
     m = _in_basis(_fock_liouville_matrix(sys, q), tag)
-    return SuperOperator(matrix=m, basis=tag, origin=_origin(q), q=float(q))
+    return SuperOperator(matrix=m, basis=tag, q=float(q))
 
 
 def _fock_liouville_matrix(sys: LindbladSystem, q):
@@ -277,11 +262,6 @@ def _fock_liouville_matrix(sys: LindbladSystem, q):
     return m
 
 
-def fock_liouville(sys: LindbladSystem, q) -> SuperOperator:
-    """Kronecker-assembled Liouvillian with the jump term weighted by q."""
-    return hybrid_liouvillian(sys, q, BasisTag(FOCKLIOUVILLE, sys.dim))
-
-
 # Largest imaginary part, relative to a term's largest entry, that counts as
 # rounding when a generator's Gell-Mann terms are made real.
 REAL_TERMS_TOL = 1e-12
@@ -294,28 +274,22 @@ class Generator:
     `terms` holds the fixed matrices B_k in the Gell-Mann basis, where they
     are real, flattened to rows; `form.coefficients` gives the scalars
     c_k(p), and runs the model's parameter checks.  A point is one real
-    contraction; its Fock-Liouville matrix is the similarity S M S^H / 2.
+    contraction.
     """
 
     form: model.LinearForm
     terms: np.ndarray  # (K, d^4) float64, read-only
 
-    def matrix(self, p: ModelParams, basis) -> np.ndarray:
-        """float64 in the Gell-Mann basis, complex128 in Fock-Liouville."""
+    def matrix(self, p: ModelParams) -> np.ndarray:
+        """The float64 Gell-Mann matrix of L(p.q) at p."""
         d = self.form.dim
-        tag = _basis_tag(basis, d)
         c = np.array(self.form.coefficients(p), dtype=float)
-        m = (c @ self.terms).reshape(d * d, d * d)
-        if tag.kind == FOCKLIOUVILLE:
-            s, s_inv = _gellmann_similarity(d)
-            return s @ m @ s_inv
-        return m
+        return (c @ self.terms).reshape(d * d, d * d)
 
-    def __call__(self, p: ModelParams, basis) -> SuperOperator:
-        """L(p.q) of the model at p: hybrid_liouvillian(build(p), p.q, basis)."""
-        tag = _basis_tag(basis, self.form.dim)
-        return SuperOperator(matrix=self.matrix(p, tag), basis=tag,
-                             origin=_origin(p.q), q=float(p.q))
+    def __call__(self, p: ModelParams) -> SuperOperator:
+        """L(p.q) of the model at p: hybrid_liouvillian(build(p), p.q, "gellmann")."""
+        return SuperOperator(matrix=self.matrix(p),
+                             basis=BasisTag(GELLMANN, self.form.dim), q=float(p.q))
 
 
 @functools.lru_cache(maxsize=None)
@@ -343,22 +317,3 @@ def generator(name) -> Generator:
     terms.flags.writeable = False
     return Generator(form=form, terms=terms)
 
-
-def isotropic_extension(base: SuperOperator, gamma_g, q) -> SuperOperator:
-    """Add isotropic ground relaxation to an effective three-level Liouvillian.
-
-    In the Gell-Mann basis with the identity element last this is the diagonal
-    correction -gamma * diag(1, ..., 1, 1-q): a uniform -gamma shift of the
-    whole spectrum at q = 0, and of everything except the stationary state at
-    q = 1.
-    """
-    if gamma_g < 0:
-        raise ValueError("gamma_g must be non-negative")
-    if base.basis.kind != GELLMANN or base.basis.dim != 3:
-        raise ValueError("isotropic extension expects the 3-level Gell-Mann form")
-    if base.q is not None and abs(base.q - q) > 1e-12:
-        raise ValueError("q must match the q of the base hybrid Liouvillian")
-    diag = np.full(9, gamma_g)
-    diag[-1] = gamma_g * (1.0 - q)
-    m = base.matrix - np.diag(diag)
-    return SuperOperator(matrix=m, basis=base.basis, origin=base.origin, q=base.q)

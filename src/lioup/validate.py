@@ -305,7 +305,8 @@ def criterion_8():
     sizes_ok, worst = True, 0.0
     for j in (5.0, 21.0, 35.0):
         p = model.ModelParams(omega=omega, j=j, gamma_sp=gamma, q=1.0)
-        l4 = superop.fock_liouville(model.build_full4_rwa(p), 1.0)
+        l4 = superop.hybrid_liouvillian(model.build_full4_rwa(p), 1.0,
+                                        "fockliouville")
         ev4 = linalg.eigvals(l4.matrix)
         ground = ev4[ev4.real > -gamma / 4]
         optical = ev4[(ev4.real <= -gamma / 4) & (ev4.real > -3 * gamma / 4)]
@@ -355,7 +356,7 @@ def criterion_10():
     out = []
     omega, j, gamma = OMEGA_REF, 10.0, 0.7
     base0 = _gm_liouvillian(_eff3_params(omega, j, q=0.0))
-    ext0 = superop.isotropic_extension(base0, gamma, 0.0)
+    ext0 = _gm_liouvillian(_eff3_params(omega, j, q=0.0, gamma_g=gamma))
     dev0 = spectra.match_distance(linalg.eigvals(ext0.matrix),
                                   linalg.eigvals(base0.matrix) - gamma)
     out.append(_result(
@@ -367,7 +368,7 @@ def criterion_10():
     stationary = int(np.argmin(np.abs(ev1)))
     expected = np.array([lam - gamma if k != stationary else lam
                          for k, lam in enumerate(ev1)])
-    ext1 = superop.isotropic_extension(base1, gamma, 1.0)
+    ext1 = _gm_liouvillian(_eff3_params(omega, j, q=1.0, gamma_g=gamma))
     dev1 = spectra.match_distance(linalg.eigvals(ext1.matrix), expected)
     out.append(_result(
         "10b", "q=1: every eigenvalue but the stationary one shifts by -gamma",

@@ -3,7 +3,8 @@
 perfbench/workloads.py and perfbench/oracle.py are loaded read-only from
 their source (no bytecode is written next to them).  Each command runs
 through cli.main with its output captured, and the oracle must find nothing
-wrong.  Small grids, one repetition, and no timing gates.
+wrong: the four sweep slots on small grids, then one cycle of the oneshot
+and of the findep command mix.  One repetition and no timing gates.
 """
 
 import contextlib
@@ -40,9 +41,11 @@ def _commands():
     rng = np.random.default_rng([SEED, workloads.WORKLOADS.index("sweep")])
     sweeps = [workloads._sweep_command(rng, slot, points=SWEEP_POINTS)
               for slot in range(workloads.PERIOD["sweep"])]
-    stream = workloads.commands("oneshot", SEED)
-    oneshots = [next(stream) for _ in range(workloads.PERIOD["oneshot"])]
-    return sweeps + oneshots
+    cycles = []
+    for workload in ("oneshot", "findep"):
+        stream = workloads.commands(workload, SEED)
+        cycles += [next(stream) for _ in range(workloads.PERIOD[workload])]
+    return sweeps + cycles
 
 
 COMMANDS = _commands()

@@ -120,19 +120,35 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("model", ["eff3", "full4"])
     def test_csv_does_not_depend_on_the_basis(self, tmp_path, model):
-        # sweeps solve the real Gell-Mann form whatever the configured basis
-        outs = []
-        for basis in ("gellmann", "fockliouville"):
-            cfg = write_config(tmp_path, {
-                "model": model, "basis": basis,
-                "params": {"omega": 30.0, "j": 10.0, "delta_rf": 4.0,
-                           "gamma_sp": 1e5, "gamma_g": 0.5, "q": 0.5},
-                "sweep": {"parameter": "j", "start": 5.0, "stop": 40.0,
-                          "points": 36},
-            }, name=f"{basis}.json")
-            outs.append(tmp_path / f"{basis}.csv")
-            assert run(["sweep", "--config", cfg, "--out", str(outs[-1])]) == 0
-        assert outs[0].read_bytes() == outs[1].read_bytes()
+        # every command solves the real Gell-Mann form whatever the configured
+        # basis, which is only echoed in the metadata
+        params = {"omega": 30.0, "j": 10.0, "delta_rf": 4.0, "gamma_sp": 1e5,
+                  "gamma_g": 0.5}
+        blocks = {
+            "sweep": {"params": {**params, "q": 0.5},
+                      "sweep": {"parameter": "j", "start": 5.0, "stop": 40.0,
+                                "points": 36}},
+            "spectrum": {"params": {**params, "q": 0.5}},
+            "find-ep": {"params": {"omega": 30.0, "j": 21.0, "gamma_sp": 1e5,
+                                   "q": 0.0},
+                        "findep": {"box": {"j": [20.5, 22.0]}, "target_mult": 3}},
+            "evolve": {"params": {**params, "q": 1.0},
+                       "evolve": {"rho0": "mixed", "t_max": 0.2, "steps": 4}},
+        }
+        for command, blk in blocks.items():
+            outs = []
+            for basis in ("gellmann", "fockliouville"):
+                cfg = write_config(tmp_path, {"model": model, "basis": basis, **blk},
+                                   name=f"{command}-{basis}.json")
+                outs.append(tmp_path / f"{command}-{basis}.out")
+                assert run([command, "--config", cfg, "--out", str(outs[-1])]) == 0
+            if command in ("sweep", "evolve"):
+                assert outs[0].read_bytes() == outs[1].read_bytes(), command
+                continue
+            docs = [json.loads(out.read_text()) for out in outs]
+            assert [d.pop("metadata")["config"]["basis"] for d in docs] == [
+                "gellmann", "fockliouville"]
+            assert docs[0] == docs[1], command
 
     def test_rows_match_per_field_formatting(self, tmp_path):
         # grid point 0 fails (omega < 0), so a NaN row is formatted too

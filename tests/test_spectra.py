@@ -215,9 +215,8 @@ class TestSweep:
     def test_persistent_doubles_are_not_candidates(self):
         # the Gell-Mann superoperator keeps two exact doubles at every j;
         # only the point with a coalescence on top of them is flagged
-        gen = superop.generator("eff3")
         base = ModelParams(omega=30.0, j=10.0, q=0.5)
-        res = sweep(lambda p: gen(p, "gellmann"), "j",
+        res = sweep(superop.generator("eff3"), "j",
                     np.linspace(15.0, 25.0, 201), base)
         assert res.ep_candidates == (100,)
         ev = res.branches[:, 100]

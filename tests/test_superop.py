@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from lioup import analytic, linalg, model, spectra, superop
 from lioup.model import LindbladSystem, ModelParams, build_eff3, build_ground_relaxation
 from lioup.superop import (BasisTag, FOCKLIOUVILLE, GELLMANN, devectorize,
-                           fock_liouville, gamma_superop, gellmann_basis,
-                           h_superop, hybrid_liouvillian, isotropic_extension,
-                           lambda_superop, matrix_from_json, matrix_to_json,
+                           gamma_superop, gellmann_basis, h_superop,
+                           hybrid_liouvillian, lambda_superop, matrix_from_json,
                            nhh_superop, vectorize)
 
 from conftest import find_signed_permutation, reference_hybrid_matrix
@@ -233,16 +232,17 @@ class TestHybridLiouvillian:
         nhh = nhh_superop(sys3.h_nh(), gellmann_basis(3))
         assert spectra.match_distance(linalg.eigvals(hyb.matrix),
                                       linalg.eigvals(nhh.matrix)) < 1e-9
-        assert hyb.origin == "hybrid" and nhh.origin == "nhh"
-
-    def test_origin_tag_at_q1(self):
-        p = ModelParams(omega=30.0, j=10.0)
-        assert hybrid_liouvillian(build_eff3(p), 1.0, "gellmann").origin == "liouvillian"
 
     def test_rejects_bad_q(self):
         p = ModelParams(omega=30.0, j=10.0)
         with pytest.raises(ValueError):
             hybrid_liouvillian(build_eff3(p), 1.5, "gellmann")
+
+    def test_rejects_a_basis_of_another_dimension(self):
+        sys4 = model.build_full4_rwa(ModelParams(omega=30.0, j=10.0))
+        for basis in (BasisTag(FOCKLIOUVILLE, 3), gellmann_basis(3)):
+            with pytest.raises(ValueError, match="dimension"):
+                hybrid_liouvillian(sys4, 0.5, basis)
 
     def test_action_equivalence_both_bases(self, rng):
         for d in (2, 3, 4):
@@ -302,39 +302,39 @@ class TestGenerator:
     BUILDERS = {"eff3": build_eff3, "full4": model.build_full4_rwa}
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(p=model_params(), name=st.sampled_from(["eff3", "full4"]),
-           basis=st.sampled_from([GELLMANN, FOCKLIOUVILLE]))
-    def test_matches_the_builders(self, p, name, basis):
-        want = hybrid_liouvillian(self.BUILDERS[name](p), p.q, basis)
-        got = superop.generator(name)(p, basis)
+    @given(p=model_params(), name=st.sampled_from(["eff3", "full4"]))
+    def test_matches_the_builders(self, p, name):
+        want = hybrid_liouvillian(self.BUILDERS[name](p), p.q, GELLMANN)
+        got = superop.generator(name)(p)
         assert np.abs(got.matrix - want.matrix).max() <= 1e-12 * np.abs(want.matrix).max()
-        assert (got.basis, got.origin, got.q) == (want.basis, want.origin, want.q)
+        assert (got.basis, got.q) == (want.basis, want.q)
 
     def test_keeps_the_reduction_checks(self):
         gen = superop.generator("eff3")
         slow = ModelParams(omega_r=3.0, j=30.0, gamma_sp=10.0)
         with pytest.warns(UserWarning, match="dominate"):
-            gen(slow, GELLMANN)
+            gen(slow)
         singular = ModelParams(omega=1.0, gamma_sp=1e-310)
-        for build in (build_eff3, lambda p: gen(p, GELLMANN)):
+        for build in (build_eff3, gen):
             with pytest.warns(UserWarning), pytest.raises(ValueError, match="singular"):
                 build(singular)
 
     @pytest.mark.parametrize("name", ["eff3", "full4"])
-    def test_terms_are_real_and_fock_liouville_is_the_inverse_similarity(
-            self, name):
+    def test_terms_are_real_and_equal_the_direct_parts(self, name):
         gen = superop.generator(name)
         assert gen.terms.dtype == np.float64 and not gen.terms.flags.writeable
         p = ModelParams(omega=30.0, j=12.0, delta_rf=2.0, delta_opt=40.0,
                         gamma_sp=1e4, gamma_g=0.3, q=0.6)
-        m = gen.matrix(p, GELLMANN)
-        assert m.dtype == np.float64
-        d = gen.form.dim
-        s = np.array([vectorize(b, BasisTag(FOCKLIOUVILLE, d))
-                      for b in gellmann_basis(d).matrices]).T
-        want = s @ m @ s.conj().T / 2
-        got = gen.matrix(p, FOCKLIOUVILLE)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        sop = gen(p)
+        assert sop.matrix.dtype == np.float64
+        assert sop.basis == BasisTag(GELLMANN, gen.form.dim)
+        # M_ij = Tr(map(s_j) s_i)/2, bypassing the Kronecker path
+        sys = self.BUILDERS[name](p)
+        gm = gellmann_basis(sys.dim)
+        ops = sys.jump_ops()
+        want = (-1j * h_superop(sys.hamiltonian, gm) + gamma_superop(ops, gm)
+                + p.q * lambda_superop(ops, gm))
+        assert np.abs(sop.matrix - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_build_rejects_terms_that_are_not_real(self, monkeypatch):
         # -i[H, .] with a non-Hermitian H does not map Hermitian operators to
@@ -350,28 +350,23 @@ class TestGenerator:
         with pytest.raises(ValueError, match="not real"):
             superop.generator.__wrapped__("not_real")
 
-    def test_rejects_a_basis_of_another_dimension(self):
-        p = ModelParams(omega=30.0, j=10.0)
-        with pytest.raises(ValueError):
-            superop.generator("full4")(p, BasisTag(FOCKLIOUVILLE, 3))
-
 
 class TestFockLiouville:
     def test_amplitude_damping_spectrum(self):
         sys = LindbladSystem(dim=2, hamiltonian=np.zeros((2, 2)),
                              jumps=(("down", np.array([[0.0, 1.0], [0.0, 0.0]])),))
-        ev = linalg.eigvals(fock_liouville(sys, 1.0).matrix)
+        ev = linalg.eigvals(hybrid_liouvillian(sys, 1.0, FOCKLIOUVILLE).matrix)
         assert spectra.match_distance(ev, np.array([0.0, -0.5, -0.5, -1.0])) < 1e-12
 
     def test_trace_preservation_left_null_vector(self, rng):
         sys = random_system(rng, 3, 2)
-        sop = fock_liouville(sys, 1.0)
+        sop = hybrid_liouvillian(sys, 1.0, FOCKLIOUVILLE)
         vec_id = vectorize(np.eye(3), sop.basis)
         assert np.abs(vec_id.conj() @ sop.matrix).max() < 1e-12
 
     def test_four_level_groups(self):
         p = ModelParams(omega=30.0, j=10.0, gamma_sp=model.GAMMA_D2)
-        sop = fock_liouville(model.build_full4_rwa(p), 1.0)
+        sop = hybrid_liouvillian(model.build_full4_rwa(p), 1.0, FOCKLIOUVILLE)
         ev = linalg.eigvals(sop.matrix)
         g = model.GAMMA_D2
         sizes = ((ev.real > -g / 4).sum(),
@@ -381,45 +376,22 @@ class TestFockLiouville:
 
 
 class TestIsotropicExtension:
-    def test_zero_gamma_is_identity(self):
-        p = ModelParams(omega=30.0, j=10.0, q=0.0)
-        base = hybrid_liouvillian(build_eff3(p), 0.0, "gellmann")
-        ext = isotropic_extension(base, 0.0, 0.0)
-        assert np.array_equal(ext.matrix, base.matrix)
-
     def test_matches_direct_construction_with_ground_jumps(self):
+        # the nine gamma_g ground jumps are, in the Gell-Mann basis with the
+        # identity element last, the diagonal -gamma * diag(1, ..., 1, 1-q)
         omega, j, gamma = 30.0, 10.0, 0.37
         for q in (0.0, 0.5, 1.0):
             p = ModelParams(omega=omega, j=j, q=q)
-            base = hybrid_liouvillian(build_eff3(p), q, "gellmann")
-            ext = isotropic_extension(base, gamma, q)
-            p_g = ModelParams(omega=omega, j=j, q=q, gamma_g=gamma)
-            direct = hybrid_liouvillian(build_eff3(p_g), q, "gellmann")
-            assert np.abs(ext.matrix - direct.matrix).max() < 1e-11
-
-    def test_basis_guard(self):
-        p = ModelParams(omega=30.0, j=10.0, q=0.0)
-        fl = fock_liouville(build_eff3(p), 0.0)
-        with pytest.raises(ValueError):
-            isotropic_extension(fl, 0.1, 0.0)
-
-    def test_q_mismatch_guard(self):
-        p = ModelParams(omega=30.0, j=10.0, q=0.0)
-        base = hybrid_liouvillian(build_eff3(p), 0.0, "gellmann")
-        with pytest.raises(ValueError):
-            isotropic_extension(base, 0.1, 1.0)
+            base = hybrid_liouvillian(build_eff3(p), q, GELLMANN).matrix
+            direct = hybrid_liouvillian(build_eff3(p.replace(gamma_g=gamma)),
+                                        q, GELLMANN).matrix
+            shift = np.full(9, gamma)
+            shift[-1] = gamma * (1.0 - q)
+            assert np.abs(direct - (base - np.diag(shift))).max() < 1e-12
 
 
 class TestJsonExport:
     def test_matrix_round_trip(self, rng):
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
-
-    def test_superoperator_export(self):
-        p = ModelParams(omega=30.0, j=10.0)
-        sop = hybrid_liouvillian(build_eff3(p), 1.0, "gellmann")
-        doc = sop.to_json()
-        assert doc["basis"] == {"kind": "gellmann", "dim": 3}
-        assert doc["origin"] == "liouvillian"
-        rebuilt = matrix_from_json(doc["matrix"])
-        assert np.array_equal(rebuilt, sop.matrix)
+        rows = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+        assert np.array_equal(matrix_from_json(rows), m)
