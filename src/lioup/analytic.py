@@ -1,9 +1,9 @@
 """Closed-form reference spectra of the resonant effective three-level model.
 
 These expressions serve as independent oracles for the numerically assembled
-generators: the jump-free operator eigenvalues, the jump-free superoperator
-spectrum, and the full hybrid spectrum whose three jump-coupled eigenvalues
-are the roots of a real cubic solved in radicals.
+generators: the jump-free superoperator spectrum, and the full hybrid
+spectrum whose three jump-coupled eigenvalues are the roots of a real cubic
+solved in radicals.
 """
 
 import numpy as np
@@ -13,12 +13,6 @@ def _branch_sqrt(x):
     # principal complex square root, used consistently so the two "conjugate"
     # branches stay distinct when the radicand turns negative
     return np.sqrt(complex(x))
-
-
-def nhh_eigenvalues(omega, j):
-    """Operator eigenvalues (E0, E+, E-) = (0, -i*Om +/- sqrt(2J^2 - Om^2))."""
-    s = _branch_sqrt(2 * j ** 2 - omega ** 2)
-    return np.array([0.0, -1j * omega + s, -1j * omega - s])
 
 
 def alpha(omega, j, n=1):

@@ -85,21 +85,19 @@ def params_from_config(cfg):
         raise SchemaError(f"invalid 'config.params': {exc}") from exc
 
 
-def _system(cfg, p):
-    if cfg["model"] == "full4":
-        return model.build_full4_rwa(p)
-    return model.build_eff3(p)
-
-
 def _generator(cfg):
-    """The model's generator, which solves the real Gell-Mann form whatever
-    the config's basis: S / sqrt(2) is unitary, so spectrum and conditioning
-    are the same, and `basis` is only echoed in the metadata."""
+    """The model's generator, the source of every command's matrices.
+
+    Superoperator level solves its real Gell-Mann form whatever the config's
+    basis: S / sqrt(2) is unitary, so spectrum and conditioning are the
+    same, and `basis` is only echoed in the metadata.
+    """
     return superop.generator(cfg["model"])
 
 
-def _operator(cfg, p):
-    return _system(cfg, p).h_nh()
+def _level_builder(cfg, level):
+    gen = _generator(cfg)
+    return gen.operator if level == "operator" else gen.matrix
 
 
 def _metadata(cfg):
@@ -208,10 +206,8 @@ def cmd_sweep(cfg, out_path):
         raise SchemaError("'config.sweep.level' must be 'superoperator' or 'operator'")
 
     p = params_from_config(cfg)
-    builder = (lambda pp: _operator(cfg, pp)) if level == "operator" \
-        else _generator(cfg).matrix
     grid = np.linspace(start, stop, points)
-    result = spectra.sweep(builder, parameter, grid, p)
+    result = spectra.sweep(_level_builder(cfg, level), parameter, grid, p)
 
     nb = result.branches.shape[0]
     header = ([parameter] + [f"re_{k + 1}" for k in range(nb)]
@@ -260,9 +256,7 @@ def cmd_find_ep(cfg, out_path):
         raise SchemaError("'config.findep.level' must be 'superoperator' or 'operator'")
 
     p = params_from_config(cfg)
-    builder = (lambda pp: _operator(cfg, pp)) if level == "operator" \
-        else _generator(cfg).matrix
-    reports = spectra.find_ep(builder, box, target, p)
+    reports = spectra.find_ep(_level_builder(cfg, level), box, target, p)
     doc = {"metadata": _metadata(cfg),
            "reports": [_report_json(r) for r in reports]}
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
@@ -285,8 +279,8 @@ def cmd_evolve(cfg, out_path):
     if p.q != 1.0:
         raise SchemaError("'config.params.q' must be 1 for evolve: hybrid "
                           "generators with q < 1 are not trace-preserving")
-    sop = _generator(cfg)(p)
-    d = 4 if cfg["model"] == "full4" else 3
+    gen = _generator(cfg)
+    d = gen.form.dim
 
     spec0 = blk.get("rho0", "mixed")
     if spec0 == "mixed":
@@ -302,17 +296,17 @@ def cmd_evolve(cfg, out_path):
         raise SchemaError("'config.evolve.rho0' must be 'mixed' or a matrix of "
                           "[re, im] pairs")
 
+    times = np.linspace(0.0, t_max, steps)
+    try:
+        res = spectra.evolve_check(gen(p), rho0, times)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
     header = ["t", "trace"] + [f"pop_{k + 1}" for k in range(d)] + ["route_diff"]
     lines = [",".join(header)]
-    for t in np.linspace(0.0, t_max, steps):
-        try:
-            res = spectra.evolve_check(sop, rho0, float(t))
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-        rho = res.rho_expm
+    for t, rho, diff in zip(times, res.rho_expm, res.max_diff):
         row = [_fmt(t), _fmt(np.trace(rho).real)]
         row += [_fmt(rho[k, k].real) for k in range(d)]
-        row.append(_fmt(res.max_diff) if not res.defective else "nan")
+        row.append(_fmt(diff))  # NaN when the generator is defective
         lines.append(",".join(row))
     _emit("\r\n".join(lines) + "\r\n", out_path)
     _emit_metadata(cfg, out_path)

@@ -3,9 +3,8 @@
 Matrices are plain numpy arrays of complex128; eigvals() also keeps float64
 input real.  Problem sizes are tiny (operators up to 16x16, superoperators up
 to 256x256), so the routines favor robustness and reproducibility over speed:
-LAPACK eigensolvers with a fixed deterministic eigenvalue ordering,
-scaling-and-squaring expm, and the closed-form cubic with stable branch
-selection.
+LAPACK eigensolvers with a fixed deterministic eigenvalue ordering and
+scaling-and-squaring expm.
 """
 
 from dataclasses import dataclass
@@ -125,32 +124,3 @@ def expm(a):
     """Matrix exponential (scaling and squaring)."""
     a = as_matrix(a, square=True)
     return scipy.linalg.expm(a)
-
-
-def cubic_roots(c2, c1, c0):
-    """Roots of the monic cubic x^3 + c2 x^2 + c1 x + c0.
-
-    Closed-form (Cardano) solution; the cube-root branch is picked with the
-    larger magnitude so the subtraction p/(3u) never cancels catastrophically.
-    Returned sorted lexicographically by (re, im).
-    """
-    c2, c1, c0 = complex(c2), complex(c1), complex(c0)
-    # depressed cubic t^3 + p t + q with x = t - c2/3
-    p = c1 - c2 * c2 / 3.0
-    q = 2.0 * c2 ** 3 / 27.0 - c2 * c1 / 3.0 + c0
-    shift = -c2 / 3.0
-    if p == 0 and q == 0:
-        roots = np.array([shift, shift, shift])
-    else:
-        disc = np.sqrt(0.25 * q * q + p ** 3 / 27.0 + 0j)
-        u3a = -0.5 * q + disc
-        u3b = -0.5 * q - disc
-        u3 = u3a if abs(u3a) >= abs(u3b) else u3b
-        u = u3 ** (1.0 / 3.0)
-        omega = np.exp(2j * np.pi / 3.0)
-        roots = []
-        for k in range(3):
-            uk = u * omega ** k
-            roots.append(uk - p / (3.0 * uk) + shift)
-        roots = np.array(roots)
-    return roots[np.lexsort((roots.imag, roots.real))]

@@ -6,9 +6,8 @@ Basis conventions used throughout:
   the excited state |0,0> is appended last in four-level matrices;
 * the RF and optical couplings stored in ModelParams are the rotating-frame
   values (the J/2 -> J, Omega_R/2 -> Omega_R rescaling is already applied),
-  so the time-independent builders carry plain J and Omega_R entries.  The
-  time-dependent builder therefore uses twice these values in its
-  oscillating couplings;
+  so the builders carry plain J and Omega_R entries; the oscillating
+  couplings of the lab frame are twice these values;
 * in the detuned ground block the RF detuning enters as diag(-delta, 0,
   +delta).  Spectra are invariant under delta -> -delta; `h_nh_detuned`
   provides the mirrored sign convention used in the detuned-regime analyses.
@@ -241,35 +240,6 @@ def build_full4_rwa(p: ModelParams) -> LindbladSystem:
     return LindbladSystem(dim=4, hamiltonian=h, jumps=tuple(jumps))
 
 
-def build_grwa_generator(omega_rf, omega_laser):
-    """Diagonal generator diag(w_RF, 0, -w_RF, w) of the generalized RWA frame."""
-    return np.diag([omega_rf, 0.0, -omega_rf, omega_laser]).astype(complex)
-
-
-def build_full4_time_dep(p: ModelParams, omega_L, omega_laser, omega_0):
-    """Lab-frame four-level Hamiltonian as a callable of time.
-
-    The oscillating couplings carry twice the rotating-frame J and Omega_R of
-    `p` (the rotating-frame halves are absorbed into ModelParams).  The RF
-    frequency is omega_L + p.delta_rf; the caller keeps omega_laser - omega_0
-    consistent with p.delta_opt.
-    """
-    omega_rf = omega_L + p.delta_rf
-    jbar, orbar = 2.0 * p.j, 2.0 * p.omega_r
-
-    def h_t(t):
-        c = math.cos(omega_rf * t)
-        oc = orbar * math.cos(omega_laser * t)
-        return np.array([
-            [omega_L, jbar * c, 0, 0],
-            [jbar * c, 0, jbar * c, -oc],
-            [0, jbar * c, -omega_L, 0],
-            [0, -oc, 0, omega_0],
-        ], dtype=complex)
-
-    return h_t
-
-
 def _warn_unless_fast_decay(p):
     scale = max(p.j, abs(p.delta_rf), p.omega)
     if p.gamma_sp < 10.0 * scale:
@@ -337,10 +307,12 @@ class LinearForm:
     """How a model's generator depends on its parameters.
 
     The hybrid Liouvillian of `build(p)` at jump weight p.q is exactly
-    sum_k coefficients(p)[k] * B_k with fixed matrices B_k.  The B_k are not
-    written out: they follow from `build` at the `probes`, parameter sets
-    whose coefficient vectors are linearly independent (see
-    superop.generator), so the matrices stay defined by the builders alone.
+    sum_k coefficients(p)[k] * B_k with fixed matrices B_k, and its
+    non-Hermitian Hamiltonian `build(p).h_nh()` is sum_k coefficients(p)[k]
+    * A_k.  Neither term set is written out: both follow from `build` at the
+    `probes`, parameter sets whose coefficient vectors are linearly
+    independent (see superop.generator), so the matrices stay defined by the
+    builders alone.
     """
 
     dim: int
@@ -392,27 +364,6 @@ LINEAR_FORMS = {
 }
 
 
-def gamma_lambda_forms(sys: LindbladSystem):
-    """Relaxation operator and repopulation map of the master equation.
-
-    Returns (Gamma, apply_Lambda) with Gamma = sum L^dag L and
-    apply_Lambda(rho) = sum L rho L^dag, so that
-    drho/dt = -i[H, rho] - {Gamma, rho}/2 + Lambda(rho).
-    """
-    ops = sys.jump_ops()
-    gamma_op = sum((op.conj().T @ op for op in ops),
-                   np.zeros((sys.dim, sys.dim), dtype=complex))
-
-    def apply_lambda(rho):
-        rho = np.asarray(rho, dtype=complex)
-        out = np.zeros_like(rho)
-        for op in ops:
-            out += op @ rho @ op.conj().T
-        return out
-
-    return gamma_op, apply_lambda
-
-
 def h_nh_tuned(omega, j):
     """Resonant effective NHH [[0, J, 0], [J, -2i*Omega, J], [0, J, 0]]."""
     return np.array([[0, j, 0], [j, -2j * omega, j], [0, j, 0]], dtype=complex)
@@ -427,21 +378,6 @@ def h_nh_detuned(omega, j, delta):
     """
     return np.array([[delta, j, 0], [j, -2j * omega, j], [0, j, -delta]],
                     dtype=complex)
-
-
-def h_nh_with_relax(omega, j, gamma_g):
-    """Resonant NHH with isotropic ground relaxation added, -i*gamma/2 shift."""
-    return h_nh_tuned(omega, j) - 0.5j * gamma_g * np.eye(3)
-
-
-def characteristic_cubic(omega, j, delta):
-    """Monic-cubic coefficients (c2, c1, c0) of the detuned NHH spectrum.
-
-    x^3 + 2i*Omega x^2 - (2J^2 + delta^2) x - 2i*Omega*delta^2 = 0.  The
-    delta^2 power of the constant term is fixed by expanding
-    det(h_nh_detuned - x) and by the triple-point conditions it implies.
-    """
-    return (2j * omega, -(2 * j ** 2 + delta ** 2), -2j * omega * delta ** 2)
 
 
 def triple_point(omega):

@@ -3,19 +3,17 @@
 Covers eigenvalue classification, quasienergy splittings, degeneracy
 detection with Jordan-structure estimation (rank plateaus of powers),
 the operator <-> superoperator spectral correspondence, continuity-tracked
-parameter sweeps, gap-minimization EP search, asymptotic-regime checks, and
-an evolution cross-check (expm against eigen-expansion).
+parameter sweeps, gap-minimization EP search, and an evolution cross-check
+(expm against eigen-expansion).
 """
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
 from . import linalg, superop
-from .model import ModelParams, h_nh_detuned
+from .model import ModelParams
 
 STATIONARY = "stationary"
 PURE_OSCILLATION = "pure_oscillation"
@@ -520,54 +518,33 @@ def find_ep(builder, box, target_mult, base: ModelParams, n_coarse=None,
     return reports
 
 
-def asymptote_check(kind, p: ModelParams, grid):
-    """Deviation of the effective NHH spectrum from its limiting Hamiltonian.
-
-    kind "small_j": oscillatory (real) parts against the RF-detuning spectrum
-    {delta, 0, -delta}; kind "large_j": against the RF-drive spectrum
-    {sqrt(2) J, 0, -sqrt(2) J}.  Returns the max deviation over the grid.
-    """
-    grid = np.asarray(grid, dtype=float)
-    delta, omega = p.delta_rf, p.omega
-    if kind == "small_j":
-        in_regime = np.all(grid <= abs(delta) / 10.0) if delta else bool(np.all(grid == 0))
-    elif kind == "large_j":
-        in_regime = bool(np.all(grid >= 10.0 * max(abs(delta), omega)))
-    else:
-        raise ValueError(f"unknown asymptote kind {kind!r}")
-    if not in_regime:
-        warnings.warn(f"grid is not inside the {kind} asymptotic regime",
-                      stacklevel=2)
-    worst = 0.0
-    for j in grid:
-        ev = np.sort(linalg.eigvals(h_nh_detuned(omega, j, delta)).real)
-        if kind == "small_j":
-            limit = np.sort([delta, 0.0, -delta])
-        else:
-            limit = np.sort([math.sqrt(2) * j, 0.0, -math.sqrt(2) * j])
-        worst = max(worst, float(np.abs(ev - limit).max()))
-    return worst
-
-
 @dataclass(frozen=True)
 class EvolveResult:
-    rho_expm: np.ndarray
-    rho_eig: np.ndarray | None
-    trace_drift: float
-    max_diff: float
+    """Both propagation routes at each requested time, first axis time."""
+
+    rho_expm: np.ndarray  # (n, d, d)
+    rho_eig: np.ndarray | None  # (n, d, d); None if defective
+    trace_drift: np.ndarray  # (n,)
+    max_diff: np.ndarray  # (n,); NaN if defective
     defective: bool = False
 
 
-def evolve_check(l: superop.SuperOperator, rho0, t):
-    """Propagate rho0 for time t by expm and by eigen-expansion.
+def evolve_check(l: superop.SuperOperator, rho0, times):
+    """Propagate rho0 to each of the 1-D array `times` by expm and by
+    eigen-expansion.
 
     Only trace-preserving generators (q = 1) are accepted; hybrid generators
-    leak trace by construction.  A defective Liouvillian disables the
-    eigen-expansion path and is flagged.
+    leak trace by construction.  rho0 is checked and vectorized, and l
+    eigendecomposed, once for all times; expm(l t) is formed at each time as
+    the independent route.  A defective Liouvillian disables the
+    eigen-expansion route and is flagged.
     """
     if l.q != 1.0:
         raise ValueError("evolve_check requires q = 1: hybrid generators are "
                          "not trace-preserving")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("times must be a 1-D array")
     rho0 = np.asarray(rho0, dtype=complex)
     scale = max(np.linalg.norm(rho0), 1.0)
     if np.linalg.norm(rho0 - rho0.conj().T) > 1e-9 * scale:
@@ -578,20 +555,19 @@ def evolve_check(l: superop.SuperOperator, rho0, t):
         raise ValueError("rho0 must be positive semidefinite")
 
     v0 = superop.vectorize(rho0, l.basis)
-    vt = linalg.expm(l.matrix * t) @ v0
-    rho_expm = superop.devectorize(vt, l.basis)
-    trace_drift = abs(np.trace(rho_expm) - np.trace(rho0))
+    rho_expm = np.array([superop.devectorize(linalg.expm(l.matrix * t) @ v0, l.basis)
+                         for t in times])
+    trace_drift = np.abs(np.trace(rho_expm, axis1=1, axis2=2) - np.trace(rho0))
 
     dec = linalg.eig(l.matrix)
     v = dec.right_vectors
     if np.linalg.cond(v) > 1e12:
-        return EvolveResult(rho_expm=rho_expm, rho_eig=None,
-                            trace_drift=float(trace_drift),
-                            max_diff=float("nan"), defective=True)
+        return EvolveResult(rho_expm=rho_expm, rho_eig=None, trace_drift=trace_drift,
+                            max_diff=np.full(times.size, np.nan), defective=True)
     coeff = np.linalg.solve(v, v0)
-    vt_eig = v @ (coeff * np.exp(dec.values * t))
-    rho_eig = superop.devectorize(vt_eig, l.basis)
-    return EvolveResult(rho_expm=rho_expm, rho_eig=rho_eig,
-                        trace_drift=float(trace_drift),
-                        max_diff=float(np.abs(rho_expm - rho_eig).max()),
+    rho_eig = np.array([superop.devectorize(v @ (coeff * np.exp(dec.values * t)),
+                                            l.basis)
+                        for t in times])
+    return EvolveResult(rho_expm=rho_expm, rho_eig=rho_eig, trace_drift=trace_drift,
+                        max_diff=np.abs(rho_expm - rho_eig).max(axis=(1, 2)),
                         defective=False)

@@ -14,14 +14,17 @@ The hybrid Liouvillian is L(q) = -i Hhat_NH + q Lambdahat
 included, only the quantum-jump (repopulation) term is q-weighted.
 
 Gell-Mann is the computational basis.  `generator(name)` writes a model's
-L(p) as sum_k c_k(p) B_k with real Gell-Mann B_k, so a point costs one
-small real contraction; the spectrum does not depend on the basis.  The B_k
-are derived once per model from its builder through `hybrid_liouvillian`'s
-Kronecker assembly and the cached similarity S^H L S / 2 with
-S[:, i] = vec(s_i).  `hybrid_liouvillian` and `nhh_superop` accept either
-basis and are the references the generator is tested against;
-`h_superop`, `gamma_superop` and `lambda_superop` evaluate
-M_ij = Tr(map(s_j) s_i)/2 directly, independently of the Kronecker path.
+L(p) as sum_k c_k(p) B_k with real Gell-Mann B_k, and its non-Hermitian
+Hamiltonian as H_nh(p) = sum_k c_k(p) A_k with the same coefficients and
+complex d x d A_k, so a point at either level costs one small contraction;
+the spectrum does not depend on the basis.  Both term sets are solved once
+per model from its builder at the probe parameters: the A_k from the
+probes' H_nh, the B_k from `hybrid_liouvillian`'s Kronecker assembly and
+the cached similarity S^H L S / 2 with S[:, i] = vec(s_i).
+`hybrid_liouvillian` and `nhh_superop` accept either basis and are the
+references the generator is tested against; `h_superop`, `gamma_superop`
+and `lambda_superop` evaluate M_ij = Tr(map(s_j) s_i)/2 directly,
+independently of the Kronecker path.
 """
 
 import functools
@@ -269,22 +272,33 @@ REAL_TERMS_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Generator:
-    """A model's hybrid Liouvillian as L(p) = sum_k c_k(p) B_k.
+    """A model's generators as sums of fixed terms with scalar coefficients.
 
-    `terms` holds the fixed matrices B_k in the Gell-Mann basis, where they
-    are real, flattened to rows; `form.coefficients` gives the scalars
-    c_k(p), and runs the model's parameter checks.  A point is one real
-    contraction.
+    L(p) = sum_k c_k(p) B_k is the hybrid Liouvillian at jump weight p.q and
+    H_nh(p) = sum_k c_k(p) A_k the non-Hermitian Hamiltonian.  `terms` holds
+    the B_k in the Gell-Mann basis, where they are real, and
+    `operator_terms` the complex A_k, both flattened to rows; the A_k of the
+    q-weighted coefficients are zero, since the jump term has no operator
+    part.  `form.coefficients` gives the scalars c_k(p) and runs the model's
+    parameter checks.  A point at either level is one contraction.
     """
 
     form: model.LinearForm
     terms: np.ndarray  # (K, d^4) float64, read-only
+    operator_terms: np.ndarray  # (K, d^2) complex128, read-only
+
+    def _coefficients(self, p):
+        return np.array(self.form.coefficients(p), dtype=float)
 
     def matrix(self, p: ModelParams) -> np.ndarray:
         """The float64 Gell-Mann matrix of L(p.q) at p."""
         d = self.form.dim
-        c = np.array(self.form.coefficients(p), dtype=float)
-        return (c @ self.terms).reshape(d * d, d * d)
+        return (self._coefficients(p) @ self.terms).reshape(d * d, d * d)
+
+    def operator(self, p: ModelParams) -> np.ndarray:
+        """The complex128 non-Hermitian Hamiltonian at p: build(p).h_nh()."""
+        d = self.form.dim
+        return (self._coefficients(p) @ self.operator_terms).reshape(d, d)
 
     def __call__(self, p: ModelParams) -> SuperOperator:
         """L(p.q) of the model at p: hybrid_liouvillian(build(p), p.q, "gellmann")."""
@@ -296,17 +310,20 @@ class Generator:
 def generator(name) -> Generator:
     """The parametric generator of model `name` ("eff3" or "full4").
 
-    Built once per process: the Kronecker matrices at the model's probe
-    parameters are linear in the coefficient vectors there, which one small
-    solve inverts for the Fock-Liouville B_k.  These go through the cached
+    Built once per process from one system per probe parameter set.  The
+    probes' Kronecker matrices and non-Hermitian Hamiltonians are linear in
+    their coefficient vectors, so one small system, solved for each, gives
+    the Fock-Liouville B_k and the A_k.  The A_k of coefficients that vanish
+    at q = 0 are set to exactly zero.  The B_k go through the cached
     similarity to the Gell-Mann basis, where a Hermiticity-preserving map is
     real; an imaginary part above rounding level raises ValueError.
     """
     form = model.LINEAR_FORMS[name]
     n = form.dim ** 2
     coeffs = np.array([form.coefficients(p) for p in form.probes], dtype=float)
-    mats = np.array([_fock_liouville_matrix(form.build(p), p.q).ravel()
-                     for p in form.probes])
+    systems = [form.build(p) for p in form.probes]
+    mats = np.array([_fock_liouville_matrix(sys, p.q).ravel()
+                     for sys, p in zip(systems, form.probes)])
     s, s_inv = _gellmann_similarity(form.dim)
     terms = s_inv @ np.linalg.solve(coeffs, mats).reshape(-1, n, n) @ s
     imag = np.abs(terms.imag).max(axis=(1, 2))
@@ -314,6 +331,9 @@ def generator(name) -> Generator:
         raise ValueError(f"the Gell-Mann terms of model {name!r} are not real "
                          f"(largest imaginary part {imag.max():.3e})")
     terms = np.ascontiguousarray(terms.real).reshape(len(terms), n * n)
-    terms.flags.writeable = False
-    return Generator(form=form, terms=terms)
-
+    ops = np.linalg.solve(coeffs, np.array([sys.h_nh().ravel() for sys in systems]))
+    q_free = np.array([form.coefficients(p.replace(q=0.0))
+                       for p in form.probes]).any(axis=0)
+    ops[~q_free] = 0.0
+    terms.flags.writeable = ops.flags.writeable = False
+    return Generator(form=form, terms=terms, operator_terms=ops)

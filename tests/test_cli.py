@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lioup import cli, model, spectra
+from lioup import cli, model, spectra, superop
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -160,7 +160,7 @@ class TestSweepCommand:
         assert run(["sweep", "--config", write_config(tmp_path, cfg),
                     "--out", str(out)]) == 0
         res = spectra.sweep(
-            lambda p: model.build_eff3(p).h_nh(), "omega",
+            superop.generator("eff3").operator, "omega",
             np.linspace(-10.0, 30.0, 9), cli.params_from_config(cfg))
         want = [",".join([cli._fmt(x)] + [cli._fmt(z.real) for z in col]
                          + [cli._fmt(z.imag) for z in col])
@@ -268,6 +268,36 @@ class TestEvolveCommand:
         assert run(["evolve", "--config", cfg, "--out", str(out)]) == 0
         first = out.read_text().splitlines()[1].split(",")
         assert float(first[2]) == pytest.approx(0.5)
+
+
+class TestGeneratorOnly:
+    def test_no_command_builds_a_model(self, tmp_path, monkeypatch):
+        for name in ("eff3", "full4"):
+            superop.generator(name)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a model builder ran at command time")
+
+        for name in ("build_eff3", "build_full4_rwa", "reduce_effective"):
+            monkeypatch.setattr(model, name, forbidden)
+        params = {"omega": 30.0, "j": 21.0, "delta_rf": 1.0, "gamma_sp": 1e5,
+                  "gamma_g": 0.5, "q": 0.0}
+        for name in ("eff3", "full4"):
+            blocks = [("spectrum", {}), ("evolve", {
+                "params": {**params, "q": 1.0},
+                "evolve": {"rho0": "mixed", "t_max": 0.1, "steps": 3}})]
+            for level in ("operator", "superoperator"):
+                blocks.append(("sweep", {"sweep": {
+                    "parameter": "j", "start": 5.0, "stop": 40.0, "points": 8,
+                    "level": level}}))
+                blocks.append(("find-ep", {"findep": {
+                    "box": {"j": [20.0, 22.0]}, "target_mult": 2, "level": level}}))
+            for k, (command, blk) in enumerate(blocks):
+                cfg = write_config(tmp_path, {"model": name, "params": params, **blk},
+                                   name=f"{name}-{k}.json")
+                out = tmp_path / f"{name}-{k}.out"
+                assert run([command, "--config", cfg, "--out", str(out)]) == 0, (
+                    name, command, blk)
 
 
 class TestSchemaValidation:

@@ -3,13 +3,62 @@ import math
 import numpy as np
 import pytest
 
-from lioup import linalg, model, spectra
+from lioup import linalg, model, spectra, superop
 from lioup.model import (GAMMA_D2, LindbladSystem, ModelParams,
-                         build_eff3, build_full4_rwa, build_full4_time_dep,
-                         build_grwa_generator, build_ground_relaxation,
-                         build_spont_jumps, gamma_lambda_forms, h_nh_detuned,
-                         h_nh_tuned, h_nh_with_relax, reduce_effective,
-                         triple_point, triple_point_eigenvector)
+                         build_eff3, build_full4_rwa, build_ground_relaxation,
+                         build_spont_jumps, h_nh_detuned, h_nh_tuned,
+                         reduce_effective, triple_point, triple_point_eigenvector)
+
+
+def build_grwa_generator(omega_rf, omega_laser):
+    """Diagonal generator diag(w_RF, 0, -w_RF, w) of the generalized RWA frame."""
+    return np.diag([omega_rf, 0.0, -omega_rf, omega_laser]).astype(complex)
+
+
+def build_full4_time_dep(p, omega_L, omega_laser, omega_0):
+    """Lab-frame four-level Hamiltonian as a callable of time.
+
+    The oscillating couplings carry twice the rotating-frame J and Omega_R of
+    `p`.  The RF frequency is omega_L + p.delta_rf; the caller keeps
+    omega_laser - omega_0 consistent with p.delta_opt.
+    """
+    omega_rf = omega_L + p.delta_rf
+    jbar, orbar = 2.0 * p.j, 2.0 * p.omega_r
+
+    def h_t(t):
+        c = math.cos(omega_rf * t)
+        oc = orbar * math.cos(omega_laser * t)
+        return np.array([
+            [omega_L, jbar * c, 0, 0],
+            [jbar * c, 0, jbar * c, -oc],
+            [0, jbar * c, -omega_L, 0],
+            [0, -oc, 0, omega_0],
+        ], dtype=complex)
+
+    return h_t
+
+
+def gamma_lambda_forms(sys):
+    """(Gamma, apply_Lambda) with Gamma = sum L^dag L and
+    apply_Lambda(rho) = sum L rho L^dag, so that
+    drho/dt = -i[H, rho] - {Gamma, rho}/2 + Lambda(rho)."""
+    ops = sys.jump_ops()
+    gamma_op = sum((op.conj().T @ op for op in ops),
+                   np.zeros((sys.dim, sys.dim), dtype=complex))
+
+    def apply_lambda(rho):
+        rho = np.asarray(rho, dtype=complex)
+        out = np.zeros_like(rho)
+        for op in ops:
+            out += op @ rho @ op.conj().T
+        return out
+
+    return gamma_op, apply_lambda
+
+
+def h_nh_with_relax(omega, j, gamma_g):
+    """Resonant NHH with isotropic ground relaxation added, -i*gamma/2 shift."""
+    return h_nh_tuned(omega, j) - 0.5j * gamma_g * np.eye(3)
 
 
 class TestModelParams:
@@ -213,6 +262,8 @@ class TestEffectiveReduction:
         p = ModelParams(omega=30.0, j=10.0)
         red = reduce_effective(build_full4_rwa(p), p)
         assert np.abs(red.h_nh - h_nh_tuned(30.0, 10.0)).max() < 1e-9
+        got = superop.generator("eff3").operator(p)
+        assert np.abs(got - h_nh_tuned(30.0, 10.0)).max() < 1e-9
 
     def test_effective_jump_magnitude(self):
         p = ModelParams(omega=30.0, j=10.0)

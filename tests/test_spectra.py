@@ -1,16 +1,48 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from lioup import analytic, linalg, model, spectra, superop
 from lioup.model import ModelParams, build_eff3, h_nh_detuned, h_nh_tuned, triple_point
 from lioup.spectra import (DAMPED_OSCILLATION, PURE_DECAY, PURE_OSCILLATION,
-                           STATIONARY, UNSTABLE, asymptote_check, classify,
-                           correspondence_check, detect_degeneracy, evolve_check,
-                           find_ep, match_distance, splittings, sweep)
+                           STATIONARY, UNSTABLE, classify, correspondence_check,
+                           detect_degeneracy, evolve_check, find_ep,
+                           match_distance, splittings, sweep)
 
 
 def gm_liouvillian(p):
     return superop.hybrid_liouvillian(build_eff3(p), p.q, "gellmann")
+
+
+def asymptote_check(kind, p, grid):
+    """Deviation of the effective NHH spectrum from its limiting Hamiltonian.
+
+    kind "small_j": oscillatory (real) parts against the RF-detuning spectrum
+    {delta, 0, -delta}; kind "large_j": against the RF-drive spectrum
+    {sqrt(2) J, 0, -sqrt(2) J}.  Returns the max deviation over the grid.
+    """
+    grid = np.asarray(grid, dtype=float)
+    delta, omega = p.delta_rf, p.omega
+    if kind == "small_j":
+        in_regime = np.all(grid <= abs(delta) / 10.0) if delta else bool(np.all(grid == 0))
+    elif kind == "large_j":
+        in_regime = bool(np.all(grid >= 10.0 * max(abs(delta), omega)))
+    else:
+        raise ValueError(f"unknown asymptote kind {kind!r}")
+    if not in_regime:
+        warnings.warn(f"grid is not inside the {kind} asymptotic regime",
+                      stacklevel=2)
+    worst = 0.0
+    for j in grid:
+        ev = np.sort(linalg.eigvals(h_nh_detuned(omega, j, delta)).real)
+        if kind == "small_j":
+            limit = np.sort([delta, 0.0, -delta])
+        else:
+            limit = np.sort([math.sqrt(2) * j, 0.0, -math.sqrt(2) * j])
+        worst = max(worst, float(np.abs(ev - limit).max()))
+    return worst
 
 
 class TestClassify:
@@ -307,9 +339,9 @@ class TestEvolveCheck:
         p = ModelParams(omega=30.0, j=10.0, q=1.0)
         l = gm_liouvillian(p)
         rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        res = evolve_check(l, rho0, 0.0)
-        assert np.abs(res.rho_expm - rho0).max() < 1e-12
-        assert res.max_diff < 1e-12
+        res = evolve_check(l, rho0, [0.0])
+        assert np.abs(res.rho_expm[0] - rho0).max() < 1e-12
+        assert res.max_diff[0] < 1e-12
 
     def test_long_time_reaches_stationary_state(self):
         # J > Omega/sqrt(2) keeps every decaying mode fast (rate >= Omega/3)
@@ -320,26 +352,49 @@ class TestEvolveCheck:
         stat = superop.devectorize(dec.right_vectors[:, k], l.basis)
         stat = stat / np.trace(stat)
         rho0 = np.eye(3) / 3.0
-        res = evolve_check(l, rho0, 50.0 / p.omega)
-        assert np.abs(res.rho_expm - stat).max() < 1e-6
+        res = evolve_check(l, rho0, [50.0 / p.omega])
+        assert np.abs(res.rho_expm[0] - stat).max() < 1e-6
 
     def test_trace_preserved_along_path(self):
         p = ModelParams(omega=30.0, j=10.0, q=1.0)
         l = gm_liouvillian(p)
         rho0 = np.diag([0.2, 0.5, 0.3]).astype(complex)
-        for t in np.linspace(0.0, 5.0 / p.omega, 8):
-            assert evolve_check(l, rho0, float(t)).trace_drift <= 1e-9
+        res = evolve_check(l, rho0, np.linspace(0.0, 5.0 / p.omega, 8))
+        assert res.trace_drift.shape == (8,)
+        assert res.trace_drift.max() <= 1e-9
+
+    def test_one_eigendecomposition_for_all_times(self, monkeypatch):
+        p = ModelParams(omega=30.0, j=10.0, delta_rf=2.0, q=1.0)
+        l = gm_liouvillian(p)
+        rho0 = np.diag([0.2, 0.5, 0.3]).astype(complex)
+        times = np.linspace(0.0, 5.0 / p.omega, 6)
+        calls = []
+        eig = linalg.eig
+        monkeypatch.setattr(linalg, "eig", lambda a: calls.append(1) or eig(a))
+        res = evolve_check(l, rho0, times)
+        assert len(calls) == 1 and res.max_diff.max() < 1e-10
+        # each time carries the bits of a call at that time alone
+        for k, t in enumerate(times):
+            one = evolve_check(l, rho0, [t])
+            assert np.array_equal(one.rho_expm[0], res.rho_expm[k])
+            assert np.array_equal(one.rho_eig[0], res.rho_eig[k])
+            assert one.max_diff[0] == res.max_diff[k]
 
     def test_rejects_hybrid_generator(self):
         p = ModelParams(omega=30.0, j=10.0, q=0.5)
         l = gm_liouvillian(p)
         with pytest.raises(ValueError, match="trace-preserving"):
+            evolve_check(l, np.eye(3) / 3.0, [0.1])
+
+    def test_rejects_times_that_are_not_1d(self):
+        l = gm_liouvillian(ModelParams(omega=30.0, j=10.0, q=1.0))
+        with pytest.raises(ValueError, match="1-D"):
             evolve_check(l, np.eye(3) / 3.0, 0.1)
 
     def test_rejects_unphysical_state(self):
         p = ModelParams(omega=30.0, j=10.0, q=1.0)
         l = gm_liouvillian(p)
         with pytest.raises(ValueError):
-            evolve_check(l, np.diag([0.7, 0.5, -0.2]).astype(complex), 0.1)
+            evolve_check(l, np.diag([0.7, 0.5, -0.2]).astype(complex), [0.1])
         with pytest.raises(ValueError):
-            evolve_check(l, np.diag([0.7, 0.5, 0.2]).astype(complex), 0.1)
+            evolve_check(l, np.diag([0.7, 0.5, 0.2]).astype(complex), [0.1])

@@ -304,20 +304,38 @@ class TestGenerator:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(p=model_params(), name=st.sampled_from(["eff3", "full4"]))
     def test_matches_the_builders(self, p, name):
-        want = hybrid_liouvillian(self.BUILDERS[name](p), p.q, GELLMANN)
-        got = superop.generator(name)(p)
+        sys = self.BUILDERS[name](p)
+        want = hybrid_liouvillian(sys, p.q, GELLMANN)
+        gen = superop.generator(name)
+        got = gen(p)
         assert np.abs(got.matrix - want.matrix).max() <= 1e-12 * np.abs(want.matrix).max()
         assert (got.basis, got.q) == (want.basis, want.q)
+        h_nh = gen.operator(p)
+        assert h_nh.dtype == np.complex128
+        assert np.abs(h_nh - sys.h_nh()).max() <= 1e-12 * np.abs(sys.h_nh()).max()
 
     def test_keeps_the_reduction_checks(self):
         gen = superop.generator("eff3")
         slow = ModelParams(omega_r=3.0, j=30.0, gamma_sp=10.0)
-        with pytest.warns(UserWarning, match="dominate"):
-            gen(slow)
+        for build in (gen, gen.operator):
+            with pytest.warns(UserWarning, match="dominate"):
+                build(slow)
         singular = ModelParams(omega=1.0, gamma_sp=1e-310)
-        for build in (build_eff3, gen):
+        for build in (build_eff3, gen, gen.operator):
             with pytest.warns(UserWarning), pytest.raises(ValueError, match="singular"):
                 build(singular)
+
+    @pytest.mark.parametrize("name", ["eff3", "full4"])
+    def test_operator_terms_of_the_jump_weight_are_zero(self, name):
+        gen = superop.generator(name)
+        ops = gen.operator_terms
+        assert ops.dtype == np.complex128 and not ops.flags.writeable
+        p = ModelParams(omega=30.0, j=12.0, delta_rf=2.0, gamma_sp=1e4,
+                        gamma_g=0.3, q=0.0)
+        weighted = np.subtract(gen.form.coefficients(p.replace(q=1.0)),
+                               gen.form.coefficients(p)) != 0
+        assert weighted.sum() == 2 and not ops[weighted].any()
+        assert np.array_equal(gen.operator(p), gen.operator(p.replace(q=1.0)))
 
     @pytest.mark.parametrize("name", ["eff3", "full4"])
     def test_terms_are_real_and_equal_the_direct_parts(self, name):
