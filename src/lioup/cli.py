@@ -10,6 +10,7 @@ config error, 3 numerical failure.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -54,7 +55,25 @@ def _number(obj, key, path, required=False, default=None):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"'{path}.{key}' must be a number")
+    if not math.isfinite(v):
+        raise SchemaError(f"'{path}.{key}' must be finite")
     return float(v)
+
+
+def _integer(blk, key, path):
+    v = blk.get(key)
+    if not isinstance(v, int) or isinstance(v, bool) or v < 2:
+        raise SchemaError(f"'{path}.{key}' must be an integer >= 2")
+    return v
+
+
+def _level(cfg, blk, path):
+    """The block's `level` as a builder: the model's gen.operator or gen.matrix."""
+    level = blk.get("level", "superoperator")
+    if level not in ("superoperator", "operator"):
+        raise SchemaError(f"'{path}.level' must be 'superoperator' or 'operator'")
+    gen = superop.generator(cfg["model"])
+    return gen.operator if level == "operator" else gen.matrix
 
 
 def load_config(path):
@@ -67,6 +86,9 @@ def load_config(path):
                       "findep", "evolve"}, "config")
     if cfg.get("model") not in ("eff3", "full4"):
         raise SchemaError("'config.model' must be 'eff3' or 'full4'")
+    # Every command solves the model's real Gell-Mann generator whatever the
+    # basis: S / sqrt(2) is unitary, so spectrum and conditioning are the
+    # same, and `basis` is only echoed in the metadata.
     basis = cfg.get("basis", "gellmann" if cfg["model"] == "eff3" else "fockliouville")
     if basis not in ("gellmann", "fockliouville"):
         raise SchemaError("'config.basis' must be 'gellmann' or 'fockliouville'")
@@ -83,21 +105,6 @@ def params_from_config(cfg):
         return model.ModelParams(**raw)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"invalid 'config.params': {exc}") from exc
-
-
-def _generator(cfg):
-    """The model's generator, the source of every command's matrices.
-
-    Superoperator level solves its real Gell-Mann form whatever the config's
-    basis: S / sqrt(2) is unitary, so spectrum and conditioning are the
-    same, and `basis` is only echoed in the metadata.
-    """
-    return superop.generator(cfg["model"])
-
-
-def _level_builder(cfg, level):
-    gen = _generator(cfg)
-    return gen.operator if level == "operator" else gen.matrix
 
 
 def _metadata(cfg):
@@ -167,17 +174,15 @@ def cmd_spectrum(cfg, out_path):
         tol_cluster = _number(cfg["spectrum"], "tol_cluster", "config.spectrum")
         if tol_cluster is not None and tol_cluster <= 0:
             raise SchemaError("'config.spectrum.tol_cluster' must be positive")
-    m = _generator(cfg).matrix(params_from_config(cfg))
+    m = superop.generator(cfg["model"]).matrix(params_from_config(cfg))
     ev = linalg.eigvals(m)
-    classes = spectra.classify(ev)
-    table = spectra.splittings(ev)
     reports = spectra.detect_degeneracy(m, tol_cluster=tol_cluster)
     doc = {
         "metadata": _metadata(cfg),
         "eigenvalues": [_complex_json(z) for z in ev],
-        "classifications": [c.kind for c in classes],
+        "classifications": spectra.classify(ev),
         "splittings": [[i, j, _fmt(re), _fmt(im)]
-                       for i, j, re, im in table.pairs],
+                       for i, j, re, im in spectra.splittings(ev)],
         "degeneracies": [_report_json(r) for r in reports],
         "real_part_groups": _real_part_groups(ev),
     }
@@ -196,18 +201,14 @@ def cmd_sweep(cfg, out_path):
         raise SchemaError(f"'config.sweep.parameter' must be one of {sorted(SWEEPABLE)}")
     start = _number(blk, "start", "config.sweep", required=True)
     stop = _number(blk, "stop", "config.sweep", required=True)
-    points = blk.get("points")
-    if not isinstance(points, int) or isinstance(points, bool) or points < 2:
-        raise SchemaError("'config.sweep.points' must be an integer >= 2")
+    points = _integer(blk, "points", "config.sweep")
     if stop <= start:
         raise SchemaError("'config.sweep.stop' must exceed start")
-    level = blk.get("level", "superoperator")
-    if level not in ("superoperator", "operator"):
-        raise SchemaError("'config.sweep.level' must be 'superoperator' or 'operator'")
+    builder = _level(cfg, blk, "config.sweep")
 
     p = params_from_config(cfg)
     grid = np.linspace(start, stop, points)
-    result = spectra.sweep(_level_builder(cfg, level), parameter, grid, p)
+    result = spectra.sweep(builder, parameter, grid, p)
 
     nb = result.branches.shape[0]
     header = ([parameter] + [f"re_{k + 1}" for k in range(nb)]
@@ -247,16 +248,14 @@ def cmd_find_ep(cfg, out_path):
                 or any(isinstance(v, bool) or not isinstance(v, (int, float))
                        for v in rng)):
             raise SchemaError(f"'config.findep.box.{key}' must be [lo, hi]")
+        if not all(math.isfinite(v) for v in rng):
+            raise SchemaError(f"'config.findep.box.{key}' must be finite")
         box[key] = (float(rng[0]), float(rng[1]))
-    target = blk.get("target_mult")
-    if not isinstance(target, int) or isinstance(target, bool) or target < 2:
-        raise SchemaError("'config.findep.target_mult' must be an integer >= 2")
-    level = blk.get("level", "superoperator")
-    if level not in ("superoperator", "operator"):
-        raise SchemaError("'config.findep.level' must be 'superoperator' or 'operator'")
+    target = _integer(blk, "target_mult", "config.findep")
+    builder = _level(cfg, blk, "config.findep")
 
     p = params_from_config(cfg)
-    reports = spectra.find_ep(_level_builder(cfg, level), box, target, p)
+    reports = spectra.find_ep(builder, box, target, p)
     doc = {"metadata": _metadata(cfg),
            "reports": [_report_json(r) for r in reports]}
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
@@ -271,15 +270,13 @@ def cmd_evolve(cfg, out_path):
     t_max = _number(blk, "t_max", "config.evolve", required=True)
     if t_max <= 0:
         raise SchemaError("'config.evolve.t_max' must be positive")
-    steps = blk.get("steps")
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 2:
-        raise SchemaError("'config.evolve.steps' must be an integer >= 2")
+    steps = _integer(blk, "steps", "config.evolve")
 
     p = params_from_config(cfg)
     if p.q != 1.0:
         raise SchemaError("'config.params.q' must be 1 for evolve: hybrid "
                           "generators with q < 1 are not trace-preserving")
-    gen = _generator(cfg)
+    gen = superop.generator(cfg["model"])
     d = gen.form.dim
 
     spec0 = blk.get("rho0", "mixed")

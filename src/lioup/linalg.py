@@ -1,9 +1,10 @@
 """Dense complex linear algebra shared by every higher-level module.
 
-Matrices are plain numpy arrays of complex128; eigvals() also keeps float64
-input real.  Problem sizes are tiny (operators up to 16x16, superoperators up
-to 256x256), so the routines favor robustness and reproducibility over speed:
-LAPACK eigensolvers with a fixed deterministic eigenvalue ordering and
+Matrices are plain numpy arrays of complex128, square and finite; eigvals()
+also keeps float64 input real and takes stacks.  Problem sizes are tiny
+(operators up to 16x16, superoperators up to 256x256), so the routines favor
+robustness and reproducibility over speed: LAPACK eigensolvers with a fixed
+deterministic eigenvalue ordering (eig() gives right eigenpairs only) and
 scaling-and-squaring expm.
 """
 
@@ -34,52 +35,45 @@ def real_or_complex(a):
     return a if a.dtype == np.float64 else a.astype(complex)
 
 
-def as_matrix(a, *, square=False, finite=True):
-    """Coerce to a 2-D complex128 array, optionally enforcing squareness."""
+def as_matrix(a):
+    """Coerce to a square, finite 2-D complex128 array."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {m.shape}")
-    if square and m.shape[0] != m.shape[1]:
+    if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if max(m.shape) > MAX_DIM:
         raise ValueError(f"matrix dimension {m.shape} exceeds desk-scale cap {MAX_DIM}")
-    if finite and not np.isfinite(m).all():
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Right (and optionally left) eigenpairs in a deterministic order.
+    """Right eigenpairs in a deterministic order.
 
     values        : (n,) eigenvalues sorted lexicographically by (re, im)
     right_vectors : (n, n) unit-norm right eigenvectors as columns
-    left_vectors  : (n, n) unit-norm left eigenvectors as rows
-                    (u_i @ a == values[i] * u_i), or None if not requested
     residuals     : (n,) two-norms of a @ v_i - values[i] * v_i
     """
 
     values: np.ndarray
     right_vectors: np.ndarray
-    left_vectors: np.ndarray | None
     residuals: np.ndarray
 
 
-def eig(a, want_left=False):
+def eig(a):
     """Full eigendecomposition with deterministic (re, im) ordering.
 
     Eigenvectors of defective matrices come back numerically parallel; no
     orthogonality is promised.  Raises ConvergenceError if the QR iteration
     fails (the message carries the Frobenius norm of the input).
     """
-    a = as_matrix(a, square=True)
+    a = as_matrix(a)
     n = a.shape[0]
     try:
-        if want_left:
-            w, vl, vr = scipy.linalg.eig(a, left=True, right=True)
-        else:
-            w, vr = scipy.linalg.eig(a)
-            vl = None
+        w, vr = scipy.linalg.eig(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(
             f"eigensolver did not converge for {n}x{n} matrix "
@@ -91,15 +85,7 @@ def eig(a, want_left=False):
     vr = vr[:, order]
     vr = vr / np.linalg.norm(vr, axis=0)
     residuals = np.linalg.norm(a @ vr - vr * w, axis=0)
-
-    left = None
-    if want_left:
-        vl = vl[:, order]
-        # scipy convention: vl[:,i]^H a = w[i] vl[:,i]^H, so rows are u_i = vl[:,i]^H
-        left = vl.conj().T
-        left = left / np.linalg.norm(left, axis=1)[:, None]
-    return EigenDecomposition(values=w, right_vectors=vr, left_vectors=left,
-                              residuals=residuals)
+    return EigenDecomposition(values=w, right_vectors=vr, residuals=residuals)
 
 
 def eigvals(a):
@@ -122,5 +108,5 @@ def eigvals(a):
 
 def expm(a):
     """Matrix exponential (scaling and squaring)."""
-    a = as_matrix(a, square=True)
+    a = as_matrix(a)
     return scipy.linalg.expm(a)

@@ -13,6 +13,7 @@ Basis conventions used throughout:
   provides the mirrored sign convention used in the detuned-regime analyses.
 
 All rates and frequencies are plain angular frequencies in one shared unit.
+A jump set is a tuple of d x d arrays, in the order each builder documents.
 """
 
 import dataclasses
@@ -91,7 +92,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class LindbladSystem:
-    """A Hamiltonian plus labelled jump operators on a d-dimensional space."""
+    """A Hamiltonian plus a tuple of d x d jump operators, d = dim."""
 
     dim: int
     hamiltonian: np.ndarray
@@ -106,23 +107,20 @@ class LindbladSystem:
             raise ValueError("hamiltonian has non-finite entries")
         object.__setattr__(self, "hamiltonian", h)
         ops = []
-        for label, op in self.jumps:
+        for k, op in enumerate(self.jumps):
             op = np.asarray(op, dtype=complex)
             if op.shape != (self.dim, self.dim):
-                raise ValueError(f"jump {label!r} has wrong shape")
-            ops.append((str(label), op))
+                raise ValueError(f"jump {k} has wrong shape")
+            ops.append(op)
         object.__setattr__(self, "jumps", tuple(ops))
         if self.hermitian:
             scale = max(np.linalg.norm(h), 1.0)
             if np.linalg.norm(h - h.conj().T) > 1e-12 * scale:
                 raise ValueError("hamiltonian tagged Hermitian is not Hermitian")
 
-    def jump_ops(self):
-        return [op for _, op in self.jumps]
-
     def h_nh(self):
         """Non-Hermitian Hamiltonian H - (i/2) sum L^dag L."""
-        g = sum((op.conj().T @ op for op in self.jump_ops()),
+        g = sum((op.conj().T @ op for op in self.jumps),
                 np.zeros((self.dim, self.dim), dtype=complex))
         return self.hamiltonian - 0.5j * g
 
@@ -199,7 +197,10 @@ def _unit_spont_jumps(f, F, convention):
 
 
 def build_ground_relaxation(gamma_g):
-    """Nine isotropic ground-relaxation jumps sqrt(gamma/3) |1m><1n|, 3x3."""
+    """Nine isotropic ground-relaxation jumps sqrt(gamma/3) |1m><1n|, 3x3.
+
+    Ordered by m, then n, each running over 1, 0, -1.
+    """
     if gamma_g < 0:
         raise ValueError("gamma_g must be non-negative")
     ops = []
@@ -221,9 +222,10 @@ def _embed_ground(op3):
 def build_full4_rwa(p: ModelParams) -> LindbladSystem:
     """Four-level rotating-frame system in basis (|1,1>, |1,0>, |1,-1>, |0,0>).
 
-    Hamiltonian [[-d, J, 0, 0], [J, 0, J, -Or], [0, J, d, 0], [0, -Or, 0, -D]]
-    plus the three spontaneous-emission jumps and, if gamma_g > 0, the nine
-    ground-relaxation jumps embedded in the 4-dimensional space.
+    Hamiltonian [[-d, J, 0, 0], [J, 0, J, -Or], [0, J, d, 0], [0, -Or, 0, -D]].
+    The jumps are the three spontaneous-emission operators, eps = +1, 0, -1,
+    then, if gamma_g > 0, the nine ground-relaxation operators of
+    `build_ground_relaxation` embedded in the 4-dimensional space.
     """
     d, D, J, Or = p.delta_rf, p.delta_opt, p.j, p.omega_r
     fx, _, fz = spin_ops(1)
@@ -231,12 +233,9 @@ def build_full4_rwa(p: ModelParams) -> LindbladSystem:
     h[:3, :3] = -d * fz + J * math.sqrt(2.0) * fx  # ground block
     h[1, 3] = h[3, 1] = -Or
     h[3, 3] = -D
-    jumps = [(f"sp[{eps:+d}]", op) for eps, op in
-             zip((1, 0, -1), build_spont_jumps(1, 0, p.gamma_sp))]
+    jumps = build_spont_jumps(1, 0, p.gamma_sp)
     if p.gamma_g > 0:
-        for (m, n), op in zip([(m, n) for m in (1, 0, -1) for n in (1, 0, -1)],
-                              build_ground_relaxation(p.gamma_g)):
-            jumps.append((f"g[{m:+d},{n:+d}]", _embed_ground(op)))
+        jumps += [_embed_ground(op) for op in build_ground_relaxation(p.gamma_g)]
     return LindbladSystem(dim=4, hamiltonian=h, jumps=tuple(jumps))
 
 
@@ -273,7 +272,7 @@ def reduce_effective(sys4: LindbladSystem, p: ModelParams) -> EffectiveReduction
     v_minus = v_plus.conj().T
 
     spont = []
-    for label, op in sys4.jumps:
+    for op in sys4.jumps:
         if np.abs(op[:ngr, :ngr]).max() > 0 or np.abs(op[ngr:, ngr:]).max() > 0:
             continue  # ground-only or diagonal-block jumps are untouched
         spont.append(op)
@@ -292,13 +291,15 @@ def reduce_effective(sys4: LindbladSystem, p: ModelParams) -> EffectiveReduction
 
 
 def build_eff3(p: ModelParams) -> LindbladSystem:
-    """Effective three-level system: reduced Hamiltonian and jump set."""
+    """Effective three-level system: reduced Hamiltonian and jump set.
+
+    The jumps are the three reduced spontaneous-emission operators, eps = +1,
+    0, -1, then, if gamma_g > 0, the nine of `build_ground_relaxation`.
+    """
     red = reduce_effective(build_full4_rwa(p), p)
-    jumps = [(f"sp[{eps:+d}]", op) for eps, op in zip((1, 0, -1), red.l_eff)]
+    jumps = list(red.l_eff)
     if p.gamma_g > 0:
-        for (m, n), op in zip([(m, n) for m in (1, 0, -1) for n in (1, 0, -1)],
-                              build_ground_relaxation(p.gamma_g)):
-            jumps.append((f"g[{m:+d},{n:+d}]", op))
+        jumps += build_ground_relaxation(p.gamma_g)
     return LindbladSystem(dim=3, hamiltonian=red.h_eff, jumps=tuple(jumps))
 
 

@@ -5,8 +5,13 @@ detection with Jordan-structure estimation (rank plateaus of powers),
 the operator <-> superoperator spectral correspondence, continuity-tracked
 parameter sweeps, gap-minimization EP search, and an evolution cross-check
 (expm against eigen-expansion).
+
+Results are plain values: `classify` gives kind strings and `splittings`
+(i, j, dE_real, dE_imag) tuples.  The builders that `sweep` and `find_ep`
+call return the matrix at the given ModelParams as an array.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +29,6 @@ UNSTABLE = "unstable"
 # scale-free default thresholds (relative to spectral diameter)
 TOL_CLUSTER_REL = 1e-6
 TOL_CLASS_REL = 1e-8
-
-
-def _matrix_of(obj):
-    """The matrix of a builder's result; float64 stays real."""
-    if isinstance(obj, superop.SuperOperator):
-        obj = obj.matrix
-    return linalg.real_or_complex(obj)
 
 
 def spectral_diameter(values):
@@ -52,15 +50,9 @@ def match_distance(a, b):
     return float(cost[rows, cols].max())
 
 
-@dataclass(frozen=True)
-class ClassifiedEigenvalue:
-    value: complex
-    kind: str
-
-
 def classify(values, tol_class=None):
-    """Classify eigenvalues per their dynamical role (stationary, oscillating,
-    decaying, damped-oscillating, unstable)."""
+    """The dynamical role of each eigenvalue, as one of the kind strings
+    STATIONARY, PURE_OSCILLATION, PURE_DECAY, DAMPED_OSCILLATION, UNSTABLE."""
     values = np.asarray(values, dtype=complex)
     if tol_class is None:
         tol_class = max(TOL_CLASS_REL * spectral_diameter(values), 1e-300)
@@ -73,18 +65,12 @@ def classify(values, tol_class=None):
             kind = STATIONARY if abs(im) <= tol_class else PURE_OSCILLATION
         else:
             kind = PURE_DECAY if abs(im) <= tol_class else DAMPED_OSCILLATION
-        out.append(ClassifiedEigenvalue(complex(v), kind))
+        out.append(kind)
     return out
 
 
-@dataclass(frozen=True)
-class SplittingTable:
-    """Real and imaginary quasienergy splittings for all index pairs i < j."""
-
-    pairs: tuple  # of (i, j, dE_real, dE_imag)
-
-
 def splittings(values):
+    """Quasienergy splittings (i, j, dE_real, dE_imag) of all index pairs i < j."""
     values = np.asarray(values, dtype=complex)
     pairs = []
     n = values.size
@@ -92,7 +78,7 @@ def splittings(values):
         for j in range(i + 1, n):
             d = values[i] - values[j]
             pairs.append((i, j, float(d.real), float(d.imag)))
-    return SplittingTable(pairs=tuple(pairs))
+    return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -134,11 +120,11 @@ def _single_linkage(values, tol):
     return list(groups.values())
 
 
-def _rank_sequence(m, kmax, tol_rank, coalesce_tol):
+def _rank_sequence(m, kmax, coalesce_tol):
     """Ranks of (m / ||m||_2)^k for k = 1..kmax.
 
     Perturbations of size eps enter matrix powers to first order, so one
-    fixed cutoff max(tol_rank, coalesce_tol / ||m||) applies to every power
+    fixed cutoff max(TOL_RANK, coalesce_tol / ||m||) applies to every power
     of the spectrally normalized matrix: singular values responding within
     the eigenvalue coalescence tolerance count as part of the degenerate
     structure.
@@ -147,7 +133,7 @@ def _rank_sequence(m, kmax, tol_rank, coalesce_tol):
     if norm == 0.0:
         return [0] * kmax
     mn = m / norm
-    cut = min(max(tol_rank, coalesce_tol / norm), 0.5)
+    cut = min(max(linalg.TOL_RANK, coalesce_tol / norm), 0.5)
     ranks = []
     p = np.eye(m.shape[0], dtype=complex)
     for _ in range(kmax):
@@ -186,17 +172,17 @@ def _partition_from_ranks(n, ranks, mult):
     return tuple(capped)
 
 
-def detect_degeneracy(a, tol_cluster=None, tol_rank=linalg.TOL_RANK):
+def detect_degeneracy(a, tol_cluster=None):
     """Cluster eigenvalues and report the Jordan structure of each cluster.
 
     Clusters are single-linkage with radius tol_cluster (default 1e-6 times
     the spectral diameter).  Per cluster of size m >= 2: geometric
-    multiplicity is the null-space dimension of a - mean*I at tol_rank, the
+    multiplicity is the null-space dimension of a - mean*I at TOL_RANK, the
     order is the smallest k at which rank((a - mean*I)^k) stops decreasing
     (the longest Jordan chain), capped at m.  Two clusters closer than twice
     the radius are flagged as ill-conditioned rather than merged.
     """
-    a = linalg.as_matrix(a, square=True)
+    a = linalg.as_matrix(a)
     n = a.shape[0]
     dec = linalg.eig(a)
     w, vecs = dec.values, dec.right_vectors
@@ -220,10 +206,10 @@ def detect_degeneracy(a, tol_cluster=None, tol_rank=linalg.TOL_RANK):
         center = centers[ci]
         shifted = a - center * np.eye(n)
         s = np.linalg.svd(shifted, compute_uv=False)
-        null_cut = max(tol_rank * s[0], 2.0 * tol_cluster)
+        null_cut = max(linalg.TOL_RANK * s[0], 2.0 * tol_cluster)
         geometric = int(np.count_nonzero(s <= null_cut))
         geometric = max(1, min(geometric, m))
-        ranks = _rank_sequence(shifted, m + 1, tol_rank, 2.0 * tol_cluster)
+        ranks = _rank_sequence(shifted, m + 1, 2.0 * tol_cluster)
         order = m
         prev = n
         for k, r in enumerate(ranks, start=1):
@@ -263,7 +249,7 @@ def detect_degeneracy(a, tol_cluster=None, tol_rank=linalg.TOL_RANK):
 def correspondence_check(h_nh, super_spectrum):
     """Max mismatch between {-i (E_i - E_j^*)} of the operator and the
     given superoperator spectrum, under optimal pairing."""
-    h_nh = linalg.as_matrix(h_nh, square=True)
+    h_nh = linalg.as_matrix(h_nh)
     d = h_nh.shape[0]
     super_spectrum = np.asarray(super_spectrum, dtype=complex).ravel()
     if super_spectrum.size != d * d:
@@ -305,7 +291,7 @@ def sweep(builder, parameter, grid, base: ModelParams, gap_threshold=None):
     stack, built, failures = None, [], []
     for i, x in enumerate(grid):
         try:
-            m = _matrix_of(builder(base.replace(**{parameter: float(x)})))
+            m = linalg.real_or_complex(builder(base.replace(**{parameter: float(x)})))
             if stack is None:
                 stack = np.empty((grid.size,) + m.shape, dtype=m.dtype)
             elif not np.can_cast(m.dtype, stack.dtype):
@@ -401,27 +387,27 @@ def _gap_objective(values, target_mult):
     return float(dist[:, 1:target_mult].sum(axis=1).min())
 
 
-def find_ep(builder, box, target_mult, base: ModelParams, n_coarse=None,
-            cert_factor=None, tol_rank=linalg.TOL_RANK):
+def find_ep(builder, box, target_mult, base: ModelParams):
     """Locate and certify parameter-space degeneracies of a given multiplicity.
 
-    `box` maps one or two ModelParams field names to (lo, hi) ranges.  A
-    coarse grid seeds Nelder-Mead refinements of the summed smallest pairwise
-    gaps; converged minima below the certification threshold are passed to
-    detect_degeneracy.  The threshold scales as eps**(1/m) with the target
-    multiplicity m: an order-m coalescence responds to parameter
-    perturbations with the m-th root, so even at float-exact parameters the
-    eigenvalue spread cannot drop below roughly (eps * scale)**(1/m).
+    `builder(p)` returns the matrix at parameters p.  `box` maps one or two
+    ModelParams field names to (lo, hi) ranges.  A coarse grid seeds
+    Nelder-Mead refinements of the gap objective: the smallest sum of the
+    m-1 nearest-neighbour gaps from any one eigenvalue, for target
+    multiplicity m.  Converged minima below the certification threshold,
+    200 eps**(1/m) times the spectral scale, are passed to
+    detect_degeneracy.  The threshold scales as eps**(1/m) because an
+    order-m coalescence responds to parameter perturbations with the m-th
+    root, so even at float-exact parameters the eigenvalue spread cannot
+    drop below roughly (eps * scale)**(1/m).
 
     The gap objective dips in root-type cusps whose basins are narrow, so the
-    seeding grid is dense by default (65 points per axis in one dimension,
-    33 in two).
+    seeding grid is dense: 65 points per axis in one dimension, 33 in two.
     """
     names = list(box)
     if not 1 <= len(names) <= 2:
         raise ValueError("box must constrain one or two parameters")
-    if n_coarse is None:
-        n_coarse = 65 if len(names) == 1 else 33
+    n_axis = 65 if len(names) == 1 else 33
     los = np.array([box[n][0] for n in names], dtype=float)
     his = np.array([box[n][1] for n in names], dtype=float)
     if np.any(his <= los):
@@ -429,9 +415,9 @@ def find_ep(builder, box, target_mult, base: ModelParams, n_coarse=None,
 
     def matrix_at(x):
         p = base.replace(**{n: float(v) for n, v in zip(names, x)})
-        return _matrix_of(builder(p))
+        return linalg.real_or_complex(builder(p))
 
-    axes = [np.linspace(lo, hi, n_coarse) for lo, hi in zip(los, his)]
+    axes = [np.linspace(lo, hi, n_axis) for lo, hi in zip(los, his)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     coarse_vals = linalg.eigvals(np.array([matrix_at(x) for x in pts]))
@@ -440,9 +426,7 @@ def find_ep(builder, box, target_mult, base: ModelParams, n_coarse=None,
         scale = 1.0
     coarse_s = np.array([_gap_objective(v, target_mult) for v in coarse_vals])
 
-    if cert_factor is None:
-        cert_factor = 200.0 * np.finfo(float).eps ** (1.0 / max(target_mult, 2))
-    threshold = cert_factor * scale
+    threshold = 200.0 * np.finfo(float).eps ** (1.0 / max(target_mult, 2)) * scale
 
     def objective(x):
         if np.any(x < los) or np.any(x > his):
@@ -467,7 +451,7 @@ def find_ep(builder, box, target_mult, base: ModelParams, n_coarse=None,
 
     found = []
     widths = his - los
-    spacing = widths / (n_coarse - 1)
+    spacing = widths / (n_axis - 1)
     for seed in seeds:
         # keep the initial simplex inside the seeded basin: degeneracy dips
         # are root-type cusps barely wider than the coarse spacing
@@ -495,26 +479,14 @@ def find_ep(builder, box, target_mult, base: ModelParams, n_coarse=None,
     reports = []
     for x, s_min in found:
         p = base.replace(**{n: float(v) for n, v in zip(names, x)})
-        mat = _matrix_of(builder(p))
+        mat = linalg.real_or_complex(builder(p))
         # an order-m Jordan cluster scatters like eps**(1/m) even at the
         # converged parameters, so the clustering radius must cover that
         tol_cluster = max(3.0 * s_min,
                           10.0 * np.finfo(float).eps ** (1.0 / target_mult) * scale)
-        for rep in detect_degeneracy(mat, tol_cluster=tol_cluster, tol_rank=tol_rank):
-            if rep.algebraic_mult >= target_mult:
-                reports.append(EPReport(
-                    cluster_value=rep.cluster_value,
-                    algebraic_mult=rep.algebraic_mult,
-                    geometric_mult=rep.geometric_mult,
-                    order=rep.order,
-                    kind=rep.kind,
-                    gap_residual=rep.gap_residual,
-                    vector_overlap=rep.vector_overlap,
-                    partition=rep.partition,
-                    indices=rep.indices,
-                    params=p,
-                    flags=rep.flags,
-                ))
+        reports += [dataclasses.replace(rep, params=p)
+                    for rep in detect_degeneracy(mat, tol_cluster=tol_cluster)
+                    if rep.algebraic_mult >= target_mult]
     return reports
 
 
@@ -546,6 +518,8 @@ def evolve_check(l: superop.SuperOperator, rho0, times):
     if times.ndim != 1:
         raise ValueError("times must be a 1-D array")
     rho0 = np.asarray(rho0, dtype=complex)
+    if not np.isfinite(rho0).all():
+        raise ValueError("rho0 must be finite")
     scale = max(np.linalg.norm(rho0), 1.0)
     if np.linalg.norm(rho0 - rho0.conj().T) > 1e-9 * scale:
         raise ValueError("rho0 must be Hermitian")

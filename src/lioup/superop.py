@@ -1,6 +1,7 @@
 """Vectorization of density matrices and assembly of (hybrid) Liouvillians.
 
-Two superoperator bases are defined:
+Two superoperator bases are defined, named by the strings GELLMANN and
+FOCKLIOUVILLE; a basis carries no dimension, which comes from the operand:
 
 * generalized Gell-Mann: Hermitian trace-orthogonal set, Tr(s_i s_j) = 2 d_ij,
   ordered symmetric pairs (j<k lexicographic), antisymmetric pairs, diagonal
@@ -21,13 +22,15 @@ the spectrum does not depend on the basis.  Both term sets are solved once
 per model from its builder at the probe parameters: the A_k from the
 probes' H_nh, the B_k from `hybrid_liouvillian`'s Kronecker assembly and
 the cached similarity S^H L S / 2 with S[:, i] = vec(s_i).
-`hybrid_liouvillian` and `nhh_superop` accept either basis and are the
-references the generator is tested against; `h_superop`, `gamma_superop`
-and `lambda_superop` evaluate M_ij = Tr(map(s_j) s_i)/2 directly,
-independently of the Kronecker path.
+`hybrid_liouvillian` and `nhh_superop` accept either basis name and are
+the references the generator is tested against; `superop_of_map`,
+`h_superop`, `gamma_superop` and `lambda_superop` evaluate the Gell-Mann
+M_ij = Tr(map(s_j) s_i)/2 directly, independently of the Kronecker path,
+taking the dimension from h or, where a jump set may be empty, from d.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,38 +42,23 @@ GELLMANN = "gellmann"
 FOCKLIOUVILLE = "fockliouville"
 
 
-@dataclass(frozen=True)
-class BasisTag:
-    kind: str
-    dim: int
-
-    def __post_init__(self):
-        if self.kind not in (GELLMANN, FOCKLIOUVILLE):
-            raise ValueError(f"unknown basis kind {self.kind!r}")
-        if not 2 <= self.dim <= 16:
-            raise ValueError("basis dimension must be in [2, 16]")
-
-
-@dataclass(frozen=True)
-class GellMannBasis:
-    dim: int
-    matrices: np.ndarray  # (dim^2, dim, dim), identity-proportional element last
-
-    @property
-    def tag(self):
-        return BasisTag(GELLMANN, self.dim)
+def _check_basis(basis, d):
+    if basis not in (GELLMANN, FOCKLIOUVILLE):
+        raise ValueError(f"unknown basis {basis!r}")
+    if not 2 <= d <= 16:
+        raise ValueError("basis dimension must be in [2, 16]")
 
 
 @dataclass(frozen=True)
 class SuperOperator:
-    """A d^2 x d^2 matrix tagged with its basis and the jump weight q.
+    """A d^2 x d^2 matrix with its basis name and the jump weight q.
 
     `generator(name)(p)` gives the float64 Gell-Mann form; the reference
     builders `hybrid_liouvillian` and `nhh_superop` give either basis.
     """
 
     matrix: np.ndarray
-    basis: BasisTag
+    basis: str  # GELLMANN or FOCKLIOUVILLE
     q: float
 
 
@@ -80,7 +68,13 @@ def matrix_from_json(rows):
 
 
 @functools.lru_cache(maxsize=None)
-def _gellmann_cached(d):
+def gellmann_basis(d):
+    """Generalized Gell-Mann basis for a d-level system (Pauli set at d=2).
+
+    The cached, read-only (d^2, d, d) array of the basis matrices, identity-
+    proportional element last.
+    """
+    _check_basis(GELLMANN, d)
     mats = []
     for j in range(d):
         for k in range(j + 1, d):
@@ -99,67 +93,44 @@ def _gellmann_cached(d):
         m[l, l] = -l
         mats.append(m * np.sqrt(2.0 / (l * (l + 1))))
     mats.append(np.sqrt(2.0 / d) * np.eye(d, dtype=complex))
-    return np.array(mats)
-
-
-def gellmann_basis(d):
-    """Generalized Gell-Mann basis for a d-level system (Pauli set at d=2)."""
-    if not 2 <= d <= 16:
-        raise ValueError("d must be in [2, 16]")
-    return GellMannBasis(dim=d, matrices=_gellmann_cached(d))
-
-
-def _as_gm(basis):
-    if isinstance(basis, GellMannBasis):
-        return basis
-    if isinstance(basis, BasisTag) and basis.kind == GELLMANN:
-        return gellmann_basis(basis.dim)
-    raise ValueError("a Gell-Mann basis is required here")
+    mats = np.array(mats)
+    mats.flags.writeable = False
+    return mats
 
 
 def vectorize(rho, basis):
-    """Coefficient vector of a d x d operator in the given basis."""
+    """Coefficient vector of a d x d operator in the basis named `basis`."""
     rho = np.asarray(rho, dtype=complex)
     d = rho.shape[0]
     if rho.shape != (d, d):
         raise ValueError("rho must be square")
-    if isinstance(basis, GellMannBasis) or (
-            isinstance(basis, BasisTag) and basis.kind == GELLMANN):
-        gm = _as_gm(basis)
-        if gm.dim != d:
-            raise ValueError("dimension mismatch between rho and basis")
-        return 0.5 * np.einsum("ab,iba->i", rho, gm.matrices)
-    if isinstance(basis, BasisTag) and basis.kind == FOCKLIOUVILLE:
-        if basis.dim != d:
-            raise ValueError("dimension mismatch between rho and basis")
-        return rho.flatten(order="F")
-    raise ValueError(f"unknown basis {basis!r}")
+    _check_basis(basis, d)
+    if basis == GELLMANN:
+        return 0.5 * np.einsum("ab,iba->i", rho, gellmann_basis(d))
+    return rho.flatten(order="F")
 
 
 def devectorize(vec, basis):
+    """The d x d operator of a length-d^2 coefficient vector."""
     vec = np.asarray(vec, dtype=complex)
-    if isinstance(basis, GellMannBasis) or (
-            isinstance(basis, BasisTag) and basis.kind == GELLMANN):
-        gm = _as_gm(basis)
-        if vec.shape != (gm.dim ** 2,):
-            raise ValueError("vector has wrong length for this basis")
-        return np.einsum("i,iab->ab", vec, gm.matrices)
-    if isinstance(basis, BasisTag) and basis.kind == FOCKLIOUVILLE:
-        d = basis.dim
-        if vec.shape != (d ** 2,):
-            raise ValueError("vector has wrong length for this basis")
-        return vec.reshape((d, d), order="F")
-    raise ValueError(f"unknown basis {basis!r}")
+    d = math.isqrt(vec.size)
+    if vec.shape != (d * d,):
+        raise ValueError("vector length must be a square d^2")
+    _check_basis(basis, d)
+    if basis == GELLMANN:
+        return np.einsum("i,iab->ab", vec, gellmann_basis(d))
+    return vec.reshape((d, d), order="F")
 
 
-def superop_of_map(apply_fn, basis):
-    """Matrix of a linear map on operators, M_ij = Tr(map(s_j) s_i)/2."""
-    gm = _as_gm(basis)
-    images = np.array([apply_fn(s) for s in gm.matrices])
-    return 0.5 * np.einsum("jab,iba->ij", images, gm.matrices)
+def superop_of_map(apply_fn, d):
+    """Gell-Mann matrix of a linear map on d x d operators,
+    M_ij = Tr(map(s_j) s_i)/2."""
+    gm = gellmann_basis(d)
+    images = np.array([apply_fn(s) for s in gm])
+    return 0.5 * np.einsum("jab,iba->ij", images, gm)
 
 
-def h_superop(h, basis):
+def h_superop(h):
     """Hamiltonian superoperator Hhat_ij = Tr([H, s_j] s_i)/2.
 
     Requires Hermitian input (antisymmetric, purely imaginary output); route
@@ -169,21 +140,18 @@ def h_superop(h, basis):
     scale = max(np.linalg.norm(h), 1.0)
     if np.linalg.norm(h - h.conj().T) > 1e-10 * scale:
         raise ValueError("h_superop requires a Hermitian matrix; use nhh_superop")
-    return superop_of_map(lambda s: h @ s - s @ h, basis)
+    return superop_of_map(lambda s: h @ s - s @ h, h.shape[0])
 
 
-def gamma_superop(jumps, basis):
+def gamma_superop(jumps, d):
     """Relaxation superoperator, -1/4 sum Tr({L^dag L, s_j} s_i); symmetric, real."""
-    gm = _as_gm(basis)
-    d = gm.dim
     g = sum((np.asarray(l, dtype=complex).conj().T @ np.asarray(l, dtype=complex)
              for l in jumps), np.zeros((d, d), dtype=complex))
-    return superop_of_map(lambda s: -0.5 * (g @ s + s @ g), gm)
+    return superop_of_map(lambda s: -0.5 * (g @ s + s @ g), d)
 
 
-def lambda_superop(jumps, basis):
+def lambda_superop(jumps, d):
     """Quantum-jump (repopulation) superoperator, 1/2 sum Tr(L s_j L^dag s_i)."""
-    gm = _as_gm(basis)
     ops = [np.asarray(l, dtype=complex) for l in jumps]
 
     def apply_fn(s):
@@ -192,35 +160,23 @@ def lambda_superop(jumps, basis):
             out += l @ s @ l.conj().T
         return out
 
-    return superop_of_map(apply_fn, gm)
+    return superop_of_map(apply_fn, d)
 
 
 @functools.lru_cache(maxsize=None)
 def _gellmann_similarity(d):
     """(S, S^H / 2) with S[:, i] = vec(s_i), column stacking."""
-    s = _gellmann_cached(d).transpose(0, 2, 1).reshape(d * d, d * d).T.copy()
+    s = gellmann_basis(d).transpose(0, 2, 1).reshape(d * d, d * d).T.copy()
     s_inv = 0.5 * s.conj().T
     s.flags.writeable = s_inv.flags.writeable = False
     return s, s_inv
 
 
-def _basis_tag(basis, dim):
-    if isinstance(basis, str):
-        basis = BasisTag(basis, dim)
-    elif isinstance(basis, GellMannBasis):
-        basis = basis.tag
-    elif not isinstance(basis, BasisTag):
-        raise ValueError(f"unknown basis {basis!r}")
-    if basis.dim != dim:
-        raise ValueError("dimension mismatch between system and basis")
-    return basis
-
-
-def _in_basis(m, tag):
-    """A Fock-Liouville matrix in the basis `tag`."""
-    if tag.kind == FOCKLIOUVILLE:
+def _in_basis(m, basis, d):
+    """A Fock-Liouville matrix of a d-level system in the basis named `basis`."""
+    if basis == FOCKLIOUVILLE:
         return m
-    s, s_inv = _gellmann_similarity(tag.dim)
+    s, s_inv = _gellmann_similarity(d)
     return s_inv @ m @ s
 
 
@@ -232,24 +188,23 @@ def nhh_superop(h_nh, basis):
     """
     h_nh = np.asarray(h_nh, dtype=complex)
     d = h_nh.shape[0]
-    tag = _basis_tag(basis, d)
+    _check_basis(basis, d)
     eye = np.eye(d)
     m = -1j * (np.kron(eye, h_nh) - np.kron(h_nh.conj(), eye))
-    return SuperOperator(matrix=_in_basis(m, tag), basis=tag, q=0.0)
+    return SuperOperator(matrix=_in_basis(m, basis, d), basis=basis, q=0.0)
 
 
 def hybrid_liouvillian(sys: LindbladSystem, q, basis) -> SuperOperator:
     """Hybrid Liouvillian L(q) = -i Hhat + Gammahat + q Lambdahat.
 
     q = 0 is the NHH superoperator of the system, q = 1 the full Lindblad
-    generator.  `basis` may be a GellMannBasis, a BasisTag, or one of the
-    strings "gellmann" / "fockliouville".
+    generator.  `basis` is GELLMANN or FOCKLIOUVILLE.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    tag = _basis_tag(basis, sys.dim)
-    m = _in_basis(_fock_liouville_matrix(sys, q), tag)
-    return SuperOperator(matrix=m, basis=tag, q=float(q))
+    _check_basis(basis, sys.dim)
+    m = _in_basis(_fock_liouville_matrix(sys, q), basis, sys.dim)
+    return SuperOperator(matrix=m, basis=basis, q=float(q))
 
 
 def _fock_liouville_matrix(sys: LindbladSystem, q):
@@ -258,7 +213,7 @@ def _fock_liouville_matrix(sys: LindbladSystem, q):
     h = sys.hamiltonian
     # column stacking: vec(A rho B) = (B^T kron A) vec(rho)
     m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for op in sys.jump_ops():
+    for op in sys.jumps:
         ll = op.conj().T @ op
         m += q * np.kron(op.conj(), op)
         m -= 0.5 * (np.kron(eye, ll) + np.kron(ll.T, eye))
@@ -301,9 +256,8 @@ class Generator:
         return (self._coefficients(p) @ self.operator_terms).reshape(d, d)
 
     def __call__(self, p: ModelParams) -> SuperOperator:
-        """L(p.q) of the model at p: hybrid_liouvillian(build(p), p.q, "gellmann")."""
-        return SuperOperator(matrix=self.matrix(p),
-                             basis=BasisTag(GELLMANN, self.form.dim), q=float(p.q))
+        """L(p.q) of the model at p: hybrid_liouvillian(build(p), p.q, GELLMANN)."""
+        return SuperOperator(matrix=self.matrix(p), basis=GELLMANN, q=float(p.q))
 
 
 @functools.lru_cache(maxsize=None)

@@ -100,7 +100,8 @@ def criterion_2():
 
     omega = OMEGA_REF
     base = _eff3_params(omega, 20.0, q=0.0)
-    reps = spectra.find_ep(lambda p: _gm_liouvillian(p), {"j": (18.0, 25.0)}, 3, base)
+    reps = spectra.find_ep(lambda p: _gm_liouvillian(p).matrix, {"j": (18.0, 25.0)},
+                           3, base)
     reps = [r for r in reps if abs(r.cluster_value + 2 * omega) < 1.0]
     ok_loc = len(reps) >= 1 and abs(reps[0].params.j - omega / SQ2) <= 1e-3
     found = reps[0].params.j if reps else float("nan")
@@ -329,19 +330,18 @@ def criterion_9():
     worst_h = worst_g = worst_c = 0.0
     for trial in range(50):
         d = 3 + trial % 2
-        gm = superop.gellmann_basis(d)
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         h = a + a.conj().T
         jumps = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                  for _ in range(1 + trial % 3)]
-        hhat = superop.h_superop(h, gm)
-        ghat = superop.gamma_superop(jumps, gm)
+        hhat = superop.h_superop(h)
+        ghat = superop.gamma_superop(jumps, d)
         worst_h = max(worst_h, np.abs(hhat + hhat.T).max(),
                       np.abs(hhat.real).max())
         worst_g = max(worst_g, np.abs(ghat - ghat.T).max(),
                       np.abs(ghat.imag).max())
         h_nh = h - 0.5j * sum(l.conj().T @ l for l in jumps)
-        sup = superop.nhh_superop(h_nh, gm)
+        sup = superop.nhh_superop(h_nh, "gellmann")
         worst_c = max(worst_c, spectra.correspondence_check(
             h_nh, linalg.eigvals(sup.matrix)))
     ok = worst_h <= 1e-12 and worst_g <= 1e-12 and worst_c <= 1e-8
@@ -404,8 +404,8 @@ def criterion_12():
         d = 2 + trial % 3
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         h = a + a.conj().T
-        jumps = [(f"j{k}", rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-                 for k in range(1 + trial % 4)]
+        jumps = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+                 for _ in range(1 + trial % 4)]
         sys = model.LindbladSystem(dim=d, hamiltonian=h, jumps=tuple(jumps))
         q = float(rng.uniform())
         ev_gm = linalg.eigvals(superop.hybrid_liouvillian(sys, q, "gellmann").matrix)

@@ -344,6 +344,25 @@ class TestSchemaValidation:
         assert run(["spectrum", "--config", str(path)]) == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,blk,key", [
+        ("sweep", {"sweep": {"parameter": "j", "start": math.nan, "stop": 40.0,
+                             "points": 5}}, "config.sweep.start"),
+        ("find-ep", {"findep": {"box": {"j": [math.nan, 30.0]}, "target_mult": 2}},
+         "config.findep.box.j"),
+        ("evolve", {"evolve": {"t_max": math.inf, "steps": 3}}, "config.evolve.t_max"),
+        ("spectrum", {"spectrum": {"tol_cluster": math.inf}},
+         "config.spectrum.tol_cluster"),
+        ("evolve", {"evolve": {"rho0": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                                        [[0.0, 0.0], [math.nan, 0.0], [0.0, 0.0]],
+                                        [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]],
+                               "t_max": 0.1, "steps": 3}}, "rho0"),
+    ])
+    def test_numbers_that_are_not_finite(self, tmp_path, capsys, command, blk, key):
+        # json.load accepts NaN and Infinity
+        cfg = write_config(tmp_path, {**BASE, **blk})
+        assert run([command, "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
+
     def test_inconsistent_rabi_pair(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "model": "eff3",

@@ -70,16 +70,6 @@ class TestEig:
             dec = linalg.eig(a)
             assert dec.residuals.max() <= linalg.TOL_EIG * np.linalg.norm(a)
 
-    def test_left_right_pairing(self, rng):
-        a = random_complex(rng, 5)
-        dec = linalg.eig(a, want_left=True)
-        norm = np.linalg.norm(a)
-        for i in range(5):
-            u = dec.left_vectors[i]
-            v = dec.right_vectors[:, i]
-            err = abs(u @ a @ v - dec.values[i] * (u @ v))
-            assert err <= linalg.TOL_EIG * norm
-
     def test_reconstruction(self, rng):
         a = random_complex(rng, 6)
         dec = linalg.eig(a)
@@ -190,7 +180,7 @@ class TestExpm:
         r = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         rho0 = r @ r.conj().T
         rho0 /= np.trace(rho0)
-        v0 = superop.vectorize(rho0, superop.gellmann_basis(3))
+        v0 = superop.vectorize(rho0, superop.GELLMANN)
         t = 0.1
         via_expm = linalg.expm(l.matrix * t) @ v0
         dec = linalg.eig(l.matrix)

@@ -42,7 +42,7 @@ def gamma_lambda_forms(sys):
     """(Gamma, apply_Lambda) with Gamma = sum L^dag L and
     apply_Lambda(rho) = sum L rho L^dag, so that
     drho/dt = -i[H, rho] - {Gamma, rho}/2 + Lambda(rho)."""
-    ops = sys.jump_ops()
+    ops = sys.jumps
     gamma_op = sum((op.conj().T @ op for op in ops),
                    np.zeros((sys.dim, sys.dim), dtype=complex))
 
@@ -242,7 +242,7 @@ class TestFullFourLevel:
     def test_total_spontaneous_decay(self):
         p = ModelParams(omega_r=4.0, j=1.0, gamma_sp=9.0)
         sys4 = build_full4_rwa(p)
-        total = sum(op.conj().T @ op for op in sys4.jump_ops())
+        total = sum(op.conj().T @ op for op in sys4.jumps)
         want = np.zeros((4, 4))
         want[3, 3] = 9.0
         assert np.abs(total - want).max() < 1e-12
@@ -255,6 +255,20 @@ class TestFullFourLevel:
     def test_hermitian_tag_enforced(self):
         with pytest.raises(ValueError):
             LindbladSystem(dim=2, hamiltonian=np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_jump_shape_error_names_its_index(self):
+        with pytest.raises(ValueError, match="jump 1 has wrong shape"):
+            LindbladSystem(dim=2, hamiltonian=np.eye(2), jumps=(np.eye(2), np.eye(3)))
+
+    def test_jumps_in_documented_order(self):
+        p = ModelParams(omega_r=4.0, j=1.0, gamma_sp=100.0, gamma_g=0.3)
+        spont = build_spont_jumps(1, 0, p.gamma_sp)
+        ground = build_ground_relaxation(p.gamma_g)
+        sys4, sys3 = build_full4_rwa(p), build_eff3(p)
+        assert len(sys4.jumps) == len(sys3.jumps) == 12
+        assert all(np.array_equal(a, b) for a, b in zip(sys4.jumps[:3], spont))
+        assert all(np.array_equal(a[:3, :3], b) for a, b in zip(sys4.jumps[3:], ground))
+        assert all(np.array_equal(a, b) for a, b in zip(sys3.jumps[3:], ground))
 
 
 class TestEffectiveReduction:
@@ -314,8 +328,7 @@ class TestGroundRelaxation:
         gamma = 0.9
         sys3 = LindbladSystem(
             dim=3, hamiltonian=np.zeros((3, 3)),
-            jumps=tuple((f"g{k}", op) for k, op in
-                        enumerate(build_ground_relaxation(gamma))))
+            jumps=tuple(build_ground_relaxation(gamma)))
         gamma_op, apply_lambda = gamma_lambda_forms(sys3)
         assert np.abs(gamma_op - gamma * np.eye(3)).max() < 1e-14
         for _ in range(5):
@@ -352,7 +365,7 @@ class TestMasterEquationForms:
             r = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             rho = r + r.conj().T
             jump_form = -1j * (h @ rho - rho @ h)
-            for op in sys3.jump_ops():
+            for op in sys3.jumps:
                 ll = op.conj().T @ op
                 jump_form += op @ rho @ op.conj().T - 0.5 * (ll @ rho + rho @ ll)
             split_form = (-1j * (h @ rho - rho @ h)

@@ -49,15 +49,14 @@ class TestClassify:
     def test_basic_cases(self):
         omega, j = 30.0, 30.0
         alpha1 = analytic.alpha(omega, j)
-        got = classify([0.0, -2 * omega, -alpha1, 3j, 0.5], tol_class=1e-8)
-        kinds = [c.kind for c in got]
+        kinds = classify([0.0, -2 * omega, -alpha1, 3j, 0.5], tol_class=1e-8)
         assert kinds == [STATIONARY, PURE_DECAY, DAMPED_OSCILLATION,
                          PURE_OSCILLATION, UNSTABLE]
 
     def test_liouvillian_has_one_stationary_and_no_unstable(self):
         p = ModelParams(omega=30.0, j=10.0, delta_rf=2.0, q=1.0)
         ev = linalg.eigvals(gm_liouvillian(p).matrix)
-        kinds = [c.kind for c in classify(ev)]
+        kinds = classify(ev)
         assert kinds.count(STATIONARY) == 1
         assert UNSTABLE not in kinds
 
@@ -65,11 +64,11 @@ class TestClassify:
 class TestSplittings:
     def test_equal_values(self):
         table = splittings([1.0 + 1j, 1.0 + 1j, 1.0 + 1j])
-        assert all(re == 0.0 and im == 0.0 for _, _, re, im in table.pairs)
+        assert all(re == 0.0 and im == 0.0 for _, _, re, im in table)
 
     def test_pairs_are_ordered_differences(self):
         table = splittings([1.0 + 2j, -0.5 + 1j, 0.25])
-        assert table.pairs == ((0, 1, 1.5, 1.0), (0, 2, 0.75, 2.0),
+        assert table == ((0, 1, 1.5, 1.0), (0, 2, 0.75, 2.0),
                                (1, 2, -0.75, 1.0))
 
     def test_jump_lifted_asymptote(self):
@@ -172,7 +171,7 @@ class TestSweep:
     def test_columns_are_permutations_of_spectra(self):
         base = ModelParams(omega=30.0, j=10.0, q=0.5)
         grid = np.linspace(5.0, 40.0, 36)
-        res = sweep(lambda p: gm_liouvillian(p), "j", grid, base)
+        res = sweep(lambda p: gm_liouvillian(p).matrix, "j", grid, base)
         for k in (0, 17, 35):
             ev = linalg.eigvals(gm_liouvillian(base.replace(j=float(grid[k]))).matrix)
             assert match_distance(res.branches[:, k], ev) < 1e-9
@@ -181,7 +180,7 @@ class TestSweep:
         omega = 30.0
         _, d, _ = triple_point(omega)
         base = ModelParams(omega=omega, j=20.0, delta_rf=d, q=1.0)
-        res = sweep(lambda p: gm_liouvillian(p), "j",
+        res = sweep(lambda p: gm_liouvillian(p).matrix, "j",
                     np.linspace(10.0, 40.0, 61), base)
         for k in range(61):
             ev = res.branches[:, k]
@@ -248,7 +247,7 @@ class TestSweep:
         # the Gell-Mann superoperator keeps two exact doubles at every j;
         # only the point with a coalescence on top of them is flagged
         base = ModelParams(omega=30.0, j=10.0, q=0.5)
-        res = sweep(superop.generator("eff3"), "j",
+        res = sweep(superop.generator("eff3").matrix, "j",
                     np.linspace(15.0, 25.0, 201), base)
         assert res.ep_candidates == (100,)
         ev = res.branches[:, 100]
@@ -390,6 +389,12 @@ class TestEvolveCheck:
         l = gm_liouvillian(ModelParams(omega=30.0, j=10.0, q=1.0))
         with pytest.raises(ValueError, match="1-D"):
             evolve_check(l, np.eye(3) / 3.0, 0.1)
+
+    def test_rejects_a_state_that_is_not_finite(self):
+        l = gm_liouvillian(ModelParams(omega=30.0, j=10.0, q=1.0))
+        rho0 = np.diag([0.5, 0.5, np.nan]).astype(complex)
+        with pytest.raises(ValueError, match="finite"):
+            evolve_check(l, rho0, [0.1])
 
     def test_rejects_unphysical_state(self):
         p = ModelParams(omega=30.0, j=10.0, q=1.0)

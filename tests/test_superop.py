@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lioup import analytic, linalg, model, spectra, superop
 from lioup.model import LindbladSystem, ModelParams, build_eff3, build_ground_relaxation
-from lioup.superop import (BasisTag, FOCKLIOUVILLE, GELLMANN, devectorize,
+from lioup.superop import (FOCKLIOUVILLE, GELLMANN, devectorize,
                            gamma_superop, gellmann_basis, h_superop,
                            hybrid_liouvillian, lambda_superop, matrix_from_json,
                            nhh_superop, vectorize)
@@ -24,30 +24,29 @@ PAULI = {
 def random_system(rng, d, n_jumps, scale=1.0):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = scale * (a + a.conj().T)
-    jumps = tuple((f"l{k}",
-                   scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))))
-                  for k in range(n_jumps))
+    jumps = tuple(scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+                  for _ in range(n_jumps))
     return LindbladSystem(dim=d, hamiltonian=h, jumps=jumps)
 
 
 def apply_hybrid(sys, q, rho):
     h_nh = sys.h_nh()
     out = -1j * (h_nh @ rho - rho @ h_nh.conj().T)
-    for op in sys.jump_ops():
+    for op in sys.jumps:
         out += q * op @ rho @ op.conj().T
     return out
 
 
 class TestGellMannBasis:
     def test_d2_is_the_pauli_set(self):
-        mats = gellmann_basis(2).matrices
+        mats = gellmann_basis(2)
         assert np.abs(mats[0] - PAULI["x"]).max() < 1e-15
         assert np.abs(mats[1] - PAULI["y"]).max() < 1e-15
         assert np.abs(mats[2] - PAULI["z"]).max() < 1e-15
         assert np.abs(mats[3] - np.eye(2)).max() < 1e-15
 
     def test_d3_contains_standard_set(self):
-        mats = gellmann_basis(3).matrices
+        mats = gellmann_basis(3)
         lam8 = np.diag([1.0, 1.0, -2.0]) / math.sqrt(3.0)
         found = min(np.abs(m - lam8).max() for m in mats)
         assert found < 1e-15
@@ -55,131 +54,138 @@ class TestGellMannBasis:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_trace_orthogonality_and_hermiticity(self, d):
-        mats = gellmann_basis(d).matrices
+        mats = gellmann_basis(d)
         gram = np.einsum("iab,jba->ij", mats, mats)
         assert np.abs(gram - 2.0 * np.eye(d * d)).max() < 1e-12
         for m in mats:
             assert np.abs(m - m.conj().T).max() < 1e-15
 
+    def test_cached_and_read_only(self):
+        assert gellmann_basis(3) is gellmann_basis(3)
+        with pytest.raises(ValueError):
+            gellmann_basis(3)[0, 0, 1] = 2.0
+
     def test_completeness(self, rng):
-        gm = gellmann_basis(3)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         h = a + a.conj().T
-        rebuilt = devectorize(vectorize(h, gm), gm)
+        rebuilt = devectorize(vectorize(h, GELLMANN), GELLMANN)
         assert np.abs(rebuilt - h).max() < 1e-12
 
 
 class TestVectorize:
     def test_maximally_mixed_has_only_identity_component(self):
-        gm = gellmann_basis(3)
-        v = vectorize(np.eye(3) / 3.0, gm)
+        v = vectorize(np.eye(3) / 3.0, GELLMANN)
         assert np.abs(v[:-1]).max() < 1e-15
         assert v[-1] == pytest.approx(1.0 / math.sqrt(6.0))
 
     def test_column_stacking_convention(self):
-        tag = BasisTag(FOCKLIOUVILLE, 2)
         rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        assert np.array_equal(vectorize(rho, tag), [1, 0, 0, 0])
+        assert np.array_equal(vectorize(rho, FOCKLIOUVILLE), [1, 0, 0, 0])
         rho01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         # entry rho_01 lands at index 0 + 2*1
-        assert np.array_equal(vectorize(rho01, tag), [0, 0, 1, 0])
+        assert np.array_equal(vectorize(rho01, FOCKLIOUVILLE), [0, 0, 1, 0])
 
     @pytest.mark.parametrize("kind", [GELLMANN, FOCKLIOUVILLE])
     def test_round_trip(self, rng, kind):
         for _ in range(20):
             d = int(rng.integers(2, 5))
-            basis = gellmann_basis(d) if kind == GELLMANN else BasisTag(kind, d)
             rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            assert np.abs(devectorize(vectorize(rho, basis), basis) - rho).max() < 1e-13
+            assert np.abs(devectorize(vectorize(rho, kind), kind) - rho).max() < 1e-13
 
     def test_gellmann_components_of_hermitian_are_real(self, rng):
-        gm = gellmann_basis(4)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        v = vectorize(a + a.conj().T, gm)
+        v = vectorize(a + a.conj().T, GELLMANN)
         assert np.abs(v.imag).max() < 1e-12
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            vectorize(np.eye(3), gellmann_basis(2))
+    def test_rejects_unknown_names_and_dimensions(self):
+        sys2 = LindbladSystem(dim=2, hamiltonian=np.eye(2))
+        sys17 = LindbladSystem(dim=17, hamiltonian=np.eye(17))
+        for basis, d, match in (("pauli", 2, "unknown basis"),
+                                (GELLMANN, 17, "dimension"),
+                                (FOCKLIOUVILLE, 1, "dimension")):
+            with pytest.raises(ValueError, match=match):
+                vectorize(np.eye(d), basis)
+            with pytest.raises(ValueError, match=match):
+                devectorize(np.zeros(d * d), basis)
+            with pytest.raises(ValueError, match=match):
+                nhh_superop(np.eye(d), basis)
+        with pytest.raises(ValueError, match="unknown basis"):
+            hybrid_liouvillian(sys2, 0.5, "pauli")
+        with pytest.raises(ValueError, match="dimension"):
+            hybrid_liouvillian(sys17, 0.5, FOCKLIOUVILLE)
+        with pytest.raises(ValueError, match="length"):
+            devectorize(np.zeros(5), GELLMANN)
 
 
 class TestHamiltonianPart:
     def test_pauli_z_generator(self):
-        gm = gellmann_basis(2)
-        m = h_superop(PAULI["z"] / 2.0, gm)
+        m = h_superop(PAULI["z"] / 2.0)
         want = np.zeros((4, 4), dtype=complex)
         want[1, 0] = 1j  # mixes the x and y components
         want[0, 1] = -1j
         assert np.abs(m - want).max() < 1e-14
 
     def test_identity_commutes(self):
-        assert np.abs(h_superop(np.eye(3), gellmann_basis(3))).max() < 1e-15
+        assert np.abs(h_superop(np.eye(3))).max() < 1e-15
 
     def test_spectrum_is_pairwise_differences(self, rng):
-        gm = gellmann_basis(3)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         h = a + a.conj().T
         ev = np.linalg.eigvalsh(h)
         pairs = np.array([-1j * (ei - ej) for ei in ev for ej in ev])
-        got = linalg.eigvals(-1j * h_superop(h, gm))
+        got = linalg.eigvals(-1j * h_superop(h))
         assert spectra.match_distance(got, pairs) < 1e-10
 
     def test_structure(self, rng):
         for d in (3, 4):
-            gm = gellmann_basis(d)
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            m = h_superop(a + a.conj().T, gm)
+            m = h_superop(a + a.conj().T)
             assert np.abs(m + m.T).max() < 1e-12
             assert np.abs(m.real).max() < 1e-12
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
-            h_superop(np.array([[0.0, 1.0], [0.0, 0.0]]), gellmann_basis(2))
+            h_superop(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestRelaxationAndJumpParts:
     def test_empty_jump_set(self):
-        gm = gellmann_basis(3)
-        assert np.abs(gamma_superop([], gm)).max() == 0.0
-        assert np.abs(lambda_superop([], gm)).max() == 0.0
+        assert np.abs(gamma_superop([], 3)).max() == 0.0
+        assert np.abs(lambda_superop([], 3)).max() == 0.0
 
     def test_isotropic_ground_set(self):
         gamma = 0.8
-        gm = gellmann_basis(3)
         ops = build_ground_relaxation(gamma)
-        ghat = gamma_superop(ops, gm)
+        ghat = gamma_superop(ops, 3)
         assert np.abs(ghat + gamma * np.eye(9)).max() < 1e-13
-        lhat = lambda_superop(ops, gm)
+        lhat = lambda_superop(ops, 3)
         want = np.zeros((9, 9))
         want[8, 8] = gamma
         assert np.abs(lhat - want).max() < 1e-13
 
     def test_structure(self, rng):
         for d in (3, 4):
-            gm = gellmann_basis(d)
             jumps = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                      for _ in range(3)]
-            ghat = gamma_superop(jumps, gm)
+            ghat = gamma_superop(jumps, d)
             assert np.abs(ghat - ghat.T).max() < 1e-12
             assert np.abs(ghat.imag).max() < 1e-12
 
     def test_lambda_action_equivalence(self, rng):
-        gm = gellmann_basis(3)
         jumps = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
                  for _ in range(2)]
-        lhat = lambda_superop(jumps, gm)
+        lhat = lambda_superop(jumps, 3)
         for _ in range(5):
             r = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             rho = r + r.conj().T
             want = sum(l @ rho @ l.conj().T for l in jumps)
-            got = devectorize(lhat @ vectorize(rho, gm), gm)
+            got = devectorize(lhat @ vectorize(rho, GELLMANN), GELLMANN)
             assert np.abs(got - want).max() < 1e-12
 
     def test_effective_jumps_touch_only_the_identity_row(self):
         p = ModelParams(omega=30.0, j=10.0)
         sys3 = build_eff3(p)
-        gm = gellmann_basis(3)
-        lhat = lambda_superop(sys3.jump_ops(), gm)
+        lhat = lambda_superop(sys3.jumps, 3)
         assert np.abs(lhat[:8]).max() < 1e-12
         assert np.abs(lhat[8]).max() > 1.0
 
@@ -229,7 +235,7 @@ class TestHybridLiouvillian:
         p = ModelParams(omega=30.0, j=10.0, delta_rf=3.0)
         sys3 = build_eff3(p)
         hyb = hybrid_liouvillian(sys3, 0.0, "gellmann")
-        nhh = nhh_superop(sys3.h_nh(), gellmann_basis(3))
+        nhh = nhh_superop(sys3.h_nh(), GELLMANN)
         assert spectra.match_distance(linalg.eigvals(hyb.matrix),
                                       linalg.eigvals(nhh.matrix)) < 1e-9
 
@@ -238,26 +244,19 @@ class TestHybridLiouvillian:
         with pytest.raises(ValueError):
             hybrid_liouvillian(build_eff3(p), 1.5, "gellmann")
 
-    def test_rejects_a_basis_of_another_dimension(self):
-        sys4 = model.build_full4_rwa(ModelParams(omega=30.0, j=10.0))
-        for basis in (BasisTag(FOCKLIOUVILLE, 3), gellmann_basis(3)):
-            with pytest.raises(ValueError, match="dimension"):
-                hybrid_liouvillian(sys4, 0.5, basis)
-
     def test_action_equivalence_both_bases(self, rng):
         for d in (2, 3, 4):
             sys = random_system(rng, d, 3)
             for q in (0.0, 0.3, 1.0):
-                gm = gellmann_basis(d)
-                fl = BasisTag(FOCKLIOUVILLE, d)
-                m_gm = hybrid_liouvillian(sys, q, gm).matrix
-                m_fl = hybrid_liouvillian(sys, q, fl).matrix
+                m_gm = hybrid_liouvillian(sys, q, GELLMANN).matrix
+                m_fl = hybrid_liouvillian(sys, q, FOCKLIOUVILLE).matrix
                 for _ in range(3):
                     r = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                     rho = r + r.conj().T
                     want = apply_hybrid(sys, q, rho)
-                    got_gm = devectorize(m_gm @ vectorize(rho, gm), gm)
-                    got_fl = devectorize(m_fl @ vectorize(rho, fl), fl)
+                    got_gm = devectorize(m_gm @ vectorize(rho, GELLMANN), GELLMANN)
+                    got_fl = devectorize(m_fl @ vectorize(rho, FOCKLIOUVILLE),
+                                         FOCKLIOUVILLE)
                     scale = max(np.abs(want).max(), 1.0)
                     assert np.abs(got_gm - want).max() < 1e-11 * scale
                     assert np.abs(got_fl - want).max() < 1e-11 * scale
@@ -267,23 +266,19 @@ class TestGellMannSimilarity:
     def test_equals_the_direct_parts(self, rng):
         # the Kronecker path through S^H L S / 2 against M_ij = Tr(map(s_j) s_i)/2
         for d in (2, 3, 4):
-            gm = gellmann_basis(d)
             sys = random_system(rng, d, 3)
-            ops = sys.jump_ops()
-            hhat = h_superop(sys.hamiltonian, gm)
-            ghat = gamma_superop(ops, gm)
-            lhat = lambda_superop(ops, gm)
+            hhat = h_superop(sys.hamiltonian)
+            ghat = gamma_superop(sys.jumps, d)
+            lhat = lambda_superop(sys.jumps, d)
             for q in (0.0, 0.3, 1.0):
-                got = hybrid_liouvillian(sys, q, gm).matrix
+                got = hybrid_liouvillian(sys, q, GELLMANN).matrix
                 want = -1j * hhat + ghat + q * lhat
                 assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
     def test_nhh_superop_equals_the_direct_parts(self, rng):
-        gm = gellmann_basis(3)
         sys = random_system(rng, 3, 2)
-        ops = sys.jump_ops()
-        want = -1j * h_superop(sys.hamiltonian, gm) + gamma_superop(ops, gm)
-        got = nhh_superop(sys.h_nh(), gm).matrix
+        want = -1j * h_superop(sys.hamiltonian) + gamma_superop(sys.jumps, 3)
+        got = nhh_superop(sys.h_nh(), GELLMANN).matrix
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
@@ -313,6 +308,40 @@ class TestGenerator:
         h_nh = gen.operator(p)
         assert h_nh.dtype == np.complex128
         assert np.abs(h_nh - sys.h_nh()).max() <= 1e-12 * np.abs(sys.h_nh()).max()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=model_params(), name=st.sampled_from(["eff3", "full4"]))
+    def test_jump_weight_enters_linearly(self, p, name):
+        gen = superop.generator(name)
+        m = gen.matrix(p)
+        m0, m1 = gen.matrix(p.replace(q=0.0)), gen.matrix(p.replace(q=1.0))
+        tol = 1e-12 * np.abs(m).max()
+        assert np.abs(m - ((1.0 - p.q) * m0 + p.q * m1)).max() <= tol
+        # the identity element's row: trace preservation at q = 1
+        assert np.abs(m1[-1]).max() <= 1e-12 * np.abs(m1).max()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=model_params(), name=st.sampled_from(["eff3", "full4"]))
+    def test_detuning_sign_is_the_state_reversal(self, p, name):
+        # delta_rf -> -delta_rf is R: |1,1> <-> |1,-1>, at both levels
+        gen = superop.generator(name)
+        d = gen.form.dim
+        r = np.eye(d)[[2, 1, 0, 3][:d]]
+        mirrored = p.replace(delta_rf=-p.delta_rf)
+        assert np.array_equal(gen.operator(mirrored), r @ gen.operator(p) @ r)
+        rev = superop.superop_of_map(lambda s: r @ s @ r, d)
+        m = gen.matrix(p)
+        assert (np.abs(gen.matrix(mirrored) - rev @ m @ rev.T).max()
+                <= 1e-12 * np.abs(m).max())
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=model_params(), name=st.sampled_from(["eff3", "full4"]))
+    def test_jump_free_generator_is_the_nhh_superoperator(self, p, name):
+        gen = superop.generator(name)
+        p0 = p.replace(q=0.0)
+        m = gen.matrix(p0)
+        want = nhh_superop(gen.operator(p0), GELLMANN).matrix
+        assert np.abs(m - want).max() <= 1e-12 * np.abs(m).max()
 
     def test_keeps_the_reduction_checks(self):
         gen = superop.generator("eff3")
@@ -345,13 +374,11 @@ class TestGenerator:
                         gamma_sp=1e4, gamma_g=0.3, q=0.6)
         sop = gen(p)
         assert sop.matrix.dtype == np.float64
-        assert sop.basis == BasisTag(GELLMANN, gen.form.dim)
+        assert sop.basis == GELLMANN
         # M_ij = Tr(map(s_j) s_i)/2, bypassing the Kronecker path
         sys = self.BUILDERS[name](p)
-        gm = gellmann_basis(sys.dim)
-        ops = sys.jump_ops()
-        want = (-1j * h_superop(sys.hamiltonian, gm) + gamma_superop(ops, gm)
-                + p.q * lambda_superop(ops, gm))
+        want = (-1j * h_superop(sys.hamiltonian) + gamma_superop(sys.jumps, sys.dim)
+                + p.q * lambda_superop(sys.jumps, sys.dim))
         assert np.abs(sop.matrix - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_build_rejects_terms_that_are_not_real(self, monkeypatch):
@@ -372,7 +399,7 @@ class TestGenerator:
 class TestFockLiouville:
     def test_amplitude_damping_spectrum(self):
         sys = LindbladSystem(dim=2, hamiltonian=np.zeros((2, 2)),
-                             jumps=(("down", np.array([[0.0, 1.0], [0.0, 0.0]])),))
+                             jumps=(np.array([[0.0, 1.0], [0.0, 0.0]]),))
         ev = linalg.eigvals(hybrid_liouvillian(sys, 1.0, FOCKLIOUVILLE).matrix)
         assert spectra.match_distance(ev, np.array([0.0, -0.5, -0.5, -1.0])) < 1e-12
 
