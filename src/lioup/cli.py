@@ -55,9 +55,13 @@ def _number(obj, key, path, required=False, default=None):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"'{path}.{key}' must be a number")
+    try:
+        v = float(v)
+    except OverflowError:  # an integer beyond float range
+        v = math.inf
     if not math.isfinite(v):
         raise SchemaError(f"'{path}.{key}' must be finite")
-    return float(v)
+    return v
 
 
 def _integer(blk, key, path):
@@ -248,9 +252,7 @@ def cmd_find_ep(cfg, out_path):
                 or any(isinstance(v, bool) or not isinstance(v, (int, float))
                        for v in rng)):
             raise SchemaError(f"'config.findep.box.{key}' must be [lo, hi]")
-        if not all(math.isfinite(v) for v in rng):
-            raise SchemaError(f"'config.findep.box.{key}' must be finite")
-        box[key] = (float(rng[0]), float(rng[1]))
+        box[key] = tuple(_number({key: v}, key, "config.findep.box") for v in rng)
     target = _integer(blk, "target_mult", "config.findep")
     builder = _level(cfg, blk, "config.findep")
 
@@ -285,7 +287,7 @@ def cmd_evolve(cfg, out_path):
     elif isinstance(spec0, list):
         try:
             rho0 = superop.matrix_from_json(spec0)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"invalid 'config.evolve.rho0': {exc}") from exc
         if rho0.shape != (d, d):
             raise SchemaError(f"'config.evolve.rho0' must be {d}x{d}")
@@ -295,7 +297,7 @@ def cmd_evolve(cfg, out_path):
 
     times = np.linspace(0.0, t_max, steps)
     try:
-        res = spectra.evolve_check(gen(p), rho0, times)
+        res = spectra.evolve_check(gen.matrix(p), rho0, times)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     header = ["t", "trace"] + [f"pop_{k + 1}" for k in range(d)] + ["route_diff"]

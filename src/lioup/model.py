@@ -13,7 +13,9 @@ Basis conventions used throughout:
   provides the mirrored sign convention used in the detuned-regime analyses.
 
 All rates and frequencies are plain angular frequencies in one shared unit.
-A jump set is a tuple of d x d arrays, in the order each builder documents.
+Every builder, the effective reduction included, returns a LindbladSystem
+for superop's one Kronecker assembly of L(q); a jump set is a tuple of d x d
+arrays, in the order each builder documents.
 """
 
 import dataclasses
@@ -92,12 +94,11 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class LindbladSystem:
-    """A Hamiltonian plus a tuple of d x d jump operators, d = dim."""
+    """A Hermitian Hamiltonian plus a tuple of d x d jump operators, d = dim."""
 
     dim: int
     hamiltonian: np.ndarray
     jumps: tuple = ()
-    hermitian: bool = True
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
@@ -113,25 +114,15 @@ class LindbladSystem:
                 raise ValueError(f"jump {k} has wrong shape")
             ops.append(op)
         object.__setattr__(self, "jumps", tuple(ops))
-        if self.hermitian:
-            scale = max(np.linalg.norm(h), 1.0)
-            if np.linalg.norm(h - h.conj().T) > 1e-12 * scale:
-                raise ValueError("hamiltonian tagged Hermitian is not Hermitian")
+        scale = max(np.linalg.norm(h), 1.0)
+        if np.linalg.norm(h - h.conj().T) > 1e-12 * scale:
+            raise ValueError("hamiltonian is not Hermitian")
 
     def h_nh(self):
         """Non-Hermitian Hamiltonian H - (i/2) sum L^dag L."""
         g = sum((op.conj().T @ op for op in self.jumps),
                 np.zeros((self.dim, self.dim), dtype=complex))
         return self.hamiltonian - 0.5j * g
-
-
-@dataclass(frozen=True)
-class EffectiveReduction:
-    """Effective three-level reduction: Hermitian part, jumps, and their NHH."""
-
-    h_eff: np.ndarray
-    l_eff: tuple
-    h_nh: np.ndarray
 
 
 def _phase_to_i(op):
@@ -254,13 +245,13 @@ def _check_excited_nhh(h_e):
         raise ValueError("excited-state NHH is singular (gamma_sp = delta_opt = 0)")
 
 
-def reduce_effective(sys4: LindbladSystem, p: ModelParams) -> EffectiveReduction:
+def reduce_effective(sys4: LindbladSystem, p: ModelParams) -> LindbladSystem:
     """Eliminate the fast excited state via the effective-operator reduction.
 
     Implemented for a one-dimensional excited manifold (F=0): the last basis
-    state decays at gamma_sp, everything before it is ground.  Jumps that act
-    purely inside the ground block pass through the reduction untouched and
-    are not part of the returned triple.
+    state decays at gamma_sp, everything before it is ground.  Returns the
+    ground system with one reduced jump per decay jump; jumps that act
+    purely inside the ground block pass through untouched and are left out.
     """
     ngr = sys4.dim - 1
     h = sys4.hamiltonian
@@ -284,10 +275,7 @@ def reduce_effective(sys4: LindbladSystem, p: ModelParams) -> EffectiveReduction
 
     h_eff = h_g - 0.5 * (v_minus @ (h_enh_inv + h_enh_inv.conj().T) @ v_plus)
     l_eff = tuple((op[:ngr, ngr:] @ h_enh_inv @ v_plus) for op in spont)
-    g_eff = sum((l.conj().T @ l for l in l_eff),
-                np.zeros((ngr, ngr), dtype=complex))
-    h_nh = h_eff - 0.5j * g_eff
-    return EffectiveReduction(h_eff=h_eff, l_eff=l_eff, h_nh=h_nh)
+    return LindbladSystem(dim=ngr, hamiltonian=h_eff, jumps=l_eff)
 
 
 def build_eff3(p: ModelParams) -> LindbladSystem:
@@ -297,10 +285,10 @@ def build_eff3(p: ModelParams) -> LindbladSystem:
     0, -1, then, if gamma_g > 0, the nine of `build_ground_relaxation`.
     """
     red = reduce_effective(build_full4_rwa(p), p)
-    jumps = list(red.l_eff)
     if p.gamma_g > 0:
-        jumps += build_ground_relaxation(p.gamma_g)
-    return LindbladSystem(dim=3, hamiltonian=red.h_eff, jumps=tuple(jumps))
+        red = dataclasses.replace(
+            red, jumps=red.jumps + tuple(build_ground_relaxation(p.gamma_g)))
+    return red
 
 
 @dataclass(frozen=True)

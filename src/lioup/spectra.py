@@ -8,7 +8,8 @@ parameter sweeps, gap-minimization EP search, and an evolution cross-check
 
 Results are plain values: `classify` gives kind strings and `splittings`
 (i, j, dE_real, dE_imag) tuples.  The builders that `sweep` and `find_ep`
-call return the matrix at the given ModelParams as an array.
+call return the matrix at the given ModelParams as an array, and
+`evolve_check` takes the generator's Gell-Mann matrix as an array.
 """
 
 import dataclasses
@@ -414,8 +415,7 @@ def find_ep(builder, box, target_mult, base: ModelParams):
         raise ValueError("empty box")
 
     def matrix_at(x):
-        p = base.replace(**{n: float(v) for n, v in zip(names, x)})
-        return linalg.real_or_complex(builder(p))
+        return builder(base.replace(**{n: float(v) for n, v in zip(names, x)}))
 
     axes = [np.linspace(lo, hi, n_axis) for lo, hi in zip(los, his)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -479,7 +479,7 @@ def find_ep(builder, box, target_mult, base: ModelParams):
     reports = []
     for x, s_min in found:
         p = base.replace(**{n: float(v) for n, v in zip(names, x)})
-        mat = linalg.real_or_complex(builder(p))
+        mat = builder(p)
         # an order-m Jordan cluster scatters like eps**(1/m) even at the
         # converged parameters, so the clustering radius must cover that
         tol_cluster = max(3.0 * s_min,
@@ -501,19 +501,20 @@ class EvolveResult:
     defective: bool = False
 
 
-def evolve_check(l: superop.SuperOperator, rho0, times):
+def evolve_check(l, rho0, times):
     """Propagate rho0 to each of the 1-D array `times` by expm and by
     eigen-expansion.
 
-    Only trace-preserving generators (q = 1) are accepted; hybrid generators
-    leak trace by construction.  rho0 is checked and vectorized, and l
-    eigendecomposed, once for all times; expm(l t) is formed at each time as
-    the independent route.  A defective Liouvillian disables the
-    eigen-expansion route and is flagged.
+    `l` is the generator's Gell-Mann matrix, and it must preserve the
+    trace, as hybrid generators with q < 1 and dissipation do not.  rho0 is
+    checked and vectorized, and l eigendecomposed, once for all times;
+    expm(l t) is formed at each time as the independent route.  A defective
+    Liouvillian disables the eigen-expansion route and is flagged.
     """
-    if l.q != 1.0:
-        raise ValueError("evolve_check requires q = 1: hybrid generators are "
-                         "not trace-preserving")
+    # the last row holds the traces Tr(l(s_j)) times sqrt(2/d) / 2
+    if np.abs(l[-1]).max() > 1e-12 * np.abs(l).max():
+        raise ValueError("evolve_check requires a trace-preserving generator: "
+                         "hybrid generators with q < 1 are not trace-preserving")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D array")
@@ -528,19 +529,19 @@ def evolve_check(l: superop.SuperOperator, rho0, times):
     if np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min() < -1e-9:
         raise ValueError("rho0 must be positive semidefinite")
 
-    v0 = superop.vectorize(rho0, l.basis)
-    rho_expm = np.array([superop.devectorize(linalg.expm(l.matrix * t) @ v0, l.basis)
+    v0 = superop.vectorize(rho0, superop.GELLMANN)
+    rho_expm = np.array([superop.devectorize(linalg.expm(l * t) @ v0, superop.GELLMANN)
                          for t in times])
     trace_drift = np.abs(np.trace(rho_expm, axis1=1, axis2=2) - np.trace(rho0))
 
-    dec = linalg.eig(l.matrix)
+    dec = linalg.eig(l)
     v = dec.right_vectors
     if np.linalg.cond(v) > 1e12:
         return EvolveResult(rho_expm=rho_expm, rho_eig=None, trace_drift=trace_drift,
                             max_diff=np.full(times.size, np.nan), defective=True)
     coeff = np.linalg.solve(v, v0)
     rho_eig = np.array([superop.devectorize(v @ (coeff * np.exp(dec.values * t)),
-                                            l.basis)
+                                            superop.GELLMANN)
                         for t in times])
     return EvolveResult(rho_expm=rho_expm, rho_eig=rho_eig, trace_drift=trace_drift,
                         max_diff=np.abs(rho_expm - rho_eig).max(axis=(1, 2)),

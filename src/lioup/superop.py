@@ -12,7 +12,10 @@ FOCKLIOUVILLE; a basis carries no dimension, which comes from the operand:
 
 The hybrid Liouvillian is L(q) = -i Hhat_NH + q Lambdahat
 = -i Hhat + Gammahat + q Lambdahat: the relaxation part is always fully
-included, only the quantum-jump (repopulation) term is q-weighted.
+included, only the quantum-jump (repopulation) term is q-weighted.  One
+Kronecker assembly writes it; `hybrid_liouvillian(sys, q, basis)` and the
+jump-free `nhh_superop(h_nh, basis)` (q = 0, no jumps) are its views and
+return the plain matrix.
 
 Gell-Mann is the computational basis.  `generator(name)` writes a model's
 L(p) as sum_k c_k(p) B_k with real Gell-Mann B_k, and its non-Hermitian
@@ -20,13 +23,12 @@ Hamiltonian as H_nh(p) = sum_k c_k(p) A_k with the same coefficients and
 complex d x d A_k, so a point at either level costs one small contraction;
 the spectrum does not depend on the basis.  Both term sets are solved once
 per model from its builder at the probe parameters: the A_k from the
-probes' H_nh, the B_k from `hybrid_liouvillian`'s Kronecker assembly and
-the cached similarity S^H L S / 2 with S[:, i] = vec(s_i).
-`hybrid_liouvillian` and `nhh_superop` accept either basis name and are
-the references the generator is tested against; `superop_of_map`,
-`h_superop`, `gamma_superop` and `lambda_superop` evaluate the Gell-Mann
-M_ij = Tr(map(s_j) s_i)/2 directly, independently of the Kronecker path,
-taking the dimension from h or, where a jump set may be empty, from d.
+probes' H_nh, the B_k from the Kronecker assembly and the cached
+similarity S^H L S / 2 with S[:, i] = vec(s_i); the two views are the
+references it is tested against.  `superop_of_map`, `h_superop`,
+`gamma_superop` and `lambda_superop` evaluate the Gell-Mann M_ij =
+Tr(map(s_j) s_i)/2 directly, independently of the Kronecker path, taking
+the dimension from h or, where a jump set may be empty, from d.
 """
 
 import functools
@@ -47,19 +49,6 @@ def _check_basis(basis, d):
         raise ValueError(f"unknown basis {basis!r}")
     if not 2 <= d <= 16:
         raise ValueError("basis dimension must be in [2, 16]")
-
-
-@dataclass(frozen=True)
-class SuperOperator:
-    """A d^2 x d^2 matrix with its basis name and the jump weight q.
-
-    `generator(name)(p)` gives the float64 Gell-Mann form; the reference
-    builders `hybrid_liouvillian` and `nhh_superop` give either basis.
-    """
-
-    matrix: np.ndarray
-    basis: str  # GELLMANN or FOCKLIOUVILLE
-    q: float
 
 
 def matrix_from_json(rows):
@@ -189,12 +178,10 @@ def nhh_superop(h_nh, basis):
     h_nh = np.asarray(h_nh, dtype=complex)
     d = h_nh.shape[0]
     _check_basis(basis, d)
-    eye = np.eye(d)
-    m = -1j * (np.kron(eye, h_nh) - np.kron(h_nh.conj(), eye))
-    return SuperOperator(matrix=_in_basis(m, basis, d), basis=basis, q=0.0)
+    return _in_basis(_fock_liouville_matrix(h_nh, (), 0.0), basis, d)
 
 
-def hybrid_liouvillian(sys: LindbladSystem, q, basis) -> SuperOperator:
+def hybrid_liouvillian(sys: LindbladSystem, q, basis):
     """Hybrid Liouvillian L(q) = -i Hhat + Gammahat + q Lambdahat.
 
     q = 0 is the NHH superoperator of the system, q = 1 the full Lindblad
@@ -203,17 +190,18 @@ def hybrid_liouvillian(sys: LindbladSystem, q, basis) -> SuperOperator:
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
     _check_basis(basis, sys.dim)
-    m = _in_basis(_fock_liouville_matrix(sys, q), basis, sys.dim)
-    return SuperOperator(matrix=m, basis=basis, q=float(q))
+    return _in_basis(_fock_liouville_matrix(sys.hamiltonian, sys.jumps, q),
+                     basis, sys.dim)
 
 
-def _fock_liouville_matrix(sys: LindbladSystem, q):
-    d = sys.dim
+def _fock_liouville_matrix(h, jumps, q):
+    """Column-stacked matrix of
+    rho -> -i(H rho - rho H^dag) + sum_L (q L rho L^dag - {L^dag L, rho}/2)."""
+    d = h.shape[0]
     eye = np.eye(d)
-    h = sys.hamiltonian
     # column stacking: vec(A rho B) = (B^T kron A) vec(rho)
-    m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for op in sys.jumps:
+    m = -1j * (np.kron(eye, h) - np.kron(h.conj(), eye))
+    for op in jumps:
         ll = op.conj().T @ op
         m += q * np.kron(op.conj(), op)
         m -= 0.5 * (np.kron(eye, ll) + np.kron(ll.T, eye))
@@ -246,7 +234,7 @@ class Generator:
         return np.array(self.form.coefficients(p), dtype=float)
 
     def matrix(self, p: ModelParams) -> np.ndarray:
-        """The float64 Gell-Mann matrix of L(p.q) at p."""
+        """The float64 hybrid_liouvillian(build(p), p.q, GELLMANN)."""
         d = self.form.dim
         return (self._coefficients(p) @ self.terms).reshape(d * d, d * d)
 
@@ -254,10 +242,6 @@ class Generator:
         """The complex128 non-Hermitian Hamiltonian at p: build(p).h_nh()."""
         d = self.form.dim
         return (self._coefficients(p) @ self.operator_terms).reshape(d, d)
-
-    def __call__(self, p: ModelParams) -> SuperOperator:
-        """L(p.q) of the model at p: hybrid_liouvillian(build(p), p.q, GELLMANN)."""
-        return SuperOperator(matrix=self.matrix(p), basis=GELLMANN, q=float(p.q))
 
 
 @functools.lru_cache(maxsize=None)
@@ -276,7 +260,7 @@ def generator(name) -> Generator:
     n = form.dim ** 2
     coeffs = np.array([form.coefficients(p) for p in form.probes], dtype=float)
     systems = [form.build(p) for p in form.probes]
-    mats = np.array([_fock_liouville_matrix(sys, p.q).ravel()
+    mats = np.array([_fock_liouville_matrix(sys.hamiltonian, sys.jumps, p.q).ravel()
                      for sys, p in zip(systems, form.probes)])
     s, s_inv = _gellmann_similarity(form.dim)
     terms = s_inv @ np.linalg.solve(coeffs, mats).reshape(-1, n, n) @ s

@@ -92,7 +92,7 @@ def criterion_2():
     for omega in (20.0, 30.0, 40.0):
         for j in (10.0, 21.2132, 35.0):
             p = _eff3_params(omega, j, q=0.0)
-            ev = linalg.eigvals(_gm_liouvillian(p).matrix)
+            ev = linalg.eigvals(_gm_liouvillian(p))
             worst = max(worst, _rel_match(ev, analytic.nhh_superop_spectrum(omega, j)))
     out.append(_result(
         "2a", "q=0 superoperator spectra equal the closed form on a 3x3 grid, rel 1e-8",
@@ -100,8 +100,7 @@ def criterion_2():
 
     omega = OMEGA_REF
     base = _eff3_params(omega, 20.0, q=0.0)
-    reps = spectra.find_ep(lambda p: _gm_liouvillian(p).matrix, {"j": (18.0, 25.0)},
-                           3, base)
+    reps = spectra.find_ep(_gm_liouvillian, {"j": (18.0, 25.0)}, 3, base)
     reps = [r for r in reps if abs(r.cluster_value + 2 * omega) < 1.0]
     ok_loc = len(reps) >= 1 and abs(reps[0].params.j - omega / SQ2) <= 1e-3
     found = reps[0].params.j if reps else float("nan")
@@ -128,7 +127,7 @@ def criterion_2():
         # just off the coalescence the three moving branches share one
         # eigenvector while the simple bystander branch stays independent
         p_off = base.replace(j=omega / SQ2 - 1e-4)
-        dec = linalg.eig(_gm_liouvillian(p_off).matrix)
+        dec = linalg.eig(_gm_liouvillian(p_off))
         idx = np.argsort(np.abs(dec.values + 2 * omega))[:4]
         vecs = dec.right_vectors[:, idx]
         ov = np.abs(vecs.conj().T @ vecs) - np.eye(4)
@@ -149,7 +148,7 @@ def criterion_3():
         for j in (5.0, 15.0, 25.0, 35.0, 45.0):
             for q in (0.0, 0.5, 1.0):
                 p = _eff3_params(omega, j, q=q)
-                ev = linalg.eigvals(_gm_liouvillian(p).matrix)
+                ev = linalg.eigvals(_gm_liouvillian(p))
                 worst = max(worst, _rel_match(ev, analytic.hybrid_spectrum(omega, j, q)))
     out.append(_result(
         "3a", "hybrid spectra equal the closed form on a 45-point grid, rel 1e-7",
@@ -159,7 +158,7 @@ def criterion_3():
     fixed = analytic.fixed_six(omega, j)
     worst = 0.0
     for q in (0.0, 0.25, 0.5, 0.75, 1.0):
-        ev = linalg.eigvals(_gm_liouvillian(_eff3_params(omega, j, q=q)).matrix)
+        ev = linalg.eigvals(_gm_liouvillian(_eff3_params(omega, j, q=q)))
         scale = np.abs(ev).max()
         for lam in fixed:
             worst = max(worst, np.abs(ev - lam).min() / scale)
@@ -171,7 +170,7 @@ def criterion_3():
 
 def _jump_coupled_numeric(omega, j, q):
     """The three q-dependent eigenvalues, identified by removing the fixed six."""
-    ev = list(linalg.eigvals(_gm_liouvillian(_eff3_params(omega, j, q=q)).matrix))
+    ev = list(linalg.eigvals(_gm_liouvillian(_eff3_params(omega, j, q=q))))
     for lam in analytic.fixed_six(omega, j):
         ev.pop(int(np.argmin(np.abs(np.array(ev) - lam))))
     movers = sorted(ev, key=lambda z: -z.real)
@@ -269,7 +268,7 @@ def criterion_7():
     j_tp, d_tp, _ = model.triple_point(omega)
     p0 = _eff3_params(omega, j_tp, delta=d_tp, q=0.0)
     l0 = _gm_liouvillian(p0)
-    ev = linalg.eigvals(l0.matrix)
+    ev = linalg.eigvals(l0)
     center = ev.mean()
     spread = float(np.abs(ev - center).max())
     out.append(_result(
@@ -279,7 +278,7 @@ def criterion_7():
                  "degeneracy carries a length-5 Jordan chain, so double "
                  "precision cannot resolve the collapse below ~(eps)**(1/5)")))
 
-    reports = spectra.detect_degeneracy(l0.matrix, tol_cluster=3.0 * spread)
+    reports = spectra.detect_degeneracy(l0, tol_cluster=3.0 * spread)
     ok = (len(reports) == 1 and reports[0].algebraic_mult == 9
           and reports[0].geometric_mult == 3)
     detail = (f"chains {reports[0].partition}, geometric {reports[0].geometric_mult}"
@@ -288,8 +287,7 @@ def criterion_7():
         "7b", "exactly three independent eigenvectors at the collapse",
         ok, detail))
 
-    l1 = _gm_liouvillian(p0.replace(q=1.0))
-    ev1 = linalg.eigvals(l1.matrix)
+    ev1 = linalg.eigvals(_gm_liouvillian(p0.replace(q=1.0)))
     diam = spectra.spectral_diameter(ev1)
     groups = spectra._single_linkage(ev1, 1e-3 * diam)
     biggest = max(len(g) for g in groups)
@@ -306,14 +304,13 @@ def criterion_8():
     sizes_ok, worst = True, 0.0
     for j in (5.0, 21.0, 35.0):
         p = model.ModelParams(omega=omega, j=j, gamma_sp=gamma, q=1.0)
-        l4 = superop.hybrid_liouvillian(model.build_full4_rwa(p), 1.0,
-                                        "fockliouville")
-        ev4 = linalg.eigvals(l4.matrix)
+        ev4 = linalg.eigvals(superop.hybrid_liouvillian(
+            model.build_full4_rwa(p), 1.0, "fockliouville"))
         ground = ev4[ev4.real > -gamma / 4]
         optical = ev4[(ev4.real <= -gamma / 4) & (ev4.real > -3 * gamma / 4)]
         excited = ev4[ev4.real <= -3 * gamma / 4]
         sizes_ok &= (ground.size, optical.size, excited.size) == (9, 6, 1)
-        ev3 = linalg.eigvals(_gm_liouvillian(p).matrix)
+        ev3 = linalg.eigvals(_gm_liouvillian(p))
         worst = max(worst, spectra.match_distance(ground, ev3))
     out.append(_result(
         "8a", "16x16 Liouvillian clusters into groups {9, 6, 1} near {0, -G/2, -G}",
@@ -341,9 +338,8 @@ def criterion_9():
         worst_g = max(worst_g, np.abs(ghat - ghat.T).max(),
                       np.abs(ghat.imag).max())
         h_nh = h - 0.5j * sum(l.conj().T @ l for l in jumps)
-        sup = superop.nhh_superop(h_nh, "gellmann")
         worst_c = max(worst_c, spectra.correspondence_check(
-            h_nh, linalg.eigvals(sup.matrix)))
+            h_nh, linalg.eigvals(superop.nhh_superop(h_nh, "gellmann"))))
     ok = worst_h <= 1e-12 and worst_g <= 1e-12 and worst_c <= 1e-8
     return [_result(
         "9", "Hamiltonian part antisymmetric imaginary, relaxation part symmetric "
@@ -357,19 +353,18 @@ def criterion_10():
     omega, j, gamma = OMEGA_REF, 10.0, 0.7
     base0 = _gm_liouvillian(_eff3_params(omega, j, q=0.0))
     ext0 = _gm_liouvillian(_eff3_params(omega, j, q=0.0, gamma_g=gamma))
-    dev0 = spectra.match_distance(linalg.eigvals(ext0.matrix),
-                                  linalg.eigvals(base0.matrix) - gamma)
+    dev0 = spectra.match_distance(linalg.eigvals(ext0),
+                                  linalg.eigvals(base0) - gamma)
     out.append(_result(
         "10a", "q=0: every eigenvalue shifts by exactly -gamma",
         dev0 <= 1e-9, f"max deviation {dev0:.3e}"))
 
-    base1 = _gm_liouvillian(_eff3_params(omega, j, q=1.0))
-    ev1 = linalg.eigvals(base1.matrix)
+    ev1 = linalg.eigvals(_gm_liouvillian(_eff3_params(omega, j, q=1.0)))
     stationary = int(np.argmin(np.abs(ev1)))
     expected = np.array([lam - gamma if k != stationary else lam
                          for k, lam in enumerate(ev1)])
     ext1 = _gm_liouvillian(_eff3_params(omega, j, q=1.0, gamma_g=gamma))
-    dev1 = spectra.match_distance(linalg.eigvals(ext1.matrix), expected)
+    dev1 = spectra.match_distance(linalg.eigvals(ext1), expected)
     out.append(_result(
         "10b", "q=1: every eigenvalue but the stationary one shifts by -gamma",
         dev1 <= 1e-9, f"max deviation {dev1:.3e}"))
@@ -408,8 +403,8 @@ def criterion_12():
                  for _ in range(1 + trial % 4)]
         sys = model.LindbladSystem(dim=d, hamiltonian=h, jumps=tuple(jumps))
         q = float(rng.uniform())
-        ev_gm = linalg.eigvals(superop.hybrid_liouvillian(sys, q, "gellmann").matrix)
-        ev_fl = linalg.eigvals(superop.hybrid_liouvillian(sys, q, "fockliouville").matrix)
+        ev_gm = linalg.eigvals(superop.hybrid_liouvillian(sys, q, "gellmann"))
+        ev_fl = linalg.eigvals(superop.hybrid_liouvillian(sys, q, "fockliouville"))
         worst = max(worst, _rel_match(ev_gm, ev_fl))
     return [_result(
         "12", "Gell-Mann and Fock-Liouville spectra agree, rel 1e-8, 20 random draws",

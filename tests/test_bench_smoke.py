@@ -1,13 +1,17 @@
 """Smoke run of the benchmark's command mix against its output oracle.
 
-perfbench/workloads.py and perfbench/oracle.py are loaded read-only from
-their source (no bytecode is written next to them).  Each command runs
-through cli.main with its output captured, and the oracle must find nothing
-wrong: the four sweep slots on small grids, then one cycle of the oneshot
-and of the findep command mix.  One repetition and no timing gates.
+perfbench/workloads.py, perfbench/oracle.py and perfbench/tracer.py are
+loaded read-only from their source (no bytecode is written next to them).
+Each command runs through cli.main with its output captured, and the oracle
+must find nothing wrong: the four sweep slots on small grids, then one cycle
+of the oneshot and of the findep command mix.  One repetition and no timing
+gates.  The tracer's targets must name callables of the program, so that a
+rename breaks this suite and not only traced benchmark runs.
 """
 
+import ast
 import contextlib
+import importlib
 import io
 import json
 import pathlib
@@ -35,6 +39,7 @@ def _load(name):
 
 workloads = _load("workloads")
 oracle = _load("oracle")
+tracer = _load("tracer")
 
 
 def _commands():
@@ -62,3 +67,20 @@ def test_oracle_accepts_the_output(tmp_path, cmd):
     assert rc == 0, err.getvalue()
     fails, _ = oracle.check(cmd, out.getvalue(), err.getvalue())
     assert fails == []
+
+
+def _traced_modules():
+    """The short-name -> lioup module map that perfbench/run.py hands the tracer."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["modules"]):
+            return {k.value: importlib.import_module(f"lioup.{v.id}")
+                    for k, v in zip(node.value.keys, node.value.values)}
+    raise AssertionError("no `modules` map in perfbench/run.py")
+
+
+@pytest.mark.parametrize("mod,attr,name", tracer.TARGETS,
+                         ids=[t[2] for t in tracer.TARGETS])
+def test_tracer_targets_exist(mod, attr, name):
+    assert callable(getattr(_traced_modules()[mod], attr, None)), name

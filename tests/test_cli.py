@@ -18,6 +18,7 @@ def run(args):
 
 
 BASE = {"model": "eff3", "params": {"omega": 30.0, "j": 10.0, "q": 1.0}}
+HUGE = 10 ** 400  # valid JSON, too large for a float
 
 
 class TestSpectrumCommand:
@@ -356,9 +357,19 @@ class TestSchemaValidation:
                                         [[0.0, 0.0], [math.nan, 0.0], [0.0, 0.0]],
                                         [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]],
                                "t_max": 0.1, "steps": 3}}, "rho0"),
+        ("spectrum", {"params": {"omega": 30.0, "j": HUGE, "q": 1.0}},
+         "config.params.j"),
+        ("sweep", {"sweep": {"parameter": "j", "start": 10.0, "stop": HUGE,
+                             "points": 5}}, "config.sweep.stop"),
+        ("find-ep", {"findep": {"box": {"j": [15.0, HUGE]}, "target_mult": 2}},
+         "config.findep.box.j"),
+        ("evolve", {"evolve": {"rho0": [[[HUGE, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                                        [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                                        [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]],
+                               "t_max": 0.1, "steps": 3}}, "rho0"),
     ])
     def test_numbers_that_are_not_finite(self, tmp_path, capsys, command, blk, key):
-        # json.load accepts NaN and Infinity
+        # json.load accepts NaN, Infinity and integers beyond float range
         cfg = write_config(tmp_path, {**BASE, **blk})
         assert run([command, "--config", cfg]) == 2
         assert key in capsys.readouterr().err

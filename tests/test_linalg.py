@@ -182,8 +182,8 @@ class TestExpm:
         rho0 /= np.trace(rho0)
         v0 = superop.vectorize(rho0, superop.GELLMANN)
         t = 0.1
-        via_expm = linalg.expm(l.matrix * t) @ v0
-        dec = linalg.eig(l.matrix)
+        via_expm = linalg.expm(l * t) @ v0
+        dec = linalg.eig(l)
         coeff = np.linalg.solve(dec.right_vectors, v0)
         via_eig = dec.right_vectors @ (coeff * np.exp(dec.values * t))
         assert np.abs(via_expm - via_eig).max() < 1e-10

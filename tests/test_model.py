@@ -275,7 +275,7 @@ class TestEffectiveReduction:
     def test_resonant_nhh_display(self):
         p = ModelParams(omega=30.0, j=10.0)
         red = reduce_effective(build_full4_rwa(p), p)
-        assert np.abs(red.h_nh - h_nh_tuned(30.0, 10.0)).max() < 1e-9
+        assert np.abs(red.h_nh() - h_nh_tuned(30.0, 10.0)).max() < 1e-9
         got = superop.generator("eff3").operator(p)
         assert np.abs(got - h_nh_tuned(30.0, 10.0)).max() < 1e-9
 
@@ -283,7 +283,7 @@ class TestEffectiveReduction:
         p = ModelParams(omega=30.0, j=10.0)
         red = reduce_effective(build_full4_rwa(p), p)
         amp = 2.0 * p.omega_r / math.sqrt(3.0 * p.gamma_sp)
-        for op in red.l_eff:
+        for op in red.jumps:
             nz = np.abs(op)[np.abs(op) > 0]
             assert nz.size == 1
             assert abs(nz[0] - amp) < 1e-12 * amp
@@ -291,7 +291,7 @@ class TestEffectiveReduction:
     def test_total_effective_decay_with_detuning(self):
         p = ModelParams(omega_r=7.0, j=2.0, delta_opt=5.0, gamma_sp=40.0)
         red = reduce_effective(build_full4_rwa(p), p)
-        total = sum(op.conj().T @ op for op in red.l_eff)
+        total = sum(op.conj().T @ op for op in red.jumps)
         coeff = 4.0 * p.omega_r ** 2 * p.gamma_sp / (p.gamma_sp ** 2 + 4 * p.delta_opt ** 2)
         want = np.zeros((3, 3))
         want[1, 1] = coeff
@@ -305,10 +305,10 @@ class TestEffectiveReduction:
                             delta_opt=float(rng.uniform(-10, 10)),
                             gamma_sp=float(rng.uniform(50, 500)))
             red = reduce_effective(build_full4_rwa(p), p)
-            scale = max(np.linalg.norm(red.h_eff), 1.0)
-            assert np.linalg.norm(red.h_eff - red.h_eff.conj().T) <= 1e-12 * scale
-            anti = red.h_nh - red.h_nh.conj().T
-            total = sum(op.conj().T @ op for op in red.l_eff)
+            scale = max(np.linalg.norm(red.hamiltonian), 1.0)
+            assert np.linalg.norm(red.hamiltonian - red.hamiltonian.conj().T) <= 1e-12 * scale
+            anti = red.h_nh() - red.h_nh().conj().T
+            total = sum(op.conj().T @ op for op in red.jumps)
             assert np.abs(anti + 1j * total).max() < 1e-12 * scale
 
     def test_warns_outside_fast_decay_regime(self):

@@ -55,7 +55,7 @@ class TestClassify:
 
     def test_liouvillian_has_one_stationary_and_no_unstable(self):
         p = ModelParams(omega=30.0, j=10.0, delta_rf=2.0, q=1.0)
-        ev = linalg.eigvals(gm_liouvillian(p).matrix)
+        ev = linalg.eigvals(gm_liouvillian(p))
         kinds = classify(ev)
         assert kinds.count(STATIONARY) == 1
         assert UNSTABLE not in kinds
@@ -73,7 +73,7 @@ class TestSplittings:
 
     def test_jump_lifted_asymptote(self):
         omega, q, j = 30.0, 0.001, 4000.0
-        ev = linalg.eigvals(gm_liouvillian(ModelParams(omega=omega, j=j, q=q)).matrix)
+        ev = linalg.eigvals(gm_liouvillian(ModelParams(omega=omega, j=j, q=q)))
         movers = list(ev)
         for lam in analytic.fixed_six(omega, j):
             movers.pop(int(np.argmin(np.abs(np.array(movers) - lam))))
@@ -100,7 +100,7 @@ class TestDetectDegeneracy:
         omega = 30.0
         j, d, _ = triple_point(omega)
         p = ModelParams(omega=omega, j=j, delta_rf=d, q=0.0)
-        m = gm_liouvillian(p).matrix
+        m = gm_liouvillian(p)
         ev = linalg.eigvals(m)
         spread = np.abs(ev - ev.mean()).max()
         reports = detect_degeneracy(m, tol_cluster=3 * spread)
@@ -138,7 +138,7 @@ class TestCorrespondence:
     def test_effective_operator_against_superoperator(self):
         p = ModelParams(omega=30.0, j=17.0, delta_rf=3.0, q=0.0)
         sys3 = build_eff3(p)
-        ev = linalg.eigvals(gm_liouvillian(p).matrix)
+        ev = linalg.eigvals(gm_liouvillian(p))
         assert correspondence_check(sys3.h_nh(), ev) < 1e-9
 
     def test_operator_degeneracy_squares(self):
@@ -171,17 +171,16 @@ class TestSweep:
     def test_columns_are_permutations_of_spectra(self):
         base = ModelParams(omega=30.0, j=10.0, q=0.5)
         grid = np.linspace(5.0, 40.0, 36)
-        res = sweep(lambda p: gm_liouvillian(p).matrix, "j", grid, base)
+        res = sweep(gm_liouvillian, "j", grid, base)
         for k in (0, 17, 35):
-            ev = linalg.eigvals(gm_liouvillian(base.replace(j=float(grid[k]))).matrix)
+            ev = linalg.eigvals(gm_liouvillian(base.replace(j=float(grid[k]))))
             assert match_distance(res.branches[:, k], ev) < 1e-9
 
     def test_no_ninefold_degeneracy_with_jumps_at_triple_point(self):
         omega = 30.0
         _, d, _ = triple_point(omega)
         base = ModelParams(omega=omega, j=20.0, delta_rf=d, q=1.0)
-        res = sweep(lambda p: gm_liouvillian(p).matrix, "j",
-                    np.linspace(10.0, 40.0, 61), base)
+        res = sweep(gm_liouvillian, "j", np.linspace(10.0, 40.0, 61), base)
         for k in range(61):
             ev = res.branches[:, k]
             diam = spectra.spectral_diameter(ev)
@@ -346,9 +345,9 @@ class TestEvolveCheck:
         # J > Omega/sqrt(2) keeps every decaying mode fast (rate >= Omega/3)
         p = ModelParams(omega=30.0, j=25.0, q=1.0)
         l = gm_liouvillian(p)
-        dec = linalg.eig(l.matrix)
+        dec = linalg.eig(l)
         k = int(np.argmin(np.abs(dec.values)))
-        stat = superop.devectorize(dec.right_vectors[:, k], l.basis)
+        stat = superop.devectorize(dec.right_vectors[:, k], superop.GELLMANN)
         stat = stat / np.trace(stat)
         rho0 = np.eye(3) / 3.0
         res = evolve_check(l, rho0, [50.0 / p.omega])
@@ -384,6 +383,15 @@ class TestEvolveCheck:
         l = gm_liouvillian(p)
         with pytest.raises(ValueError, match="trace-preserving"):
             evolve_check(l, np.eye(3) / 3.0, [0.1])
+
+    def test_accepts_a_hybrid_generator_without_dissipation(self):
+        # omega_r = gamma_g = 0 leaves no jump, so L(q) = -i[H, .] at every q
+        # and preserves the trace: the check reads the generator, not q
+        p = ModelParams(omega_r=0.0, j=10.0, delta_rf=3.0, q=0.5)
+        l = superop.generator("eff3").matrix(p)
+        res = evolve_check(l, np.diag([0.2, 0.5, 0.3]), np.linspace(0.0, 0.5, 4))
+        assert res.trace_drift.max() <= 1e-12
+        assert res.max_diff.max() < 1e-10
 
     def test_rejects_times_that_are_not_1d(self):
         l = gm_liouvillian(ModelParams(omega=30.0, j=10.0, q=1.0))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lioup import analytic, linalg, model, spectra, superop
 from lioup.model import LindbladSystem, ModelParams, build_eff3, build_ground_relaxation
@@ -194,8 +195,8 @@ class TestHybridLiouvillian:
     def test_first_eight_rows_are_q_independent(self):
         p = ModelParams(omega=30.0, j=10.0)
         sys3 = build_eff3(p)
-        m0 = hybrid_liouvillian(sys3, 0.0, "gellmann").matrix
-        m1 = hybrid_liouvillian(sys3, 1.0, "gellmann").matrix
+        m0 = hybrid_liouvillian(sys3, 0.0, "gellmann")
+        m1 = hybrid_liouvillian(sys3, 1.0, "gellmann")
         assert np.abs(m0[:8] - m1[:8]).max() < 1e-12
         assert np.abs(m1[8]).max() < 1e-12  # trace preservation at q = 1
 
@@ -204,7 +205,7 @@ class TestHybridLiouvillian:
     def test_matches_reference_matrix_up_to_signed_permutation(self, q, delta):
         omega, j = 30.0, 10.0
         p = ModelParams(omega=omega, j=j, delta_rf=delta, q=q)
-        mine = hybrid_liouvillian(build_eff3(p), q, "gellmann").matrix
+        mine = hybrid_liouvillian(build_eff3(p), q, "gellmann")
         ref = reference_hybrid_matrix(omega, j, delta, q)
         t = find_signed_permutation(mine, ref)
         assert t is not None
@@ -215,19 +216,19 @@ class TestHybridLiouvillian:
         # must be derived at a generic point, away from the extra symmetries
         # of delta = 0 and q in {0, 1}
         p0 = ModelParams(omega=30.0, j=10.0, delta_rf=5.0, q=0.3)
-        mine0 = hybrid_liouvillian(build_eff3(p0), 0.3, "gellmann").matrix
+        mine0 = hybrid_liouvillian(build_eff3(p0), 0.3, "gellmann")
         t = find_signed_permutation(mine0, reference_hybrid_matrix(30.0, 10.0, 5.0, 0.3))
         for omega, j, delta, q in ((20.0, 5.0, 0.0, 0.0), (40.0, 25.0, 7.0, 1.0),
                                    (30.0, 15.0, -4.0, 0.7)):
             p = ModelParams(omega=omega, j=j, delta_rf=delta, q=q)
-            mine = hybrid_liouvillian(build_eff3(p), q, "gellmann").matrix
+            mine = hybrid_liouvillian(build_eff3(p), q, "gellmann")
             ref = reference_hybrid_matrix(omega, j, delta, q)
             assert np.abs(t @ mine @ t.T - ref).max() < 1e-9
 
     def test_q0_spectrum_analytic(self):
         for omega, j in ((30.0, 10.0), (30.0, 35.0), (20.0, 21.0)):
             p = ModelParams(omega=omega, j=j, q=0.0)
-            ev = linalg.eigvals(hybrid_liouvillian(build_eff3(p), 0.0, "gellmann").matrix)
+            ev = linalg.eigvals(hybrid_liouvillian(build_eff3(p), 0.0, "gellmann"))
             want = analytic.nhh_superop_spectrum(omega, j)
             assert spectra.match_distance(ev, want) < 1e-8 * np.abs(want).max()
 
@@ -236,8 +237,8 @@ class TestHybridLiouvillian:
         sys3 = build_eff3(p)
         hyb = hybrid_liouvillian(sys3, 0.0, "gellmann")
         nhh = nhh_superop(sys3.h_nh(), GELLMANN)
-        assert spectra.match_distance(linalg.eigvals(hyb.matrix),
-                                      linalg.eigvals(nhh.matrix)) < 1e-9
+        assert spectra.match_distance(linalg.eigvals(hyb),
+                                      linalg.eigvals(nhh)) < 1e-9
 
     def test_rejects_bad_q(self):
         p = ModelParams(omega=30.0, j=10.0)
@@ -248,8 +249,8 @@ class TestHybridLiouvillian:
         for d in (2, 3, 4):
             sys = random_system(rng, d, 3)
             for q in (0.0, 0.3, 1.0):
-                m_gm = hybrid_liouvillian(sys, q, GELLMANN).matrix
-                m_fl = hybrid_liouvillian(sys, q, FOCKLIOUVILLE).matrix
+                m_gm = hybrid_liouvillian(sys, q, GELLMANN)
+                m_fl = hybrid_liouvillian(sys, q, FOCKLIOUVILLE)
                 for _ in range(3):
                     r = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                     rho = r + r.conj().T
@@ -271,14 +272,14 @@ class TestGellMannSimilarity:
             ghat = gamma_superop(sys.jumps, d)
             lhat = lambda_superop(sys.jumps, d)
             for q in (0.0, 0.3, 1.0):
-                got = hybrid_liouvillian(sys, q, GELLMANN).matrix
+                got = hybrid_liouvillian(sys, q, GELLMANN)
                 want = -1j * hhat + ghat + q * lhat
                 assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
     def test_nhh_superop_equals_the_direct_parts(self, rng):
         sys = random_system(rng, 3, 2)
         want = -1j * h_superop(sys.hamiltonian) + gamma_superop(sys.jumps, 3)
-        got = nhh_superop(sys.h_nh(), GELLMANN).matrix
+        got = nhh_superop(sys.h_nh(), GELLMANN)
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
@@ -302,9 +303,8 @@ class TestGenerator:
         sys = self.BUILDERS[name](p)
         want = hybrid_liouvillian(sys, p.q, GELLMANN)
         gen = superop.generator(name)
-        got = gen(p)
-        assert np.abs(got.matrix - want.matrix).max() <= 1e-12 * np.abs(want.matrix).max()
-        assert (got.basis, got.q) == (want.basis, want.q)
+        got = gen.matrix(p)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         h_nh = gen.operator(p)
         assert h_nh.dtype == np.complex128
         assert np.abs(h_nh - sys.h_nh()).max() <= 1e-12 * np.abs(sys.h_nh()).max()
@@ -340,17 +340,17 @@ class TestGenerator:
         gen = superop.generator(name)
         p0 = p.replace(q=0.0)
         m = gen.matrix(p0)
-        want = nhh_superop(gen.operator(p0), GELLMANN).matrix
+        want = nhh_superop(gen.operator(p0), GELLMANN)
         assert np.abs(m - want).max() <= 1e-12 * np.abs(m).max()
 
     def test_keeps_the_reduction_checks(self):
         gen = superop.generator("eff3")
         slow = ModelParams(omega_r=3.0, j=30.0, gamma_sp=10.0)
-        for build in (gen, gen.operator):
+        for build in (gen.matrix, gen.operator):
             with pytest.warns(UserWarning, match="dominate"):
                 build(slow)
         singular = ModelParams(omega=1.0, gamma_sp=1e-310)
-        for build in (build_eff3, gen, gen.operator):
+        for build in (build_eff3, gen.matrix, gen.operator):
             with pytest.warns(UserWarning), pytest.raises(ValueError, match="singular"):
                 build(singular)
 
@@ -372,47 +372,85 @@ class TestGenerator:
         assert gen.terms.dtype == np.float64 and not gen.terms.flags.writeable
         p = ModelParams(omega=30.0, j=12.0, delta_rf=2.0, delta_opt=40.0,
                         gamma_sp=1e4, gamma_g=0.3, q=0.6)
-        sop = gen(p)
-        assert sop.matrix.dtype == np.float64
-        assert sop.basis == GELLMANN
+        m = gen.matrix(p)
+        assert m.dtype == np.float64
         # M_ij = Tr(map(s_j) s_i)/2, bypassing the Kronecker path
         sys = self.BUILDERS[name](p)
         want = (-1j * h_superop(sys.hamiltonian) + gamma_superop(sys.jumps, sys.dim)
                 + p.q * lambda_superop(sys.jumps, sys.dim))
-        assert np.abs(sop.matrix - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(m - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_build_rejects_terms_that_are_not_real(self, monkeypatch):
-        # -i[H, .] with a non-Hermitian H does not map Hermitian operators to
-        # Hermitian ones, so its Gell-Mann matrix is complex
+        # every Lindblad system maps Hermitian operators to Hermitian ones;
+        # rho -> -i H rho does not, so its Gell-Mann matrix is complex
         form = model.LinearForm(
             dim=2,
-            build=lambda p: LindbladSystem(
-                dim=2, hamiltonian=p.j * np.array([[0.0, 1.0], [0.0, 0.0]]),
-                hermitian=False),
+            build=lambda p: LindbladSystem(dim=2, hamiltonian=p.j * PAULI["x"]),
             coefficients=lambda p: (p.j,),
             probes=(ModelParams(omega=1.0, j=1.0),))
         monkeypatch.setitem(model.LINEAR_FORMS, "not_real", form)
+        monkeypatch.setattr(superop, "_fock_liouville_matrix",
+                            lambda h, jumps, q: -1j * np.kron(np.eye(len(h)), h))
         with pytest.raises(ValueError, match="not real"):
             superop.generator.__wrapped__("not_real")
+
+
+@st.composite
+def lindblad_systems(draw):
+    d = draw(st.integers(2, 4))
+
+    def complex_matrix():
+        re, im = (draw(arrays(np.float64, (d, d), elements=st.floats(-1.0, 1.0)))
+                  for _ in range(2))
+        return re + 1j * im
+
+    a = complex_matrix()
+    jumps = tuple(complex_matrix() for _ in range(draw(st.integers(0, 3))))
+    return LindbladSystem(dim=d, hamiltonian=a + a.conj().T, jumps=jumps)
+
+
+class TestSpectralProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(sys=lindblad_systems(), q=st.floats(0.0, 1.0))
+    def test_spectrum_is_closed_under_conjugation(self, sys, q):
+        # L(q) commutes with rho -> rho^dag, so its spectrum is real as a
+        # multiset even in complex arithmetic, where nothing pairs it
+        ev = linalg.eigvals(hybrid_liouvillian(sys, q, FOCKLIOUVILLE))
+        scale = max(np.abs(ev).max(), 1e-300)
+        assert spectra.match_distance(ev, ev.conj()) <= 1e-10 * scale
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(omega=st.floats(1.0, 100.0),
+           ratio=st.floats(0.0, 3.0).filter(lambda r: abs(r - 1.0) >= 0.01),
+           q=st.floats(0.0, 1.0))
+    def test_six_eigenvalues_are_q_free(self, omega, ratio, q):
+        # J = ratio * Omega / sqrt(2) keeps 1% from the order-2 EP at
+        # ratio = 1, where the doubles -a1 and -a1* scatter like eps**(1/2):
+        # up to 2e-8 of the spectral radius there, past the 1e-8 tolerance
+        p = ModelParams(omega=omega, j=ratio * omega / math.sqrt(2.0), q=q)
+        ev = linalg.eigvals(superop.generator("eff3").matrix(p))
+        scale = np.abs(ev).max()
+        for lam in analytic.fixed_six(p.omega, p.j):
+            assert np.abs(ev - lam).min() <= 1e-8 * scale  # criterion 3b
 
 
 class TestFockLiouville:
     def test_amplitude_damping_spectrum(self):
         sys = LindbladSystem(dim=2, hamiltonian=np.zeros((2, 2)),
                              jumps=(np.array([[0.0, 1.0], [0.0, 0.0]]),))
-        ev = linalg.eigvals(hybrid_liouvillian(sys, 1.0, FOCKLIOUVILLE).matrix)
+        ev = linalg.eigvals(hybrid_liouvillian(sys, 1.0, FOCKLIOUVILLE))
         assert spectra.match_distance(ev, np.array([0.0, -0.5, -0.5, -1.0])) < 1e-12
 
     def test_trace_preservation_left_null_vector(self, rng):
         sys = random_system(rng, 3, 2)
         sop = hybrid_liouvillian(sys, 1.0, FOCKLIOUVILLE)
-        vec_id = vectorize(np.eye(3), sop.basis)
-        assert np.abs(vec_id.conj() @ sop.matrix).max() < 1e-12
+        vec_id = vectorize(np.eye(3), FOCKLIOUVILLE)
+        assert np.abs(vec_id.conj() @ sop).max() < 1e-12
 
     def test_four_level_groups(self):
         p = ModelParams(omega=30.0, j=10.0, gamma_sp=model.GAMMA_D2)
         sop = hybrid_liouvillian(model.build_full4_rwa(p), 1.0, FOCKLIOUVILLE)
-        ev = linalg.eigvals(sop.matrix)
+        ev = linalg.eigvals(sop)
         g = model.GAMMA_D2
         sizes = ((ev.real > -g / 4).sum(),
                  ((ev.real <= -g / 4) & (ev.real > -3 * g / 4)).sum(),
@@ -427,9 +465,9 @@ class TestIsotropicExtension:
         omega, j, gamma = 30.0, 10.0, 0.37
         for q in (0.0, 0.5, 1.0):
             p = ModelParams(omega=omega, j=j, q=q)
-            base = hybrid_liouvillian(build_eff3(p), q, GELLMANN).matrix
+            base = hybrid_liouvillian(build_eff3(p), q, GELLMANN)
             direct = hybrid_liouvillian(build_eff3(p.replace(gamma_g=gamma)),
-                                        q, GELLMANN).matrix
+                                        q, GELLMANN)
             shift = np.full(9, gamma)
             shift[-1] = gamma * (1.0 - q)
             assert np.abs(direct - (base - np.diag(shift))).max() < 1e-12
