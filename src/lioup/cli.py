@@ -179,8 +179,7 @@ def cmd_spectrum(cfg, out_path):
         if tol_cluster is not None and tol_cluster <= 0:
             raise SchemaError("'config.spectrum.tol_cluster' must be positive")
     m = superop.generator(cfg["model"]).matrix(params_from_config(cfg))
-    ev = linalg.eigvals(m)
-    reports = spectra.detect_degeneracy(m, tol_cluster=tol_cluster)
+    ev, reports = spectra.detect_degeneracy(m, tol_cluster=tol_cluster)
     doc = {
         "metadata": _metadata(cfg),
         "eigenvalues": [_complex_json(z) for z in ev],

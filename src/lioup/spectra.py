@@ -4,11 +4,13 @@ Covers eigenvalue classification, quasienergy splittings, degeneracy
 detection with Jordan-structure estimation (rank plateaus of powers),
 the operator <-> superoperator spectral correspondence, continuity-tracked
 parameter sweeps, gap-minimization EP search, and an evolution cross-check
-(expm against eigen-expansion).
+(expm against eigen-expansion).  Matrices follow linalg's input rule, so
+a float64 generator is solved in real arithmetic.
 
-Results are plain values: `classify` gives kind strings and `splittings`
-(i, j, dE_real, dE_imag) tuples.  The builders that `sweep` and `find_ep`
-call return the matrix at the given ModelParams as an array, and
+Results are plain values: `classify` gives kind strings, `splittings`
+(i, j, dE_real, dE_imag) tuples, and `detect_degeneracy` the eigenvalues
+with reports whose `indices` index them.  The builders that `sweep` and
+`find_ep` call return the matrix at the given ModelParams as an array, and
 `evolve_check` takes the generator's Gell-Mann matrix as an array.
 """
 
@@ -51,12 +53,12 @@ def match_distance(a, b):
     return float(cost[rows, cols].max())
 
 
-def classify(values, tol_class=None):
+def classify(values):
     """The dynamical role of each eigenvalue, as one of the kind strings
-    STATIONARY, PURE_OSCILLATION, PURE_DECAY, DAMPED_OSCILLATION, UNSTABLE."""
+    STATIONARY, PURE_OSCILLATION, PURE_DECAY, DAMPED_OSCILLATION, UNSTABLE;
+    a part within TOL_CLASS_REL times the spectral diameter counts as zero."""
     values = np.asarray(values, dtype=complex)
-    if tol_class is None:
-        tol_class = max(TOL_CLASS_REL * spectral_diameter(values), 1e-300)
+    tol_class = max(TOL_CLASS_REL * spectral_diameter(values), 1e-300)
     out = []
     for v in values:
         re, im = v.real, v.imag
@@ -174,14 +176,15 @@ def _partition_from_ranks(n, ranks, mult):
 
 
 def detect_degeneracy(a, tol_cluster=None):
-    """Cluster eigenvalues and report the Jordan structure of each cluster.
+    """Eigenvalues of `a` and the Jordan structure of each cluster of them.
 
+    Returns (values, reports): the eigenvalues from one linalg.eig call and
+    an EPReport per cluster of size m >= 2, whose `indices` index `values`.
     Clusters are single-linkage with radius tol_cluster (default 1e-6 times
-    the spectral diameter).  Per cluster of size m >= 2: geometric
-    multiplicity is the null-space dimension of a - mean*I at TOL_RANK, the
-    order is the smallest k at which rank((a - mean*I)^k) stops decreasing
-    (the longest Jordan chain), capped at m.  Two clusters closer than twice
-    the radius are flagged as ill-conditioned rather than merged.
+    the spectral diameter).  The ranks of (a - mean*I)^k, k = 1..m+1, give
+    the Jordan partition, the geometric multiplicity n - rank at k = 1
+    (clipped to 1..m) and the order, the longest chain.  Two clusters closer
+    than twice the radius are flagged as ill-conditioned rather than merged.
     """
     a = linalg.as_matrix(a)
     n = a.shape[0]
@@ -205,21 +208,9 @@ def detect_degeneracy(a, tol_cluster=None):
         if m < 2:
             continue
         center = centers[ci]
-        shifted = a - center * np.eye(n)
-        s = np.linalg.svd(shifted, compute_uv=False)
-        null_cut = max(linalg.TOL_RANK * s[0], 2.0 * tol_cluster)
-        geometric = int(np.count_nonzero(s <= null_cut))
-        geometric = max(1, min(geometric, m))
-        ranks = _rank_sequence(shifted, m + 1, 2.0 * tol_cluster)
-        order = m
-        prev = n
-        for k, r in enumerate(ranks, start=1):
-            if r == prev:
-                order = k - 1
-                break
-            prev = r
-        order = max(1, min(order, m))
+        ranks = _rank_sequence(a - center * np.eye(n), m + 1, 2.0 * tol_cluster)
         partition = _partition_from_ranks(n, ranks, m)
+        geometric = int(np.clip(n - ranks[0], 1, m))
         if geometric == m:
             kind = "diabolical"
         elif geometric == 1:
@@ -235,7 +226,7 @@ def detect_degeneracy(a, tol_cluster=None):
             cluster_value=complex(center),
             algebraic_mult=m,
             geometric_mult=geometric,
-            order=order,
+            order=partition[0] if partition else 1,
             kind=kind,
             gap_residual=float(np.abs(w[list(group)] - center).max()),
             vector_overlap=float(overlap),
@@ -244,18 +235,17 @@ def detect_degeneracy(a, tol_cluster=None):
             flags=("ill_conditioned_clustering",) if ci in shaky else (),
         ))
     reports.sort(key=lambda r: (r.cluster_value.real, r.cluster_value.imag))
-    return reports
+    return w, reports
 
 
 def correspondence_check(h_nh, super_spectrum):
     """Max mismatch between {-i (E_i - E_j^*)} of the operator and the
     given superoperator spectrum, under optimal pairing."""
-    h_nh = linalg.as_matrix(h_nh)
-    d = h_nh.shape[0]
+    ev = linalg.eig(h_nh).values
+    d = ev.size
     super_spectrum = np.asarray(super_spectrum, dtype=complex).ravel()
     if super_spectrum.size != d * d:
         raise ValueError("superoperator spectrum must have d^2 entries")
-    ev = linalg.eigvals(h_nh)
     pairs = np.array([-1j * (ev[i] - np.conj(ev[j]))
                       for i in range(d) for j in range(d)])
     return match_distance(pairs, super_spectrum)
@@ -270,7 +260,7 @@ class SweepResult:
     failures: tuple = ()  # of (grid index, message)
 
 
-def sweep(builder, parameter, grid, base: ModelParams, gap_threshold=None):
+def sweep(builder, parameter, grid, base: ModelParams):
     """Eigenvalue branches of builder(params) along one parameter grid.
 
     The grid's matrices are built one after another and solved by one
@@ -280,10 +270,10 @@ def sweep(builder, parameter, grid, base: ModelParams, gap_threshold=None):
     eigensolve raises are recorded as failures and their branch column is NaN.
 
     EP candidates are the points with more eigenvalue pairs closer than
-    gap_threshold (default 1e-5 of the largest spectral diameter on the grid)
-    than the fewest any point of the grid has.  Degeneracies present at every
-    point, such as the symmetry-protected exact doubles of a superoperator
-    spectrum, therefore flag nothing; a coalescence on top of them does.
+    1e-5 of the largest spectral diameter on the grid than the fewest any
+    point of the grid has.  Degeneracies present at every point, such as the
+    symmetry-protected exact doubles of a superoperator spectrum, therefore
+    flag nothing; a coalescence on top of them does.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -292,7 +282,7 @@ def sweep(builder, parameter, grid, base: ModelParams, gap_threshold=None):
     stack, built, failures = None, [], []
     for i, x in enumerate(grid):
         try:
-            m = linalg.real_or_complex(builder(base.replace(**{parameter: float(x)})))
+            m = np.asarray(builder(base.replace(**{parameter: float(x)})))
             if stack is None:
                 stack = np.empty((grid.size,) + m.shape, dtype=m.dtype)
             elif not np.can_cast(m.dtype, stack.dtype):
@@ -324,25 +314,24 @@ def sweep(builder, parameter, grid, base: ModelParams, gap_threshold=None):
         branches[:, i] = ordered
         prev = ordered
 
-    counts = _close_pairs(branches[:, good].T, gap_threshold)
+    counts = _close_pairs(branches[:, good].T)
     fewest = counts.min()
     candidates = tuple(i for i, c in zip(good, counts) if c > fewest)
     return SweepResult(parameter=parameter, grid=grid, branches=branches,
                        ep_candidates=candidates, failures=tuple(failures))
 
 
-def _close_pairs(values, threshold=None):
-    """Per row of `values` (points, n): eigenvalue pairs closer than threshold.
+def _close_pairs(values):
+    """Per row of `values` (points, n): eigenvalue pairs closer than
+    10 * TOL_CLUSTER_REL times the largest spectral diameter over all rows.
 
-    The default threshold is 10 * TOL_CLUSTER_REL times the largest spectral
-    diameter over all rows.  Each pass over the columns compares one column
-    with the ones after it, so no (points, n, n) array is formed.
+    Each pass over the columns compares one column with the ones after it,
+    so no (points, n, n) array is formed.
     """
     cols = range(values.shape[1] - 1)
-    if threshold is None:
-        diam = max((np.abs(values[:, k + 1:] - values[:, k:k + 1]).max()
-                    for k in cols), default=0.0)
-        threshold = 10.0 * TOL_CLUSTER_REL * diam
+    diam = max((np.abs(values[:, k + 1:] - values[:, k:k + 1]).max()
+                for k in cols), default=0.0)
+    threshold = 10.0 * TOL_CLUSTER_REL * diam
     counts = np.zeros(len(values), dtype=int)
     for k in cols:
         counts += np.count_nonzero(
@@ -485,7 +474,7 @@ def find_ep(builder, box, target_mult, base: ModelParams):
         tol_cluster = max(3.0 * s_min,
                           10.0 * np.finfo(float).eps ** (1.0 / target_mult) * scale)
         reports += [dataclasses.replace(rep, params=p)
-                    for rep in detect_degeneracy(mat, tol_cluster=tol_cluster)
+                    for rep in detect_degeneracy(mat, tol_cluster=tol_cluster)[1]
                     if rep.algebraic_mult >= target_mult]
     return reports
 

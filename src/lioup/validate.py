@@ -278,7 +278,7 @@ def criterion_7():
                  "degeneracy carries a length-5 Jordan chain, so double "
                  "precision cannot resolve the collapse below ~(eps)**(1/5)")))
 
-    reports = spectra.detect_degeneracy(l0, tol_cluster=3.0 * spread)
+    _, reports = spectra.detect_degeneracy(l0, tol_cluster=3.0 * spread)
     ok = (len(reports) == 1 and reports[0].algebraic_mult == 9
           and reports[0].geometric_mult == 3)
     detail = (f"chains {reports[0].partition}, geometric {reports[0].geometric_mult}"

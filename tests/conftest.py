@@ -1,10 +1,38 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+
+from lioup.model import ModelParams
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@st.composite
+def model_params(draw):
+    # ground scales stay below gamma_sp / 10, where the reduction is valid
+    gamma_sp = draw(st.floats(1e3, 1e8))
+    return ModelParams(
+        omega=draw(st.floats(0.0, 100.0)), j=draw(st.floats(0.0, 100.0)),
+        delta_rf=draw(st.floats(-100.0, 100.0)),
+        delta_opt=gamma_sp * draw(st.floats(-2.0, 2.0)), gamma_sp=gamma_sp,
+        gamma_g=draw(st.floats(0.0, 10.0)), q=draw(st.floats(0.0, 1.0)))
+
+
+def misindexed_reports(doc):
+    """Degeneracy reports of a `spectrum` output whose `indices` point at
+    listed eigenvalues farther from `cluster_value` than `gap_residual`,
+    plus 1e-9 of the largest |eigenvalue| for the printed digits."""
+    def number(z):
+        return complex(float(z["re"]), float(z["im"]))
+
+    ev = np.array([number(z) for z in doc["eigenvalues"]])
+    slack = 1e-9 * np.abs(ev).max()
+    return [r for r in doc["degeneracies"]
+            if np.abs(ev[r["indices"]] - number(r["cluster_value"])).max()
+            > float(r["gap_residual"]) + slack]
 
 
 def reference_hybrid_matrix(omega, j, delta, q):

@@ -4,9 +4,11 @@ perfbench/workloads.py, perfbench/oracle.py and perfbench/tracer.py are
 loaded read-only from their source (no bytecode is written next to them).
 Each command runs through cli.main with its output captured, and the oracle
 must find nothing wrong: the four sweep slots on small grids, then one cycle
-of the oneshot and of the findep command mix.  One repetition and no timing
-gates.  The tracer's targets must name callables of the program, so that a
-rename breaks this suite and not only traced benchmark runs.
+of the oneshot and of the findep command mix.  Each `spectrum` report's
+`indices` must also point at listed eigenvalues of its cluster.  One
+repetition and no timing gates.  The tracer's targets must name callables
+of the program, so that a rename breaks this suite and not only traced
+benchmark runs.
 """
 
 import ast
@@ -22,6 +24,8 @@ import numpy as np
 import pytest
 
 from lioup import cli
+
+from conftest import misindexed_reports
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 3
@@ -67,6 +71,8 @@ def test_oracle_accepts_the_output(tmp_path, cmd):
     assert rc == 0, err.getvalue()
     fails, _ = oracle.check(cmd, out.getvalue(), err.getvalue())
     assert fails == []
+    if cmd.subcommand == "spectrum":
+        assert misindexed_reports(json.loads(out.getvalue())) == []
 
 
 def _traced_modules():

@@ -6,6 +6,8 @@ import pytest
 
 from lioup import cli, model, spectra, superop
 
+from conftest import misindexed_reports
+
 
 def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
@@ -42,6 +44,15 @@ class TestSpectrumCommand:
         orders = {(round(float(d["cluster_value"]["re"])), d["order"])
                   for d in doc["degeneracies"]}
         assert (-60, 3) in orders
+
+    def test_report_indices_point_at_listed_eigenvalues(self, tmp_path, capsys):
+        # conjugate doubles at -30 +- 18.708i, listed in one order
+        cfg = write_config(tmp_path, {"model": "eff3",
+                                      "params": {"omega": 30.0, "j": 25.0, "q": 0.5}})
+        assert run(["spectrum", "--config", cfg]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["degeneracies"]) >= 2
+        assert misindexed_reports(doc) == []
 
     def test_four_level_group_counts(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

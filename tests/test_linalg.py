@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lioup import linalg, model, spectra, superop
+
+from conftest import model_params
 
 
 def random_complex(rng, n):
@@ -68,7 +72,9 @@ class TestEig:
         for n in (3, 6, 9):
             a = random_complex(rng, n)
             dec = linalg.eig(a)
-            assert dec.residuals.max() <= linalg.TOL_EIG * np.linalg.norm(a)
+            v = dec.right_vectors
+            residuals = np.linalg.norm(a @ v - v * dec.values, axis=0)
+            assert residuals.max() <= linalg.TOL_EIG * np.linalg.norm(a)
 
     def test_reconstruction(self, rng):
         a = random_complex(rng, 6)
@@ -115,8 +121,17 @@ class TestEig:
         assert stack.dtype == np.float64
         for a, w in zip(stack, linalg.eigvals(stack)):
             assert np.array_equal(np.sort_complex(w), np.sort_complex(w.conj()))
+            w_eig = linalg.eig(a).values
+            assert np.array_equal(np.sort_complex(w_eig), np.sort_complex(w_eig.conj()))
             w_complex = linalg.eigvals(a.astype(complex))
             assert spectra.match_distance(w, w_complex) <= 1e-12 * np.abs(w).max()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=model_params(), name=st.sampled_from(["eff3", "full4"]))
+    def test_eig_values_are_the_eigvals_bits(self, p, name):
+        m = superop.generator(name).matrix(p)
+        assert m.dtype == np.float64
+        assert np.array_equal(linalg.eig(m).values, linalg.eigvals(m))
 
     def test_other_dtypes_are_solved_as_complex(self):
         a = np.array([[0, 1], [-1, 0]], dtype=np.int64)
@@ -136,6 +151,11 @@ class TestEig:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             linalg.eig(np.zeros((2, 3)))
+
+    def test_eig_and_expm_take_one_matrix(self):
+        for f in (linalg.eig, linalg.expm):
+            with pytest.raises(ValueError):
+                f(np.zeros((2, 3, 3)))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -168,6 +188,13 @@ class TestExpm:
     def test_diagonal(self):
         out = linalg.expm(np.diag([-1.0, -2.0]).astype(complex))
         assert np.allclose(out, np.diag([np.exp(-1.0), np.exp(-2.0)]))
+
+    def test_real_input_stays_real(self, rng):
+        a = rng.normal(size=(9, 9))
+        out = linalg.expm(a)
+        assert out.dtype == np.float64
+        as_complex = linalg.expm(a.astype(complex))
+        assert np.abs(out - as_complex).max() <= 1e-12 * np.abs(out).max()
 
     def test_inverse_pairing(self, rng):
         a = random_complex(rng, 4)

@@ -49,7 +49,7 @@ class TestClassify:
     def test_basic_cases(self):
         omega, j = 30.0, 30.0
         alpha1 = analytic.alpha(omega, j)
-        kinds = classify([0.0, -2 * omega, -alpha1, 3j, 0.5], tol_class=1e-8)
+        kinds = classify([0.0, -2 * omega, -alpha1, 3j, 0.5])
         assert kinds == [STATIONARY, PURE_DECAY, DAMPED_OSCILLATION,
                          PURE_OSCILLATION, UNSTABLE]
 
@@ -87,8 +87,8 @@ class TestSplittings:
 class TestDetectDegeneracy:
     def test_operator_pair_coalescence(self):
         omega = 30.0
-        reports = detect_degeneracy(h_nh_tuned(omega, omega / np.sqrt(2.0)),
-                                    tol_cluster=1e-4)
+        _, reports = detect_degeneracy(h_nh_tuned(omega, omega / np.sqrt(2.0)),
+                                       tol_cluster=1e-4)
         assert len(reports) == 1
         r = reports[0]
         assert (r.algebraic_mult, r.geometric_mult, r.order) == (2, 1, 2)
@@ -103,7 +103,7 @@ class TestDetectDegeneracy:
         m = gm_liouvillian(p)
         ev = linalg.eigvals(m)
         spread = np.abs(ev - ev.mean()).max()
-        reports = detect_degeneracy(m, tol_cluster=3 * spread)
+        _, reports = detect_degeneracy(m, tol_cluster=3 * spread)
         assert len(reports) == 1
         r = reports[0]
         assert r.algebraic_mult == 9
@@ -112,7 +112,7 @@ class TestDetectDegeneracy:
         assert r.kind == "hybrid"
 
     def test_diabolical_crossing(self):
-        reports = detect_degeneracy(np.diag([1.0, 1.0, 2.0]).astype(complex))
+        _, reports = detect_degeneracy(np.diag([1.0, 1.0, 2.0]).astype(complex))
         assert len(reports) == 1
         r = reports[0]
         assert r.kind == "diabolical"
@@ -121,12 +121,12 @@ class TestDetectDegeneracy:
 
     def test_ill_conditioned_clusters_are_flagged(self):
         m = np.diag([0.0, 1e-9, 1e-6, 1e-6 + 1e-9]).astype(complex)
-        reports = detect_degeneracy(m, tol_cluster=6e-7)
+        _, reports = detect_degeneracy(m, tol_cluster=6e-7)
         assert len(reports) == 2
         assert all("ill_conditioned_clustering" in r.flags for r in reports)
 
     def test_no_reports_for_separated_spectrum(self):
-        assert detect_degeneracy(np.diag([1.0, 2.0, 4.0]).astype(complex)) == []
+        assert detect_degeneracy(np.diag([1.0, 2.0, 4.0]).astype(complex))[1] == []
 
 
 class TestCorrespondence:
@@ -158,15 +158,15 @@ class TestSweep:
     def test_bifurcation_at_critical_drive(self):
         omega = 30.0
         base = ModelParams(omega=omega, j=20.0, q=0.0)
-        res = sweep(lambda p: h_nh_tuned(p.omega, p.j), "j",
-                    np.linspace(15.0, 25.0, 101), base, gap_threshold=5.0)
         j_star = omega / np.sqrt(2.0)
+        res = sweep(lambda p: h_nh_tuned(p.omega, p.j), "j",
+                    np.sort(np.append(np.linspace(15.0, 25.0, 100), j_star)), base)
         below = res.grid < j_star - 0.2
         above = res.grid > j_star + 0.2
         spread_re = np.ptp(res.branches.real, axis=0)
         assert spread_re[below].max() < 1e-8
         assert spread_re[above].min() > 1.0
-        assert any(abs(res.grid[i] - j_star) < 0.2 for i in res.ep_candidates)
+        assert [res.grid[i] for i in res.ep_candidates] == [j_star]
 
     def test_columns_are_permutations_of_spectra(self):
         base = ModelParams(omega=30.0, j=10.0, q=0.5)
@@ -257,12 +257,10 @@ class TestSweep:
         values[::7, 3] = values[::7, 5] + 1e-9
         values[::5, :3] = values[::5, 8:9]
         diam = max(spectra.spectral_diameter(v) for v in values)
-        for threshold in (None, 0.3):
-            tol = 10.0 * spectra.TOL_CLUSTER_REL * diam if threshold is None \
-                else threshold
-            want = [int(np.count_nonzero(np.triu(np.abs(v[:, None] - v[None, :])
-                                                 < tol, 1))) for v in values]
-            assert spectra._close_pairs(values, threshold).tolist() == want
+        tol = 10.0 * spectra.TOL_CLUSTER_REL * diam
+        want = [int(np.count_nonzero(np.triu(np.abs(v[:, None] - v[None, :])
+                                             < tol, 1))) for v in values]
+        assert spectra._close_pairs(values).tolist() == want
 
     def test_rejects_unsorted_grid(self):
         base = ModelParams(omega=30.0, j=10.0)

@@ -13,7 +13,7 @@ from lioup.superop import (FOCKLIOUVILLE, GELLMANN, devectorize,
                            hybrid_liouvillian, lambda_superop, matrix_from_json,
                            nhh_superop, vectorize)
 
-from conftest import find_signed_permutation, reference_hybrid_matrix
+from conftest import find_signed_permutation, model_params, reference_hybrid_matrix
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -281,17 +281,6 @@ class TestGellMannSimilarity:
         want = -1j * h_superop(sys.hamiltonian) + gamma_superop(sys.jumps, 3)
         got = nhh_superop(sys.h_nh(), GELLMANN)
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
-
-
-@st.composite
-def model_params(draw):
-    # ground scales stay below gamma_sp / 10, where the reduction is valid
-    gamma_sp = draw(st.floats(1e3, 1e8))
-    return ModelParams(
-        omega=draw(st.floats(0.0, 100.0)), j=draw(st.floats(0.0, 100.0)),
-        delta_rf=draw(st.floats(-100.0, 100.0)),
-        delta_opt=gamma_sp * draw(st.floats(-2.0, 2.0)), gamma_sp=gamma_sp,
-        gamma_g=draw(st.floats(0.0, 10.0)), q=draw(st.floats(0.0, 1.0)))
 
 
 class TestGenerator:
