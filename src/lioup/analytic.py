@@ -15,9 +15,9 @@ def _branch_sqrt(x):
     return np.sqrt(complex(x))
 
 
-def alpha(omega, j, n=1):
-    """alpha_n = Omega + i n sqrt(2 J^2 - Omega^2), principal branch."""
-    return omega + 1j * n * _branch_sqrt(2 * j ** 2 - omega ** 2)
+def alpha(omega, j):
+    """alpha_1 = Omega + i sqrt(2 J^2 - Omega^2), principal branch."""
+    return omega + 1j * _branch_sqrt(2 * j ** 2 - omega ** 2)
 
 
 def fixed_six(omega, j):

@@ -31,10 +31,6 @@ class HalfInteger:
             raise ValueError(f"{x!r} is not a half-integer")
         return cls(int(r))
 
-    @property
-    def value(self):
-        return self.twice / 2.0
-
     def __repr__(self):
         return f"{self.twice}/2" if self.twice % 2 else str(self.twice // 2)
 

@@ -9,6 +9,8 @@ config error, 3 numerical failure.
 """
 
 import argparse
+import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -26,8 +28,7 @@ TOLERANCES = {
     "tol_class_rel": spectra.TOL_CLASS_REL,
 }
 
-PARAM_KEYS = {"omega", "omega_r", "j", "delta_rf", "delta_opt",
-              "gamma_sp", "gamma_g", "q"}
+PARAM_KEYS = tuple(f.name for f in dataclasses.fields(model.ModelParams))
 SWEEPABLE = {"j", "omega", "omega_r", "delta_rf", "delta_opt", "gamma_g"}
 
 
@@ -47,11 +48,11 @@ def _check_keys(obj, allowed, path):
             raise SchemaError(f"unknown key '{path}.{key}'")
 
 
-def _number(obj, key, path, required=False, default=None):
+def _number(obj, key, path, required=False):
     if key not in obj:
         if required:
             raise SchemaError(f"missing key '{path}.{key}'")
-        return default
+        return None
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"'{path}.{key}' must be a number")
@@ -134,21 +135,16 @@ def _report_json(r):
         "flags": list(r.flags),
     }
     if r.params is not None:
-        out["params"] = {k: _fmt(getattr(r.params, k))
-                         for k in ("omega", "omega_r", "j", "delta_rf",
-                                   "delta_opt", "gamma_sp", "gamma_g", "q")}
+        out["params"] = {k: _fmt(getattr(r.params, k)) for k in PARAM_KEYS}
     return out
 
 
 def _real_part_groups(values):
+    # single linkage in one dimension: split the sorted real parts where
+    # neighbours lie more than 5% of their spread apart
     reals = np.sort(values.real)
-    spread = reals[-1] - reals[0]
-    if spread == 0.0:
-        return [{"size": len(reals), "mean_re": _fmt(reals.mean())}]
-    groups = spectra._single_linkage(reals + 0j, 0.05 * spread)
-    out = []
-    for g in groups:
-        out.append({"size": len(g), "mean_re": _fmt(np.mean(reals[list(g)]))})
+    cuts = np.flatnonzero(np.diff(reals) > 0.05 * (reals[-1] - reals[0])) + 1
+    out = [{"size": g.size, "mean_re": _fmt(g.mean())} for g in np.split(reals, cuts)]
     out.sort(key=lambda d: float(d["mean_re"]), reverse=True)
     return out
 
@@ -252,10 +248,21 @@ def cmd_find_ep(cfg, out_path):
                        for v in rng)):
             raise SchemaError(f"'config.findep.box.{key}' must be [lo, hi]")
         box[key] = tuple(_number({key: v}, key, "config.findep.box") for v in rng)
+        if box[key][1] <= box[key][0]:
+            raise SchemaError(f"'config.findep.box.{key}' must have lo < hi")
     target = _integer(blk, "target_mult", "config.findep")
     builder = _level(cfg, blk, "config.findep")
 
     p = params_from_config(cfg)
+    # each searched field's domain is a half-line, so the box lies inside
+    # the model's domain when its corners do
+    for ends in itertools.product(*box.values()):
+        corner = dict(zip(box, ends))
+        try:
+            p.replace(**corner)
+        except ValueError as exc:
+            raise SchemaError(f"'config.findep.box' corner {corner} is invalid: "
+                              f"{exc}") from exc
     reports = spectra.find_ep(builder, box, target, p)
     doc = {"metadata": _metadata(cfg),
            "reports": [_report_json(r) for r in reports]}

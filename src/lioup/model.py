@@ -15,7 +15,10 @@ Basis conventions used throughout:
 All rates and frequencies are plain angular frequencies in one shared unit.
 Every builder, the effective reduction included, returns a LindbladSystem
 for superop's one Kronecker assembly of L(q); a jump set is a tuple of d x d
-arrays, in the order each builder documents.
+arrays, in the order each builder documents.  The effective reduction
+replaces each decay jump by its reduced form and passes the jumps that act
+only inside the ground block through, so `build_eff3` is the reduction of
+`build_full4_rwa`.
 """
 
 import dataclasses
@@ -32,8 +35,6 @@ from .angular import HalfInteger, spin_ops, wigner3j
 # Excited-state linewidth of the 87Rb D2 line (f=1 -> F=0), the default
 # spontaneous rate when only the reduced Rabi frequency is specified.
 GAMMA_D2 = 2 * math.pi * 5.7e6
-
-_I_POWER = {-1: -1j, 0: 1.0 + 0j, 1: 1j}
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,8 @@ class ModelParams:
                 raise ValueError(
                     f"omega={self.omega} inconsistent with omega_r^2/gamma_sp={expect}"
                 )
-        for name in ("j", "omega", "omega_r", "delta_rf", "delta_opt",
-                     "gamma_sp", "gamma_g", "q"):
-            if not math.isfinite(getattr(self, name)):
+        for name, value in vars(self).items():  # the fields, in order
+            if not math.isfinite(value):
                 raise ValueError(f"{name} is not finite")
 
     def replace(self, **kw):
@@ -135,19 +135,18 @@ def _phase_to_i(op):
     return op * (1j * abs(c) / c)
 
 
-def build_spont_jumps(f, F, gamma_sp, convention="explicit"):
+def build_spont_jumps(f, F, gamma_sp):
     """Spontaneous-emission jump operators for an f -> F transition.
 
     Returns three block operators of dimension (2f+1)+(2F+1), ordered by the
     polarization label eps = +1, 0, -1; basis is ground m = f..-f followed by
     excited M = F..-F.
 
-    convention="generic" gives i**(F-f) * sqrt(Gamma) * sum_mM
-    3j(f,1,F; -m,eps,M) |f m><F M| literally.  The default "explicit"
-    convention relabels eps -> -eps and fixes each operator's global phase so
-    the leading entry is +i * positive, which for f=1 -> F=0 reduces to the
-    explicit i*sqrt(Gamma/3)|1,-eps><0,0| form.  Global per-operator phases
-    do not affect relaxation, repopulation, or any spectrum.
+    The operator of label eps is sqrt(Gamma) * sum_mM 3j(f,1,F; -m,-eps,M)
+    |f m><F M|, with its global phase fixed so the leading entry is +i *
+    positive; for f=1 -> F=0 this is the explicit i*sqrt(Gamma/3)|1,-eps><0,0|
+    form.  Global per-operator phases do not affect relaxation, repopulation,
+    or any spectrum.
 
     The returned arrays are read-only.
     """
@@ -155,34 +154,22 @@ def build_spont_jumps(f, F, gamma_sp, convention="explicit"):
     F = HalfInteger.of(F)
     if abs(f.twice - F.twice) > 2:
         raise ValueError("transition forbidden: |f - F| must be <= 1")
-    if convention not in ("explicit", "generic"):
-        raise ValueError(f"unknown convention {convention!r}")
-    ops = math.sqrt(gamma_sp) * _unit_spont_jumps(f, F, convention)
+    ops = math.sqrt(gamma_sp) * _unit_spont_jumps(f, F)
     ops.flags.writeable = False
     return list(ops)
 
 
 @functools.lru_cache(maxsize=None)
-def _unit_spont_jumps(f, F, convention):
-    # exact 3j symbols are slow; they depend only on (f, F, convention)
+def _unit_spont_jumps(f, F):
+    # exact 3j symbols are slow; they depend only on (f, F)
     ng, ne = f.twice + 1, F.twice + 1
-    dim = ng + ne
-    dphase = _I_POWER[(F.twice - f.twice) // 2]
-
-    def generic(eps):
-        op = np.zeros((dim, dim), dtype=complex)
+    ops = np.zeros((3, ng + ne, ng + ne), dtype=complex)
+    for op, eps in zip(ops, (-1, 0, 1)):
         for i in range(ng):
-            tm = f.twice - 2 * i
             for k in range(ne):
-                tM = F.twice - 2 * k
-                w = wigner3j(f, 1, F, HalfInteger(-tm), eps, HalfInteger(tM))
-                op[i, ng + k] = dphase * w
-        return op
-
-    if convention == "generic":
-        ops = np.array([generic(eps) for eps in (1, 0, -1)])
-    else:
-        ops = np.array([_phase_to_i(generic(-eps)) for eps in (1, 0, -1)])
+                op[i, ng + k] = wigner3j(f, 1, F, HalfInteger(2 * i - f.twice), eps,
+                                         HalfInteger(F.twice - 2 * k))
+    ops = np.array([_phase_to_i(op) for op in ops])
     ops.flags.writeable = False
     return ops
 
@@ -250,8 +237,9 @@ def reduce_effective(sys4: LindbladSystem, p: ModelParams) -> LindbladSystem:
 
     Implemented for a one-dimensional excited manifold (F=0): the last basis
     state decays at gamma_sp, everything before it is ground.  Returns the
-    ground system with one reduced jump per decay jump; jumps that act
-    purely inside the ground block pass through untouched and are left out.
+    ground system with one reduced jump per decay jump, then each jump that
+    acts only inside the ground block, restricted to it; any other jump has
+    an excited-block part and is left out.
     """
     ngr = sys4.dim - 1
     h = sys4.hamiltonian
@@ -262,11 +250,12 @@ def reduce_effective(sys4: LindbladSystem, p: ModelParams) -> LindbladSystem:
     v_plus = h[ngr:, :ngr]
     v_minus = v_plus.conj().T
 
-    spont = []
+    spont, ground = [], []
     for op in sys4.jumps:
-        if np.abs(op[:ngr, :ngr]).max() > 0 or np.abs(op[ngr:, ngr:]).max() > 0:
-            continue  # ground-only or diagonal-block jumps are untouched
-        spont.append(op)
+        if not (op[:ngr, :ngr].any() or op[ngr:, ngr:].any()):
+            spont.append(op)
+        elif not (op[:ngr, ngr:].any() or op[ngr:, :].any()):
+            ground.append(op[:ngr, :ngr])
     g_e = sum((op.conj().T @ op for op in spont),
               np.zeros((sys4.dim, sys4.dim), dtype=complex))[ngr:, ngr:]
     h_enh = h_e - 0.5j * g_e
@@ -275,7 +264,7 @@ def reduce_effective(sys4: LindbladSystem, p: ModelParams) -> LindbladSystem:
 
     h_eff = h_g - 0.5 * (v_minus @ (h_enh_inv + h_enh_inv.conj().T) @ v_plus)
     l_eff = tuple((op[:ngr, ngr:] @ h_enh_inv @ v_plus) for op in spont)
-    return LindbladSystem(dim=ngr, hamiltonian=h_eff, jumps=l_eff)
+    return LindbladSystem(dim=ngr, hamiltonian=h_eff, jumps=l_eff + tuple(ground))
 
 
 def build_eff3(p: ModelParams) -> LindbladSystem:
@@ -284,11 +273,7 @@ def build_eff3(p: ModelParams) -> LindbladSystem:
     The jumps are the three reduced spontaneous-emission operators, eps = +1,
     0, -1, then, if gamma_g > 0, the nine of `build_ground_relaxation`.
     """
-    red = reduce_effective(build_full4_rwa(p), p)
-    if p.gamma_g > 0:
-        red = dataclasses.replace(
-            red, jumps=red.jumps + tuple(build_ground_relaxation(p.gamma_g)))
-    return red
+    return reduce_effective(build_full4_rwa(p), p)
 
 
 @dataclass(frozen=True)

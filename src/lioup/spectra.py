@@ -253,7 +253,6 @@ def correspondence_check(h_nh, super_spectrum):
 
 @dataclass(frozen=True)
 class SweepResult:
-    parameter: str
     grid: np.ndarray
     branches: np.ndarray  # (n_branches, n_points), continuity-tracked
     ep_candidates: tuple
@@ -279,28 +278,20 @@ def sweep(builder, parameter, grid, base: ModelParams):
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be ascending with at least 2 points")
 
-    stack, built, failures = None, [], []
+    mats, failures = {}, []  # grid index -> matrix, (grid index, message)
     for i, x in enumerate(grid):
         try:
-            m = np.asarray(builder(base.replace(**{parameter: float(x)})))
-            if stack is None:
-                stack = np.empty((grid.size,) + m.shape, dtype=m.dtype)
-            elif not np.can_cast(m.dtype, stack.dtype):
-                stack = stack.astype(np.result_type(stack, m))
-            stack[len(built)] = m
+            mats[i] = builder(base.replace(**{parameter: float(x)}))
         except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
             failures.append((i, _describe(exc)))
-        else:
-            built.append(i)
-    values, failed = _eigvals_each(stack[:len(built)]) if built else ([], [])
-    results = [None] * grid.size
-    for i, v in zip(built, values):
-        results[i] = v
+    values, failed = _eigvals_each(np.array(list(mats.values())))
+    built = list(mats)
     failures = sorted(failures + [(built[k], msg) for k, msg in failed])
-
-    good = [i for i, r in enumerate(results) if r is not None]
-    if not good:
+    results = {i: v for i, v in zip(built, values) if v is not None}
+    if not results:
         raise RuntimeError("builder failed at every grid point")
+
+    good = list(results)
     nb = results[good[0]].size
     branches = np.full((nb, grid.size), np.nan + 1j * np.nan, dtype=complex)
     branches[:, good[0]] = results[good[0]]
@@ -317,8 +308,8 @@ def sweep(builder, parameter, grid, base: ModelParams):
     counts = _close_pairs(branches[:, good].T)
     fewest = counts.min()
     candidates = tuple(i for i, c in zip(good, counts) if c > fewest)
-    return SweepResult(parameter=parameter, grid=grid, branches=branches,
-                       ep_candidates=candidates, failures=tuple(failures))
+    return SweepResult(grid=grid, branches=branches, ep_candidates=candidates,
+                       failures=tuple(failures))
 
 
 def _close_pairs(values):
@@ -487,7 +478,6 @@ class EvolveResult:
     rho_eig: np.ndarray | None  # (n, d, d); None if defective
     trace_drift: np.ndarray  # (n,)
     max_diff: np.ndarray  # (n,); NaN if defective
-    defective: bool = False
 
 
 def evolve_check(l, rho0, times):
@@ -498,7 +488,7 @@ def evolve_check(l, rho0, times):
     trace, as hybrid generators with q < 1 and dissipation do not.  rho0 is
     checked and vectorized, and l eigendecomposed, once for all times;
     expm(l t) is formed at each time as the independent route.  A defective
-    Liouvillian disables the eigen-expansion route and is flagged.
+    Liouvillian disables the eigen-expansion route: rho_eig is None.
     """
     # the last row holds the traces Tr(l(s_j)) times sqrt(2/d) / 2
     if np.abs(l[-1]).max() > 1e-12 * np.abs(l).max():
@@ -527,11 +517,10 @@ def evolve_check(l, rho0, times):
     v = dec.right_vectors
     if np.linalg.cond(v) > 1e12:
         return EvolveResult(rho_expm=rho_expm, rho_eig=None, trace_drift=trace_drift,
-                            max_diff=np.full(times.size, np.nan), defective=True)
+                            max_diff=np.full(times.size, np.nan))
     coeff = np.linalg.solve(v, v0)
     rho_eig = np.array([superop.devectorize(v @ (coeff * np.exp(dec.values * t)),
                                             superop.GELLMANN)
                         for t in times])
     return EvolveResult(rho_expm=rho_expm, rho_eig=rho_eig, trace_drift=trace_drift,
-                        max_diff=np.abs(rho_expm - rho_eig).max(axis=(1, 2)),
-                        defective=False)
+                        max_diff=np.abs(rho_expm - rho_eig).max(axis=(1, 2)))

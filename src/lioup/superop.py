@@ -25,10 +25,10 @@ the spectrum does not depend on the basis.  Both term sets are solved once
 per model from its builder at the probe parameters: the A_k from the
 probes' H_nh, the B_k from the Kronecker assembly and the cached
 similarity S^H L S / 2 with S[:, i] = vec(s_i); the two views are the
-references it is tested against.  `superop_of_map`, `h_superop`,
-`gamma_superop` and `lambda_superop` evaluate the Gell-Mann M_ij =
-Tr(map(s_j) s_i)/2 directly, independently of the Kronecker path, taking
-the dimension from h or, where a jump set may be empty, from d.
+references it is tested against.  `superop_of_map`, `h_superop` and
+`gamma_superop` evaluate the Gell-Mann M_ij = Tr(map(s_j) s_i)/2 directly,
+independently of the Kronecker path, taking the dimension from h or, where
+a jump set may be empty, from d.
 """
 
 import functools
@@ -137,19 +137,6 @@ def gamma_superop(jumps, d):
     g = sum((np.asarray(l, dtype=complex).conj().T @ np.asarray(l, dtype=complex)
              for l in jumps), np.zeros((d, d), dtype=complex))
     return superop_of_map(lambda s: -0.5 * (g @ s + s @ g), d)
-
-
-def lambda_superop(jumps, d):
-    """Quantum-jump (repopulation) superoperator, 1/2 sum Tr(L s_j L^dag s_i)."""
-    ops = [np.asarray(l, dtype=complex) for l in jumps]
-
-    def apply_fn(s):
-        out = np.zeros_like(s)
-        for l in ops:
-            out += l @ s @ l.conj().T
-        return out
-
-    return superop_of_map(apply_fn, d)
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lioup import cli, model, spectra, superop
+from lioup import cli, model, spectra, superop, validate
 
 from conftest import misindexed_reports
 
@@ -385,6 +385,61 @@ class TestSchemaValidation:
         assert run([command, "--config", cfg]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,blk,key", [
+        ("sweep", {"sweep": 5}, "config.sweep"),
+        ("sweep", {"sweep": {"parameter": "j", "start": 1.0, "stop": 2.0,
+                             "points": 3, "level": "lindblad"}}, "config.sweep.level"),
+        ("spectrum", {"basis": "pauli"}, "config.basis"),
+        ("spectrum", {"params": {"omega": "30", "j": 10.0}}, "config.params.omega"),
+        ("spectrum", {"spectrum": {"tol_cluster": 0.0}}, "config.spectrum.tol_cluster"),
+        ("sweep", {"sweep": {"parameter": "q", "start": 0.0, "stop": 1.0,
+                             "points": 3}}, "config.sweep.parameter"),
+        ("sweep", {"sweep": {"parameter": "j", "stop": 2.0, "points": 3}},
+         "config.sweep.start"),
+        ("sweep", {"sweep": {"parameter": "j", "start": 2.0, "stop": 2.0,
+                             "points": 3}}, "config.sweep.stop"),
+        ("find-ep", {}, "config.findep"),
+        ("evolve", {}, "config.evolve"),
+        ("find-ep", {"findep": {"box": [15.0, 30.0], "target_mult": 2}},
+         "config.findep.box"),
+        ("find-ep", {"findep": {"box": {"q": [0.0, 1.0]}, "target_mult": 2}},
+         "config.findep.box.q"),
+        ("evolve", {"evolve": {"t_max": 0.0, "steps": 3}}, "config.evolve.t_max"),
+        ("evolve", {"evolve": {"rho0": [[[1.0, 0.0]]], "t_max": 0.1, "steps": 3}},
+         "config.evolve.rho0"),
+        ("evolve", {"evolve": {"rho0": "pure", "t_max": 0.1, "steps": 3}},
+         "config.evolve.rho0"),
+    ])
+    def test_schema_branches_name_their_key(self, tmp_path, capsys, command, blk, key):
+        assert run([command, "--config", write_config(tmp_path, {**BASE, **blk})]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_missing_params(self, tmp_path, capsys):
+        assert run(["spectrum", "--config", write_config(tmp_path, {"model": "eff3"})]) == 2
+        assert "config.params" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("box,key", [
+        ({"j": [30.0, 15.0]}, "j"),  # empty
+        ({"j": [-5.0, 30.0]}, "j"),  # j must be non-negative
+        ({"omega": [-10.0, 40.0]}, "omega"),  # omega_r = sqrt(omega gamma_sp)
+    ])
+    def test_findep_box_outside_the_model_domain(self, tmp_path, capsys, box, key):
+        cfg = write_config(tmp_path, {
+            "model": "eff3", "params": {"omega": 30.0, "j": 20.0, "q": 0.0},
+            "findep": {"box": box, "target_mult": 2}})
+        assert run(["find-ep", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config.findep.box" in err and key in err
+
+    def test_spectrum_block_without_radius_takes_the_default(self, tmp_path, capsys):
+        plain = write_config(tmp_path, BASE, name="plain.json")
+        assert run(["spectrum", "--config", plain]) == 0
+        want = json.loads(capsys.readouterr().out)
+        cfg = write_config(tmp_path, {**BASE, "spectrum": {}})
+        assert run(["spectrum", "--config", cfg]) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got["degeneracies"] == want["degeneracies"]
+
     def test_inconsistent_rabi_pair(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "model": "eff3",
@@ -392,3 +447,26 @@ class TestSchemaValidation:
         })
         assert run(["spectrum", "--config", cfg]) == 2
         assert "config.params" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigensolver broke")
+
+        monkeypatch.setattr(spectra, "detect_degeneracy", fail)
+        assert run(["spectrum", "--config", write_config(tmp_path, BASE)]) == 3
+        assert "numerical failure: eigensolver broke" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("passed,rc,status", [(False, 1, "FAIL"),
+                                                  (True, 0, "XFAIL")])
+    def test_validate_exit_code(self, capsys, monkeypatch, passed, rc, status):
+        canned = [validate.CriterionResult("1a", "holds", True),
+                  validate.CriterionResult("2d", "limited", False, expected_fail=True)]
+        if not passed:
+            canned.append(validate.CriterionResult("3a", "broken", False))
+        monkeypatch.setattr(validate, "run_all", lambda: canned)
+        assert run(["validate"]) == rc
+        out = capsys.readouterr().out
+        assert f" {status} " in out
+        assert (" FAIL " in out) == (not passed)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lioup import linalg, model, spectra, superop
+from lioup.angular import wigner3j
 from lioup.model import (GAMMA_D2, LindbladSystem, ModelParams,
                          build_eff3, build_full4_rwa, build_ground_relaxation,
                          build_spont_jumps, h_nh_detuned, h_nh_tuned,
@@ -148,6 +149,20 @@ class TestGrwaGenerator:
         assert np.abs(u - want).max() < 1e-12
 
 
+def generic_spont_jumps(f, F, gamma):
+    """Textbook jumps i**(F-f) sqrt(Gamma) sum_mM 3j(f,1,F; -m,eps,M) |f m><F M|,
+    eps = +1, 0, -1, for integer f and F."""
+    ng, ne = 2 * f + 1, 2 * F + 1
+    ops = []
+    for eps in (1, 0, -1):
+        op = np.zeros((ng + ne, ng + ne), dtype=complex)
+        for i, m in enumerate(range(f, -f - 1, -1)):
+            for k, bigm in enumerate(range(F, -F - 1, -1)):
+                op[i, ng + k] = wigner3j(f, 1, F, -m, eps, bigm)
+        ops.append(1j ** (F - f) * math.sqrt(gamma) * op)
+    return ops
+
+
 class TestSpontaneousJumps:
     def test_explicit_form_matrices(self):
         gamma = 17.0
@@ -160,8 +175,8 @@ class TestSpontaneousJumps:
             assert np.abs(op - want).max() < 1e-14
 
     def test_generic_form_matches_up_to_phase(self):
-        generic = build_spont_jumps(1, 0, 4.0, convention="generic")
-        explicit = build_spont_jumps(1, 0, 4.0, convention="explicit")
+        generic = generic_spont_jumps(1, 0, 4.0)
+        explicit = build_spont_jumps(1, 0, 4.0)
         for op in generic:
             # each generic operator equals some explicit operator up to a
             # global phase (the sets are relabelled eps -> -eps)
@@ -170,7 +185,8 @@ class TestSpontaneousJumps:
 
     def test_phase_convention_does_not_affect_physics(self):
         for conv in ("explicit", "generic"):
-            ops = build_spont_jumps(1, 1, 2.0, convention=conv)
+            ops = (build_spont_jumps(1, 1, 2.0) if conv == "explicit"
+                   else generic_spont_jumps(1, 1, 2.0))
             gamma_op = sum(op.conj().T @ op for op in ops)
             rho = np.diag([0.1, 0.2, 0.3, 0.15, 0.15, 0.1]).astype(complex)
             repop = sum(op @ rho @ op.conj().T for op in ops)
@@ -194,7 +210,7 @@ class TestSpontaneousJumps:
         assert np.abs(total - want).max() < 1e-12
 
     def test_projection_selection_rule(self):
-        ops = build_spont_jumps(1, 2, 1.0, convention="generic")
+        ops = generic_spont_jumps(1, 2, 1.0)
         for eps, op in zip((1, 0, -1), ops):
             for i, m in enumerate((1, 0, -1)):
                 for k, bigm in enumerate((2, 1, 0, -1, -2)):
@@ -278,6 +294,20 @@ class TestEffectiveReduction:
         assert np.abs(red.h_nh() - h_nh_tuned(30.0, 10.0)).max() < 1e-9
         got = superop.generator("eff3").operator(p)
         assert np.abs(got - h_nh_tuned(30.0, 10.0)).max() < 1e-9
+
+    def test_ground_jumps_pass_through_and_excited_ones_are_dropped(self):
+        p = ModelParams(omega=30.0, j=10.0, gamma_g=0.6)
+        sys4 = build_full4_rwa(p)
+        dephasing = np.diag([0.0, 0.0, 0.0, 1.0])  # excited block only
+        mixed = sys4.jumps[3] + sys4.jumps[0]  # ground and decay parts
+        red = reduce_effective(
+            LindbladSystem(dim=4, hamiltonian=sys4.hamiltonian,
+                           jumps=sys4.jumps + (dephasing, mixed)), p)
+        assert len(red.jumps) == 12
+        plain = reduce_effective(sys4, p)
+        assert all(np.array_equal(a, b) for a, b in zip(red.jumps, plain.jumps))
+        assert all(np.array_equal(a, b[:3, :3])
+                   for a, b in zip(red.jumps[3:], sys4.jumps[3:]))
 
     def test_effective_jump_magnitude(self):
         p = ModelParams(omega=30.0, j=10.0)

@@ -193,6 +193,13 @@ class TestSweep:
                     np.linspace(0.5, 60.0, 120), base)
         assert res.ep_candidates == ()
 
+    def test_failure_at_every_point_raises(self):
+        def builder(p):
+            raise ValueError("no matrix")
+
+        with pytest.raises(RuntimeError, match="builder failed at every grid point"):
+            sweep(builder, "j", np.linspace(5.0, 40.0, 4), ModelParams(omega=30.0))
+
     def test_builder_failure_is_recorded(self):
         base = ModelParams(omega=30.0, j=10.0, q=0.0)
 
@@ -375,6 +382,22 @@ class TestEvolveCheck:
             assert np.array_equal(one.rho_expm[0], res.rho_expm[k])
             assert np.array_equal(one.rho_eig[0], res.rho_eig[k])
             assert one.max_diff[0] == res.max_diff[k]
+
+    def test_defective_generator_keeps_only_the_expm_route(self):
+        # qubit Gell-Mann generator moving the sigma_y component into the
+        # sigma_x one: trace-preserving, and an exact Jordan block (l @ l = 0)
+        l = np.zeros((4, 4))
+        l[0, 1] = 1.0
+        rho0 = np.array([[0.5, -0.25j], [0.25j, 0.5]])
+        times = np.linspace(0.0, 2.0, 5)
+        res = evolve_check(l, rho0, times)
+        assert res.rho_eig is None
+        assert np.isnan(res.max_diff).all()
+        assert np.all(res.trace_drift == 0.0)
+        v0 = superop.vectorize(rho0, superop.GELLMANN)
+        for t, rho in zip(times, res.rho_expm):
+            want = superop.devectorize(v0 + t * (l @ v0), superop.GELLMANN)
+            assert np.abs(rho - want).max() < 1e-15
 
     def test_rejects_hybrid_generator(self):
         p = ModelParams(omega=30.0, j=10.0, q=0.5)

@@ -10,8 +10,8 @@ from lioup import analytic, linalg, model, spectra, superop
 from lioup.model import LindbladSystem, ModelParams, build_eff3, build_ground_relaxation
 from lioup.superop import (FOCKLIOUVILLE, GELLMANN, devectorize,
                            gamma_superop, gellmann_basis, h_superop,
-                           hybrid_liouvillian, lambda_superop, matrix_from_json,
-                           nhh_superop, vectorize)
+                           hybrid_liouvillian, matrix_from_json, nhh_superop,
+                           superop_of_map, vectorize)
 
 from conftest import find_signed_permutation, model_params, reference_hybrid_matrix
 
@@ -20,6 +20,19 @@ PAULI = {
     "y": np.array([[0, -1j], [1j, 0]]),
     "z": np.diag([1.0, -1.0]).astype(complex),
 }
+
+
+def lambda_superop(jumps, d):
+    """Quantum-jump (repopulation) superoperator, 1/2 sum Tr(L s_j L^dag s_i)."""
+    ops = [np.asarray(l, dtype=complex) for l in jumps]
+
+    def apply_fn(s):
+        out = np.zeros_like(s)
+        for l in ops:
+            out += l @ s @ l.conj().T
+        return out
+
+    return superop_of_map(apply_fn, d)
 
 
 def random_system(rng, d, n_jumps, scale=1.0):
