@@ -72,13 +72,24 @@ def _integer(blk, key, path):
     return v
 
 
-def _level(cfg, blk, path):
-    """The block's `level` as a builder: the model's gen.operator or gen.matrix."""
+def _level(blk, path):
+    """The block's `level`: "superoperator" (the default) or "operator"."""
     level = blk.get("level", "superoperator")
     if level not in ("superoperator", "operator"):
         raise SchemaError(f"'{path}.level' must be 'superoperator' or 'operator'")
-    gen = superop.generator(cfg["model"])
-    return gen.operator if level == "operator" else gen.matrix
+    return level
+
+
+def _check_box(p, box, path):
+    """Raise a config error unless every corner of `box`, a map of fields to
+    (lo, hi), is valid params; each sweepable field's domain is an interval,
+    so then the whole box is."""
+    for ends in itertools.product(*box.values()):
+        corner = dict(zip(box, ends))
+        try:
+            p.replace(**corner)
+        except ValueError as exc:
+            raise SchemaError(f"'{path}' has invalid params at {corner}: {exc}") from exc
 
 
 def load_config(path):
@@ -203,11 +214,14 @@ def cmd_sweep(cfg, out_path):
     points = _integer(blk, "points", "config.sweep")
     if stop <= start:
         raise SchemaError("'config.sweep.stop' must exceed start")
-    builder = _level(cfg, blk, "config.sweep")
+    level = _level(blk, "config.sweep")
 
     p = params_from_config(cfg)
+    _check_box(p, {parameter: (start, stop)}, "config.sweep")
     grid = np.linspace(start, stop, points)
-    result = spectra.sweep(builder, parameter, grid, p)
+    gen = superop.generator(cfg["model"])
+    build = gen.operators if level == "operator" else gen.matrices
+    result = spectra.sweep(build(p, parameter, grid), grid)
 
     nb = result.branches.shape[0]
     header = ([parameter] + [f"re_{k + 1}" for k in range(nb)]
@@ -251,18 +265,12 @@ def cmd_find_ep(cfg, out_path):
         if box[key][1] <= box[key][0]:
             raise SchemaError(f"'config.findep.box.{key}' must have lo < hi")
     target = _integer(blk, "target_mult", "config.findep")
-    builder = _level(cfg, blk, "config.findep")
+    level = _level(blk, "config.findep")
 
     p = params_from_config(cfg)
-    # each searched field's domain is a half-line, so the box lies inside
-    # the model's domain when its corners do
-    for ends in itertools.product(*box.values()):
-        corner = dict(zip(box, ends))
-        try:
-            p.replace(**corner)
-        except ValueError as exc:
-            raise SchemaError(f"'config.findep.box' corner {corner} is invalid: "
-                              f"{exc}") from exc
+    _check_box(p, box, "config.findep.box")
+    gen = superop.generator(cfg["model"])
+    builder = gen.operator if level == "operator" else gen.matrix
     reports = spectra.find_ep(builder, box, target, p)
     doc = {"metadata": _metadata(cfg),
            "reports": [_report_json(r) for r in reports]}

@@ -217,14 +217,27 @@ def build_full4_rwa(p: ModelParams) -> LindbladSystem:
     return LindbladSystem(dim=4, hamiltonian=h, jumps=tuple(jumps))
 
 
-def _warn_unless_fast_decay(p):
-    scale = max(p.j, abs(p.delta_rf), p.omega)
-    if p.gamma_sp < 10.0 * scale:
+def _warn_unless_fast_decay(v):
+    # v maps field names to numbers, or along at most one field to arrays of
+    # them, and that field is never gamma_sp and a ground scale at once: so
+    # some point is slow exactly when the least gamma_sp is below ten times
+    # the largest ground scale, and one warning covers all of them
+    scale = max(_most(v["j"]), _most(abs(v["delta_rf"])), _most(v["omega"]))
+    gamma_sp = _least(v["gamma_sp"])
+    if gamma_sp < 10.0 * scale:
         warnings.warn(
             "effective reduction assumes gamma_sp to dominate ground-state "
-            f"scales (gamma_sp={p.gamma_sp:g}, max ground scale={scale:g})",
+            f"scales (gamma_sp={gamma_sp:g}, max ground scale={scale:g})",
             stacklevel=3,
         )
+
+
+def _most(x):
+    return x.max() if isinstance(x, np.ndarray) else x
+
+
+def _least(x):
+    return x.min() if isinstance(x, np.ndarray) else x
 
 
 def _check_excited_nhh(h_e):
@@ -243,7 +256,7 @@ def reduce_effective(sys4: LindbladSystem, p: ModelParams) -> LindbladSystem:
     """
     ngr = sys4.dim - 1
     h = sys4.hamiltonian
-    _warn_unless_fast_decay(p)
+    _warn_unless_fast_decay(vars(p))
 
     h_g = h[:ngr, :ngr]
     h_e = h[ngr:, ngr:]
@@ -281,39 +294,104 @@ class LinearForm:
     """How a model's generator depends on its parameters.
 
     The hybrid Liouvillian of `build(p)` at jump weight p.q is exactly
-    sum_k coefficients(p)[k] * B_k with fixed matrices B_k, and its
-    non-Hermitian Hamiltonian `build(p).h_nh()` is sum_k coefficients(p)[k]
-    * A_k.  Neither term set is written out: both follow from `build` at the
-    `probes`, parameter sets whose coefficient vectors are linearly
-    independent (see superop.generator), so the matrices stay defined by the
-    builders alone.
+    sum_k coefficients(p)[0, k] * B_k with fixed matrices B_k, and its
+    non-Hermitian Hamiltonian `build(p).h_nh()` is sum_k
+    coefficients(p)[0, k] * A_k.  Neither term set is written out: both
+    follow from `build` at the `probes`, parameter sets whose coefficient
+    vectors are linearly independent (see superop.generator), so the
+    matrices stay defined by the builders alone.  `columns` takes a map of
+    field names to numbers, with 1-D arrays of them along at most one field,
+    and returns the K coefficients, each a number or an array along it.
     """
 
     dim: int
     build: Callable[[ModelParams], LindbladSystem]
-    coefficients: Callable[[ModelParams], tuple]
+    columns: Callable[[dict], tuple]
     probes: tuple  # of ModelParams, one per coefficient
 
+    def coefficients(self, p: ModelParams, field=None, values=None) -> np.ndarray:
+        """The coefficients as an (n, K) float64 array, one row per point.
 
-def _full4_coefficients(p):
+        Without `field`, the one row at p.  With it, one row per entry of
+        the 1-D array `values`, at p with `field` set to that entry; setting
+        omega or omega_r re-derives the other as ModelParams.replace does.
+        Only that field is an array, and every row has the bits of the row
+        at the ModelParams it stands for.  The values are not validated:
+        every field's domain is an interval, so p.replace at the least and
+        the greatest value checks them all.  The model's checks (the eff3
+        fast-decay warning and singular excited-NHH error) run once over
+        all the points.
+        """
+        v = dict(vars(p))
+        if field is not None:
+            if field not in v:
+                raise ValueError(f"unknown parameter {field!r}")
+            v[field] = np.asarray(values, dtype=float)
+            if v[field].ndim != 1:
+                raise ValueError("values must be a 1-D array")
+            if field == "omega":
+                v["omega_r"] = np.sqrt(v["omega"] * v["gamma_sp"])
+            elif field == "omega_r":
+                v["omega"] = _pointwise(_square, v["omega_r"]) / v["gamma_sp"]
+        cols = self.columns(v)
+        if field is None:
+            return np.array([cols], dtype=float)
+        return np.column_stack(np.broadcast_arrays(*cols))
+
+
+def _pointwise(fn, *args):
+    """fn at each point of its broadcast arguments, on Python numbers.
+
+    For what NumPy rounds differently from Python: `x ** 2` is the C
+    library's pow, not NumPy's x * x (about one square in a thousand
+    differs), and CPython's complex division scales by the larger part and
+    divides, where NumPy's multiplies by a reciprocal.  Scalar arguments
+    give fn(*args) itself.
+    """
+    if not any([isinstance(a, np.ndarray) for a in args]):
+        return fn(*args)
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    points = zip(*(np.broadcast_to(a, shape).tolist() for a in args))
+    return np.array([fn(*x) for x in points])
+
+
+def _square(x):
+    return x ** 2
+
+
+def _full4_columns(v):
     # H is linear in delta_rf, j, omega_r and delta_opt; each dissipator
     # scales with its rate and its jump (repopulation) part with q times it
-    return (p.delta_rf, p.j, p.omega_r, p.delta_opt,
-            p.gamma_sp, p.q * p.gamma_sp, p.gamma_g, p.q * p.gamma_g)
+    return (v["delta_rf"], v["j"], v["omega_r"], v["delta_opt"], v["gamma_sp"],
+            v["q"] * v["gamma_sp"], v["gamma_g"], v["q"] * v["gamma_g"])
 
 
-def _eff3_coefficients(p):
+def _eff3_columns(v):
     # reduce_effective on build_full4_rwa: the excited state has the scalar
     # NHH h_e = -delta_opt - i gamma_sp / 2 and couples to |1,0> through
     # -omega_r, so h_eff = h_g - omega_r^2 Re(1/h_e) |1,0><1,0| and every
     # reduced jump is sqrt(gamma_sp) omega_r / h_e times a fixed matrix
-    _warn_unless_fast_decay(p)
-    h_e = complex(-p.delta_opt, -0.5 * p.gamma_sp)
+    _warn_unless_fast_decay(v)
+    omega_r2 = _pointwise(_square, v["omega_r"])
+    shift = -omega_r2 * _pointwise(_inverse_real, v["delta_opt"], v["gamma_sp"])
+    rate = v["gamma_sp"] * omega_r2 / _pointwise(_abs_square, v["delta_opt"],
+                                                 v["gamma_sp"])
+    return (v["delta_rf"], v["j"], shift, rate, v["q"] * rate,
+            v["gamma_g"], v["q"] * v["gamma_g"])
+
+
+def _excited_nhh(delta_opt, gamma_sp):
+    h_e = complex(-delta_opt, -0.5 * gamma_sp)
     _check_excited_nhh(h_e)
-    shift = -p.omega_r ** 2 * (1.0 / h_e).real
-    rate = p.gamma_sp * p.omega_r ** 2 / abs(h_e) ** 2
-    return (p.delta_rf, p.j, shift, rate, p.q * rate,
-            p.gamma_g, p.q * p.gamma_g)
+    return h_e
+
+
+def _inverse_real(delta_opt, gamma_sp):
+    return (1.0 / _excited_nhh(delta_opt, gamma_sp)).real
+
+
+def _abs_square(delta_opt, gamma_sp):
+    return abs(_excited_nhh(delta_opt, gamma_sp)) ** 2
 
 
 # Probe values are powers of two small enough against gamma_sp = 1 that the
@@ -323,13 +401,13 @@ _PROBE = ModelParams(omega_r=0.0, gamma_sp=1.0, q=0.0)
 
 LINEAR_FORMS = {
     "full4": LinearForm(
-        dim=4, build=build_full4_rwa, coefficients=_full4_coefficients,
+        dim=4, build=build_full4_rwa, columns=_full4_columns,
         probes=(_PROBE, _PROBE.replace(q=1.0), _PROBE.replace(delta_rf=0.0625),
                 _PROBE.replace(j=0.0625), _PROBE.replace(omega_r=0.25),
                 _PROBE.replace(delta_opt=0.0625), _PROBE.replace(gamma_g=1.0),
                 _PROBE.replace(gamma_g=1.0, q=1.0))),
     "eff3": LinearForm(
-        dim=3, build=build_eff3, coefficients=_eff3_coefficients,
+        dim=3, build=build_eff3, columns=_eff3_columns,
         probes=(_PROBE.replace(delta_rf=0.0625), _PROBE.replace(j=0.0625),
                 _PROBE.replace(omega_r=0.25, delta_opt=0.5),
                 _PROBE.replace(omega_r=0.25),

@@ -9,9 +9,11 @@ a float64 generator is solved in real arithmetic.
 
 Results are plain values: `classify` gives kind strings, `splittings`
 (i, j, dE_real, dE_imag) tuples, and `detect_degeneracy` the eigenvalues
-with reports whose `indices` index them.  The builders that `sweep` and
-`find_ep` call return the matrix at the given ModelParams as an array, and
-`evolve_check` takes the generator's Gell-Mann matrix as an array.
+with reports whose `indices` index them.  `sweep` analyses a stack of
+matrices it is given, one per grid point (superop.Generator builds one for
+a grid of one parameter); the builder that `find_ep` calls returns the
+matrix at the given ModelParams as an array, and `evolve_check` takes the
+generator's Gell-Mann matrix as an array.
 """
 
 import dataclasses
@@ -259,14 +261,14 @@ class SweepResult:
     failures: tuple = ()  # of (grid index, message)
 
 
-def sweep(builder, parameter, grid, base: ModelParams):
-    """Eigenvalue branches of builder(params) along one parameter grid.
+def sweep(stack, grid):
+    """Eigenvalue branches of an (n, d, d) stack of matrices, one per point
+    of an ascending parameter grid.
 
-    The grid's matrices are built one after another and solved by one
-    batched eigensolve, in real arithmetic while every matrix is float64.
-    Branches are tracked between consecutive grid points by the
-    minimal-total-distance assignment; grid points whose builder or
-    eigensolve raises are recorded as failures and their branch column is NaN.
+    The stack is solved by one batched eigensolve, in real arithmetic when
+    it is float64.  Branches are tracked between consecutive grid points by
+    the minimal-total-distance assignment; grid points whose eigensolve
+    raises are recorded as failures and their branch column is NaN.
 
     EP candidates are the points with more eigenvalue pairs closer than
     1e-5 of the largest spectral diameter on the grid than the fewest any
@@ -277,19 +279,12 @@ def sweep(builder, parameter, grid, base: ModelParams):
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be ascending with at least 2 points")
-
-    mats, failures = {}, []  # grid index -> matrix, (grid index, message)
-    for i, x in enumerate(grid):
-        try:
-            mats[i] = builder(base.replace(**{parameter: float(x)}))
-        except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
-            failures.append((i, _describe(exc)))
-    values, failed = _eigvals_each(np.array(list(mats.values())))
-    built = list(mats)
-    failures = sorted(failures + [(built[k], msg) for k, msg in failed])
-    results = {i: v for i, v in zip(built, values) if v is not None}
+    if len(stack) != grid.size:
+        raise ValueError("the stack must hold one matrix per grid point")
+    values, failures = _eigvals_each(stack)
+    results = {i: v for i, v in enumerate(values) if v is not None}
     if not results:
-        raise RuntimeError("builder failed at every grid point")
+        raise RuntimeError("eigensolve failed at every grid point")
 
     good = list(results)
     nb = results[good[0]].size

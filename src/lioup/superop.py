@@ -20,15 +20,17 @@ return the plain matrix.
 Gell-Mann is the computational basis.  `generator(name)` writes a model's
 L(p) as sum_k c_k(p) B_k with real Gell-Mann B_k, and its non-Hermitian
 Hamiltonian as H_nh(p) = sum_k c_k(p) A_k with the same coefficients and
-complex d x d A_k, so a point at either level costs one small contraction;
-the spectrum does not depend on the basis.  Both term sets are solved once
-per model from its builder at the probe parameters: the A_k from the
-probes' H_nh, the B_k from the Kronecker assembly and the cached
-similarity S^H L S / 2 with S[:, i] = vec(s_i); the two views are the
-references it is tested against.  `superop_of_map`, `h_superop` and
-`gamma_superop` evaluate the Gell-Mann M_ij = Tr(map(s_j) s_i)/2 directly,
-independently of the Kronecker path, taking the dimension from h or, where
-a jump set may be empty, from d.
+complex d x d A_k, so a point at either level costs one small contraction,
+and a grid along one parameter one coefficient evaluation over the whole
+grid and one contraction per point; the spectrum does not depend on the
+basis.  Both term sets are solved once per model from its builder at the
+probe parameters: the A_k from the probes' H_nh, the B_k from the
+Kronecker assembly and the cached similarity S^H L S / 2 with
+S[:, i] = vec(s_i); the two views are the references it is tested
+against.  `superop_of_map`, `h_superop` and `gamma_superop` evaluate the
+Gell-Mann M_ij = Tr(map(s_j) s_i)/2 directly, independently of the
+Kronecker path, taking the dimension from h or, where a jump set may be
+empty, from d.
 """
 
 import functools
@@ -209,26 +211,47 @@ class Generator:
     the B_k in the Gell-Mann basis, where they are real, and
     `operator_terms` the complex A_k, both flattened to rows; the A_k of the
     q-weighted coefficients are zero, since the jump term has no operator
-    part.  `form.coefficients` gives the scalars c_k(p) and runs the model's
-    parameter checks.  A point at either level is one contraction.
+    part.  `form.coefficients` gives the c_k as one row per point, at p or
+    along a grid of one field, and runs the model's parameter checks.  Each
+    point at either level is one contraction of its row with the terms.
     """
 
     form: model.LinearForm
     terms: np.ndarray  # (K, d^4) float64, read-only
     operator_terms: np.ndarray  # (K, d^2) complex128, read-only
 
-    def _coefficients(self, p):
-        return np.array(self.form.coefficients(p), dtype=float)
+    def matrices(self, p: ModelParams, field=None, values=None) -> np.ndarray:
+        """The float64 hybrid_liouvillian(build(p), p.q, GELLMANN) as an
+        (n, d^2, d^2) stack: the one at p, or one per entry of `values` as
+        `field` (see LinearForm.coefficients, which checks no value)."""
+        return _contract(self.form.coefficients(p, field, values), self.terms)
+
+    def operators(self, p: ModelParams, field=None, values=None) -> np.ndarray:
+        """The complex128 non-Hermitian Hamiltonians build(p).h_nh() as an
+        (n, d, d) stack, at the points that `matrices` takes."""
+        return _contract(self.form.coefficients(p, field, values),
+                         self.operator_terms)
 
     def matrix(self, p: ModelParams) -> np.ndarray:
         """The float64 hybrid_liouvillian(build(p), p.q, GELLMANN)."""
-        d = self.form.dim
-        return (self._coefficients(p) @ self.terms).reshape(d * d, d * d)
+        return self.matrices(p)[0]
 
     def operator(self, p: ModelParams) -> np.ndarray:
         """The complex128 non-Hermitian Hamiltonian at p: build(p).h_nh()."""
-        d = self.form.dim
-        return (self._coefficients(p) @ self.operator_terms).reshape(d, d)
+        return self.operators(p)[0]
+
+
+def _contract(rows, terms):
+    """One square matrix per coefficient row, each its own row @ terms.
+
+    A single (n, K) @ (K, M) product would round differently in the last
+    bits and run on every BLAS thread.
+    """
+    d = math.isqrt(terms.shape[1])
+    out = np.empty((len(rows), d, d), np.result_type(rows, terms))
+    for c, o in zip(rows, out.reshape(len(rows), d * d)):
+        np.matmul(c, terms, out=o)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,7 +268,7 @@ def generator(name) -> Generator:
     """
     form = model.LINEAR_FORMS[name]
     n = form.dim ** 2
-    coeffs = np.array([form.coefficients(p) for p in form.probes], dtype=float)
+    coeffs = np.concatenate([form.coefficients(p) for p in form.probes])
     systems = [form.build(p) for p in form.probes]
     mats = np.array([_fock_liouville_matrix(sys.hamiltonian, sys.jumps, p.q).ravel()
                      for sys, p in zip(systems, form.probes)])
@@ -257,8 +280,8 @@ def generator(name) -> Generator:
                          f"(largest imaginary part {imag.max():.3e})")
     terms = np.ascontiguousarray(terms.real).reshape(len(terms), n * n)
     ops = np.linalg.solve(coeffs, np.array([sys.h_nh().ravel() for sys in systems]))
-    q_free = np.array([form.coefficients(p.replace(q=0.0))
-                       for p in form.probes]).any(axis=0)
+    q_free = np.concatenate([form.coefficients(p, "q", [0.0])
+                             for p in form.probes]).any(axis=0)
     ops[~q_free] = 0.0
     terms.flags.writeable = ops.flags.writeable = False
     return Generator(form=form, terms=terms, operator_terms=ops)

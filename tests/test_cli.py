@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lioup import cli, model, spectra, superop, validate
+from lioup import cli, linalg, model, spectra, superop, validate
 
 from conftest import misindexed_reports
 
@@ -17,6 +17,19 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 
 def run(args):
     return cli.main(args)
+
+
+def fail_first_operator(monkeypatch):
+    """Make the first operator of every grid stack non-finite, so that its
+    eigensolve fails."""
+    operators = superop.Generator.operators
+
+    def first_fails(self, *args):
+        stack = operators(self, *args)
+        stack[0, 0, 0] = np.nan
+        return stack
+
+    monkeypatch.setattr(superop.Generator, "operators", first_fails)
 
 
 BASE = {"model": "eff3", "params": {"omega": 30.0, "j": 10.0, "q": 1.0}}
@@ -162,45 +175,86 @@ class TestSweepCommand:
                 "gellmann", "fockliouville"]
             assert docs[0] == docs[1], command
 
-    def test_rows_match_per_field_formatting(self, tmp_path):
-        # grid point 0 fails (omega < 0), so a NaN row is formatted too
+    def test_rows_match_per_field_formatting(self, tmp_path, capsys, monkeypatch):
+        # omega = -10 cannot give omega_r: the range is a config error
         cfg = {"model": "eff3",
                "params": {"omega": 30.0, "j": 10.0, "q": 0.0},
                "sweep": {"parameter": "omega", "start": -10.0, "stop": 30.0,
                          "points": 9, "level": "operator"}}
         out = tmp_path / "rows.csv"
         assert run(["sweep", "--config", write_config(tmp_path, cfg),
+                    "--out", str(out)]) == 2
+        assert "'config.sweep' has invalid params at {'omega': -10.0}" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+        # grid point 0 fails its eigensolve, so a NaN row is formatted too
+        cfg["sweep"]["start"] = 0.0
+        fail_first_operator(monkeypatch)
+        assert run(["sweep", "--config", write_config(tmp_path, cfg),
                     "--out", str(out)]) == 0
-        res = spectra.sweep(
-            superop.generator("eff3").operator, "omega",
-            np.linspace(-10.0, 30.0, 9), cli.params_from_config(cfg))
+        grid = np.linspace(0.0, 30.0, 9)
+        res = spectra.sweep(superop.generator("eff3").operators(
+            cli.params_from_config(cfg), "omega", grid), grid)
         want = [",".join([cli._fmt(x)] + [cli._fmt(z.real) for z in col]
                          + [cli._fmt(z.imag) for z in col])
                 for x, col in zip(res.grid, res.branches.T)]
         assert out.read_bytes().decode().split("\r\n")[1:-1] == want
         assert want[0].count("nan") == 6
 
-    def test_sidecar_lists_candidates_and_failures(self, tmp_path, capsys):
-        # omega = -10 cannot give omega_r; omega = 30 at j = 30/sqrt(2) is
-        # the operator pair EP
-        cfg = write_config(tmp_path, {
-            "model": "eff3",
-            "params": {"omega": 30.0, "j": 30.0 / math.sqrt(2.0), "q": 0.0},
-            "sweep": {"parameter": "omega", "start": -10.0, "stop": 30.0,
-                      "points": 5, "level": "operator"},
-        })
+    def test_sidecar_lists_candidates_and_failures(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # omega = -10 cannot give omega_r: the range is a config error
+        cfg = {"model": "eff3",
+               "params": {"omega": 30.0, "j": 30.0 / math.sqrt(2.0), "q": 0.0},
+               "sweep": {"parameter": "omega", "start": -10.0, "stop": 30.0,
+                         "points": 5, "level": "operator"}}
         out = tmp_path / "ep.csv"
-        assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert run(["sweep", "--config", write_config(tmp_path, cfg),
+                    "--out", str(out)]) == 2
+        assert "{'omega': -10.0}" in capsys.readouterr().err
+        # grid point 0 fails its eigensolve; omega = 30 at j = 30/sqrt(2) is
+        # the operator pair EP
+        cfg["sweep"]["start"] = 0.0
+        fail_first_operator(monkeypatch)
+        assert run(["sweep", "--config", write_config(tmp_path, cfg),
+                    "--out", str(out)]) == 0
         assert "grid point 0 failed" in capsys.readouterr().err
         meta = json.loads((tmp_path / "ep.csv.meta.json").read_text())
         assert [c["index"] for c in meta["ep_candidates"]] == [4]
         assert float(meta["ep_candidates"][0]["omega"]) == 30.0
         [failure] = meta["failures"]
-        assert failure["index"] == 0 and float(failure["omega"]) == -10.0
+        assert failure["index"] == 0 and float(failure["omega"]) == 0.0
         assert failure["message"].startswith("ValueError")
         # the CSV keeps its layout: the failed row is NaN
         rows = out.read_text().splitlines()
         assert len(rows) == 6 and "nan" in rows[1]
+
+    @pytest.mark.parametrize("name,level,parameter", [
+        ("eff3", "superoperator", "j"), ("full4", "operator", "omega_r")])
+    def test_builds_no_params_per_grid_point(self, tmp_path, monkeypatch, name,
+                                             level, parameter):
+        # a 1001-point sweep builds the base params and checks its two ends,
+        # then solves its whole stack in one batched eigensolve
+        superop.generator(name)
+        counts = {"params": 0, "eigvals": 0}
+        post_init, eigvals = model.ModelParams.__post_init__, linalg.eigvals
+
+        def counting_post_init(self):
+            counts["params"] += 1
+            post_init(self)
+
+        def counting_eigvals(a):
+            counts["eigvals"] += 1
+            return eigvals(a)
+
+        monkeypatch.setattr(model.ModelParams, "__post_init__", counting_post_init)
+        monkeypatch.setattr(linalg, "eigvals", counting_eigvals)
+        cfg = write_config(tmp_path, {
+            "model": name, "params": {"omega": 30.0, "j": 10.0, "q": 0.5},
+            "sweep": {"parameter": parameter, "start": 5.0, "stop": 40.0,
+                      "points": 1001, "level": level}})
+        assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
+        assert counts == {"params": 3, "eigvals": 1}
 
     def test_operator_level_sweep(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -430,6 +484,19 @@ class TestSchemaValidation:
         assert run(["find-ep", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "config.findep.box" in err and key in err
+
+    @pytest.mark.parametrize("parameter,start,stop,end", [
+        ("j", -5.0, 5.0, "{'j': -5.0}"),  # j must be non-negative
+        ("gamma_g", -1.0, 1.0, "{'gamma_g': -1.0}"),
+    ])
+    def test_sweep_range_outside_the_model_domain(self, tmp_path, capsys, parameter,
+                                                  start, stop, end):
+        cfg = write_config(tmp_path, {
+            "model": "eff3", "params": {"omega": 30.0, "j": 10.0, "q": 0.5},
+            "sweep": {"parameter": parameter, "start": start, "stop": stop,
+                      "points": 11}})
+        assert run(["sweep", "--config", cfg]) == 2
+        assert end in capsys.readouterr().err
 
     def test_spectrum_block_without_radius_takes_the_default(self, tmp_path, capsys):
         plain = write_config(tmp_path, BASE, name="plain.json")

@@ -60,6 +60,11 @@ class TestClassify:
         assert kinds.count(STATIONARY) == 1
         assert UNSTABLE not in kinds
 
+    def test_single_value_has_no_spread(self):
+        # fewer than two values have diameter 0, so every nonzero part counts
+        assert spectra.spectral_diameter([]) == spectra.spectral_diameter([3j]) == 0.0
+        assert classify([-1e-200]) == [PURE_DECAY]
+
 
 class TestSplittings:
     def test_equal_values(self):
@@ -125,6 +130,17 @@ class TestDetectDegeneracy:
         assert len(reports) == 2
         assert all("ill_conditioned_clustering" in r.flags for r in reports)
 
+    def test_zero_operator_is_one_diabolical_cluster(self):
+        # eff3 without drive (omega = j = delta = 0) has H_nh = 0: a zero
+        # cluster radius and a zero-norm rank sequence
+        h = superop.generator("eff3").operator(ModelParams(omega=0.0, j=0.0))
+        assert not h.any()
+        values, reports = detect_degeneracy(h)
+        assert values.tolist() == [0.0, 0.0, 0.0]
+        [r] = reports
+        assert (r.kind, r.algebraic_mult, r.geometric_mult) == ("diabolical", 3, 3)
+        assert (r.order, r.partition) == (1, (1, 1, 1))
+
     def test_no_reports_for_separated_spectrum(self):
         assert detect_degeneracy(np.diag([1.0, 2.0, 4.0]).astype(complex))[1] == []
 
@@ -154,13 +170,22 @@ class TestCorrespondence:
             correspondence_check(np.eye(2), np.zeros(5))
 
 
+def stack(builder, base, parameter, grid):
+    """builder at base with `parameter` set to each grid value, stacked."""
+    return np.array([builder(base.replace(**{parameter: float(x)})) for x in grid])
+
+
+def tuned(p):
+    return h_nh_tuned(p.omega, p.j)
+
+
 class TestSweep:
     def test_bifurcation_at_critical_drive(self):
         omega = 30.0
         base = ModelParams(omega=omega, j=20.0, q=0.0)
         j_star = omega / np.sqrt(2.0)
-        res = sweep(lambda p: h_nh_tuned(p.omega, p.j), "j",
-                    np.sort(np.append(np.linspace(15.0, 25.0, 100), j_star)), base)
+        grid = np.sort(np.append(np.linspace(15.0, 25.0, 100), j_star))
+        res = sweep(stack(tuned, base, "j", grid), grid)
         below = res.grid < j_star - 0.2
         above = res.grid > j_star + 0.2
         spread_re = np.ptp(res.branches.real, axis=0)
@@ -171,7 +196,7 @@ class TestSweep:
     def test_columns_are_permutations_of_spectra(self):
         base = ModelParams(omega=30.0, j=10.0, q=0.5)
         grid = np.linspace(5.0, 40.0, 36)
-        res = sweep(gm_liouvillian, "j", grid, base)
+        res = sweep(stack(gm_liouvillian, base, "j", grid), grid)
         for k in (0, 17, 35):
             ev = linalg.eigvals(gm_liouvillian(base.replace(j=float(grid[k]))))
             assert match_distance(res.branches[:, k], ev) < 1e-9
@@ -180,7 +205,8 @@ class TestSweep:
         omega = 30.0
         _, d, _ = triple_point(omega)
         base = ModelParams(omega=omega, j=20.0, delta_rf=d, q=1.0)
-        res = sweep(gm_liouvillian, "j", np.linspace(10.0, 40.0, 61), base)
+        grid = np.linspace(10.0, 40.0, 61)
+        res = sweep(stack(gm_liouvillian, base, "j", grid), grid)
         for k in range(61):
             ev = res.branches[:, k]
             diam = spectra.spectral_diameter(ev)
@@ -189,62 +215,40 @@ class TestSweep:
 
     def test_no_candidates_without_degeneracies(self):
         base = ModelParams(omega=30.0, j=10.0, delta_rf=14.0, q=0.0)
-        res = sweep(lambda p: h_nh_detuned(p.omega, p.j, p.delta_rf), "j",
-                    np.linspace(0.5, 60.0, 120), base)
+        grid = np.linspace(0.5, 60.0, 120)
+        res = sweep(stack(lambda p: h_nh_detuned(p.omega, p.j, p.delta_rf),
+                          base, "j", grid), grid)
         assert res.ep_candidates == ()
 
     def test_failure_at_every_point_raises(self):
-        def builder(p):
-            raise ValueError("no matrix")
-
-        with pytest.raises(RuntimeError, match="builder failed at every grid point"):
-            sweep(builder, "j", np.linspace(5.0, 40.0, 4), ModelParams(omega=30.0))
-
-    def test_builder_failure_is_recorded(self):
-        base = ModelParams(omega=30.0, j=10.0, q=0.0)
-
-        def builder(p):
-            if 18.5 < p.j < 20.5:
-                raise RuntimeError("synthetic failure")
-            return h_nh_tuned(p.omega, p.j)
-
-        res = sweep(builder, "j", np.linspace(15.0, 25.0, 11), base)
-        assert len(res.failures) == 2
-        bad = [i for i, _ in res.failures]
-        assert np.isnan(res.branches[:, bad]).all()
-        good = [i for i in range(11) if i not in bad]
-        assert np.isfinite(res.branches[:, good]).all()
+        grid = np.linspace(5.0, 40.0, 4)
+        with pytest.raises(RuntimeError, match="failed at every grid point"):
+            sweep(np.full((4, 3, 3), np.nan), grid)
 
     def test_eigensolve_failure_is_recorded_at_its_grid_index(self):
         # a non-finite matrix makes the batched solve raise; the per-matrix
         # fallback still attributes the failure to its own grid point
         base = ModelParams(omega=30.0, j=10.0, q=0.0)
-
-        def builder(p):
-            h = h_nh_tuned(p.omega, p.j)
-            if 19.5 < p.j < 20.5:
-                h[0, 0] = np.nan
-            return h
-
-        res = sweep(builder, "j", np.linspace(15.0, 25.0, 11), base)
+        grid = np.linspace(15.0, 25.0, 11)
+        mats = stack(tuned, base, "j", grid)
+        mats[5, 0, 0] = np.nan
+        res = sweep(mats, grid)
         assert [i for i, _ in res.failures] == [5]
         assert res.failures[0][1].startswith("ValueError")
         assert np.isnan(res.branches[:, 5]).all()
         assert np.isfinite(np.delete(res.branches, 5, axis=1)).all()
 
     def test_complex_matrices_after_real_ones_keep_their_imaginary_parts(self):
-        base = ModelParams(omega=30.0, j=10.0, q=0.0)
-
-        def builder(p):
+        def builder(j):
             # real up to j = 20, then a matrix with imaginary eigenvalues
-            if p.j <= 20.0:
-                return np.diag([p.j, 2.0 * p.j])
-            return np.diag([p.j + 1j * p.j, 2.0 * p.j - 1j])
+            if j <= 20.0:
+                return np.diag([j, 2.0 * j])
+            return np.diag([j + 1j * j, 2.0 * j - 1j])
 
-        res = sweep(builder, "j", np.linspace(15.0, 25.0, 11), base)
+        grid = np.linspace(15.0, 25.0, 11)
+        res = sweep([builder(x) for x in grid], grid)
         assert res.failures == ()
-        want = [np.sort_complex(linalg.eigvals(builder(base.replace(j=float(x)))))
-                for x in res.grid]
+        want = [np.sort_complex(linalg.eigvals(builder(x))) for x in res.grid]
         got = [np.sort_complex(res.branches[:, k]) for k in range(11)]
         assert np.array_equal(np.array(got), np.array(want))
         assert np.abs(res.branches[:, 6:].imag).min() >= 1.0
@@ -253,8 +257,8 @@ class TestSweep:
         # the Gell-Mann superoperator keeps two exact doubles at every j;
         # only the point with a coalescence on top of them is flagged
         base = ModelParams(omega=30.0, j=10.0, q=0.5)
-        res = sweep(superop.generator("eff3").matrix, "j",
-                    np.linspace(15.0, 25.0, 201), base)
+        grid = np.linspace(15.0, 25.0, 201)
+        res = sweep(superop.generator("eff3").matrices(base, "j", grid), grid)
         assert res.ep_candidates == (100,)
         ev = res.branches[:, 100]
         assert np.count_nonzero(np.abs(ev + 20.0) < 1e-5) == 3
@@ -270,9 +274,11 @@ class TestSweep:
         assert spectra._close_pairs(values).tolist() == want
 
     def test_rejects_unsorted_grid(self):
-        base = ModelParams(omega=30.0, j=10.0)
-        with pytest.raises(ValueError):
-            sweep(lambda p: h_nh_tuned(p.omega, p.j), "j", [3.0, 2.0], base)
+        mats = [h_nh_tuned(30.0, j) for j in (3.0, 2.0)]
+        with pytest.raises(ValueError, match="ascending"):
+            sweep(mats, [3.0, 2.0])
+        with pytest.raises(ValueError, match="one matrix per grid point"):
+            sweep(mats[:1], [2.0, 3.0])
 
 
 class TestFindEp:
@@ -305,6 +311,17 @@ class TestFindEp:
         reps = find_ep(lambda p: h_nh_detuned(p.omega, p.j, p.delta_rf),
                        {"j": (0.01, 60.0)}, 2, base)
         assert reps == []
+
+    def test_all_zero_spectrum_falls_back_to_unit_scale(self):
+        # without optical drive delta_opt changes nothing and H_nh = 0 on the
+        # whole box: the spectral scale is 0, and the unit fallback keeps the
+        # certification threshold positive, so the zero cluster is reported
+        gen = superop.generator("eff3")
+        base = ModelParams(omega=0.0, j=0.0, q=0.0)
+        reps = find_ep(gen.operator, {"delta_opt": (-1.0, 1.0)}, 2, base)
+        assert reps
+        assert all((r.kind, r.algebraic_mult, r.cluster_value) == ("diabolical", 3, 0)
+                   for r in reps)
 
     def test_box_validation(self):
         base = ModelParams(omega=30.0, j=20.0)
@@ -432,3 +449,6 @@ class TestEvolveCheck:
             evolve_check(l, np.diag([0.7, 0.5, -0.2]).astype(complex), [0.1])
         with pytest.raises(ValueError):
             evolve_check(l, np.diag([0.7, 0.5, 0.2]).astype(complex), [0.1])
+        with pytest.raises(ValueError, match="Hermitian"):
+            evolve_check(l, np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]],
+                                     dtype=complex), [0.1])

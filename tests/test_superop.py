@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lioup import analytic, linalg, model, spectra, superop
+from lioup import analytic, cli, linalg, model, spectra, superop
 from lioup.model import LindbladSystem, ModelParams, build_eff3, build_ground_relaxation
 from lioup.superop import (FOCKLIOUVILLE, GELLMANN, devectorize,
                            gamma_superop, gellmann_basis, h_superop,
@@ -355,6 +356,13 @@ class TestGenerator:
         for build in (build_eff3, gen.matrix, gen.operator):
             with pytest.warns(UserWarning), pytest.raises(ValueError, match="singular"):
                 build(singular)
+        # on a grid each check fires once, for all the points that trip it
+        for build in (gen.matrices, gen.operators):
+            with pytest.warns(UserWarning, match="dominate") as record:
+                build(slow.replace(j=0.0), "j", [0.0, 0.5, 30.0, 40.0])
+            assert len(record) == 1
+            with pytest.warns(UserWarning), pytest.raises(ValueError, match="singular"):
+                build(singular.replace(delta_opt=1.0), "delta_opt", [-1.0, 0.0, 1.0])
 
     @pytest.mark.parametrize("name", ["eff3", "full4"])
     def test_operator_terms_of_the_jump_weight_are_zero(self, name):
@@ -363,8 +371,8 @@ class TestGenerator:
         assert ops.dtype == np.complex128 and not ops.flags.writeable
         p = ModelParams(omega=30.0, j=12.0, delta_rf=2.0, gamma_sp=1e4,
                         gamma_g=0.3, q=0.0)
-        weighted = np.subtract(gen.form.coefficients(p.replace(q=1.0)),
-                               gen.form.coefficients(p)) != 0
+        weighted = np.subtract(gen.form.coefficients(p.replace(q=1.0))[0],
+                               gen.form.coefficients(p)[0]) != 0
         assert weighted.sum() == 2 and not ops[weighted].any()
         assert np.array_equal(gen.operator(p), gen.operator(p.replace(q=1.0)))
 
@@ -388,13 +396,105 @@ class TestGenerator:
         form = model.LinearForm(
             dim=2,
             build=lambda p: LindbladSystem(dim=2, hamiltonian=p.j * PAULI["x"]),
-            coefficients=lambda p: (p.j,),
+            columns=lambda v: (v["j"],),
             probes=(ModelParams(omega=1.0, j=1.0),))
         monkeypatch.setitem(model.LINEAR_FORMS, "not_real", form)
         monkeypatch.setattr(superop, "_fock_liouville_matrix",
                             lambda h, jumps, q: -1j * np.kron(np.eye(len(h)), h))
         with pytest.raises(ValueError, match="not real"):
             superop.generator.__wrapped__("not_real")
+
+
+def reference_coefficients(name, p):
+    """The coefficients at one ModelParams, restated in Python's scalar
+    arithmetic: float ** 2 is the C library's pow and 1 / complex is
+    CPython's complex division."""
+    if name == "full4":
+        return (p.delta_rf, p.j, p.omega_r, p.delta_opt,
+                p.gamma_sp, p.q * p.gamma_sp, p.gamma_g, p.q * p.gamma_g)
+    h_e = complex(-p.delta_opt, -0.5 * p.gamma_sp)
+    shift = -p.omega_r ** 2 * (1.0 / h_e).real
+    rate = p.gamma_sp * p.omega_r ** 2 / abs(h_e) ** 2
+    return (p.delta_rf, p.j, shift, rate, p.q * rate, p.gamma_g, p.q * p.gamma_g)
+
+
+def sweep_values(field, p):
+    """Values of a sweepable field inside the domain and the reduction's
+    validity (ground scales up to 100 against gamma_sp >= 1e3)."""
+    root = math.sqrt(p.gamma_sp)
+    return {"j": st.floats(0.0, 100.0), "omega": st.floats(0.0, 100.0),
+            "omega_r": st.floats(-10.0 * root, 10.0 * root),
+            "delta_rf": st.floats(-100.0, 100.0),
+            "delta_opt": st.floats(-2.0 * p.gamma_sp, 2.0 * p.gamma_sp),
+            "gamma_g": st.floats(0.0, 10.0)}[field]
+
+
+class TestGrid:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(p=model_params(), name=st.sampled_from(["eff3", "full4"]),
+           field=st.sampled_from(sorted(cli.SWEEPABLE)), data=st.data())
+    def test_rows_are_the_points(self, p, name, field, data):
+        # every row has the bits of the matrix at p.replace(field=x), with
+        # omega and omega_r re-derived from each other
+        values = data.draw(st.lists(sweep_values(field, p), min_size=1, max_size=6))
+        gen = superop.generator(name)
+        mats = gen.matrices(p, field, values)
+        ops = gen.operators(p, field, values)
+        assert mats.shape == (len(values),) + (gen.form.dim ** 2,) * 2
+        assert ops.shape == (len(values),) + (gen.form.dim,) * 2
+        rows = gen.form.coefficients(p, field, values)
+        for x, row, m, h in zip(values, rows, mats, ops):
+            at = p.replace(**{field: x})
+            assert np.array_equal(row, reference_coefficients(name, at))
+            assert np.array_equal(m.ravel(), row @ gen.terms)
+            assert np.array_equal(h.ravel(), row @ gen.operator_terms)
+            assert np.array_equal(m, gen.matrix(at))
+            assert np.array_equal(h, gen.operator(at))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=model_params(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_eff3_shift_and_rate_round_as_python_arithmetic(self, p, seed):
+        # |delta_opt| below and above gamma_sp / 2 takes the two branches of
+        # CPython's complex division, which NumPy's rounds differently from;
+        # about one square in a thousand differs between pow and x * x
+        rng = np.random.default_rng(seed)
+        side = rng.choice([-1.0, 1.0], 100)
+        grids = {"delta_opt": p.gamma_sp * np.concatenate([
+                     rng.uniform(-0.5, 0.5, 100), side * rng.uniform(0.5, 2.0, 100),
+                     [-0.5, 0.5]]),
+                 "omega_r": math.sqrt(p.gamma_sp) * rng.uniform(-10.0, 10.0, 200)}
+        form = model.LINEAR_FORMS["eff3"]
+        for field, values in grids.items():
+            rows = form.coefficients(p, field, values)
+            want = [reference_coefficients("eff3", p.replace(**{field: x}))[2:4]
+                    for x in values.tolist()]
+            assert np.array_equal(rows[:, 2:4], want), field
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(gamma_sp=st.sampled_from([1e-310, 1e-3, 1.0, 1e3]),
+           field=st.sampled_from(["j", "omega", "delta_opt"]),
+           values=st.lists(st.sampled_from([0.0, 1e-305, 0.01, 1.0, 50.0, 200.0]),
+                           min_size=1, max_size=5))
+    def test_checks_fire_on_a_grid_as_at_its_points(self, gamma_sp, field, values):
+        gen = superop.generator("eff3")
+        p = ModelParams(omega=1.0, j=0.0, gamma_sp=gamma_sp)
+
+        def outcome(build, *args):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                try:
+                    build(*args)
+                    raised = False
+                except ValueError as exc:
+                    assert "singular" in str(exc)
+                    raised = True
+            assert all("dominate" in str(w.message) for w in record)
+            return len(record), raised
+
+        warned, raised = outcome(gen.matrices, p, field, values)
+        points = [outcome(gen.matrix, p.replace(**{field: x})) for x in values]
+        assert warned == (1 if any(n for n, _ in points) else 0)
+        assert raised == any(r for _, r in points)
 
 
 @st.composite
