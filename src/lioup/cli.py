@@ -270,6 +270,10 @@ def cmd_find_ep(cfg, out_path):
     p = params_from_config(cfg)
     _check_box(p, box, "config.findep.box")
     gen = superop.generator(cfg["model"])
+    dim = gen.form.dim if level == "operator" else gen.form.dim ** 2
+    if target > dim:
+        raise SchemaError(f"'config.findep.target_mult' must be at most {dim}, "
+                          f"the dimension at {level} level")
     builder = gen.operator if level == "operator" else gen.matrix
     reports = spectra.find_ep(builder, box, target, p)
     doc = {"metadata": _metadata(cfg),

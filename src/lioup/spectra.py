@@ -3,9 +3,9 @@
 Covers eigenvalue classification, quasienergy splittings, degeneracy
 detection with Jordan-structure estimation (rank plateaus of powers),
 the operator <-> superoperator spectral correspondence, continuity-tracked
-parameter sweeps, gap-minimization EP search, and an evolution cross-check
-(expm against eigen-expansion).  Matrices follow linalg's input rule, so
-a float64 generator is solved in real arithmetic.
+parameter sweeps, EP search by least squares on cluster power sums, and an
+evolution cross-check (expm against eigen-expansion).  Matrices follow
+linalg's input rule, so a float64 generator is solved in real arithmetic.
 
 Results are plain values: `classify` gives kind strings, `splittings`
 (i, j, dE_real, dE_imag) tuples, and `detect_degeneracy` the eigenvalues
@@ -349,36 +349,43 @@ def _eigvals_each(stack):
     return values, failed
 
 
-def _gap_objective(values, target_mult):
-    """Coalescence measure: the smallest sum of (m-1) nearest-neighbor gaps
-    taken from any single eigenvalue.
+def _gap_sums(values, target_mult):
+    """Per eigenvalue, the sum of its (m-1) nearest-neighbour gaps.
 
-    This vanishes only where m eigenvalues genuinely meet.  Summing the
-    smallest pairwise gaps globally would not: spectra with persistent exact
-    doubles (the jump-free superoperator has three of them at every
-    parameter value) keep that sum at rounding level everywhere.
+    The least of these, the gap objective, vanishes only where m eigenvalues
+    genuinely meet.  Summing the smallest pairwise gaps globally would not:
+    spectra with persistent exact doubles (the jump-free superoperator has
+    three of them at every parameter value) keep that sum at rounding level
+    everywhere.
     """
     dist = np.sort(np.abs(values[:, None] - values[None, :]), axis=1)
     # column 0 is the zero self-distance
-    return float(dist[:, 1:target_mult].sum(axis=1).min())
+    return dist[:, 1:target_mult].sum(axis=1)
+
+
+def _nearest(values, centre, count):
+    return values[np.argsort(np.abs(values - centre))[:count]]
 
 
 def find_ep(builder, box, target_mult, base: ModelParams):
     """Locate and certify parameter-space degeneracies of a given multiplicity.
 
     `builder(p)` returns the matrix at parameters p.  `box` maps one or two
-    ModelParams field names to (lo, hi) ranges.  A coarse grid seeds
-    Nelder-Mead refinements of the gap objective: the smallest sum of the
-    m-1 nearest-neighbour gaps from any one eigenvalue, for target
-    multiplicity m.  Converged minima below the certification threshold,
-    200 eps**(1/m) times the spectral scale, are passed to
-    detect_degeneracy.  The threshold scales as eps**(1/m) because an
-    order-m coalescence responds to parameter perturbations with the m-th
-    root, so even at float-exact parameters the eigenvalue spread cannot
-    drop below roughly (eps * scale)**(1/m).
-
-    The gap objective dips in root-type cusps whose basins are narrow, so the
-    seeding grid is dense: 65 points per axis in one dimension, 33 in two.
+    ModelParams field names to (lo, hi) ranges; 2 <= target_mult m <= the
+    matrix dimension.  A coarse grid, 65 points per axis in one dimension
+    and 33 in two, is scored by the gap objective: the smallest sum of the
+    m-1 nearest-neighbour gaps from any one eigenvalue.  Each local minimum
+    of the grid seeds one bounded least-squares solve on the centred power
+    sums p_k = sum((lambda_i - mu) / tau)**k, k = 2..m, of the m eigenvalues
+    nearest the seed's cluster centre (the mean of the m eigenvalues nearest
+    the seed's least-gap eigenvalue), with mu their mean.  Those sums are
+    analytic in the parameters and vanish together exactly where the m
+    eigenvalues coalesce.  The unit tau is the certification threshold,
+    200 eps**(1/m) times the spectral scale; solutions whose gap objective
+    falls below it are passed to detect_degeneracy.  The threshold scales as
+    eps**(1/m) because an order-m coalescence responds to parameter
+    perturbations with the m-th root, so even at float-exact parameters the
+    eigenvalue spread cannot drop below roughly (eps * scale)**(1/m).
     """
     names = list(box)
     if not 1 <= len(names) <= 2:
@@ -389,28 +396,32 @@ def find_ep(builder, box, target_mult, base: ModelParams):
     if np.any(his <= los):
         raise ValueError("empty box")
 
-    def matrix_at(x):
-        return builder(base.replace(**{n: float(v) for n, v in zip(names, x)}))
+    def params_at(x):
+        return base.replace(**{n: float(v) for n, v in zip(names, x)})
 
     axes = [np.linspace(lo, hi, n_axis) for lo, hi in zip(los, his)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    coarse_vals = linalg.eigvals(np.array([matrix_at(x) for x in pts]))
+    coarse = np.array([builder(params_at(x)) for x in pts])
+    if not 2 <= target_mult <= coarse.shape[-1]:
+        raise ValueError(f"target_mult must be between 2 and the matrix dimension "
+                         f"{coarse.shape[-1]}")
+    coarse_vals = linalg.eigvals(coarse)
     scale = max(spectral_diameter(v) for v in coarse_vals)
     if scale == 0.0:
         scale = 1.0
-    coarse_s = np.array([_gap_objective(v, target_mult) for v in coarse_vals])
+    coarse_sums = [_gap_sums(v, target_mult) for v in coarse_vals]
+    threshold = 200.0 * np.finfo(float).eps ** (1.0 / target_mult) * scale
 
-    threshold = 200.0 * np.finfo(float).eps ** (1.0 / max(target_mult, 2)) * scale
-
-    def objective(x):
-        if np.any(x < los) or np.any(x > his):
-            return float(scale)
-        return _gap_objective(linalg.eigvals(matrix_at(x)), target_mult)
+    def power_sums(x, centre):
+        z = _nearest(linalg.eigvals(builder(params_at(x))), centre, target_mult)
+        z = (z - z.mean()) / threshold
+        p = np.array([np.sum(z ** k) for k in range(2, target_mult + 1)])
+        return np.concatenate([p.real, p.imag])
 
     # seeds: local minima of the coarse landscape (grid-graph neighborhood)
     shape = tuple(len(ax) for ax in axes)
-    s_grid = coarse_s.reshape(shape)
+    s_grid = np.array([s.min() for s in coarse_sums]).reshape(shape)
     seeds = []
     for idx in np.ndindex(shape):
         v = s_grid[idx]
@@ -422,29 +433,17 @@ def find_ep(builder, box, target_mult, base: ModelParams):
                 if 0 <= nb[axis] < shape[axis] and s_grid[tuple(nb)] < v:
                     is_min = False
         if is_min:
-            seeds.append(np.array([axes[k][idx[k]] for k in range(len(shape))]))
+            seeds.append(np.ravel_multi_index(idx, shape))
 
     found = []
     widths = his - los
-    spacing = widths / (n_axis - 1)
-    for seed in seeds:
-        # keep the initial simplex inside the seeded basin: degeneracy dips
-        # are root-type cusps barely wider than the coarse spacing
-        simplex = [seed]
-        for k in range(len(names)):
-            step = 0.5 * spacing[k]
-            if seed[k] + step > his[k]:
-                step = -step
-            vertex = seed.copy()
-            vertex[k] += step
-            simplex.append(vertex)
-        res = scipy.optimize.minimize(
-            objective, seed, method="Nelder-Mead",
-            options=dict(initial_simplex=np.array(simplex),
-                         xatol=1e-12 * widths.max(), fatol=1e-14 * scale,
-                         maxiter=2000, maxfev=4000))
-        x = np.clip(res.x, los, his)
-        s_min = objective(x)
+    for k in seeds:
+        values = coarse_vals[k]
+        least = values[np.argmin(coarse_sums[k])]
+        centre = _nearest(values, least, target_mult).mean()
+        x = scipy.optimize.least_squares(power_sums, pts[k], bounds=(los, his),
+                                         args=(centre,)).x
+        s_min = _gap_sums(linalg.eigvals(builder(params_at(x))), target_mult).min()
         if s_min >= threshold:
             continue
         if any(np.max(np.abs(x - f[0]) / widths) < 1e-4 for f in found):
@@ -453,7 +452,7 @@ def find_ep(builder, box, target_mult, base: ModelParams):
 
     reports = []
     for x, s_min in found:
-        p = base.replace(**{n: float(v) for n, v in zip(names, x)})
+        p = params_at(x)
         mat = builder(p)
         # an order-m Jordan cluster scatters like eps**(1/m) even at the
         # converged parameters, so the clustering radius must cover that

@@ -285,6 +285,21 @@ class TestFindEpCommand:
                                                           abs=1e-4)
         assert rep["kind"] == "exceptional"
 
+    @pytest.mark.parametrize("level,target", [
+        ("operator", 4), ("superoperator", 10), ("operator", 10 ** 18),
+    ])
+    def test_rejects_a_multiplicity_above_the_dimension(self, tmp_path, capsys,
+                                                         level, target):
+        # eff3 is 3 x 3 at operator level and 9 x 9 at superoperator level
+        cfg = write_config(tmp_path, {
+            "model": "eff3",
+            "params": {"omega": 30.0, "j": 20.0, "q": 0.0},
+            "findep": {"box": {"j": [15.0, 30.0]}, "target_mult": target,
+                       "level": level},
+        })
+        assert run(["find-ep", "--config", cfg]) == 2
+        assert "config.findep.target_mult" in capsys.readouterr().err
+
 
 class TestEvolveCommand:
     def test_trace_column_constant(self, tmp_path):

@@ -306,6 +306,37 @@ class TestFindEp:
         assert reps[0].algebraic_mult == 3 and reps[0].geometric_mult == 1
         assert abs(reps[0].cluster_value + 20j) < 1e-6
 
+    def test_triple_point_to_rounding(self):
+        # the centred power sums vanish analytically at the coalescence, so
+        # the solve lands on criterion 5's triple point to rounding
+        base = ModelParams(omega=30.0, j=23.0, delta_rf=11.0, q=0.0)
+        reps = find_ep(lambda p: h_nh_detuned(p.omega, p.j, -p.delta_rf),
+                       {"j": (20.0, 26.0), "delta_rf": (9.0, 14.0)}, 3, base)
+        j_tp, d_tp, _ = triple_point(30.0)
+        assert len(reps) == 1
+        assert abs(reps[0].params.j - j_tp) <= 1e-10
+        assert abs(reps[0].params.delta_rf - d_tp) <= 1e-10
+
+    @pytest.mark.parametrize("builder,box,target,base,limit", [
+        # the README's find-ep example: 65 coarse-grid points
+        (superop.generator("eff3").operator, {"j": (15.0, 30.0)}, 2,
+         ModelParams(omega=30.0, j=10.0, q=0.0), 200),
+        # criterion 5's box: 33 x 33 coarse-grid points
+        (lambda p: h_nh_detuned(p.omega, p.j, -p.delta_rf),
+         {"j": (20.0, 26.0), "delta_rf": (9.0, 14.0)}, 3,
+         ModelParams(omega=30.0, j=23.0, delta_rf=11.0, q=0.0), 3000),
+    ], ids=["readme", "criterion-5"])
+    def test_builder_calls_stay_near_the_coarse_grid(self, builder, box, target,
+                                                     base, limit):
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return builder(p)
+
+        assert find_ep(counted, box, target, base)
+        assert len(calls) <= limit
+
     def test_empty_box_is_not_an_error(self):
         base = ModelParams(omega=30.0, j=20.0, delta_rf=14.0, q=0.0)
         reps = find_ep(lambda p: h_nh_detuned(p.omega, p.j, p.delta_rf),
@@ -329,6 +360,11 @@ class TestFindEp:
             find_ep(lambda p: h_nh_tuned(p.omega, p.j), {}, 2, base)
         with pytest.raises(ValueError):
             find_ep(lambda p: h_nh_tuned(p.omega, p.j), {"j": (5.0, 5.0)}, 2, base)
+        # a 3 x 3 matrix has no coalescence of 4 or more eigenvalues
+        for target in (1, 4, 10 ** 18):
+            with pytest.raises(ValueError, match="target_mult"):
+                find_ep(lambda p: h_nh_tuned(p.omega, p.j), {"j": (15.0, 30.0)},
+                        target, base)
 
 
 class TestAsymptotes:
