@@ -5,7 +5,8 @@
 Configs are JSON; unknown keys are rejected before any computation.  Numeric
 output uses fixed %.12e formatting so identical configs produce byte-identical
 files.  Exit codes: 0 success, 1 validation-criteria failure, 2 schema or
-config error, 3 numerical failure.
+config error, 3 numerical failure, 4 partial result (a sweep wrote its
+output, but some grid points failed).
 """
 
 import argparse
@@ -239,10 +240,9 @@ def cmd_sweep(cfg, out_path):
                           for i in result.ep_candidates],
         "failures": [{"index": i, parameter: _fmt(grid[i]), "message": msg}
                      for i, msg in result.failures]})
-    if result.failures:
-        for idx, msg in result.failures:
-            print(f"warning: grid point {idx} failed: {msg}", file=sys.stderr)
-    return 0
+    for idx, msg in result.failures:
+        print(f"warning: grid point {idx} failed: {msg}", file=sys.stderr)
+    return 4 if result.failures else 0
 
 
 def cmd_find_ep(cfg, out_path):

@@ -7,13 +7,14 @@ also takes (n, d, d) stacks.  Problem sizes are tiny (operators up to
 16x16, superoperators up to 256x256), so the routines favor robustness and
 reproducibility over speed: LAPACK eigensolvers with a fixed deterministic
 eigenvalue ordering (eig() gives right eigenpairs only) and
-scaling-and-squaring expm.
+scaling-and-squaring expm.  scipy.linalg is imported inside expm, the only
+function that uses it, because loading it costs about 0.3 s of CPU at
+start-up and most commands never propagate.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 # Soft size cap: nothing in this package needs more than the 16^2-dimensional
 # Fock-Liouville space of the four-level model.
@@ -93,6 +94,8 @@ def eigvals(a):
 
 def expm(a):
     """Matrix exponential (scaling and squaring)."""
+    import scipy.linalg
+
     a = as_matrix(a)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {a.shape}")

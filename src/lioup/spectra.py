@@ -14,13 +14,17 @@ matrices it is given, one per grid point (superop.Generator builds one for
 a grid of one parameter); the builder that `find_ep` calls returns the
 matrix at the given ModelParams as an array, and `evolve_check` takes the
 generator's Gell-Mann matrix as an array.
+
+scipy.optimize is imported inside its three callers, `match_distance`,
+`sweep` and `find_ep`, because loading it (and the scipy.linalg it pulls
+in) costs about 0.5 s of CPU at start-up and a spectrum or evolve command
+never calls it.
 """
 
 import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import linalg, superop
 from .model import ModelParams
@@ -46,6 +50,8 @@ def spectral_diameter(values):
 def match_distance(a, b):
     """Max absolute mismatch between two equal-size complex multisets
     under the optimal (Hungarian) pairing."""
+    import scipy.optimize
+
     a = np.asarray(a).ravel()
     b = np.asarray(b).ravel()
     if a.size != b.size:
@@ -276,6 +282,8 @@ def sweep(stack, grid):
     symmetry-protected exact doubles of a superoperator spectrum, therefore
     flag nothing; a coalescence on top of them does.
     """
+    import scipy.optimize
+
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be ascending with at least 2 points")
@@ -387,6 +395,8 @@ def find_ep(builder, box, target_mult, base: ModelParams):
     perturbations with the m-th root, so even at float-exact parameters the
     eigenvalue spread cannot drop below roughly (eps * scale)**(1/m).
     """
+    import scipy.optimize
+
     names = list(box)
     if not 1 <= len(names) <= 2:
         raise ValueError("box must constrain one or two parameters")

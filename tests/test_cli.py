@@ -191,7 +191,7 @@ class TestSweepCommand:
         cfg["sweep"]["start"] = 0.0
         fail_first_operator(monkeypatch)
         assert run(["sweep", "--config", write_config(tmp_path, cfg),
-                    "--out", str(out)]) == 0
+                    "--out", str(out)]) == 4
         grid = np.linspace(0.0, 30.0, 9)
         res = spectra.sweep(superop.generator("eff3").operators(
             cli.params_from_config(cfg), "omega", grid), grid)
@@ -217,7 +217,7 @@ class TestSweepCommand:
         cfg["sweep"]["start"] = 0.0
         fail_first_operator(monkeypatch)
         assert run(["sweep", "--config", write_config(tmp_path, cfg),
-                    "--out", str(out)]) == 0
+                    "--out", str(out)]) == 4
         assert "grid point 0 failed" in capsys.readouterr().err
         meta = json.loads((tmp_path / "ep.csv.meta.json").read_text())
         assert [c["index"] for c in meta["ep_candidates"]] == [4]
