@@ -23,6 +23,7 @@ only inside the ground block through, so `build_eff3` is the reduction of
 
 import dataclasses
 import functools
+import itertools
 import math
 import warnings
 from collections.abc import Callable
@@ -90,6 +91,18 @@ class ModelParams:
         elif "omega_r" in kw and "omega" not in kw:
             kw["omega"] = None
         return dataclasses.replace(self, **kw)
+
+
+def check_box(p: ModelParams, box):
+    """Raise ValueError unless p at every corner of `box`, a map of fields
+    to (lo, hi), is valid; each field's domain is an interval, so then the
+    whole box is."""
+    for ends in itertools.product(*box.values()):
+        corner = dict(zip(box, ends))
+        try:
+            p.replace(**corner)
+        except ValueError as exc:
+            raise ValueError(f"invalid params at {corner}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -218,10 +231,10 @@ def build_full4_rwa(p: ModelParams) -> LindbladSystem:
 
 
 def _warn_unless_fast_decay(v):
-    # v maps field names to numbers, or along at most one field to arrays of
-    # them, and that field is never gamma_sp and a ground scale at once: so
-    # some point is slow exactly when the least gamma_sp is below ten times
-    # the largest ground scale, and one warning covers all of them
+    # v maps fields to numbers or to arrays along the points.  The least
+    # gamma_sp meets the largest ground scale at one point, as gamma_sp never
+    # varies together with another field but on a full mesh (a find_ep box),
+    # so that point is slow exactly when any is: one warning covers them all
     scale = max(_most(v["j"]), _most(abs(v["delta_rf"])), _most(v["omega"]))
     gamma_sp = _least(v["gamma_sp"])
     if gamma_sp < 10.0 * scale:
@@ -300,8 +313,8 @@ class LinearForm:
     follow from `build` at the `probes`, parameter sets whose coefficient
     vectors are linearly independent (see superop.generator), so the
     matrices stay defined by the builders alone.  `columns` takes a map of
-    field names to numbers, with 1-D arrays of them along at most one field,
-    and returns the K coefficients, each a number or an array along it.
+    field names to numbers, some of which may be equal-length 1-D arrays,
+    and returns the K coefficients, each a number or an array along them.
     """
 
     dim: int
@@ -309,32 +322,33 @@ class LinearForm:
     columns: Callable[[dict], tuple]
     probes: tuple  # of ModelParams, one per coefficient
 
-    def coefficients(self, p: ModelParams, field=None, values=None) -> np.ndarray:
+    def coefficients(self, p: ModelParams, points=None) -> np.ndarray:
         """The coefficients as an (n, K) float64 array, one row per point.
 
-        Without `field`, the one row at p.  With it, one row per entry of
-        the 1-D array `values`, at p with `field` set to that entry; setting
-        omega or omega_r re-derives the other as ModelParams.replace does.
-        Only that field is an array, and every row has the bits of the row
-        at the ModelParams it stands for.  The values are not validated:
-        every field's domain is an interval, so p.replace at the least and
-        the greatest value checks them all.  The model's checks (the eff3
-        fast-decay warning and singular excited-NHH error) run once over
-        all the points.
+        `points` maps one or two fields to numbers or to equal-length 1-D
+        arrays: one row per array entry, else the one row at p.  omega and
+        omega_r re-derive each other as in ModelParams.replace, and each row
+        has the bits of the row at the ModelParams it stands for.  No value
+        is validated (see `check_box`); the eff3 fast-decay warning and the
+        singular excited-NHH error run once over all the points.
         """
-        v = dict(vars(p))
-        if field is not None:
+        v, points, n = dict(vars(p)), points or {}, None
+        for field, x in points.items():
             if field not in v:
                 raise ValueError(f"unknown parameter {field!r}")
-            v[field] = np.asarray(values, dtype=float)
-            if v[field].ndim != 1:
-                raise ValueError("values must be a 1-D array")
-            if field == "omega":
-                v["omega_r"] = np.sqrt(v["omega"] * v["gamma_sp"])
-            elif field == "omega_r":
-                v["omega"] = _pointwise(_square, v["omega_r"]) / v["gamma_sp"]
+            if np.ndim(x) == 0:
+                v[field] = float(x)
+                continue
+            v[field] = x = np.asarray(x, dtype=float)
+            if x.ndim != 1 or n not in (None, x.size):
+                raise ValueError("values must be equal-length 1-D arrays")
+            n = x.size
+        if "omega" in points and "omega_r" not in points:
+            v["omega_r"] = np.sqrt(v["omega"] * v["gamma_sp"])
+        elif "omega_r" in points and "omega" not in points:
+            v["omega"] = _pointwise(_square, v["omega_r"]) / v["gamma_sp"]
         cols = self.columns(v)
-        if field is None:
+        if n is None:
             return np.array([cols], dtype=float)
         return np.column_stack(np.broadcast_arrays(*cols))
 

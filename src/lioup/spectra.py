@@ -10,10 +10,9 @@ linalg's input rule, so a float64 generator is solved in real arithmetic.
 Results are plain values: `classify` gives kind strings, `splittings`
 (i, j, dE_real, dE_imag) tuples, and `detect_degeneracy` the eigenvalues
 with reports whose `indices` index them.  `sweep` analyses a stack of
-matrices it is given, one per grid point (superop.Generator builds one for
-a grid of one parameter); the builder that `find_ep` calls returns the
-matrix at the given ModelParams as an array, and `evolve_check` takes the
-generator's Gell-Mann matrix as an array.
+matrices, one per grid point, and `find_ep` calls a stack builder such as
+superop.Generator's `matrices`; `evolve_check` takes the generator's
+Gell-Mann matrix as an array.
 
 scipy.optimize is imported inside its three callers, `match_distance`,
 `sweep` and `find_ep`, because loading it (and the scipy.linalg it pulls
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, superop
-from .model import ModelParams
+from .model import ModelParams, check_box
 
 STATIONARY = "stationary"
 PURE_OSCILLATION = "pure_oscillation"
@@ -375,23 +374,25 @@ def _nearest(values, centre, count):
     return values[np.argsort(np.abs(values - centre))[:count]]
 
 
-def find_ep(builder, box, target_mult, base: ModelParams):
+def find_ep(build, box, target_mult, base: ModelParams):
     """Locate and certify parameter-space degeneracies of a given multiplicity.
 
-    `builder(p)` returns the matrix at parameters p.  `box` maps one or two
-    ModelParams field names to (lo, hi) ranges; 2 <= target_mult m <= the
+    `build(base, points)` is a stack builder such as superop.Generator's
+    `matrices`.  `box` maps one or two ModelParams field names to (lo, hi)
+    ranges whose corners model.check_box accepts; 2 <= target_mult m <= the
     matrix dimension.  A coarse grid, 65 points per axis in one dimension
-    and 33 in two, is scored by the gap objective: the smallest sum of the
-    m-1 nearest-neighbour gaps from any one eigenvalue.  Each local minimum
-    of the grid seeds one bounded least-squares solve on the centred power
-    sums p_k = sum((lambda_i - mu) / tau)**k, k = 2..m, of the m eigenvalues
-    nearest the seed's cluster centre (the mean of the m eigenvalues nearest
-    the seed's least-gap eigenvalue), with mu their mean.  Those sums are
-    analytic in the parameters and vanish together exactly where the m
-    eigenvalues coalesce.  The unit tau is the certification threshold,
-    200 eps**(1/m) times the spectral scale; solutions whose gap objective
-    falls below it are passed to detect_degeneracy.  The threshold scales as
-    eps**(1/m) because an order-m coalescence responds to parameter
+    and 33 in two, is built in one call and scored by the gap objective: the
+    smallest sum of the m-1 nearest-neighbour gaps from any one eigenvalue.
+    Each local minimum seeds one bounded least-squares solve, one point per
+    build call, on the centred power sums p_k = sum((lambda_i - mu) / tau)**k,
+    k = 2..m, of the m eigenvalues nearest the seed's cluster centre (the
+    mean of the m eigenvalues nearest the seed's least-gap eigenvalue), with
+    mu their mean.  Those sums are analytic in the parameters and vanish
+    together exactly where the m eigenvalues coalesce.  The unit tau is the
+    certification threshold, 200 eps**(1/m) times the spectral scale;
+    solutions whose gap objective falls below it are passed to
+    detect_degeneracy, whose reports alone get ModelParams.  The threshold
+    scales as eps**(1/m) because an order-m coalescence responds to parameter
     perturbations with the m-th root, so even at float-exact parameters the
     eigenvalue spread cannot drop below roughly (eps * scale)**(1/m).
     """
@@ -401,18 +402,17 @@ def find_ep(builder, box, target_mult, base: ModelParams):
     if not 1 <= len(names) <= 2:
         raise ValueError("box must constrain one or two parameters")
     n_axis = 65 if len(names) == 1 else 33
-    los = np.array([box[n][0] for n in names], dtype=float)
-    his = np.array([box[n][1] for n in names], dtype=float)
+    los, his = np.array(list(box.values()), dtype=float).T
     if np.any(his <= los):
         raise ValueError("empty box")
+    check_box(base, box)
 
-    def params_at(x):
-        return base.replace(**{n: float(v) for n, v in zip(names, x)})
+    def matrix_at(x):
+        return build(base, dict(zip(names, x.tolist())))[0]
 
     axes = [np.linspace(lo, hi, n_axis) for lo, hi in zip(los, his)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    coarse = np.array([builder(params_at(x)) for x in pts])
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    coarse = build(base, dict(zip(names, pts.T)))
     if not 2 <= target_mult <= coarse.shape[-1]:
         raise ValueError(f"target_mult must be between 2 and the matrix dimension "
                          f"{coarse.shape[-1]}")
@@ -424,7 +424,7 @@ def find_ep(builder, box, target_mult, base: ModelParams):
     threshold = 200.0 * np.finfo(float).eps ** (1.0 / target_mult) * scale
 
     def power_sums(x, centre):
-        z = _nearest(linalg.eigvals(builder(params_at(x))), centre, target_mult)
+        z = _nearest(linalg.eigvals(matrix_at(x)), centre, target_mult)
         z = (z - z.mean()) / threshold
         p = np.array([np.sum(z ** k) for k in range(2, target_mult + 1)])
         return np.concatenate([p.real, p.imag])
@@ -453,7 +453,7 @@ def find_ep(builder, box, target_mult, base: ModelParams):
         centre = _nearest(values, least, target_mult).mean()
         x = scipy.optimize.least_squares(power_sums, pts[k], bounds=(los, his),
                                          args=(centre,)).x
-        s_min = _gap_sums(linalg.eigvals(builder(params_at(x))), target_mult).min()
+        s_min = _gap_sums(linalg.eigvals(matrix_at(x)), target_mult).min()
         if s_min >= threshold:
             continue
         if any(np.max(np.abs(x - f[0]) / widths) < 1e-4 for f in found):
@@ -462,14 +462,13 @@ def find_ep(builder, box, target_mult, base: ModelParams):
 
     reports = []
     for x, s_min in found:
-        p = params_at(x)
-        mat = builder(p)
+        p = base.replace(**dict(zip(names, x.tolist())))
         # an order-m Jordan cluster scatters like eps**(1/m) even at the
         # converged parameters, so the clustering radius must cover that
         tol_cluster = max(3.0 * s_min,
                           10.0 * np.finfo(float).eps ** (1.0 / target_mult) * scale)
-        reports += [dataclasses.replace(rep, params=p)
-                    for rep in detect_degeneracy(mat, tol_cluster=tol_cluster)[1]
+        reports += [dataclasses.replace(rep, params=p) for rep in
+                    detect_degeneracy(matrix_at(x), tol_cluster=tol_cluster)[1]
                     if rep.algebraic_mult >= target_mult]
     return reports
 
@@ -512,9 +511,8 @@ def evolve_check(l, rho0, times):
     if np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min() < -1e-9:
         raise ValueError("rho0 must be positive semidefinite")
 
-    v0 = superop.vectorize(rho0, superop.GELLMANN)
-    rho_expm = np.array([superop.devectorize(linalg.expm(l * t) @ v0, superop.GELLMANN)
-                         for t in times])
+    v0 = superop.vectorize(rho0)
+    rho_expm = np.array([superop.devectorize(linalg.expm(l * t) @ v0) for t in times])
     trace_drift = np.abs(np.trace(rho_expm, axis1=1, axis2=2) - np.trace(rho0))
 
     dec = linalg.eig(l)
@@ -523,8 +521,7 @@ def evolve_check(l, rho0, times):
         return EvolveResult(rho_expm=rho_expm, rho_eig=None, trace_drift=trace_drift,
                             max_diff=np.full(times.size, np.nan))
     coeff = np.linalg.solve(v, v0)
-    rho_eig = np.array([superop.devectorize(v @ (coeff * np.exp(dec.values * t)),
-                                            superop.GELLMANN)
+    rho_eig = np.array([superop.devectorize(v @ (coeff * np.exp(dec.values * t)))
                         for t in times])
     return EvolveResult(rho_expm=rho_expm, rho_eig=rho_eig, trace_drift=trace_drift,
                         max_diff=np.abs(rho_expm - rho_eig).max(axis=(1, 2)))

@@ -6,9 +6,9 @@ FOCKLIOUVILLE; a basis carries no dimension, which comes from the operand:
 * generalized Gell-Mann: Hermitian trace-orthogonal set, Tr(s_i s_j) = 2 d_ij,
   ordered symmetric pairs (j<k lexicographic), antisymmetric pairs, diagonal
   matrices by increasing rank, identity-proportional element last.  Components
-  of rho are Tr(rho s_i)/2.
-* Fock-Liouville: column stacking, |rho>>[i + d*j] = rho_ij, i.e. the
-  |i> (x) |j*> convention with the column index running fastest.
+  of rho are Tr(rho s_i)/2 (`vectorize`, and `devectorize` back).
+* Fock-Liouville: column stacking, |rho>>[i + d*j] = rho_ij, i.e. the |i> (x)
+  |j*> convention with the column index running fastest: rho.flatten("F").
 
 The hybrid Liouvillian is L(q) = -i Hhat_NH + q Lambdahat
 = -i Hhat + Gammahat + q Lambdahat: the relaxation part is always fully
@@ -20,9 +20,9 @@ return the plain matrix.
 Gell-Mann is the computational basis.  `generator(name)` writes a model's
 L(p) as sum_k c_k(p) B_k with real Gell-Mann B_k, and its non-Hermitian
 Hamiltonian as H_nh(p) = sum_k c_k(p) A_k with the same coefficients and
-complex d x d A_k, so a point at either level costs one small contraction,
-and a grid along one parameter one coefficient evaluation over the whole
-grid and one contraction per point; the spectrum does not depend on the
+complex d x d A_k.  Its `matrices` and `operators` give the stack at one
+point or a grid over one or two fields from one coefficient evaluation and
+one small contraction per point; the spectrum does not depend on the
 basis.  Both term sets are solved once per model from its builder at the
 probe parameters: the A_k from the probes' H_nh, the B_k from the
 Kronecker assembly and the cached similarity S^H L S / 2 with
@@ -89,28 +89,22 @@ def gellmann_basis(d):
     return mats
 
 
-def vectorize(rho, basis):
-    """Coefficient vector of a d x d operator in the basis named `basis`."""
+def vectorize(rho):
+    """Gell-Mann components Tr(rho s_i)/2 of a d x d operator."""
     rho = np.asarray(rho, dtype=complex)
     d = rho.shape[0]
     if rho.shape != (d, d):
         raise ValueError("rho must be square")
-    _check_basis(basis, d)
-    if basis == GELLMANN:
-        return 0.5 * np.einsum("ab,iba->i", rho, gellmann_basis(d))
-    return rho.flatten(order="F")
+    return 0.5 * np.einsum("ab,iba->i", rho, gellmann_basis(d))
 
 
-def devectorize(vec, basis):
-    """The d x d operator of a length-d^2 coefficient vector."""
+def devectorize(vec):
+    """The d x d operator of a length-d^2 vector of Gell-Mann components."""
     vec = np.asarray(vec, dtype=complex)
     d = math.isqrt(vec.size)
     if vec.shape != (d * d,):
         raise ValueError("vector length must be a square d^2")
-    _check_basis(basis, d)
-    if basis == GELLMANN:
-        return np.einsum("i,iab->ab", vec, gellmann_basis(d))
-    return vec.reshape((d, d), order="F")
+    return np.einsum("i,iab->ab", vec, gellmann_basis(d))
 
 
 def superop_of_map(apply_fn, d):
@@ -211,34 +205,25 @@ class Generator:
     the B_k in the Gell-Mann basis, where they are real, and
     `operator_terms` the complex A_k, both flattened to rows; the A_k of the
     q-weighted coefficients are zero, since the jump term has no operator
-    part.  `form.coefficients` gives the c_k as one row per point, at p or
-    along a grid of one field, and runs the model's parameter checks.  Each
-    point at either level is one contraction of its row with the terms.
+    part.  `matrices` and `operators` contract each row of
+    `form.coefficients(p, points)`, which runs the model's parameter checks,
+    with the terms: one matrix per point.
     """
 
     form: model.LinearForm
     terms: np.ndarray  # (K, d^4) float64, read-only
     operator_terms: np.ndarray  # (K, d^2) complex128, read-only
 
-    def matrices(self, p: ModelParams, field=None, values=None) -> np.ndarray:
+    def matrices(self, p: ModelParams, points=None) -> np.ndarray:
         """The float64 hybrid_liouvillian(build(p), p.q, GELLMANN) as an
-        (n, d^2, d^2) stack: the one at p, or one per entry of `values` as
-        `field` (see LinearForm.coefficients, which checks no value)."""
-        return _contract(self.form.coefficients(p, field, values), self.terms)
+        (n, d^2, d^2) stack: the one at p, or one per point of `points` (see
+        LinearForm.coefficients, which checks no value)."""
+        return _contract(self.form.coefficients(p, points), self.terms)
 
-    def operators(self, p: ModelParams, field=None, values=None) -> np.ndarray:
+    def operators(self, p: ModelParams, points=None) -> np.ndarray:
         """The complex128 non-Hermitian Hamiltonians build(p).h_nh() as an
         (n, d, d) stack, at the points that `matrices` takes."""
-        return _contract(self.form.coefficients(p, field, values),
-                         self.operator_terms)
-
-    def matrix(self, p: ModelParams) -> np.ndarray:
-        """The float64 hybrid_liouvillian(build(p), p.q, GELLMANN)."""
-        return self.matrices(p)[0]
-
-    def operator(self, p: ModelParams) -> np.ndarray:
-        """The complex128 non-Hermitian Hamiltonian at p: build(p).h_nh()."""
-        return self.operators(p)[0]
+        return _contract(self.form.coefficients(p, points), self.operator_terms)
 
 
 def _contract(rows, terms):
@@ -280,7 +265,7 @@ def generator(name) -> Generator:
                          f"(largest imaginary part {imag.max():.3e})")
     terms = np.ascontiguousarray(terms.real).reshape(len(terms), n * n)
     ops = np.linalg.solve(coeffs, np.array([sys.h_nh().ravel() for sys in systems]))
-    q_free = np.concatenate([form.coefficients(p, "q", [0.0])
+    q_free = np.concatenate([form.coefficients(p, {"q": 0.0})
                              for p in form.probes]).any(axis=0)
     ops[~q_free] = 0.0
     terms.flags.writeable = ops.flags.writeable = False

@@ -57,6 +57,15 @@ def _operator_detuned_mirrored(p):
     return model.h_nh_detuned(p.omega, p.j, -p.delta_rf)
 
 
+def _stacked(builder):
+    """`builder` of one ModelParams' matrix as a find_ep stack builder."""
+    def build(base, points):
+        cols = [np.ravel(x).tolist() for x in points.values()]
+        return np.array([builder(base.replace(**dict(zip(points, x))))
+                         for x in zip(*cols, strict=True)])
+    return build
+
+
 def _rel_match(a, b):
     scale = max(np.abs(a).max(), np.abs(b).max(), 1e-300)
     return spectra.match_distance(a, b) / scale
@@ -75,7 +84,7 @@ def criterion_1():
         dev <= 1e-5, f"max deviation from -30i: {dev:.3e}"))
 
     base = _eff3_params(omega, 20.0, q=0.0)
-    reps = spectra.find_ep(_operator_tuned, {"j": (15.0, 30.0)}, 2, base)
+    reps = spectra.find_ep(_stacked(_operator_tuned), {"j": (15.0, 30.0)}, 2, base)
     ok = (len(reps) == 1 and abs(reps[0].params.j - 21.2132) <= 1e-4
           and reps[0].kind == "exceptional")
     found = reps[0].params.j if reps else float("nan")
@@ -100,7 +109,7 @@ def criterion_2():
 
     omega = OMEGA_REF
     base = _eff3_params(omega, 20.0, q=0.0)
-    reps = spectra.find_ep(_gm_liouvillian, {"j": (18.0, 25.0)}, 3, base)
+    reps = spectra.find_ep(_stacked(_gm_liouvillian), {"j": (18.0, 25.0)}, 3, base)
     reps = [r for r in reps if abs(r.cluster_value + 2 * omega) < 1.0]
     ok_loc = len(reps) >= 1 and abs(reps[0].params.j - omega / SQ2) <= 1e-3
     found = reps[0].params.j if reps else float("nan")
@@ -201,7 +210,7 @@ def criterion_5():
     omega = OMEGA_REF
     j_tp, d_tp, e_tp = model.triple_point(omega)
     base = _eff3_params(omega, 23.0, delta=11.0, q=0.0)
-    reps = spectra.find_ep(_operator_detuned_mirrored,
+    reps = spectra.find_ep(_stacked(_operator_detuned_mirrored),
                            {"j": (20.0, 26.0), "delta_rf": (9.0, 14.0)}, 3, base)
     ok_n = len(reps) == 1
     out.append(_result("5a", "exactly one triple coalescence in the search box",
@@ -237,7 +246,7 @@ def criterion_6():
     base = _eff3_params(OMEGA_REF, 23.0, delta=4.62, q=0.0)
     box = {"j": (0.01, 60.0)}
 
-    reps = spectra.find_ep(_operator_detuned_mirrored, box, 2, base)
+    reps = spectra.find_ep(_stacked(_operator_detuned_mirrored), box, 2, base)
     js = sorted(r.params.j for r in reps)
     ok = (len(reps) == 2 and abs(js[0] - 15.96476) <= 1e-3
           and abs(js[1] - 21.46947) <= 1e-3
@@ -246,14 +255,14 @@ def criterion_6():
         "6a", "|delta| = 4.62: exactly two pair coalescences in J <= 60",
         ok, f"found J = {[round(j, 5) for j in js]}"))
 
-    reps3 = spectra.find_ep(_operator_detuned_mirrored, box, 3,
+    reps3 = spectra.find_ep(_stacked(_operator_detuned_mirrored), box, 3,
                             base.replace(delta_rf=11.547))
     ok = len(reps3) == 1 and reps3[0].order == 3 and reps3[0].geometric_mult == 1
     out.append(_result(
         "6b", "|delta| = 11.547: exactly one triple coalescence",
         ok, f"found {[(round(r.params.j, 5), r.order) for r in reps3]}"))
 
-    none2 = spectra.find_ep(_operator_detuned_mirrored, box, 2,
+    none2 = spectra.find_ep(_stacked(_operator_detuned_mirrored), box, 2,
                             base.replace(delta_rf=14.0))
     out.append(_result(
         "6c", "|delta| = 14: no degeneracies",

@@ -194,7 +194,7 @@ class TestSweepCommand:
                     "--out", str(out)]) == 4
         grid = np.linspace(0.0, 30.0, 9)
         res = spectra.sweep(superop.generator("eff3").operators(
-            cli.params_from_config(cfg), "omega", grid), grid)
+            cli.params_from_config(cfg), {"omega": grid}), grid)
         want = [",".join([cli._fmt(x)] + [cli._fmt(z.real) for z in col]
                          + [cli._fmt(z.imag) for z in col])
                 for x, col in zip(res.grid, res.branches.T)]
@@ -284,6 +284,28 @@ class TestFindEpCommand:
         assert float(rep["params"]["j"]) == pytest.approx(30.0 / math.sqrt(2.0),
                                                           abs=1e-4)
         assert rep["kind"] == "exceptional"
+
+    def test_builds_no_params_per_grid_point(self, tmp_path, monkeypatch):
+        # the README config builds the base params, checks the box corners
+        # (in the CLI and in find_ep) and gives the one report its params;
+        # the 65-point coarse grid and the solver's evaluations build none
+        superop.generator("eff3")
+        built = []
+        post_init = model.ModelParams.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(model.ModelParams, "__post_init__", counting_post_init)
+        cfg = write_config(tmp_path, {
+            "model": "eff3", "params": {"omega": 30.0, "j": 10.0, "q": 0.0},
+            "findep": {"box": {"j": [15.0, 30.0]}, "target_mult": 2,
+                       "level": "operator"}})
+        out = tmp_path / "ep.json"
+        assert run(["find-ep", "--config", cfg, "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["reports"]) == 1
+        assert len(built) <= 8
 
     @pytest.mark.parametrize("level,target", [
         ("operator", 4), ("superoperator", 10), ("operator", 10 ** 18),

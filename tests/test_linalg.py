@@ -116,7 +116,7 @@ class TestEig:
     def test_real_solve_gives_exact_conjugate_pairs(self, rng, name):
         p = model.ModelParams(omega=30.0, j=17.0, delta_rf=3.0, delta_opt=50.0,
                               gamma_sp=1e4, gamma_g=0.5, q=0.4)
-        m = superop.generator(name).matrix(p)
+        m = superop.generator(name).matrices(p)[0]
         stack = np.array([m] + [rng.normal(size=m.shape) for _ in range(5)])
         assert stack.dtype == np.float64
         for a, w in zip(stack, linalg.eigvals(stack)):
@@ -129,7 +129,7 @@ class TestEig:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(p=model_params(), name=st.sampled_from(["eff3", "full4"]))
     def test_eig_values_are_the_eigvals_bits(self, p, name):
-        m = superop.generator(name).matrix(p)
+        m = superop.generator(name).matrices(p)[0]
         assert m.dtype == np.float64
         assert np.array_equal(linalg.eig(m).values, linalg.eigvals(m))
 
@@ -207,7 +207,7 @@ class TestExpm:
         r = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         rho0 = r @ r.conj().T
         rho0 /= np.trace(rho0)
-        v0 = superop.vectorize(rho0, superop.GELLMANN)
+        v0 = superop.vectorize(rho0)
         t = 0.1
         via_expm = linalg.expm(l * t) @ v0
         dec = linalg.eig(l)

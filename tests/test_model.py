@@ -292,7 +292,7 @@ class TestEffectiveReduction:
         p = ModelParams(omega=30.0, j=10.0)
         red = reduce_effective(build_full4_rwa(p), p)
         assert np.abs(red.h_nh() - h_nh_tuned(30.0, 10.0)).max() < 1e-9
-        got = superop.generator("eff3").operator(p)
+        got = superop.generator("eff3").operators(p)[0]
         assert np.abs(got - h_nh_tuned(30.0, 10.0)).max() < 1e-9
 
     def test_ground_jumps_pass_through_and_excited_ones_are_dropped(self):

@@ -1,10 +1,14 @@
-"""Every public top-level name of the package has a caller outside the tests.
+"""Every public top-level name of the package, and every public method of
+its top-level classes, has a caller outside the tests.
 
 The sources of `src/lioup` and `perfbench` are parsed, not imported.  A name
 counts as referenced when it appears, as a name, an attribute, an imported
 name or a string constant (the benchmark's tracer names its targets by
-string), in any top-level statement other than the one that defines it.
-Helpers that only tests call belong in the tests.
+string), in any top-level statement other than the one that defines it.  A
+method counts as referenced when its name appears as an attribute, so that
+a string such as a level named "operator" is not a call, in any top-level
+statement or method other than its own definition.  Helpers that only
+tests call belong in the tests.
 """
 
 import ast
@@ -53,6 +57,27 @@ def unreferenced_public_names():
     return unused
 
 
+def unreferenced_public_methods():
+    units = []  # (module path, class name or None, statement)
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.ClassDef):
+                units += [(path, stmt.name, item) for item in stmt.body]
+            else:
+                units.append((path, None, stmt))
+    used = [{node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            for _, _, stmt in units]
+    unused = []
+    for k, (path, cls, stmt) in enumerate(units):
+        if (path.parent == PACKAGE and cls is not None
+                and isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not stmt.name.startswith("_")
+                and not any(stmt.name in names for j, names in enumerate(used)
+                            if j != k)):
+            unused.append(f"{path.stem}.{cls}.{stmt.name}")
+    return unused
+
+
 def test_sources_found():
     assert any(p.name == "cli.py" for p in SOURCES)
     assert any(p.parent.name == "perfbench" for p in SOURCES)
@@ -60,3 +85,7 @@ def test_sources_found():
 
 def test_every_public_name_has_a_program_caller():
     assert unreferenced_public_names() == []
+
+
+def test_every_public_method_has_a_program_caller():
+    assert unreferenced_public_methods() == []

@@ -10,6 +10,7 @@ from lioup.spectra import (DAMPED_OSCILLATION, PURE_DECAY, PURE_OSCILLATION,
                            STATIONARY, UNSTABLE, classify, correspondence_check,
                            detect_degeneracy, evolve_check, find_ep,
                            match_distance, splittings, sweep)
+from lioup.validate import _stacked
 
 
 def gm_liouvillian(p):
@@ -133,7 +134,7 @@ class TestDetectDegeneracy:
     def test_zero_operator_is_one_diabolical_cluster(self):
         # eff3 without drive (omega = j = delta = 0) has H_nh = 0: a zero
         # cluster radius and a zero-norm rank sequence
-        h = superop.generator("eff3").operator(ModelParams(omega=0.0, j=0.0))
+        h = superop.generator("eff3").operators(ModelParams(omega=0.0, j=0.0))[0]
         assert not h.any()
         values, reports = detect_degeneracy(h)
         assert values.tolist() == [0.0, 0.0, 0.0]
@@ -170,13 +171,14 @@ class TestCorrespondence:
             correspondence_check(np.eye(2), np.zeros(5))
 
 
-def stack(builder, base, parameter, grid):
-    """builder at base with `parameter` set to each grid value, stacked."""
-    return np.array([builder(base.replace(**{parameter: float(x)})) for x in grid])
-
-
 def tuned(p):
     return h_nh_tuned(p.omega, p.j)
+
+
+# find_ep's stack builders, of the detuned NHH in the builders' sign
+# convention and mirrored
+DETUNED = _stacked(lambda p: h_nh_detuned(p.omega, p.j, p.delta_rf))
+MIRRORED = _stacked(lambda p: h_nh_detuned(p.omega, p.j, -p.delta_rf))
 
 
 class TestSweep:
@@ -185,7 +187,7 @@ class TestSweep:
         base = ModelParams(omega=omega, j=20.0, q=0.0)
         j_star = omega / np.sqrt(2.0)
         grid = np.sort(np.append(np.linspace(15.0, 25.0, 100), j_star))
-        res = sweep(stack(tuned, base, "j", grid), grid)
+        res = sweep(_stacked(tuned)(base, {"j": grid}), grid)
         below = res.grid < j_star - 0.2
         above = res.grid > j_star + 0.2
         spread_re = np.ptp(res.branches.real, axis=0)
@@ -196,7 +198,7 @@ class TestSweep:
     def test_columns_are_permutations_of_spectra(self):
         base = ModelParams(omega=30.0, j=10.0, q=0.5)
         grid = np.linspace(5.0, 40.0, 36)
-        res = sweep(stack(gm_liouvillian, base, "j", grid), grid)
+        res = sweep(_stacked(gm_liouvillian)(base, {"j": grid}), grid)
         for k in (0, 17, 35):
             ev = linalg.eigvals(gm_liouvillian(base.replace(j=float(grid[k]))))
             assert match_distance(res.branches[:, k], ev) < 1e-9
@@ -206,7 +208,7 @@ class TestSweep:
         _, d, _ = triple_point(omega)
         base = ModelParams(omega=omega, j=20.0, delta_rf=d, q=1.0)
         grid = np.linspace(10.0, 40.0, 61)
-        res = sweep(stack(gm_liouvillian, base, "j", grid), grid)
+        res = sweep(_stacked(gm_liouvillian)(base, {"j": grid}), grid)
         for k in range(61):
             ev = res.branches[:, k]
             diam = spectra.spectral_diameter(ev)
@@ -216,8 +218,7 @@ class TestSweep:
     def test_no_candidates_without_degeneracies(self):
         base = ModelParams(omega=30.0, j=10.0, delta_rf=14.0, q=0.0)
         grid = np.linspace(0.5, 60.0, 120)
-        res = sweep(stack(lambda p: h_nh_detuned(p.omega, p.j, p.delta_rf),
-                          base, "j", grid), grid)
+        res = sweep(DETUNED(base, {"j": grid}), grid)
         assert res.ep_candidates == ()
 
     def test_failure_at_every_point_raises(self):
@@ -230,7 +231,7 @@ class TestSweep:
         # fallback still attributes the failure to its own grid point
         base = ModelParams(omega=30.0, j=10.0, q=0.0)
         grid = np.linspace(15.0, 25.0, 11)
-        mats = stack(tuned, base, "j", grid)
+        mats = _stacked(tuned)(base, {"j": grid})
         mats[5, 0, 0] = np.nan
         res = sweep(mats, grid)
         assert [i for i, _ in res.failures] == [5]
@@ -258,7 +259,7 @@ class TestSweep:
         # only the point with a coalescence on top of them is flagged
         base = ModelParams(omega=30.0, j=10.0, q=0.5)
         grid = np.linspace(15.0, 25.0, 201)
-        res = sweep(superop.generator("eff3").matrices(base, "j", grid), grid)
+        res = sweep(superop.generator("eff3").matrices(base, {"j": grid}), grid)
         assert res.ep_candidates == (100,)
         ev = res.branches[:, 100]
         assert np.count_nonzero(np.abs(ev + 20.0) < 1e-5) == 3
@@ -284,8 +285,7 @@ class TestSweep:
 class TestFindEp:
     def test_two_pair_coalescences_inside_the_critical_detuning(self):
         base = ModelParams(omega=30.0, j=20.0, delta_rf=4.62, q=0.0)
-        reps = find_ep(lambda p: h_nh_detuned(p.omega, p.j, p.delta_rf),
-                       {"j": (0.01, 60.0)}, 2, base)
+        reps = find_ep(DETUNED, {"j": (0.01, 60.0)}, 2, base)
         js = sorted(r.params.j for r in reps)
         assert len(js) == 2
         # frozen from the discriminant of the real characteristic cubic
@@ -298,10 +298,9 @@ class TestFindEp:
         # default relative tolerance by 1e-3 must not change the outcome
         base = ModelParams(omega=30.0, j=23.0, delta_rf=11.0, q=0.0)
         box = {"j": (20.0, 26.0), "delta_rf": (9.0, 14.0)}
-        builder = lambda p: h_nh_detuned(p.omega, p.j, -p.delta_rf)
         monkeypatch.setattr(spectra, "TOL_CLUSTER_REL",
                             spectra.TOL_CLUSTER_REL * 1e-3)
-        reps = find_ep(builder, box, 3, base)
+        reps = find_ep(MIRRORED, box, 3, base)
         assert len(reps) == 1
         assert reps[0].algebraic_mult == 3 and reps[0].geometric_mult == 1
         assert abs(reps[0].cluster_value + 20j) < 1e-6
@@ -310,37 +309,46 @@ class TestFindEp:
         # the centred power sums vanish analytically at the coalescence, so
         # the solve lands on criterion 5's triple point to rounding
         base = ModelParams(omega=30.0, j=23.0, delta_rf=11.0, q=0.0)
-        reps = find_ep(lambda p: h_nh_detuned(p.omega, p.j, -p.delta_rf),
-                       {"j": (20.0, 26.0), "delta_rf": (9.0, 14.0)}, 3, base)
+        reps = find_ep(MIRRORED, {"j": (20.0, 26.0), "delta_rf": (9.0, 14.0)}, 3, base)
         j_tp, d_tp, _ = triple_point(30.0)
         assert len(reps) == 1
         assert abs(reps[0].params.j - j_tp) <= 1e-10
         assert abs(reps[0].params.delta_rf - d_tp) <= 1e-10
 
-    @pytest.mark.parametrize("builder,box,target,base,limit", [
+    @pytest.mark.parametrize("build,box,target,base,limit", [
         # the README's find-ep example: 65 coarse-grid points
-        (superop.generator("eff3").operator, {"j": (15.0, 30.0)}, 2,
+        (superop.generator("eff3").operators, {"j": (15.0, 30.0)}, 2,
          ModelParams(omega=30.0, j=10.0, q=0.0), 200),
         # criterion 5's box: 33 x 33 coarse-grid points
-        (lambda p: h_nh_detuned(p.omega, p.j, -p.delta_rf),
-         {"j": (20.0, 26.0), "delta_rf": (9.0, 14.0)}, 3,
+        (MIRRORED, {"j": (20.0, 26.0), "delta_rf": (9.0, 14.0)}, 3,
          ModelParams(omega=30.0, j=23.0, delta_rf=11.0, q=0.0), 3000),
     ], ids=["readme", "criterion-5"])
-    def test_builder_calls_stay_near_the_coarse_grid(self, builder, box, target,
+    def test_builder_calls_stay_near_the_coarse_grid(self, build, box, target,
                                                      base, limit):
-        calls = []
+        # counts the matrices built: the coarse grid in one call, then one
+        # point per call
+        sizes = []
 
-        def counted(p):
-            calls.append(p)
-            return builder(p)
+        def counted(base, points):
+            stack = build(base, points)
+            sizes.append(len(stack))
+            return stack
 
         assert find_ep(counted, box, target, base)
-        assert len(calls) <= limit
+        assert sizes[0] == (65 if len(box) == 1 else 33 * 33)
+        assert set(sizes[1:]) == {1}
+        assert sum(sizes) <= limit
+
+    def test_box_outside_the_model_domain_raises(self):
+        # the corners are checked before any matrix is built: j must be
+        # non-negative
+        base = ModelParams(omega=30.0, j=20.0, q=0.0)
+        with pytest.raises(ValueError, match="j must be non-negative"):
+            find_ep(superop.generator("eff3").operators, {"j": (-5.0, 5.0)}, 2, base)
 
     def test_empty_box_is_not_an_error(self):
         base = ModelParams(omega=30.0, j=20.0, delta_rf=14.0, q=0.0)
-        reps = find_ep(lambda p: h_nh_detuned(p.omega, p.j, p.delta_rf),
-                       {"j": (0.01, 60.0)}, 2, base)
+        reps = find_ep(DETUNED, {"j": (0.01, 60.0)}, 2, base)
         assert reps == []
 
     def test_all_zero_spectrum_falls_back_to_unit_scale(self):
@@ -349,7 +357,7 @@ class TestFindEp:
         # certification threshold positive, so the zero cluster is reported
         gen = superop.generator("eff3")
         base = ModelParams(omega=0.0, j=0.0, q=0.0)
-        reps = find_ep(gen.operator, {"delta_opt": (-1.0, 1.0)}, 2, base)
+        reps = find_ep(gen.operators, {"delta_opt": (-1.0, 1.0)}, 2, base)
         assert reps
         assert all((r.kind, r.algebraic_mult, r.cluster_value) == ("diabolical", 3, 0)
                    for r in reps)
@@ -357,14 +365,13 @@ class TestFindEp:
     def test_box_validation(self):
         base = ModelParams(omega=30.0, j=20.0)
         with pytest.raises(ValueError):
-            find_ep(lambda p: h_nh_tuned(p.omega, p.j), {}, 2, base)
+            find_ep(_stacked(tuned), {}, 2, base)
         with pytest.raises(ValueError):
-            find_ep(lambda p: h_nh_tuned(p.omega, p.j), {"j": (5.0, 5.0)}, 2, base)
+            find_ep(_stacked(tuned), {"j": (5.0, 5.0)}, 2, base)
         # a 3 x 3 matrix has no coalescence of 4 or more eigenvalues
         for target in (1, 4, 10 ** 18):
             with pytest.raises(ValueError, match="target_mult"):
-                find_ep(lambda p: h_nh_tuned(p.omega, p.j), {"j": (15.0, 30.0)},
-                        target, base)
+                find_ep(_stacked(tuned), {"j": (15.0, 30.0)}, target, base)
 
 
 class TestAsymptotes:
@@ -405,7 +412,7 @@ class TestEvolveCheck:
         l = gm_liouvillian(p)
         dec = linalg.eig(l)
         k = int(np.argmin(np.abs(dec.values)))
-        stat = superop.devectorize(dec.right_vectors[:, k], superop.GELLMANN)
+        stat = superop.devectorize(dec.right_vectors[:, k])
         stat = stat / np.trace(stat)
         rho0 = np.eye(3) / 3.0
         res = evolve_check(l, rho0, [50.0 / p.omega])
@@ -447,9 +454,9 @@ class TestEvolveCheck:
         assert res.rho_eig is None
         assert np.isnan(res.max_diff).all()
         assert np.all(res.trace_drift == 0.0)
-        v0 = superop.vectorize(rho0, superop.GELLMANN)
+        v0 = superop.vectorize(rho0)
         for t, rho in zip(times, res.rho_expm):
-            want = superop.devectorize(v0 + t * (l @ v0), superop.GELLMANN)
+            want = superop.devectorize(v0 + t * (l @ v0))
             assert np.abs(rho - want).max() < 1e-15
 
     def test_rejects_hybrid_generator(self):
@@ -462,7 +469,7 @@ class TestEvolveCheck:
         # omega_r = gamma_g = 0 leaves no jump, so L(q) = -i[H, .] at every q
         # and preserves the trace: the check reads the generator, not q
         p = ModelParams(omega_r=0.0, j=10.0, delta_rf=3.0, q=0.5)
-        l = superop.generator("eff3").matrix(p)
+        l = superop.generator("eff3").matrices(p)[0]
         res = evolve_check(l, np.diag([0.2, 0.5, 0.3]), np.linspace(0.0, 0.5, 4))
         assert res.trace_drift.max() <= 1e-12
         assert res.max_diff.max() < 1e-10

@@ -83,33 +83,34 @@ class TestGellMannBasis:
     def test_completeness(self, rng):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         h = a + a.conj().T
-        rebuilt = devectorize(vectorize(h, GELLMANN), GELLMANN)
+        rebuilt = devectorize(vectorize(h))
         assert np.abs(rebuilt - h).max() < 1e-12
 
 
 class TestVectorize:
     def test_maximally_mixed_has_only_identity_component(self):
-        v = vectorize(np.eye(3) / 3.0, GELLMANN)
+        v = vectorize(np.eye(3) / 3.0)
         assert np.abs(v[:-1]).max() < 1e-15
         assert v[-1] == pytest.approx(1.0 / math.sqrt(6.0))
 
     def test_column_stacking_convention(self):
-        rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-        assert np.array_equal(vectorize(rho, FOCKLIOUVILLE), [1, 0, 0, 0])
-        rho01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        # entry rho_01 lands at index 0 + 2*1
-        assert np.array_equal(vectorize(rho01, FOCKLIOUVILLE), [0, 0, 1, 0])
+        # Fock-Liouville matrices act on rho.flatten(order="F"), where rho_01
+        # lands at index 0 + 2*1: with H = |0><1|, rho -> -i(H rho - rho H^dag)
+        # takes |1><1| to -i(|0><1| - |1><0|)
+        h = np.array([[0.0, 1.0], [0.0, 0.0]])
+        rho = np.diag([0.0, 1.0])
+        got = nhh_superop(h, FOCKLIOUVILLE) @ rho.flatten(order="F")
+        assert np.array_equal(got, [0, 1j, -1j, 0])
 
-    @pytest.mark.parametrize("kind", [GELLMANN, FOCKLIOUVILLE])
-    def test_round_trip(self, rng, kind):
+    def test_round_trip(self, rng):
         for _ in range(20):
             d = int(rng.integers(2, 5))
             rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            assert np.abs(devectorize(vectorize(rho, kind), kind) - rho).max() < 1e-13
+            assert np.abs(devectorize(vectorize(rho)) - rho).max() < 1e-13
 
     def test_gellmann_components_of_hermitian_are_real(self, rng):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        v = vectorize(a + a.conj().T, GELLMANN)
+        v = vectorize(a + a.conj().T)
         assert np.abs(v.imag).max() < 1e-12
 
     def test_rejects_unknown_names_and_dimensions(self):
@@ -119,17 +120,18 @@ class TestVectorize:
                                 (GELLMANN, 17, "dimension"),
                                 (FOCKLIOUVILLE, 1, "dimension")):
             with pytest.raises(ValueError, match=match):
-                vectorize(np.eye(d), basis)
-            with pytest.raises(ValueError, match=match):
-                devectorize(np.zeros(d * d), basis)
-            with pytest.raises(ValueError, match=match):
                 nhh_superop(np.eye(d), basis)
+        for d in (1, 17):
+            with pytest.raises(ValueError, match="dimension"):
+                vectorize(np.eye(d))
+            with pytest.raises(ValueError, match="dimension"):
+                devectorize(np.zeros(d * d))
         with pytest.raises(ValueError, match="unknown basis"):
             hybrid_liouvillian(sys2, 0.5, "pauli")
         with pytest.raises(ValueError, match="dimension"):
             hybrid_liouvillian(sys17, 0.5, FOCKLIOUVILLE)
         with pytest.raises(ValueError, match="length"):
-            devectorize(np.zeros(5), GELLMANN)
+            devectorize(np.zeros(5))
 
 
 class TestHamiltonianPart:
@@ -194,7 +196,7 @@ class TestRelaxationAndJumpParts:
             r = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             rho = r + r.conj().T
             want = sum(l @ rho @ l.conj().T for l in jumps)
-            got = devectorize(lhat @ vectorize(rho, GELLMANN), GELLMANN)
+            got = devectorize(lhat @ vectorize(rho))
             assert np.abs(got - want).max() < 1e-12
 
     def test_effective_jumps_touch_only_the_identity_row(self):
@@ -269,9 +271,8 @@ class TestHybridLiouvillian:
                     r = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                     rho = r + r.conj().T
                     want = apply_hybrid(sys, q, rho)
-                    got_gm = devectorize(m_gm @ vectorize(rho, GELLMANN), GELLMANN)
-                    got_fl = devectorize(m_fl @ vectorize(rho, FOCKLIOUVILLE),
-                                         FOCKLIOUVILLE)
+                    got_gm = devectorize(m_gm @ vectorize(rho))
+                    got_fl = (m_fl @ rho.flatten(order="F")).reshape(d, d, order="F")
                     scale = max(np.abs(want).max(), 1.0)
                     assert np.abs(got_gm - want).max() < 1e-11 * scale
                     assert np.abs(got_fl - want).max() < 1e-11 * scale
@@ -306,9 +307,9 @@ class TestGenerator:
         sys = self.BUILDERS[name](p)
         want = hybrid_liouvillian(sys, p.q, GELLMANN)
         gen = superop.generator(name)
-        got = gen.matrix(p)
+        got = gen.matrices(p)[0]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        h_nh = gen.operator(p)
+        h_nh = gen.operators(p)[0]
         assert h_nh.dtype == np.complex128
         assert np.abs(h_nh - sys.h_nh()).max() <= 1e-12 * np.abs(sys.h_nh()).max()
 
@@ -316,8 +317,8 @@ class TestGenerator:
     @given(p=model_params(), name=st.sampled_from(["eff3", "full4"]))
     def test_jump_weight_enters_linearly(self, p, name):
         gen = superop.generator(name)
-        m = gen.matrix(p)
-        m0, m1 = gen.matrix(p.replace(q=0.0)), gen.matrix(p.replace(q=1.0))
+        m = gen.matrices(p)[0]
+        m0, m1 = gen.matrices(p, {"q": [0.0, 1.0]})
         tol = 1e-12 * np.abs(m).max()
         assert np.abs(m - ((1.0 - p.q) * m0 + p.q * m1)).max() <= tol
         # the identity element's row: trace preservation at q = 1
@@ -331,10 +332,10 @@ class TestGenerator:
         d = gen.form.dim
         r = np.eye(d)[[2, 1, 0, 3][:d]]
         mirrored = p.replace(delta_rf=-p.delta_rf)
-        assert np.array_equal(gen.operator(mirrored), r @ gen.operator(p) @ r)
+        assert np.array_equal(gen.operators(mirrored)[0], r @ gen.operators(p)[0] @ r)
         rev = superop.superop_of_map(lambda s: r @ s @ r, d)
-        m = gen.matrix(p)
-        assert (np.abs(gen.matrix(mirrored) - rev @ m @ rev.T).max()
+        m = gen.matrices(p)[0]
+        assert (np.abs(gen.matrices(mirrored)[0] - rev @ m @ rev.T).max()
                 <= 1e-12 * np.abs(m).max())
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -342,27 +343,27 @@ class TestGenerator:
     def test_jump_free_generator_is_the_nhh_superoperator(self, p, name):
         gen = superop.generator(name)
         p0 = p.replace(q=0.0)
-        m = gen.matrix(p0)
-        want = nhh_superop(gen.operator(p0), GELLMANN)
+        m = gen.matrices(p0)[0]
+        want = nhh_superop(gen.operators(p0)[0], GELLMANN)
         assert np.abs(m - want).max() <= 1e-12 * np.abs(m).max()
 
     def test_keeps_the_reduction_checks(self):
         gen = superop.generator("eff3")
         slow = ModelParams(omega_r=3.0, j=30.0, gamma_sp=10.0)
-        for build in (gen.matrix, gen.operator):
+        for build in (gen.matrices, gen.operators):
             with pytest.warns(UserWarning, match="dominate"):
                 build(slow)
         singular = ModelParams(omega=1.0, gamma_sp=1e-310)
-        for build in (build_eff3, gen.matrix, gen.operator):
+        for build in (build_eff3, gen.matrices, gen.operators):
             with pytest.warns(UserWarning), pytest.raises(ValueError, match="singular"):
                 build(singular)
         # on a grid each check fires once, for all the points that trip it
         for build in (gen.matrices, gen.operators):
             with pytest.warns(UserWarning, match="dominate") as record:
-                build(slow.replace(j=0.0), "j", [0.0, 0.5, 30.0, 40.0])
+                build(slow.replace(j=0.0), {"j": [0.0, 0.5, 30.0, 40.0]})
             assert len(record) == 1
             with pytest.warns(UserWarning), pytest.raises(ValueError, match="singular"):
-                build(singular.replace(delta_opt=1.0), "delta_opt", [-1.0, 0.0, 1.0])
+                build(singular.replace(delta_opt=1.0), {"delta_opt": [-1.0, 0.0, 1.0]})
 
     @pytest.mark.parametrize("name", ["eff3", "full4"])
     def test_operator_terms_of_the_jump_weight_are_zero(self, name):
@@ -374,7 +375,7 @@ class TestGenerator:
         weighted = np.subtract(gen.form.coefficients(p.replace(q=1.0))[0],
                                gen.form.coefficients(p)[0]) != 0
         assert weighted.sum() == 2 and not ops[weighted].any()
-        assert np.array_equal(gen.operator(p), gen.operator(p.replace(q=1.0)))
+        assert np.array_equal(gen.operators(p), gen.operators(p.replace(q=1.0)))
 
     @pytest.mark.parametrize("name", ["eff3", "full4"])
     def test_terms_are_real_and_equal_the_direct_parts(self, name):
@@ -382,7 +383,7 @@ class TestGenerator:
         assert gen.terms.dtype == np.float64 and not gen.terms.flags.writeable
         p = ModelParams(omega=30.0, j=12.0, delta_rf=2.0, delta_opt=40.0,
                         gamma_sp=1e4, gamma_g=0.3, q=0.6)
-        m = gen.matrix(p)
+        m = gen.matrices(p)[0]
         assert m.dtype == np.float64
         # M_ij = Tr(map(s_j) s_i)/2, bypassing the Kronecker path
         sys = self.BUILDERS[name](p)
@@ -429,27 +430,44 @@ def sweep_values(field, p):
             "gamma_g": st.floats(0.0, 10.0)}[field]
 
 
+def draw_points(data, fields, values):
+    """`points` over `fields`, each a number or a list of one common length,
+    drawn from the strategy values(field), and the points it stands for as
+    one map of field values each."""
+    n = data.draw(st.integers(1, 6))
+    points = {f: data.draw(st.one_of(values(f), st.lists(values(f), min_size=n,
+                                                          max_size=n)))
+              for f in fields}
+    size = n if any(isinstance(x, list) for x in points.values()) else 1
+    return points, [{f: x[k] if isinstance(x, list) else x for f, x in points.items()}
+                    for k in range(size)]
+
+
 class TestGrid:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(p=model_params(), name=st.sampled_from(["eff3", "full4"]),
-           field=st.sampled_from(sorted(cli.SWEEPABLE)), data=st.data())
-    def test_rows_are_the_points(self, p, name, field, data):
-        # every row has the bits of the matrix at p.replace(field=x), with
-        # omega and omega_r re-derived from each other
-        values = data.draw(st.lists(sweep_values(field, p), min_size=1, max_size=6))
+           fields=st.lists(st.sampled_from(sorted(cli.SWEEPABLE)), min_size=1,
+                           max_size=2, unique=True).filter(
+                               lambda f: set(f) != {"omega", "omega_r"}),
+           data=st.data())
+    def test_rows_are_the_points(self, p, name, fields, data):
+        # every row has the bits of the matrix at p.replace(**point), with one
+        # or two fields set to numbers or lists and omega and omega_r
+        # re-derived from each other
+        points, each = draw_points(data, fields, lambda f: sweep_values(f, p))
         gen = superop.generator(name)
-        mats = gen.matrices(p, field, values)
-        ops = gen.operators(p, field, values)
-        assert mats.shape == (len(values),) + (gen.form.dim ** 2,) * 2
-        assert ops.shape == (len(values),) + (gen.form.dim,) * 2
-        rows = gen.form.coefficients(p, field, values)
-        for x, row, m, h in zip(values, rows, mats, ops):
-            at = p.replace(**{field: x})
+        mats = gen.matrices(p, points)
+        ops = gen.operators(p, points)
+        assert mats.shape == (len(each),) + (gen.form.dim ** 2,) * 2
+        assert ops.shape == (len(each),) + (gen.form.dim,) * 2
+        rows = gen.form.coefficients(p, points)
+        for point, row, m, h in zip(each, rows, mats, ops):
+            at = p.replace(**point)
             assert np.array_equal(row, reference_coefficients(name, at))
             assert np.array_equal(m.ravel(), row @ gen.terms)
             assert np.array_equal(h.ravel(), row @ gen.operator_terms)
-            assert np.array_equal(m, gen.matrix(at))
-            assert np.array_equal(h, gen.operator(at))
+            assert np.array_equal(m, gen.matrices(at)[0])
+            assert np.array_equal(h, gen.operators(at)[0])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(p=model_params(), seed=st.integers(0, 2 ** 32 - 1))
@@ -465,19 +483,21 @@ class TestGrid:
                  "omega_r": math.sqrt(p.gamma_sp) * rng.uniform(-10.0, 10.0, 200)}
         form = model.LINEAR_FORMS["eff3"]
         for field, values in grids.items():
-            rows = form.coefficients(p, field, values)
+            rows = form.coefficients(p, {field: values})
             want = [reference_coefficients("eff3", p.replace(**{field: x}))[2:4]
                     for x in values.tolist()]
             assert np.array_equal(rows[:, 2:4], want), field
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(gamma_sp=st.sampled_from([1e-310, 1e-3, 1.0, 1e3]),
-           field=st.sampled_from(["j", "omega", "delta_opt"]),
-           values=st.lists(st.sampled_from([0.0, 1e-305, 0.01, 1.0, 50.0, 200.0]),
-                           min_size=1, max_size=5))
-    def test_checks_fire_on_a_grid_as_at_its_points(self, gamma_sp, field, values):
+           fields=st.lists(st.sampled_from(["j", "omega", "delta_opt"]), min_size=1,
+                           max_size=2, unique=True),
+           data=st.data())
+    def test_checks_fire_on_a_grid_as_at_its_points(self, gamma_sp, fields, data):
         gen = superop.generator("eff3")
         p = ModelParams(omega=1.0, j=0.0, gamma_sp=gamma_sp)
+        points, each = draw_points(data, fields, lambda f: st.sampled_from(
+            [0.0, 1e-305, 0.01, 1.0, 50.0, 200.0]))
 
         def outcome(build, *args):
             with warnings.catch_warnings(record=True) as record:
@@ -491,10 +511,10 @@ class TestGrid:
             assert all("dominate" in str(w.message) for w in record)
             return len(record), raised
 
-        warned, raised = outcome(gen.matrices, p, field, values)
-        points = [outcome(gen.matrix, p.replace(**{field: x})) for x in values]
-        assert warned == (1 if any(n for n, _ in points) else 0)
-        assert raised == any(r for _, r in points)
+        warned, raised = outcome(gen.matrices, p, points)
+        at_each = [outcome(gen.matrices, p.replace(**point)) for point in each]
+        assert warned == (1 if any(n for n, _ in at_each) else 0)
+        assert raised == any(r for _, r in at_each)
 
 
 @st.composite
@@ -530,7 +550,7 @@ class TestSpectralProperties:
         # ratio = 1, where the doubles -a1 and -a1* scatter like eps**(1/2):
         # up to 2e-8 of the spectral radius there, past the 1e-8 tolerance
         p = ModelParams(omega=omega, j=ratio * omega / math.sqrt(2.0), q=q)
-        ev = linalg.eigvals(superop.generator("eff3").matrix(p))
+        ev = linalg.eigvals(superop.generator("eff3").matrices(p)[0])
         scale = np.abs(ev).max()
         for lam in analytic.fixed_six(p.omega, p.j):
             assert np.abs(ev - lam).min() <= 1e-8 * scale  # criterion 3b
@@ -546,7 +566,7 @@ class TestFockLiouville:
     def test_trace_preservation_left_null_vector(self, rng):
         sys = random_system(rng, 3, 2)
         sop = hybrid_liouvillian(sys, 1.0, FOCKLIOUVILLE)
-        vec_id = vectorize(np.eye(3), FOCKLIOUVILLE)
+        vec_id = np.eye(3).flatten(order="F")
         assert np.abs(vec_id.conj() @ sop).max() < 1e-12
 
     def test_four_level_groups(self):
