@@ -11,6 +11,7 @@ output, but some grid points failed).
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -38,6 +39,81 @@ class SchemaError(Exception):
 
 def _fmt(x):
     return FLOAT_FMT % float(x)
+
+
+@functools.lru_cache(maxsize=None)
+def _format_words():
+    """The 4-byte words `_format_rows` builds its cells from, made on first
+    use: every 4-digit group, sign with lead digit and point, exponent field
+    and separator; then, at offset k + 22 for |k| <= 22, the factors
+    10**max(k, 0) and 10**max(-k, 0), which a double holds exactly."""
+    d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quads = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1)
+    heads = [f"{sign}{lead}." for sign in ("", "-") for lead in range(10)]
+    tails = [f"e{e:+03d}" for e in range(-99, 100)]
+    return (quads.reshape(-1, 4).copy().view(np.uint32).ravel(),
+            np.array(heads, dtype="S4").view(np.uint32),
+            np.array(tails, dtype="S4").view(np.uint32),
+            np.array([",", "\r\n"], dtype="S4").view(np.uint32),
+            np.array([float(10 ** max(k, 0)) for k in range(-22, 23)]),
+            np.array([float(10 ** max(-k, 0)) for k in range(-22, 23)]))
+
+
+def _format_rows(table):
+    """CSV rows of a 2-D float array, each value as FLOAT_FMT % x, the values
+    joined by ',' and each row ended by CRLF, as a list of pieces of text
+    formatted a block of rows at a time: joined, they are byte for byte the
+    text of per-value formatting."""
+    table = np.asarray(table, dtype=float)
+    step = max(1, 4096 // table.shape[1])
+    return [_format_block(table[r:r + step]) for r in range(0, len(table), step)]
+
+
+def _format_block(x):
+    # %.12e prints m = rint(|x| 10**(12 - e)) as d.dddddddddddd with the
+    # exponent e = floor(log10 |x|).  Scaled by an exact power of ten, s
+    # takes one rounding, so it lies within 1.1e-3 of the exact value
+    # (s < 1e13, 2**-53 relative) and rint(s) is the correctly rounded m
+    # unless s lies within 4e-3 of a half.  Such values, non-finite ones and
+    # those whose exponent needs a power beyond 10**22 go through FLOAT_FMT.
+    quads, heads, tails, seps, up, down = _format_words()
+    a = np.abs(x)
+    with np.errstate(divide="ignore"):
+        e = np.floor(np.log10(a))
+    fast = (e >= -10.0) & (e <= 34.0)  # so that |12 - e| <= 22
+    zero = a == 0.0
+    a = np.where(fast, a, 1.0)
+    k = np.where(fast, 34.0 - e, 22.0).astype(np.intp)  # 12 - e, offset by 22
+    s = a * up[k] / down[k]
+    m = np.rint(s)
+    # Should log10 miss by one next to a power of ten, s leaves [1e12, 1e13)
+    # unless it lies within rounding of an end, where both exponents print
+    # the same text
+    fast &= (s >= 1e12) & (s < 1e13) & (np.abs(s - m) < 0.5 - 4e-3)
+    top = m == 1e13  # rounded up to the next power of ten
+    m[top] = 1e12
+    k[top] -= 1
+    m[~fast] = 0.0
+    fast |= zero
+    k[zero] = 34
+    lead, rest = np.divmod(m.astype(np.int64), 10 ** 12)
+    g1, rest = np.divmod(rest, 10 ** 8)
+    g2, g3 = np.divmod(rest, 10 ** 4)
+    # one cell of six words per value: the NUL-padded text of at most 20
+    # bytes, then the separator; the NULs are dropped once, at the end
+    cells = np.empty(x.shape + (6,), dtype=np.uint32)
+    cells[..., 0] = heads[lead + 10 * np.signbit(x)]
+    cells[..., 1] = quads[g1]
+    cells[..., 2] = quads[g2]
+    cells[..., 3] = quads[g3]
+    cells[..., 4] = tails[133 - k]  # e + 99
+    cells[..., 5] = seps[0]
+    cells[:, -1, 5] = seps[1]
+    slow = ~fast
+    if slow.any():
+        text = [FLOAT_FMT % v for v in x[slow].tolist()]
+        cells[slow, :5] = np.array(text, dtype="S20").view(np.uint32).reshape(-1, 5)
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _check_keys(obj, allowed, path):
@@ -222,11 +298,9 @@ def cmd_sweep(cfg, out_path):
     nb = result.branches.shape[0]
     header = ([parameter] + [f"re_{k + 1}" for k in range(nb)]
               + [f"im_{k + 1}" for k in range(nb)])
-    row_fmt = ",".join([FLOAT_FMT] * (1 + 2 * nb))
     table = np.column_stack([result.grid, result.branches.real.T,
                              result.branches.imag.T])
-    lines = [",".join(header)] + [row_fmt % tuple(row.tolist()) for row in table]
-    _emit("\r\n".join(lines) + "\r\n", out_path)
+    _emit("".join([",".join(header) + "\r\n"] + _format_rows(table)), out_path)
     _emit_metadata(cfg, out_path, extra={
         "branch_provenance": "columns follow the (re, im)-sorted eigenvalues "
                              "at the first grid point, continuity-tracked by "

@@ -231,26 +231,20 @@ def build_full4_rwa(p: ModelParams) -> LindbladSystem:
 
 
 def _warn_unless_fast_decay(v):
-    # v maps fields to numbers or to arrays along the points.  The least
-    # gamma_sp meets the largest ground scale at one point, as gamma_sp never
-    # varies together with another field but on a full mesh (a find_ep box),
-    # so that point is slow exactly when any is: one warning covers them all
-    scale = max(_most(v["j"]), _most(abs(v["delta_rf"])), _most(v["omega"]))
-    gamma_sp = _least(v["gamma_sp"])
-    if gamma_sp < 10.0 * scale:
+    # v maps fields to numbers or to arrays along the points.  Each point is
+    # checked on its own, and one warning covers them all, naming the point
+    # where gamma_sp exceeds ten times its largest ground scale by the least
+    scale = np.maximum(np.maximum(v["j"], np.abs(v["delta_rf"])), v["omega"])
+    slack = np.ravel(v["gamma_sp"] - 10.0 * scale)
+    worst = slack.argmin()
+    if slack[worst] < 0.0:
+        gamma_sp, scale = (np.broadcast_to(x, slack.shape)[worst]
+                           for x in (v["gamma_sp"], scale))
         warnings.warn(
             "effective reduction assumes gamma_sp to dominate ground-state "
             f"scales (gamma_sp={gamma_sp:g}, max ground scale={scale:g})",
             stacklevel=3,
         )
-
-
-def _most(x):
-    return x.max() if isinstance(x, np.ndarray) else x
-
-
-def _least(x):
-    return x.min() if isinstance(x, np.ndarray) else x
 
 
 def _check_excited_nhh(h_e):

@@ -15,9 +15,9 @@ superop.Generator's `matrices`; `evolve_check` takes the generator's
 Gell-Mann matrix as an array.
 
 scipy.optimize is imported inside its three callers, `match_distance`,
-`sweep` and `find_ep`, because loading it (and the scipy.linalg it pulls
-in) costs about 0.5 s of CPU at start-up and a spectrum or evolve command
-never calls it.
+`_track` (for `sweep`) and `find_ep`, because loading it (and the
+scipy.linalg it pulls in) costs about 0.5 s of CPU at start-up and a
+spectrum or evolve command never calls it.
 """
 
 import dataclasses
@@ -271,9 +271,19 @@ def sweep(stack, grid):
     of an ascending parameter grid.
 
     The stack is solved by one batched eigensolve, in real arithmetic when
-    it is float64.  Branches are tracked between consecutive grid points by
-    the minimal-total-distance assignment; grid points whose eigensolve
+    it is float64.  Branches are tracked between consecutive solved points
+    by the minimal-total-distance assignment; grid points whose eigensolve
     raises are recorded as failures and their branch column is NaN.
+
+    A step skips the assignment solver where every eigenvalue's nearest
+    neighbour at the next point is a different one, nearer than its
+    runner-up by more than 1e-9 of the step's largest distance.  That
+    matching reaches the sum of the row minima, which bounds every
+    assignment from below, and every other matching exceeds it by at least
+    the margin, so it is the unique optimum and the solver's answer.  Every
+    other step calls the solver on the previous point's branch order: at
+    ties, such as the exact doubles of a resonant superoperator, its choice
+    depends on row order.
 
     EP candidates are the points with more eigenvalue pairs closer than
     1e-5 of the largest spectral diameter on the grid than the fewest any
@@ -281,37 +291,88 @@ def sweep(stack, grid):
     symmetry-protected exact doubles of a superoperator spectrum, therefore
     flag nothing; a coalescence on top of them does.
     """
-    import scipy.optimize
-
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be ascending with at least 2 points")
     if len(stack) != grid.size:
         raise ValueError("the stack must hold one matrix per grid point")
-    values, failures = _eigvals_each(stack)
-    results = {i: v for i, v in enumerate(values) if v is not None}
-    if not results:
+    values, good, failures = _eigvals_each(stack)
+    if not good:
         raise RuntimeError("eigensolve failed at every grid point")
 
-    good = list(results)
-    nb = results[good[0]].size
-    branches = np.full((nb, grid.size), np.nan + 1j * np.nan, dtype=complex)
-    branches[:, good[0]] = results[good[0]]
-    prev = results[good[0]]
-    for i in good[1:]:
-        cur = results[i]
-        cost = np.abs(prev[:, None] - cur[None, :])
-        rows, cols = scipy.optimize.linear_sum_assignment(cost)
-        ordered = np.empty_like(cur)
-        ordered[rows] = cur[cols]
-        branches[:, i] = ordered
-        prev = ordered
+    tracked = np.take_along_axis(values, _track(values), axis=1)
+    branches = np.full((values.shape[1], grid.size), np.nan + 1j * np.nan,
+                       dtype=complex)
+    branches[:, good] = tracked.T
 
-    counts = _close_pairs(branches[:, good].T)
+    counts = _close_pairs(tracked)
     fewest = counts.min()
     candidates = tuple(i for i, c in zip(good, counts) if c > fewest)
     return SweepResult(grid=grid, branches=branches, ep_candidates=candidates,
                        failures=tuple(failures))
+
+
+def _track(values):
+    """Per row of `values` (points, n), the order that continues the
+    branches: branch b at point k is values[k, order[k, b]], and the first
+    row keeps its order.  See `sweep` for which steps call the solver."""
+    import scipy.optimize
+
+    steps = len(values) - 1
+    nearest, unique = _unique_nearest(values)
+    order = np.empty(values.shape, dtype=np.intp)
+    order[0] = cols = np.arange(values.shape[1])
+    start = 0  # cols = order[start] is known
+    for stop in np.flatnonzero(~unique).tolist() + [steps]:
+        if stop > start:
+            # steps start..stop-1 follow the nearest neighbours; compose them
+            # by doubling: chain[i] = nearest[start + i] o ... o nearest[start]
+            chain, shift = nearest[start:stop], 1
+            while shift < len(chain):
+                chain[shift:] = np.take_along_axis(chain[shift:], chain[:-shift],
+                                                   axis=1)
+                shift *= 2
+            order[start + 1:stop + 1] = chain[:, cols]
+            cols = order[stop]
+        if stop < steps:
+            cost = np.abs(values[stop][cols][:, None] - values[stop + 1][None, :])
+            cols = scipy.optimize.linear_sum_assignment(cost)[1]
+            order[stop + 1] = cols
+        start = stop + 1
+    return order
+
+
+def _unique_nearest(values):
+    """For each step between consecutive rows of `values` (points, n), each
+    eigenvalue's nearest neighbour in the next row, and whether these form a
+    permutation with every one nearer than the runner-up by more than 1e-9
+    of the step's largest distance (never where a distance is NaN).
+
+    A block of steps takes its distances one column of the next row at a
+    time, so no (steps, n, n) array is formed.
+    """
+    steps, n = len(values) - 1, values.shape[1]
+    nearest = np.zeros((steps, n), dtype=np.intp)
+    unique = np.empty(steps, dtype=bool)
+    rows = max(1, 8192 // n)
+    for s in range(0, steps, rows):
+        t = min(s + rows, steps)
+        prev, cur, near = values[s:t], values[s + 1:t + 1], nearest[s:t]
+        best = np.full(prev.shape, np.inf)
+        runner_up = np.full(prev.shape, np.inf)
+        span = np.zeros(prev.shape)
+        for j in range(n):
+            dist = np.abs(prev - cur[:, j, None])
+            np.maximum(span, dist, out=span)
+            near[dist < best] = j
+            np.minimum(runner_up, np.maximum(best, dist), out=runner_up)
+            np.minimum(best, dist, out=best)
+        clear = runner_up - best > 1e-9 * span.max(axis=1, keepdims=True)
+        # n neighbours hit all n eigenvalues only if they are all different
+        hit = np.zeros(prev.shape, dtype=bool)
+        hit[np.arange(t - s)[:, None], near] = True
+        unique[s:t] = clear.all(axis=1) & hit.all(axis=1)
+    return nearest, unique
 
 
 def _close_pairs(values):
@@ -337,23 +398,26 @@ def _describe(exc):
 
 
 def _eigvals_each(stack):
-    """Eigenvalues of each matrix of a stack, from one batched solve.
+    """Eigenvalues of the matrices of a stack that solve, from one batched
+    solve: (values, good, failures), where values[k] belongs to matrix
+    good[k].
 
     Should the batched solve raise, every matrix is solved on its own; the
-    ones that fail get None and come back as (position, message).
+    ones that fail come back as (position, message) failures.
     """
     try:
-        return list(linalg.eigvals(stack)), []
+        values = linalg.eigvals(stack)
+        return values, list(range(len(values))), []
     except (ValueError, np.linalg.LinAlgError):
         pass
-    values, failed = [], []
+    values, good, failed = [], [], []
     for k, m in enumerate(stack):
         try:
             values.append(linalg.eigvals(m))
+            good.append(k)
         except (ValueError, np.linalg.LinAlgError) as exc:
-            values.append(None)
             failed.append((k, _describe(exc)))
-    return values, failed
+    return np.array(values), good, failed
 
 
 def _gap_sums(values, target_mult):

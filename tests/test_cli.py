@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lioup import cli, linalg, model, spectra, superop, validate
 
@@ -267,6 +269,58 @@ class TestSweepCommand:
         assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
         header = out.read_text().splitlines()[0]
         assert header.count("re_") == 3
+
+
+def per_value_rows(table):
+    """The reference text: FLOAT_FMT % x per value, joined as a sweep CSV."""
+    return "".join(",".join(cli.FLOAT_FMT % x for x in row) + "\r\n"
+                   for row in table.tolist())
+
+
+def assert_formats_as_per_value(values, cols):
+    table = np.asarray(values, dtype=float)
+    table = table[:table.size // cols * cols].reshape(-1, cols)
+    assert "".join(cli._format_rows(table)) == per_value_rows(table)
+
+
+class TestFloatFormat:
+    EDGES = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+             2.2250738585072009e-308, 2.2250738585072014e-308, 1e-310,
+             1e22, -1e22, 1e-22, 1e100, -1e100, 1e-100, -1e-100,
+             99.99999999999996, -99.99999999999996, 9.999999999999999e-10,
+             9.99999999999999e22, 1.7976931348623157e308, 0.5, 2.5, 1.0, 0.1]
+
+    @pytest.mark.parametrize("cols", [1, 3, 33])
+    def test_edges_and_powers_of_ten(self, cols):
+        powers = 10.0 ** np.arange(-40.0, 41.0)
+        below_1000 = 1e3 * np.nextafter(1.0, 0.0) ** np.arange(1, 40)
+        values = np.concatenate([
+            self.EDGES, powers, -powers, np.nextafter(powers, 0.0),
+            np.nextafter(powers, np.inf), below_1000])
+        assert_formats_as_per_value(np.tile(values, 3), cols)
+
+    def test_mantissas_near_a_half(self, rng):
+        # 13 digits then 5: within rounding of a tie in the last printed digit,
+        # and values just inside and outside the fast path's 4e-3 margin
+        digits = rng.integers(10 ** 12, 10 ** 13, 400)
+        exps = rng.integers(-30, 40, 400)
+        values = np.array([
+            float(f"{d}{tail}e{e}") for d, e in zip(digits.tolist(), exps.tolist())
+            for tail in ("5", "4999", "5001", "496", "504", "4959", "5041")])
+        values = np.concatenate([values, np.nextafter(values, 0.0),
+                                 np.nextafter(values, np.inf), -values])
+        assert_formats_as_per_value(values, 7)
+
+    def test_random_bit_patterns_and_magnitudes(self, rng):
+        bits = rng.integers(0, 2 ** 64, 20000, dtype=np.uint64).view(np.float64)
+        scaled = rng.normal(size=20000) * 10.0 ** rng.integers(-20, 40, 20000)
+        assert_formats_as_per_value(np.concatenate([bits, scaled]), 33)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(values=st.lists(st.floats(), min_size=1, max_size=60),
+           cols=st.integers(1, 5))
+    def test_any_float(self, values, cols):
+        assert_formats_as_per_value(values * cols, cols)
 
 
 class TestFindEpCommand:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -345,6 +346,17 @@ class TestEffectiveReduction:
         p = ModelParams(omega_r=3.0, j=30.0, gamma_sp=10.0)
         with pytest.warns(UserWarning):
             reduce_effective(build_full4_rwa(p), p)
+
+    def test_fast_decay_is_checked_point_by_point(self):
+        # the least gamma_sp and the largest omega lie at different points,
+        # and neither point is outside the regime on its own
+        form = model.LINEAR_FORMS["eff3"]
+        p = ModelParams(omega=1.0, j=0.0, gamma_sp=1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            form.coefficients(p, {"gamma_sp": [10.0, 1e6], "omega": [0.1, 1e4]})
+        with pytest.warns(UserWarning, match=r"gamma_sp=1e\+06, max ground scale=1e\+06"):
+            form.coefficients(p, {"gamma_sp": [10.0, 1e6], "omega": [0.1, 1e6]})
 
 
 class TestGroundRelaxation:

@@ -181,6 +181,31 @@ DETUNED = _stacked(lambda p: h_nh_detuned(p.omega, p.j, p.delta_rf))
 MIRRORED = _stacked(lambda p: h_nh_detuned(p.omega, p.j, -p.delta_rf))
 
 
+def assignment_branches(values):
+    """The reference tracking: the minimal-total-distance assignment at every
+    step between consecutive solved points, its rows in the previous point's
+    branch order.  `values` holds each point's eigenvalues, None where the
+    point failed, which gives a NaN column."""
+    import scipy.optimize
+
+    good = [i for i, v in enumerate(values) if v is not None]
+    prev = values[good[0]]
+    branches = np.full((prev.size, len(values)), np.nan + 1j * np.nan)
+    branches[:, good[0]] = prev
+    for i in good[1:]:
+        cost = np.abs(prev[:, None] - values[i][None, :])
+        rows, cols = scipy.optimize.linear_sum_assignment(cost)
+        prev = np.empty_like(values[i])
+        prev[rows] = values[i][cols]
+        branches[:, i] = prev
+    return branches
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestSweep:
     def test_bifurcation_at_critical_drive(self):
         omega = 30.0
@@ -273,6 +298,50 @@ class TestSweep:
         want = [int(np.count_nonzero(np.triu(np.abs(v[:, None] - v[None, :])
                                              < tol, 1))) for v in values]
         assert spectra._close_pairs(values).tolist() == want
+
+    @pytest.mark.parametrize("name,params,parameter,lo,hi", [
+        # resonant: the exact doubles tie at every step
+        ("eff3", dict(omega=30.0, j=15.0, q=0.4, gamma_sp=1e5, gamma_g=1.5),
+         "j", 1.5, 60.0),
+        ("full4", dict(omega=30.0, j=20.0, q=0.6, gamma_sp=1e5, gamma_g=2.0,
+                       delta_opt=300.0), "delta_rf", -30.0, 30.0)])
+    def test_tracking_is_the_per_step_assignment(self, name, params, parameter,
+                                                 lo, hi):
+        grid = np.linspace(lo, hi, 301)
+        stack = superop.generator(name).matrices(ModelParams(**params),
+                                                 {parameter: grid})
+        values = linalg.eigvals(stack)
+        assert same_bits(sweep(stack, grid).branches, assignment_branches(list(values)))
+        assert spectra._unique_nearest(values)[1].any() == (name == "full4")
+
+    def test_tracking_with_repeats_and_crossings(self, rng):
+        t = np.linspace(-1.0, 1.0, 401)[:, None]
+        drift = ((rng.normal(size=6) + 1j * rng.normal(size=6))
+                 + 0.5 * t * (rng.normal(size=6) + 1j * rng.normal(size=6)))
+        # a conjugate pair that meets on the real axis at t = 0
+        pair = rng.normal() + 1j * rng.normal() * np.hstack([t, -t])
+        values = np.hstack([drift, pair])
+        values[100:150, 7] = values[100:150, 0]  # an exact repeat
+        values[250:260] += rng.normal(size=(10, 8))  # jumps: neighbours collide
+        for k in range(0, 401, 50):
+            values[k] = values[k, rng.permutation(8)]
+        got = np.take_along_axis(values, spectra._track(values), axis=1)
+        assert same_bits(got, assignment_branches(list(values)).T)
+        unique = spectra._unique_nearest(values)[1]
+        assert unique.any() and not unique.all()
+        assert not unique[200] and not unique[120]
+
+    def test_tracking_skips_failed_points(self):
+        p = ModelParams(omega=30.0, j=10.0, delta_rf=5.0, q=0.3, gamma_sp=1e5,
+                        gamma_g=1.0)
+        grid = np.linspace(5.0, 40.0, 101)
+        stack = superop.generator("full4").matrices(p, {"j": grid})
+        stack[[0, 40, 41], 0, 0] = np.nan
+        res = sweep(stack, grid)
+        values = [None if k in (0, 40, 41) else linalg.eigvals(m)
+                  for k, m in enumerate(stack)]
+        assert same_bits(res.branches, assignment_branches(values))
+        assert [k for k, _ in res.failures] == [0, 40, 41]
 
     def test_rejects_unsorted_grid(self):
         mats = [h_nh_tuned(30.0, j) for j in (3.0, 2.0)]
