@@ -23,10 +23,10 @@ from . import __version__, linalg, model, spectra, superop, validate
 FLOAT_FMT = "%.12e"
 
 TOLERANCES = {
-    "tol_eig": linalg.TOL_EIG,
     "tol_rank": linalg.TOL_RANK,
-    "tol_cluster_rel": spectra.TOL_CLUSTER_REL,
     "tol_class_rel": spectra.TOL_CLASS_REL,
+    "cluster_c": spectra.CLUSTER_C,
+    "ep_candidate_rel": spectra.EP_CANDIDATE_REL,
 }
 
 PARAM_KEYS = tuple(f.name for f in dataclasses.fields(model.ModelParams))
@@ -170,8 +170,8 @@ def load_config(path):
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read config: {exc}") from exc
-    _check_keys(cfg, {"model", "basis", "params", "spectrum", "sweep",
-                      "findep", "evolve"}, "config")
+    _check_keys(cfg, {"model", "basis", "params", "sweep", "findep", "evolve"},
+                "config")
     if cfg.get("model") not in ("eff3", "full4"):
         raise SchemaError("'config.model' must be 'eff3' or 'full4'")
     # Every command solves the model's real Gell-Mann generator whatever the
@@ -215,7 +215,6 @@ def _report_json(r):
         "indices": list(r.indices),
         "gap_residual": _fmt(r.gap_residual),
         "vector_overlap": _fmt(r.vector_overlap),
-        "flags": list(r.flags),
     }
     if r.params is not None:
         out["params"] = {k: _fmt(getattr(r.params, k)) for k in PARAM_KEYS}
@@ -251,14 +250,8 @@ def _emit_metadata(cfg, out_path, extra=None):
 
 
 def cmd_spectrum(cfg, out_path):
-    tol_cluster = None
-    if "spectrum" in cfg:
-        _check_keys(cfg["spectrum"], {"tol_cluster"}, "config.spectrum")
-        tol_cluster = _number(cfg["spectrum"], "tol_cluster", "config.spectrum")
-        if tol_cluster is not None and tol_cluster <= 0:
-            raise SchemaError("'config.spectrum.tol_cluster' must be positive")
     m = superop.generator(cfg["model"]).matrices(params_from_config(cfg))[0]
-    ev, reports = spectra.detect_degeneracy(m, tol_cluster=tol_cluster)
+    ev, reports = spectra.detect_degeneracy(m)
     doc = {
         "metadata": _metadata(cfg),
         "eigenvalues": [_complex_json(z) for z in ev],
@@ -406,7 +399,9 @@ def cmd_validate(out_path):
     return 0 if ok else 1
 
 
-def main(argv=None):
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="lioup",
         description="Spectra and exceptional points of the driven dissipative "
@@ -417,7 +412,11 @@ def main(argv=None):
         if name != "validate":
             sp.add_argument("--config", required=True)
         sp.add_argument("--out", default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
         if args.command == "validate":

@@ -20,7 +20,6 @@ import numpy as np
 # Fock-Liouville space of the four-level model.
 MAX_DIM = 256
 
-TOL_EIG = 1e-9
 TOL_RANK = 1e-7
 
 

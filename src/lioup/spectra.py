@@ -34,9 +34,13 @@ PURE_DECAY = "pure_decay"
 DAMPED_OSCILLATION = "damped_oscillation"
 UNSTABLE = "unstable"
 
-# scale-free default thresholds (relative to spectral diameter)
-TOL_CLUSTER_REL = 1e-6
-TOL_CLASS_REL = 1e-8
+TOL_CLASS_REL = 1e-8  # relative to the spectral diameter
+# Two eigenvalues of A cluster when a perturbation of CLUSTER_C eps ||A||_2,
+# a hundred roundings, could merge them (see detect_degeneracy).
+CLUSTER_C = 100.0
+# A sweep's close pairs lie within this fraction of its largest spectral
+# diameter; written as the product the threshold has always used.
+EP_CANDIDATE_REL = 10.0 * 1e-6
 
 
 def spectral_diameter(values):
@@ -105,11 +109,12 @@ class EPReport:
     partition: tuple = ()  # Jordan chain lengths, longest first
     indices: tuple = ()
     params: ModelParams | None = None
-    flags: tuple = ()
 
 
-def _single_linkage(values, tol):
-    n = values.size
+def _single_linkage(linked):
+    """The connected components of a symmetric boolean (n, n) matrix of
+    links, as lists of indices."""
+    n = len(linked)
     parent = list(range(n))
 
     def find(i):
@@ -118,16 +123,50 @@ def _single_linkage(values, tol):
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    for i, j in zip(*np.nonzero(np.triu(linked, 1))):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
+
+
+def _within(values, radius):
+    """The links of single linkage at a fixed radius."""
+    return np.abs(values[:, None] - values[None, :]) <= radius
+
+
+def _conditioned_links(a, values, vecs):
+    """Which eigenvalue pairs of `a` a perturbation of CLUSTER_C eps ||a||_2
+    could merge, as a boolean (n, n) matrix.
+
+    Eigenvalue i moves by up to kappa_i times a perturbation's norm, with
+    kappa_i the norm of row i of V^-1 (Wilkinson's condition number; V has
+    unit columns).  A pair within the sum of its two reaches is a candidate.
+    A candidate pair of distinct values is linked only if its midpoint lies
+    in the same perturbation's pseudospectrum, sigma_min(a - z I) <= that
+    norm (Trefethen and Embree, Spectra and Pseudospectra): an
+    ill-conditioned eigenvalue's reach alone can span eigenvalues that no
+    small perturbation joins.  If V is singular, every pair is a candidate.
+    """
+    n = values.size
+    tol = CLUSTER_C * np.finfo(float).eps * np.linalg.norm(a, 2)
+    with np.errstate(all="ignore"):
+        try:
+            kappa = np.linalg.norm(np.linalg.inv(vecs), axis=1)
+        except np.linalg.LinAlgError:
+            kappa = np.full(n, np.inf)
+        kappa[~np.isfinite(kappa)] = np.inf
+        gap = np.abs(values[:, None] - values[None, :])
+        linked = (gap == 0.0) | (gap <= tol * (kappa[:, None] + kappa[None, :]))
+    i, j = np.nonzero(np.triu(linked & (gap > 0.0), 1))
+    if i.size:
+        shifted = a - 0.5 * (values[i] + values[j])[:, None, None] * np.eye(n)
+        far = np.linalg.svd(shifted, compute_uv=False)[:, -1] > tol
+        linked[i[far], j[far]] = linked[j[far], i[far]] = False
+    return linked
 
 
 def _rank_sequence(m, kmax, coalesce_tol):
@@ -187,35 +226,34 @@ def detect_degeneracy(a, tol_cluster=None):
 
     Returns (values, reports): the eigenvalues from one linalg.eig call and
     an EPReport per cluster of size m >= 2, whose `indices` index `values`.
-    Clusters are single-linkage with radius tol_cluster (default 1e-6 times
-    the spectral diameter).  The ranks of (a - mean*I)^k, k = 1..m+1, give
-    the Jordan partition, the geometric multiplicity n - rank at k = 1
-    (clipped to 1..m) and the order, the longest chain.  Two clusters closer
-    than twice the radius are flagged as ill-conditioned rather than merged.
+    Clusters are single linkage over the pairs that a perturbation of
+    CLUSTER_C eps ||a||_2 could merge, judged from the same decomposition
+    (`_conditioned_links`).  An order-m Jordan cluster scatters like
+    eps**(1/m) in double precision, and its condition numbers grow to match,
+    so no radius is set by hand.  A caller that has measured a wider spread,
+    as find_ep does, may pass it as tol_cluster: pairs within it are linked
+    as well.
+    The ranks of (a - mean*I)^k, k = 1..m+1, counted above twice the
+    cluster's own spread, give the Jordan partition, the geometric
+    multiplicity n - rank at k = 1 (clipped to 1..m) and the order, the
+    longest chain.
     """
     a = linalg.as_matrix(a)
     n = a.shape[0]
     dec = linalg.eig(a)
     w, vecs = dec.values, dec.right_vectors
-    diam = spectral_diameter(w)
-    if tol_cluster is None:
-        tol_cluster = TOL_CLUSTER_REL * diam
-    clusters = _single_linkage(w, tol_cluster)
-
-    centers = [np.mean(w[list(g)]) for g in clusters]
-    shaky = set()
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            if abs(centers[i] - centers[j]) < 2.0 * tol_cluster:
-                shaky.update((i, j))
+    linked = _conditioned_links(a, w, vecs)
+    if tol_cluster is not None:
+        linked |= _within(w, tol_cluster)
 
     reports = []
-    for ci, group in enumerate(clusters):
+    for group in _single_linkage(linked):
         m = len(group)
         if m < 2:
             continue
-        center = centers[ci]
-        ranks = _rank_sequence(a - center * np.eye(n), m + 1, 2.0 * tol_cluster)
+        center = np.mean(w[group])
+        spread = float(np.abs(w[group] - center).max())
+        ranks = _rank_sequence(a - center * np.eye(n), m + 1, 2.0 * spread)
         partition = _partition_from_ranks(n, ranks, m)
         geometric = int(np.clip(n - ranks[0], 1, m))
         if geometric == m:
@@ -235,11 +273,10 @@ def detect_degeneracy(a, tol_cluster=None):
             geometric_mult=geometric,
             order=partition[0] if partition else 1,
             kind=kind,
-            gap_residual=float(np.abs(w[list(group)] - center).max()),
+            gap_residual=spread,
             vector_overlap=float(overlap),
             partition=partition,
             indices=tuple(sorted(group)),
-            flags=("ill_conditioned_clustering",) if ci in shaky else (),
         ))
     reports.sort(key=lambda r: (r.cluster_value.real, r.cluster_value.imag))
     return w, reports
@@ -377,7 +414,7 @@ def _unique_nearest(values):
 
 def _close_pairs(values):
     """Per row of `values` (points, n): eigenvalue pairs closer than
-    10 * TOL_CLUSTER_REL times the largest spectral diameter over all rows.
+    EP_CANDIDATE_REL times the largest spectral diameter over all rows.
 
     Each pass over the columns compares one column with the ones after it,
     so no (points, n, n) array is formed.
@@ -385,7 +422,7 @@ def _close_pairs(values):
     cols = range(values.shape[1] - 1)
     diam = max((np.abs(values[:, k + 1:] - values[:, k:k + 1]).max()
                 for k in cols), default=0.0)
-    threshold = 10.0 * TOL_CLUSTER_REL * diam
+    threshold = EP_CANDIDATE_REL * diam
     counts = np.zeros(len(values), dtype=int)
     for k in cols:
         counts += np.count_nonzero(
@@ -527,12 +564,10 @@ def find_ep(build, box, target_mult, base: ModelParams):
     reports = []
     for x, s_min in found:
         p = base.replace(**dict(zip(names, x.tolist())))
-        # an order-m Jordan cluster scatters like eps**(1/m) even at the
-        # converged parameters, so the clustering radius must cover that
-        tol_cluster = max(3.0 * s_min,
-                          10.0 * np.finfo(float).eps ** (1.0 / target_mult) * scale)
+        # the solution need not sit on the coalescence, so pairs within
+        # the spread measured there are linked as well
         reports += [dataclasses.replace(rep, params=p) for rep in
-                    detect_degeneracy(matrix_at(x), tol_cluster=tol_cluster)[1]
+                    detect_degeneracy(matrix_at(x), tol_cluster=3.0 * s_min)[1]
                     if rep.algebraic_mult >= target_mult]
     return reports
 

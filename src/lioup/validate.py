@@ -287,7 +287,7 @@ def criterion_7():
                  "degeneracy carries a length-5 Jordan chain, so double "
                  "precision cannot resolve the collapse below ~(eps)**(1/5)")))
 
-    _, reports = spectra.detect_degeneracy(l0, tol_cluster=3.0 * spread)
+    _, reports = spectra.detect_degeneracy(l0)
     ok = (len(reports) == 1 and reports[0].algebraic_mult == 9
           and reports[0].geometric_mult == 3)
     detail = (f"chains {reports[0].partition}, geometric {reports[0].geometric_mult}"
@@ -298,7 +298,7 @@ def criterion_7():
 
     ev1 = linalg.eigvals(_gm_liouvillian(p0.replace(q=1.0)))
     diam = spectra.spectral_diameter(ev1)
-    groups = spectra._single_linkage(ev1, 1e-3 * diam)
+    groups = spectra._single_linkage(spectra._within(ev1, 1e-3 * diam))
     biggest = max(len(g) for g in groups)
     out.append(_result(
         "7c", "quantum jumps break the nine-fold collapse (max cluster < 9 at q=1)",

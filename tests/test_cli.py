@@ -52,13 +52,12 @@ class TestSpectrumCommand:
         cfg = write_config(tmp_path, {
             "model": "eff3",
             "params": {"omega": 30.0, "j": 30.0 / math.sqrt(2.0), "q": 0.0},
-            "spectrum": {"tol_cluster": 5e-3},
         })
         assert run(["spectrum", "--config", cfg]) == 0
         doc = json.loads(capsys.readouterr().out)
         orders = {(round(float(d["cluster_value"]["re"])), d["order"])
                   for d in doc["degeneracies"]}
-        assert (-60, 3) in orders
+        assert (-60, 3) in orders and (-30, 2) in orders
 
     def test_report_indices_point_at_listed_eigenvalues(self, tmp_path, capsys):
         # conjugate doubles at -30 +- 18.708i, listed in one order
@@ -507,8 +506,8 @@ class TestSchemaValidation:
         ("find-ep", {"findep": {"box": {"j": [math.nan, 30.0]}, "target_mult": 2}},
          "config.findep.box.j"),
         ("evolve", {"evolve": {"t_max": math.inf, "steps": 3}}, "config.evolve.t_max"),
-        ("spectrum", {"spectrum": {"tol_cluster": math.inf}},
-         "config.spectrum.tol_cluster"),
+        ("spectrum", {"params": {"omega": math.nan, "j": 10.0, "q": 1.0}},
+         "config.params.omega"),
         ("evolve", {"evolve": {"rho0": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
                                         [[0.0, 0.0], [math.nan, 0.0], [0.0, 0.0]],
                                         [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]],
@@ -536,7 +535,7 @@ class TestSchemaValidation:
                              "points": 3, "level": "lindblad"}}, "config.sweep.level"),
         ("spectrum", {"basis": "pauli"}, "config.basis"),
         ("spectrum", {"params": {"omega": "30", "j": 10.0}}, "config.params.omega"),
-        ("spectrum", {"spectrum": {"tol_cluster": 0.0}}, "config.spectrum.tol_cluster"),
+        ("spectrum", {"spectrum": {}}, "config.spectrum"),  # no such block
         ("sweep", {"sweep": {"parameter": "q", "start": 0.0, "stop": 1.0,
                              "points": 3}}, "config.sweep.parameter"),
         ("sweep", {"sweep": {"parameter": "j", "stop": 2.0, "points": 3}},
@@ -589,15 +588,6 @@ class TestSchemaValidation:
         assert run(["sweep", "--config", cfg]) == 2
         assert end in capsys.readouterr().err
 
-    def test_spectrum_block_without_radius_takes_the_default(self, tmp_path, capsys):
-        plain = write_config(tmp_path, BASE, name="plain.json")
-        assert run(["spectrum", "--config", plain]) == 0
-        want = json.loads(capsys.readouterr().out)
-        cfg = write_config(tmp_path, {**BASE, "spectrum": {}})
-        assert run(["spectrum", "--config", cfg]) == 0
-        got = json.loads(capsys.readouterr().out)
-        assert got["degeneracies"] == want["degeneracies"]
-
     def test_inconsistent_rabi_pair(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "model": "eff3",
@@ -628,3 +618,18 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert f" {status} " in out
         assert (" FAIL " in out) == (not passed)
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["spectrum"],
+                                      ["validate", "--x"]])
+    def test_usage_errors_repeat_on_the_shared_parser(self, capsys, argv):
+        # the parser is built once per process; every call gets the same
+        # usage message and exit status 2
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("usage: lioup ")
+        assert cli._parser() is cli._parser()

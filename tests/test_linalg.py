@@ -74,7 +74,7 @@ class TestEig:
             dec = linalg.eig(a)
             v = dec.right_vectors
             residuals = np.linalg.norm(a @ v - v * dec.values, axis=0)
-            assert residuals.max() <= linalg.TOL_EIG * np.linalg.norm(a)
+            assert residuals.max() <= 1e-9 * np.linalg.norm(a)
 
     def test_reconstruction(self, rng):
         a = random_complex(rng, 6)

@@ -89,3 +89,30 @@ def test_every_public_name_has_a_program_caller():
 
 def test_every_public_method_has_a_program_caller():
     assert unreferenced_public_methods() == []
+
+
+def tolerance_constants():
+    """The names (last attribute) of the values of cli.TOLERANCES."""
+    for stmt in ast.parse((PACKAGE / "cli.py").read_text()).body:
+        if isinstance(stmt, ast.Assign) and _defined(stmt) == {"TOLERANCES"}:
+            return [v.attr if isinstance(v, ast.Attribute) else v.id
+                    for v in stmt.value.values]
+    raise AssertionError("no TOLERANCES table in cli.py")
+
+
+def names_read_in_functions():
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out |= {n.id if isinstance(n, ast.Name) else n.attr
+                        for n in ast.walk(node)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                        or isinstance(n, ast.Attribute)}
+    return out
+
+
+def test_every_tolerance_is_read_by_a_function():
+    names = tolerance_constants()
+    assert names
+    assert [n for n in names if n not in names_read_in_functions()] == []
