@@ -428,7 +428,7 @@ def main(argv=None):
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (linalg.ConvergenceError, np.linalg.LinAlgError, FloatingPointError,
+    except (linalg.ConvergenceError, np.linalg.LinAlgError, ArithmeticError,
             ValueError, RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -9,8 +9,9 @@ Basis conventions used throughout:
   so the builders carry plain J and Omega_R entries; the oscillating
   couplings of the lab frame are twice these values;
 * in the detuned ground block the RF detuning enters as diag(-delta, 0,
-  +delta).  Spectra are invariant under delta -> -delta; `h_nh_detuned`
-  provides the mirrored sign convention used in the detuned-regime analyses.
+  +delta).  Spectra are invariant under delta -> -delta, the state reversal
+  |1,1> <-> |1,-1>, which maps this convention onto the mirrored
+  diag(+delta, 0, -delta) of the detuned-regime analyses.
 
 All rates and frequencies are plain angular frequencies in one shared unit.
 Every builder, the effective reduction included, returns a LindbladSystem
@@ -66,16 +67,19 @@ class ModelParams:
             raise ValueError("j must be non-negative")
         if self.omega is None and self.omega_r is None:
             raise ValueError("provide omega or omega_r")
+        if self.omega_r is not None:
+            try:
+                from_r = self.omega_r ** 2 / self.gamma_sp
+            except OverflowError:  # float ** raises where * gives inf
+                raise ValueError("omega_r**2 / gamma_sp is not finite") from None
         if self.omega is None:
-            object.__setattr__(self, "omega", self.omega_r ** 2 / self.gamma_sp)
+            object.__setattr__(self, "omega", from_r)
         elif self.omega_r is None:
             object.__setattr__(self, "omega_r", math.sqrt(self.omega * self.gamma_sp))
-        else:
-            expect = self.omega_r ** 2 / self.gamma_sp
-            if abs(self.omega - expect) > 1e-9 * max(abs(self.omega), 1.0):
-                raise ValueError(
-                    f"omega={self.omega} inconsistent with omega_r^2/gamma_sp={expect}"
-                )
+        elif abs(self.omega - from_r) > 1e-9 * max(abs(self.omega), 1.0):
+            raise ValueError(
+                f"omega={self.omega} inconsistent with omega_r^2/gamma_sp={from_r}"
+            )
         for name, value in vars(self).items():  # the fields, in order
             if not math.isfinite(value):
                 raise ValueError(f"{name} is not finite")
@@ -424,22 +428,6 @@ LINEAR_FORMS = {
 }
 
 
-def h_nh_tuned(omega, j):
-    """Resonant effective NHH [[0, J, 0], [J, -2i*Omega, J], [0, J, 0]]."""
-    return np.array([[0, j, 0], [j, -2j * omega, j], [0, j, 0]], dtype=complex)
-
-
-def h_nh_detuned(omega, j, delta):
-    """Detuned effective NHH in the detuned-regime sign convention.
-
-    diag(+delta, ., -delta); the builder convention of build_full4_rwa and
-    reduce_effective carries the opposite sign, which mirrors the spectrum's
-    delta -> -delta symmetry (state reversal |1,1> <-> |1,-1>).
-    """
-    return np.array([[delta, j, 0], [j, -2j * omega, j], [0, j, -delta]],
-                    dtype=complex)
-
-
 def triple_point(omega):
     """(J, delta, E_tp) of the third-order degeneracy, delta taken positive."""
     d = 2.0 * omega / (3.0 * math.sqrt(3.0))
@@ -450,8 +438,9 @@ def triple_point(omega):
 def triple_point_eigenvector():
     """Coalesced eigenvector at the triple point, basis (|1,1>, |1,0>, |1,-1>).
 
-    Matches `h_nh_detuned` at delta = -delta_tp, equivalently the
-    reduce_effective sign convention at delta = +delta_tp.
+    In the builders' sign convention, diag(-delta, ., +delta), at
+    delta = +delta_tp: the non-Hermitian Hamiltonian of `build_eff3` at
+    `triple_point`, with q = 0.
     """
     s3 = math.sqrt(3.0)
     return np.array([1.0 / s3, (s3 - 3j) / 6.0, (s3 + 3j) / 6.0])

@@ -458,7 +458,8 @@ def _eigvals_each(stack):
 
 
 def _gap_sums(values, target_mult):
-    """Per eigenvalue, the sum of its (m-1) nearest-neighbour gaps.
+    """Per eigenvalue, the sum of its (m-1) nearest-neighbour gaps, over the
+    last axis of `values`, a spectrum or a stack of them.
 
     The least of these, the gap objective, vanishes only where m eigenvalues
     genuinely meet.  Summing the smallest pairwise gaps globally would not:
@@ -466,9 +467,9 @@ def _gap_sums(values, target_mult):
     three of them at every parameter value) keep that sum at rounding level
     everywhere.
     """
-    dist = np.sort(np.abs(values[:, None] - values[None, :]), axis=1)
+    dist = np.sort(np.abs(values[..., :, None] - values[..., None, :]), axis=-1)
     # column 0 is the zero self-distance
-    return dist[:, 1:target_mult].sum(axis=1)
+    return dist[..., 1:target_mult].sum(axis=-1)
 
 
 def _nearest(values, centre, count):
@@ -521,7 +522,7 @@ def find_ep(build, box, target_mult, base: ModelParams):
     scale = max(spectral_diameter(v) for v in coarse_vals)
     if scale == 0.0:
         scale = 1.0
-    coarse_sums = [_gap_sums(v, target_mult) for v in coarse_vals]
+    coarse_sums = _gap_sums(coarse_vals, target_mult)
     threshold = 200.0 * np.finfo(float).eps ** (1.0 / target_mult) * scale
 
     def power_sums(x, centre):
@@ -530,21 +531,18 @@ def find_ep(build, box, target_mult, base: ModelParams):
         p = np.array([np.sum(z ** k) for k in range(2, target_mult + 1)])
         return np.concatenate([p.real, p.imag])
 
-    # seeds: local minima of the coarse landscape (grid-graph neighborhood)
-    shape = tuple(len(ax) for ax in axes)
-    s_grid = np.array([s.min() for s in coarse_sums]).reshape(shape)
-    seeds = []
-    for idx in np.ndindex(shape):
-        v = s_grid[idx]
-        is_min = True
-        for axis in range(len(shape)):
-            for step in (-1, 1):
-                nb = list(idx)
-                nb[axis] += step
-                if 0 <= nb[axis] < shape[axis] and s_grid[tuple(nb)] < v:
-                    is_min = False
-        if is_min:
-            seeds.append(np.ravel_multi_index(idx, shape))
+    # seeds: local minima of the coarse landscape (grid-graph neighborhood),
+    # each point against its neighbours along every axis; the +inf border
+    # stands in for the neighbours past the box's edges
+    s_grid = coarse_sums.min(axis=-1).reshape((n_axis,) * len(names))
+    padded = np.pad(s_grid, 1, constant_values=np.inf)
+    is_min = np.ones(s_grid.shape, dtype=bool)
+    for axis in range(s_grid.ndim):
+        for step in (-1, 1):
+            nb = [slice(1, -1)] * s_grid.ndim
+            nb[axis] = slice(1 + step, n_axis + 1 + step)
+            is_min &= ~(padded[tuple(nb)] < s_grid)
+    seeds = np.flatnonzero(is_min)
 
     found = []
     widths = his - los

@@ -13,9 +13,9 @@ FOCKLIOUVILLE; a basis carries no dimension, which comes from the operand:
 The hybrid Liouvillian is L(q) = -i Hhat_NH + q Lambdahat
 = -i Hhat + Gammahat + q Lambdahat: the relaxation part is always fully
 included, only the quantum-jump (repopulation) term is q-weighted.  One
-Kronecker assembly writes it; `hybrid_liouvillian(sys, q, basis)` and the
-jump-free `nhh_superop(h_nh, basis)` (q = 0, no jumps) are its views and
-return the plain matrix.
+Kronecker assembly writes it, and `hybrid_liouvillian(sys, q, basis)`
+returns it as a plain matrix; at q = 0 it is the jump-free (NHH)
+superoperator rho -> -i(H_nh rho - rho H_nh^dag).
 
 Gell-Mann is the computational basis.  `generator(name)` writes a model's
 L(p) as sum_k c_k(p) B_k with real Gell-Mann B_k, and its non-Hermitian
@@ -26,11 +26,11 @@ one small contraction per point; the spectrum does not depend on the
 basis.  Both term sets are solved once per model from its builder at the
 probe parameters: the A_k from the probes' H_nh, the B_k from the
 Kronecker assembly and the cached similarity S^H L S / 2 with
-S[:, i] = vec(s_i); the two views are the references it is tested
-against.  `superop_of_map`, `h_superop` and `gamma_superop` evaluate the
-Gell-Mann M_ij = Tr(map(s_j) s_i)/2 directly, independently of the
-Kronecker path, taking the dimension from h or, where a jump set may be
-empty, from d.
+S[:, i] = vec(s_i); `hybrid_liouvillian` and `LindbladSystem.h_nh` are
+the references it is tested against.  `superop_of_map`, `h_superop` and
+`gamma_superop` evaluate the Gell-Mann M_ij = Tr(map(s_j) s_i)/2 directly,
+independently of the Kronecker path, taking the dimension from h or, where
+a jump set may be empty, from d.
 """
 
 import functools
@@ -118,13 +118,15 @@ def superop_of_map(apply_fn, d):
 def h_superop(h):
     """Hamiltonian superoperator Hhat_ij = Tr([H, s_j] s_i)/2.
 
-    Requires Hermitian input (antisymmetric, purely imaginary output); route
-    non-Hermitian generators through nhh_superop instead.
+    Requires Hermitian input (antisymmetric, purely imaginary output); a
+    non-Hermitian H_nh = H - (i/2) sum L^dag L is the q = 0 hybrid_liouvillian
+    of the system (H, jumps) instead.
     """
     h = np.asarray(h, dtype=complex)
     scale = max(np.linalg.norm(h), 1.0)
     if np.linalg.norm(h - h.conj().T) > 1e-10 * scale:
-        raise ValueError("h_superop requires a Hermitian matrix; use nhh_superop")
+        raise ValueError("h_superop requires a Hermitian matrix; use "
+                         "hybrid_liouvillian at q = 0 for H - (i/2) sum L^dag L")
     return superop_of_map(lambda s: h @ s - s @ h, h.shape[0])
 
 
@@ -144,26 +146,6 @@ def _gellmann_similarity(d):
     return s, s_inv
 
 
-def _in_basis(m, basis, d):
-    """A Fock-Liouville matrix of a d-level system in the basis named `basis`."""
-    if basis == FOCKLIOUVILLE:
-        return m
-    s, s_inv = _gellmann_similarity(d)
-    return s_inv @ m @ s
-
-
-def nhh_superop(h_nh, basis):
-    """Superoperator of the jump-free generator rho -> -i(H rho - rho H^dag).
-
-    Accepts an arbitrary (non-Hermitian) H; its spectrum is the pairwise set
-    -i(E_i - E_j^*) of the operator eigenvalues.
-    """
-    h_nh = np.asarray(h_nh, dtype=complex)
-    d = h_nh.shape[0]
-    _check_basis(basis, d)
-    return _in_basis(_fock_liouville_matrix(h_nh, (), 0.0), basis, d)
-
-
 def hybrid_liouvillian(sys: LindbladSystem, q, basis):
     """Hybrid Liouvillian L(q) = -i Hhat + Gammahat + q Lambdahat.
 
@@ -173,8 +155,11 @@ def hybrid_liouvillian(sys: LindbladSystem, q, basis):
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
     _check_basis(basis, sys.dim)
-    return _in_basis(_fock_liouville_matrix(sys.hamiltonian, sys.jumps, q),
-                     basis, sys.dim)
+    m = _fock_liouville_matrix(sys.hamiltonian, sys.jumps, q)
+    if basis == FOCKLIOUVILLE:
+        return m
+    s, s_inv = _gellmann_similarity(sys.dim)
+    return s_inv @ m @ s
 
 
 def _fock_liouville_matrix(h, jumps, q):

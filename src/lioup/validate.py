@@ -3,7 +3,9 @@
 Each criterion checks a reference property of the model at its stated
 parameters and tolerance.  The suite is exposed both to pytest (one test per
 sub-criterion) and to the command line (`lioup validate`), which prints one
-pass/fail line per entry.
+pass/fail line per entry.  Every model matrix comes from
+superop.generator, the path that the other commands solve; the Kronecker
+assembly and the direct Gell-Mann parts are checked on random systems.
 
 One sub-criterion (7a) is marked `expected_fail`: at the triple point the
 jump-free superoperator is a single eigenvalue with Jordan chains of lengths
@@ -45,25 +47,7 @@ def _eff3_params(omega, j, delta=0.0, q=1.0, gamma_g=0.0):
 
 
 def _gm_liouvillian(p):
-    return superop.hybrid_liouvillian(model.build_eff3(p), p.q, "gellmann")
-
-
-def _operator_tuned(p):
-    return model.h_nh_tuned(p.omega, p.j)
-
-
-def _operator_detuned_mirrored(p):
-    # reduce_effective sign convention: diag(-delta, ., +delta)
-    return model.h_nh_detuned(p.omega, p.j, -p.delta_rf)
-
-
-def _stacked(builder):
-    """`builder` of one ModelParams' matrix as a find_ep stack builder."""
-    def build(base, points):
-        cols = [np.ravel(x).tolist() for x in points.values()]
-        return np.array([builder(base.replace(**dict(zip(points, x))))
-                         for x in zip(*cols, strict=True)])
-    return build
+    return superop.generator("eff3").matrices(p)[0]
 
 
 def _rel_match(a, b):
@@ -76,7 +60,8 @@ def criterion_1():
     out = []
     omega = OMEGA_REF
     j_star = omega / SQ2
-    ev = linalg.eigvals(model.h_nh_tuned(omega, j_star))
+    gen = superop.generator("eff3")
+    ev = linalg.eigvals(gen.operators(_eff3_params(omega, j_star, q=0.0))[0])
     nonzero = sorted(ev, key=lambda z: abs(z))[1:]
     dev = max(abs(z + 1j * omega) for z in nonzero)
     out.append(_result(
@@ -84,7 +69,7 @@ def criterion_1():
         dev <= 1e-5, f"max deviation from -30i: {dev:.3e}"))
 
     base = _eff3_params(omega, 20.0, q=0.0)
-    reps = spectra.find_ep(_stacked(_operator_tuned), {"j": (15.0, 30.0)}, 2, base)
+    reps = spectra.find_ep(gen.operators, {"j": (15.0, 30.0)}, 2, base)
     ok = (len(reps) == 1 and abs(reps[0].params.j - 21.2132) <= 1e-4
           and reps[0].kind == "exceptional")
     found = reps[0].params.j if reps else float("nan")
@@ -109,7 +94,8 @@ def criterion_2():
 
     omega = OMEGA_REF
     base = _eff3_params(omega, 20.0, q=0.0)
-    reps = spectra.find_ep(_stacked(_gm_liouvillian), {"j": (18.0, 25.0)}, 3, base)
+    reps = spectra.find_ep(superop.generator("eff3").matrices, {"j": (18.0, 25.0)},
+                           3, base)
     reps = [r for r in reps if abs(r.cluster_value + 2 * omega) < 1.0]
     ok_loc = len(reps) >= 1 and abs(reps[0].params.j - omega / SQ2) <= 1e-3
     found = reps[0].params.j if reps else float("nan")
@@ -210,8 +196,9 @@ def criterion_5():
     omega = OMEGA_REF
     j_tp, d_tp, e_tp = model.triple_point(omega)
     base = _eff3_params(omega, 23.0, delta=11.0, q=0.0)
-    reps = spectra.find_ep(_stacked(_operator_detuned_mirrored),
-                           {"j": (20.0, 26.0), "delta_rf": (9.0, 14.0)}, 3, base)
+    gen = superop.generator("eff3")
+    reps = spectra.find_ep(gen.operators, {"j": (20.0, 26.0), "delta_rf": (9.0, 14.0)},
+                           3, base)
     ok_n = len(reps) == 1
     out.append(_result("5a", "exactly one triple coalescence in the search box",
                        ok_n, f"found {len(reps)}"))
@@ -230,7 +217,7 @@ def criterion_5():
         dev <= 1e-6 and r.algebraic_mult == 3 and r.geometric_mult == 1,
         f"cluster {r.cluster_value:.8f}, deviation {dev:.2e}, kind {r.kind}"))
 
-    h = _operator_detuned_mirrored(r.params)
+    h = gen.operators(r.params)[0]
     _, _, vh = np.linalg.svd(h - r.cluster_value * np.eye(3))
     vec = vh[-1].conj()
     fid = abs(np.vdot(vec, model.triple_point_eigenvector()))
@@ -245,8 +232,9 @@ def criterion_6():
     out = []
     base = _eff3_params(OMEGA_REF, 23.0, delta=4.62, q=0.0)
     box = {"j": (0.01, 60.0)}
+    build = superop.generator("eff3").operators
 
-    reps = spectra.find_ep(_stacked(_operator_detuned_mirrored), box, 2, base)
+    reps = spectra.find_ep(build, box, 2, base)
     js = sorted(r.params.j for r in reps)
     ok = (len(reps) == 2 and abs(js[0] - 15.96476) <= 1e-3
           and abs(js[1] - 21.46947) <= 1e-3
@@ -255,15 +243,13 @@ def criterion_6():
         "6a", "|delta| = 4.62: exactly two pair coalescences in J <= 60",
         ok, f"found J = {[round(j, 5) for j in js]}"))
 
-    reps3 = spectra.find_ep(_stacked(_operator_detuned_mirrored), box, 3,
-                            base.replace(delta_rf=11.547))
+    reps3 = spectra.find_ep(build, box, 3, base.replace(delta_rf=11.547))
     ok = len(reps3) == 1 and reps3[0].order == 3 and reps3[0].geometric_mult == 1
     out.append(_result(
         "6b", "|delta| = 11.547: exactly one triple coalescence",
         ok, f"found {[(round(r.params.j, 5), r.order) for r in reps3]}"))
 
-    none2 = spectra.find_ep(_stacked(_operator_detuned_mirrored), box, 2,
-                            base.replace(delta_rf=14.0))
+    none2 = spectra.find_ep(build, box, 2, base.replace(delta_rf=14.0))
     out.append(_result(
         "6c", "|delta| = 14: no degeneracies",
         len(none2) == 0, f"found {len(none2)}"))
@@ -313,8 +299,7 @@ def criterion_8():
     sizes_ok, worst = True, 0.0
     for j in (5.0, 21.0, 35.0):
         p = model.ModelParams(omega=omega, j=j, gamma_sp=gamma, q=1.0)
-        ev4 = linalg.eigvals(superop.hybrid_liouvillian(
-            model.build_full4_rwa(p), 1.0, "fockliouville"))
+        ev4 = linalg.eigvals(superop.generator("full4").matrices(p)[0])
         ground = ev4[ev4.real > -gamma / 4]
         optical = ev4[(ev4.real <= -gamma / 4) & (ev4.real > -3 * gamma / 4)]
         excited = ev4[ev4.real <= -3 * gamma / 4]
@@ -346,9 +331,10 @@ def criterion_9():
                       np.abs(hhat.real).max())
         worst_g = max(worst_g, np.abs(ghat - ghat.T).max(),
                       np.abs(ghat.imag).max())
-        h_nh = h - 0.5j * sum(l.conj().T @ l for l in jumps)
+        sys = model.LindbladSystem(d, h, tuple(jumps))
         worst_c = max(worst_c, spectra.correspondence_check(
-            h_nh, linalg.eigvals(superop.nhh_superop(h_nh, "gellmann"))))
+            sys.h_nh(), linalg.eigvals(superop.hybrid_liouvillian(
+                sys, 0.0, superop.GELLMANN))))
     ok = worst_h <= 1e-12 and worst_g <= 1e-12 and worst_c <= 1e-8
     return [_result(
         "9", "Hamiltonian part antisymmetric imaginary, relaxation part symmetric "

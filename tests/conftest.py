@@ -35,6 +35,22 @@ def misindexed_reports(doc):
             > float(r["gap_residual"]) + slack]
 
 
+def h_nh_tuned(omega, j):
+    """Resonant effective NHH [[0, J, 0], [J, -2i*Omega, J], [0, J, 0]]."""
+    return np.array([[0, j, 0], [j, -2j * omega, j], [0, j, 0]], dtype=complex)
+
+
+def h_nh_detuned(omega, j, delta):
+    """Detuned effective NHH in the detuned-regime sign convention.
+
+    diag(+delta, ., -delta); the builder convention of build_full4_rwa and
+    reduce_effective carries the opposite sign, which mirrors the spectrum's
+    delta -> -delta symmetry (state reversal |1,1> <-> |1,-1>).
+    """
+    return np.array([[delta, j, 0], [j, -2j * omega, j], [0, j, -delta]],
+                    dtype=complex)
+
+
 def reference_hybrid_matrix(omega, j, delta, q):
     """Hand-assembled resonant/detuned hybrid-Liouvillian matrix.
 

@@ -8,7 +8,7 @@ expected failures and the suite stays green while they keep failing.
 
 import pytest
 
-from lioup import validate
+from lioup import model, superop, validate
 
 EXPECTED_IDS = (
     "1a", "1b",
@@ -51,3 +51,21 @@ def test_criterion(results, cid):
                         f"marking: {r.details}")
         pytest.xfail(f"documented double-precision limit: {r.details}")
     assert r.passed, line
+
+
+def test_criteria_judge_the_shipped_generator(monkeypatch):
+    # every criterion takes its model matrices from superop.generator, the
+    # path that spectrum, sweep, find-ep and evolve solve: once the
+    # generators are built, no criterion calls a model builder
+    for name in ("eff3", "full4"):
+        superop.generator(name)
+
+    def broken(*args, **kwargs):
+        raise AssertionError("a criterion called a model builder")
+
+    for name in ("build_eff3", "build_full4_rwa", "reduce_effective"):
+        monkeypatch.setattr(model, name, broken)
+    results = validate.run_all()
+    assert sum(r.passed for r in results) == 25
+    assert [(r.cid, r.expected_fail) for r in results if not r.passed] == [
+        ("2d", True), ("7a", True)]

@@ -522,6 +522,12 @@ class TestSchemaValidation:
                                         [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
                                         [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]],
                                "t_max": 0.1, "steps": 3}}, "rho0"),
+        # omega = omega_r**2 / gamma_sp overflows
+        ("spectrum", {"params": {"omega_r": 1e200, "j": 1.0}}, "config.params"),
+        ("spectrum", {"model": "full4", "params": {"omega_r": 1e200, "j": 1.0}},
+         "config.params"),
+        ("sweep", {"sweep": {"parameter": "omega_r", "start": 1.0, "stop": 1e200,
+                             "points": 5}}, "config.sweep"),
     ])
     def test_numbers_that_are_not_finite(self, tmp_path, capsys, command, blk, key):
         # json.load accepts NaN, Infinity and integers beyond float range
@@ -605,6 +611,19 @@ class TestExitCodes:
         monkeypatch.setattr(spectra, "detect_degeneracy", fail)
         assert run(["spectrum", "--config", write_config(tmp_path, BASE)]) == 3
         assert "numerical failure: eigensolver broke" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,blk", [
+        ("spectrum", {"params": {"omega": 30.0, "j": 1.0, "delta_opt": 1e200}}),
+        ("spectrum", {"params": {"omega": 30.0, "j": 1.0, "gamma_sp": 1e200}}),
+        ("find-ep", {"params": {"omega": 30.0, "j": 1.0, "q": 0.0},
+                     "findep": {"box": {"delta_opt": [0.0, 1e200]},
+                                "target_mult": 2}}),
+    ])
+    def test_coefficient_overflow_exits_3(self, tmp_path, capsys, command, blk):
+        # valid params whose eff3 coefficients leave float range
+        assert run([command, "--config", write_config(tmp_path, {**BASE, **blk})]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("passed,rc,status", [(False, 1, "FAIL"),
                                                   (True, 0, "XFAIL")])

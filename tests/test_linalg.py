@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from lioup import linalg, model, spectra, superop
 
-from conftest import model_params
+from conftest import h_nh_detuned, h_nh_tuned, model_params
 
 
 def random_complex(rng, n):
@@ -63,7 +63,7 @@ class TestEig:
 
     def test_pair_coalescence_at_critical_drive(self):
         omega = 30.0
-        h = model.h_nh_tuned(omega, omega / np.sqrt(2.0))
+        h = h_nh_tuned(omega, omega / np.sqrt(2.0))
         ev = linalg.eigvals(h)
         nonzero = sorted(ev, key=abs)[1:]
         assert all(abs(z + 30j) < 1e-5 for z in nonzero)
@@ -166,7 +166,7 @@ class TestSvdRank:
     def test_shifted_operator_at_triple_point(self):
         omega = 30.0
         j, d, e_tp = model.triple_point(omega)
-        h = model.h_nh_detuned(omega, j, d)
+        h = h_nh_detuned(omega, j, d)
         assert np.linalg.matrix_rank(h - e_tp * np.eye(3), rtol=linalg.TOL_RANK) == 2
 
 
@@ -239,7 +239,7 @@ class TestCubicRoots:
         for _ in range(10):
             omega, j, d = rng.uniform(1, 50, size=3)
             roots = cubic_roots(*characteristic_cubic(omega, j, d))
-            ev = linalg.eigvals(model.h_nh_detuned(omega, j, d))
+            ev = linalg.eigvals(h_nh_detuned(omega, j, d))
             assert spectra.match_distance(roots, ev) < 1e-8 * max(np.abs(ev).max(), 1)
 
     def test_symmetric_functions_reproduce_coefficients(self, rng):

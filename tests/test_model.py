@@ -8,8 +8,10 @@ from lioup import linalg, model, spectra, superop
 from lioup.angular import wigner3j
 from lioup.model import (GAMMA_D2, LindbladSystem, ModelParams,
                          build_eff3, build_full4_rwa, build_ground_relaxation,
-                         build_spont_jumps, h_nh_detuned, h_nh_tuned,
-                         reduce_effective, triple_point, triple_point_eigenvector)
+                         build_spont_jumps, reduce_effective, triple_point,
+                         triple_point_eigenvector)
+
+from conftest import h_nh_detuned, h_nh_tuned
 
 
 def build_grwa_generator(omega_rf, omega_laser):

@@ -5,16 +5,27 @@ import numpy as np
 import pytest
 
 from lioup import analytic, linalg, model, spectra, superop
-from lioup.model import ModelParams, build_eff3, h_nh_detuned, h_nh_tuned, triple_point
+from lioup.model import ModelParams, build_eff3, triple_point
 from lioup.spectra import (DAMPED_OSCILLATION, PURE_DECAY, PURE_OSCILLATION,
                            STATIONARY, UNSTABLE, classify, correspondence_check,
                            detect_degeneracy, evolve_check, find_ep,
                            match_distance, splittings, sweep)
-from lioup.validate import _stacked
+
+from conftest import h_nh_detuned, h_nh_tuned
 
 
 def gm_liouvillian(p):
     return superop.hybrid_liouvillian(build_eff3(p), p.q, "gellmann")
+
+
+def stacked(builder):
+    """`builder` of one ModelParams' matrix as a find_ep stack builder, one
+    ModelParams per point."""
+    def build(base, points):
+        cols = [np.ravel(x).tolist() for x in points.values()]
+        return np.array([builder(base.replace(**dict(zip(points, x))))
+                         for x in zip(*cols, strict=True)])
+    return build
 
 
 def asymptote_check(kind, p, grid):
@@ -228,8 +239,8 @@ def tuned(p):
 
 # find_ep's stack builders, of the detuned NHH in the builders' sign
 # convention and mirrored
-DETUNED = _stacked(lambda p: h_nh_detuned(p.omega, p.j, p.delta_rf))
-MIRRORED = _stacked(lambda p: h_nh_detuned(p.omega, p.j, -p.delta_rf))
+DETUNED = stacked(lambda p: h_nh_detuned(p.omega, p.j, p.delta_rf))
+MIRRORED = stacked(lambda p: h_nh_detuned(p.omega, p.j, -p.delta_rf))
 
 
 def assignment_branches(values):
@@ -263,7 +274,7 @@ class TestSweep:
         base = ModelParams(omega=omega, j=20.0, q=0.0)
         j_star = omega / np.sqrt(2.0)
         grid = np.sort(np.append(np.linspace(15.0, 25.0, 100), j_star))
-        res = sweep(_stacked(tuned)(base, {"j": grid}), grid)
+        res = sweep(stacked(tuned)(base, {"j": grid}), grid)
         below = res.grid < j_star - 0.2
         above = res.grid > j_star + 0.2
         spread_re = np.ptp(res.branches.real, axis=0)
@@ -274,7 +285,7 @@ class TestSweep:
     def test_columns_are_permutations_of_spectra(self):
         base = ModelParams(omega=30.0, j=10.0, q=0.5)
         grid = np.linspace(5.0, 40.0, 36)
-        res = sweep(_stacked(gm_liouvillian)(base, {"j": grid}), grid)
+        res = sweep(stacked(gm_liouvillian)(base, {"j": grid}), grid)
         for k in (0, 17, 35):
             ev = linalg.eigvals(gm_liouvillian(base.replace(j=float(grid[k]))))
             assert match_distance(res.branches[:, k], ev) < 1e-9
@@ -284,7 +295,7 @@ class TestSweep:
         _, d, _ = triple_point(omega)
         base = ModelParams(omega=omega, j=20.0, delta_rf=d, q=1.0)
         grid = np.linspace(10.0, 40.0, 61)
-        res = sweep(_stacked(gm_liouvillian)(base, {"j": grid}), grid)
+        res = sweep(stacked(gm_liouvillian)(base, {"j": grid}), grid)
         for k in range(61):
             ev = res.branches[:, k]
             diam = spectra.spectral_diameter(ev)
@@ -307,7 +318,7 @@ class TestSweep:
         # fallback still attributes the failure to its own grid point
         base = ModelParams(omega=30.0, j=10.0, q=0.0)
         grid = np.linspace(15.0, 25.0, 11)
-        mats = _stacked(tuned)(base, {"j": grid})
+        mats = stacked(tuned)(base, {"j": grid})
         mats[5, 0, 0] = np.nan
         res = sweep(mats, grid)
         assert [i for i, _ in res.failures] == [5]
@@ -441,7 +452,8 @@ class TestFindEp:
         (superop.generator("eff3").operators, {"j": (15.0, 30.0)}, 2,
          ModelParams(omega=30.0, j=10.0, q=0.0), 200),
         # criterion 5's box: 33 x 33 coarse-grid points
-        (MIRRORED, {"j": (20.0, 26.0), "delta_rf": (9.0, 14.0)}, 3,
+        (superop.generator("eff3").operators,
+         {"j": (20.0, 26.0), "delta_rf": (9.0, 14.0)}, 3,
          ModelParams(omega=30.0, j=23.0, delta_rf=11.0, q=0.0), 3000),
     ], ids=["readme", "criterion-5"])
     def test_builder_calls_stay_near_the_coarse_grid(self, build, box, target,
@@ -486,13 +498,13 @@ class TestFindEp:
     def test_box_validation(self):
         base = ModelParams(omega=30.0, j=20.0)
         with pytest.raises(ValueError):
-            find_ep(_stacked(tuned), {}, 2, base)
+            find_ep(stacked(tuned), {}, 2, base)
         with pytest.raises(ValueError):
-            find_ep(_stacked(tuned), {"j": (5.0, 5.0)}, 2, base)
+            find_ep(stacked(tuned), {"j": (5.0, 5.0)}, 2, base)
         # a 3 x 3 matrix has no coalescence of 4 or more eigenvalues
         for target in (1, 4, 10 ** 18):
             with pytest.raises(ValueError, match="target_mult"):
-                find_ep(_stacked(tuned), {"j": (15.0, 30.0)}, target, base)
+                find_ep(stacked(tuned), {"j": (15.0, 30.0)}, target, base)
 
 
 class TestAsymptotes:

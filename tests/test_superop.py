@@ -11,7 +11,7 @@ from lioup import analytic, cli, linalg, model, spectra, superop
 from lioup.model import LindbladSystem, ModelParams, build_eff3, build_ground_relaxation
 from lioup.superop import (FOCKLIOUVILLE, GELLMANN, devectorize,
                            gamma_superop, gellmann_basis, h_superop,
-                           hybrid_liouvillian, matrix_from_json, nhh_superop,
+                           hybrid_liouvillian, matrix_from_json,
                            superop_of_map, vectorize)
 
 from conftest import find_signed_permutation, model_params, reference_hybrid_matrix
@@ -34,6 +34,14 @@ def lambda_superop(jumps, d):
         return out
 
     return superop_of_map(apply_fn, d)
+
+
+def nhh_superop(h_nh):
+    """Gell-Mann matrix of the jump-free generator rho -> -i(H rho - rho H^dag)
+    of any square H: the Kronecker assembly without jumps, by similarity."""
+    h_nh = np.asarray(h_nh, dtype=complex)
+    s, s_inv = superop._gellmann_similarity(h_nh.shape[0])
+    return s_inv @ superop._fock_liouville_matrix(h_nh, (), 0.0) @ s
 
 
 def random_system(rng, d, n_jumps, scale=1.0):
@@ -99,7 +107,7 @@ class TestVectorize:
         # takes |1><1| to -i(|0><1| - |1><0|)
         h = np.array([[0.0, 1.0], [0.0, 0.0]])
         rho = np.diag([0.0, 1.0])
-        got = nhh_superop(h, FOCKLIOUVILLE) @ rho.flatten(order="F")
+        got = superop._fock_liouville_matrix(h, (), 0.0) @ rho.flatten(order="F")
         assert np.array_equal(got, [0, 1j, -1j, 0])
 
     def test_round_trip(self, rng):
@@ -120,7 +128,8 @@ class TestVectorize:
                                 (GELLMANN, 17, "dimension"),
                                 (FOCKLIOUVILLE, 1, "dimension")):
             with pytest.raises(ValueError, match=match):
-                nhh_superop(np.eye(d), basis)
+                hybrid_liouvillian(LindbladSystem(dim=d, hamiltonian=np.eye(d)),
+                                   0.0, basis)
         for d in (1, 17):
             with pytest.raises(ValueError, match="dimension"):
                 vectorize(np.eye(d))
@@ -252,7 +261,7 @@ class TestHybridLiouvillian:
         p = ModelParams(omega=30.0, j=10.0, delta_rf=3.0)
         sys3 = build_eff3(p)
         hyb = hybrid_liouvillian(sys3, 0.0, "gellmann")
-        nhh = nhh_superop(sys3.h_nh(), GELLMANN)
+        nhh = nhh_superop(sys3.h_nh())
         assert spectra.match_distance(linalg.eigvals(hyb),
                                       linalg.eigvals(nhh)) < 1e-9
 
@@ -294,7 +303,7 @@ class TestGellMannSimilarity:
     def test_nhh_superop_equals_the_direct_parts(self, rng):
         sys = random_system(rng, 3, 2)
         want = -1j * h_superop(sys.hamiltonian) + gamma_superop(sys.jumps, 3)
-        got = nhh_superop(sys.h_nh(), GELLMANN)
+        got = nhh_superop(sys.h_nh())
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
@@ -344,7 +353,7 @@ class TestGenerator:
         gen = superop.generator(name)
         p0 = p.replace(q=0.0)
         m = gen.matrices(p0)[0]
-        want = nhh_superop(gen.operators(p0)[0], GELLMANN)
+        want = nhh_superop(gen.operators(p0)[0])
         assert np.abs(m - want).max() <= 1e-12 * np.abs(m).max()
 
     def test_keeps_the_reduction_checks(self):
