@@ -124,11 +124,9 @@ def _check_keys(obj, allowed, path):
             raise SchemaError(f"unknown key '{path}.{key}'")
 
 
-def _number(obj, key, path, required=False):
+def _number(obj, key, path):
     if key not in obj:
-        if required:
-            raise SchemaError(f"missing key '{path}.{key}'")
-        return None
+        raise SchemaError(f"missing key '{path}.{key}'")
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"'{path}.{key}' must be a number")
@@ -274,8 +272,8 @@ def cmd_sweep(cfg, out_path):
     parameter = blk.get("parameter")
     if parameter not in SWEEPABLE:
         raise SchemaError(f"'config.sweep.parameter' must be one of {sorted(SWEEPABLE)}")
-    start = _number(blk, "start", "config.sweep", required=True)
-    stop = _number(blk, "stop", "config.sweep", required=True)
+    start = _number(blk, "start", "config.sweep")
+    stop = _number(blk, "stop", "config.sweep")
     points = _integer(blk, "points", "config.sweep")
     if stop <= start:
         raise SchemaError("'config.sweep.stop' must exceed start")
@@ -349,7 +347,7 @@ def cmd_evolve(cfg, out_path):
         raise SchemaError("missing key 'config.evolve'")
     blk = cfg["evolve"]
     _check_keys(blk, {"rho0", "t_max", "steps"}, "config.evolve")
-    t_max = _number(blk, "t_max", "config.evolve", required=True)
+    t_max = _number(blk, "t_max", "config.evolve")
     if t_max <= 0:
         raise SchemaError("'config.evolve.t_max' must be positive")
     steps = _integer(blk, "steps", "config.evolve")
@@ -428,8 +426,8 @@ def main(argv=None):
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (linalg.ConvergenceError, np.linalg.LinAlgError, ArithmeticError,
-            ValueError, RuntimeError) as exc:
+    except (np.linalg.LinAlgError, ArithmeticError, ValueError,
+            RuntimeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

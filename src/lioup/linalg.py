@@ -23,10 +23,6 @@ MAX_DIM = 256
 TOL_RANK = 1e-7
 
 
-class ConvergenceError(RuntimeError):
-    """Eigensolver failed to converge within the LAPACK iteration budget."""
-
-
 def as_matrix(a):
     """`a` as a square, finite matrix or (n, d, d) stack of them, at most
     MAX_DIM on a side: float64 stays real, every other dtype becomes complex128.
@@ -58,21 +54,13 @@ def eig(a):
     """Full eigendecomposition with deterministic (re, im) ordering.
 
     Eigenvectors of defective matrices come back numerically parallel; no
-    orthogonality is promised.  Raises ConvergenceError if the QR iteration
-    fails (the message carries the Frobenius norm of the input).
+    orthogonality is promised.  NumPy's LinAlgError passes through if the
+    QR iteration fails, as in eigvals().
     """
     a = as_matrix(a)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {a.shape}")
-    n = a.shape[0]
-    try:
-        w, vr = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(
-            f"eigensolver did not converge for {n}x{n} matrix "
-            f"(||A||_F = {np.linalg.norm(a):.6e}, LAPACK iteration cap reached)"
-        ) from exc
-
+    w, vr = np.linalg.eig(a)
     w = w.astype(complex, copy=False)
     order = np.lexsort((w.imag, w.real))
     vr = vr[:, order]

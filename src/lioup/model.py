@@ -403,7 +403,13 @@ def _inverse_real(delta_opt, gamma_sp):
 
 
 def _abs_square(delta_opt, gamma_sp):
-    return abs(_excited_nhh(delta_opt, gamma_sp)) ** 2
+    try:
+        return abs(_excited_nhh(delta_opt, gamma_sp)) ** 2
+    except OverflowError as exc:
+        raise OverflowError(
+            "the eff3 decay rate gamma_sp omega_r^2 / |h_e|^2 overflows: "
+            f"|h_e|^2 is beyond float range at delta_opt = {delta_opt:.6g}, "
+            f"gamma_sp = {gamma_sp:.6g}") from exc
 
 
 # Probe values are powers of two small enough against gamma_sp = 1 that the

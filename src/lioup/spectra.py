@@ -169,56 +169,47 @@ def _conditioned_links(a, values, vecs):
     return linked
 
 
-def _rank_sequence(m, kmax, coalesce_tol):
-    """Ranks of (m / ||m||_2)^k for k = 1..kmax.
+def _jordan_chains(m, mult, coalesce_tol):
+    """(geometric multiplicity, Jordan chain lengths longest first) of the
+    near-zero eigenvalues of m, a cluster of algebraic multiplicity mult.
 
-    Perturbations of size eps enter matrix powers to first order, so one
-    fixed cutoff max(TOL_RANK, coalesce_tol / ||m||) applies to every power
-    of the spectrally normalized matrix: singular values responding within
-    the eigenvalue coalescence tolerance count as part of the degenerate
-    structure.
+    The null space of (m / ||m||_2)^k grows by the number of chains longer
+    than k - 1.  Powers are formed until that growth, clamped to 0..its
+    previous value, stops, and at most mult + 1 of them.  Perturbations of
+    size eps enter matrix powers to first order, so one fixed cutoff
+    max(TOL_RANK, coalesce_tol / ||m||) applies to every power of the
+    spectrally normalized matrix: singular values responding within the
+    eigenvalue coalescence tolerance count as part of the degenerate
+    structure.  The geometric multiplicity, the first growth, is clipped to
+    1..mult, and the chains are capped at mult in total.
     """
+    n = m.shape[0]
     norm = np.linalg.norm(m, 2)
     if norm == 0.0:
-        return [0] * kmax
+        return mult, (1,) * mult
     mn = m / norm
     cut = min(max(linalg.TOL_RANK, coalesce_tol / norm), 0.5)
-    ranks = []
-    p = np.eye(m.shape[0], dtype=complex)
-    for _ in range(kmax):
+    growth = []
+    p = np.eye(n, dtype=complex)
+    nullity = 0
+    for _ in range(mult + 1):
         p = p @ mn
-        s = np.linalg.svd(p, compute_uv=False)
-        ranks.append(int(np.count_nonzero(s > cut)))
-    return ranks
-
-
-def _partition_from_ranks(n, ranks, mult):
-    """Jordan chain lengths from the null-space growth of matrix powers."""
-    nulls = [0] + [n - r for r in ranks]
-    incr = []
-    for k in range(1, len(nulls)):
-        step = nulls[k] - nulls[k - 1]
-        if incr:
-            step = min(step, incr[-1])
-        step = max(step, 0)
+        null = n - int(np.count_nonzero(np.linalg.svd(p, compute_uv=False) > cut))
+        step = max(min(null - nullity, growth[-1] if growth else n), 0)
         if step == 0:
             break
-        incr.append(step)
-    partition = []
-    for length in range(len(incr), 0, -1):
-        count = incr[length - 1] - (incr[length] if length < len(incr) else 0)
-        partition.extend([length] * count)
-    partition.sort(reverse=True)
-    # cap total at the cluster's algebraic multiplicity
-    total, capped = 0, []
-    for length in partition:
-        if total + length > mult:
-            length = mult - total
-        if length <= 0:
-            break
-        capped.append(length)
-        total += length
-    return tuple(capped)
+        growth.append(step)
+        nullity = null
+    # growth[k - 1] - growth[k] chains have length exactly k
+    ends = growth[1:] + [0]
+    chains = []
+    for k in range(len(growth), 0, -1):
+        for _ in range(growth[k - 1] - ends[k - 1]):
+            length = min(k, mult - sum(chains))
+            if length <= 0:
+                break
+            chains.append(length)
+    return int(np.clip(growth[0] if growth else 0, 1, mult)), tuple(chains)
 
 
 def detect_degeneracy(a, tol_cluster=None):
@@ -233,8 +224,9 @@ def detect_degeneracy(a, tol_cluster=None):
     so no radius is set by hand.  A caller that has measured a wider spread,
     as find_ep does, may pass it as tol_cluster: pairs within it are linked
     as well.
-    The ranks of (a - mean*I)^k, k = 1..m+1, counted above twice the
-    cluster's own spread, give the Jordan partition, the geometric
+    The ranks of (a - mean*I)^k, counted above twice the cluster's own
+    spread from k = 1 until the null space stops growing (at most k = m+1,
+    `_jordan_chains`), give the Jordan partition, the geometric
     multiplicity n - rank at k = 1 (clipped to 1..m) and the order, the
     longest chain.
     """
@@ -253,9 +245,8 @@ def detect_degeneracy(a, tol_cluster=None):
             continue
         center = np.mean(w[group])
         spread = float(np.abs(w[group] - center).max())
-        ranks = _rank_sequence(a - center * np.eye(n), m + 1, 2.0 * spread)
-        partition = _partition_from_ranks(n, ranks, m)
-        geometric = int(np.clip(n - ranks[0], 1, m))
+        geometric, partition = _jordan_chains(a - center * np.eye(n), m,
+                                              2.0 * spread)
         if geometric == m:
             kind = "diabolical"
         elif geometric == 1:

@@ -1,31 +1,32 @@
 """Vectorization of density matrices and assembly of (hybrid) Liouvillians.
 
-Two superoperator bases are defined, named by the strings GELLMANN and
-FOCKLIOUVILLE; a basis carries no dimension, which comes from the operand:
+Two vectorizations of a d x d operator appear, with d from the operand:
 
-* generalized Gell-Mann: Hermitian trace-orthogonal set, Tr(s_i s_j) = 2 d_ij,
-  ordered symmetric pairs (j<k lexicographic), antisymmetric pairs, diagonal
-  matrices by increasing rank, identity-proportional element last.  Components
-  of rho are Tr(rho s_i)/2 (`vectorize`, and `devectorize` back).
+* generalized Gell-Mann, the computational basis: Hermitian trace-orthogonal
+  set, Tr(s_i s_j) = 2 d_ij, ordered symmetric pairs (j<k lexicographic),
+  antisymmetric pairs, diagonal matrices by increasing rank,
+  identity-proportional element last.  Components of rho are Tr(rho s_i)/2
+  (`vectorize`, and `devectorize` back).
 * Fock-Liouville: column stacking, |rho>>[i + d*j] = rho_ij, i.e. the |i> (x)
   |j*> convention with the column index running fastest: rho.flatten("F").
+  It is the basis of the Kronecker assembly `fock_liouville_matrix`.
 
 The hybrid Liouvillian is L(q) = -i Hhat_NH + q Lambdahat
 = -i Hhat + Gammahat + q Lambdahat: the relaxation part is always fully
 included, only the quantum-jump (repopulation) term is q-weighted.  One
-Kronecker assembly writes it, and `hybrid_liouvillian(sys, q, basis)`
-returns it as a plain matrix; at q = 0 it is the jump-free (NHH)
-superoperator rho -> -i(H_nh rho - rho H_nh^dag).
+Kronecker assembly writes it, and `hybrid_liouvillian(sys, q)` returns it
+in the Gell-Mann basis as a plain matrix; at q = 0 it is the jump-free
+(NHH) superoperator rho -> -i(H_nh rho - rho H_nh^dag).
 
-Gell-Mann is the computational basis.  `generator(name)` writes a model's
-L(p) as sum_k c_k(p) B_k with real Gell-Mann B_k, and its non-Hermitian
-Hamiltonian as H_nh(p) = sum_k c_k(p) A_k with the same coefficients and
-complex d x d A_k.  Its `matrices` and `operators` give the stack at one
-point or a grid over one or two fields from one coefficient evaluation and
-one small contraction per point; the spectrum does not depend on the
-basis.  Both term sets are solved once per model from its builder at the
-probe parameters: the A_k from the probes' H_nh, the B_k from the
-Kronecker assembly and the cached similarity S^H L S / 2 with
+`generator(name)` writes a model's L(p) as sum_k c_k(p) B_k with real
+Gell-Mann B_k, and its non-Hermitian Hamiltonian as
+H_nh(p) = sum_k c_k(p) A_k with the same coefficients and complex d x d
+A_k.  Its `matrices` and `operators` give the stack at one point or a
+grid over one or two fields from one coefficient evaluation and one small
+contraction per point; the spectrum does not depend on the basis.  Both
+term sets are solved once per model from its builder at the probe
+parameters: the A_k from the probes' H_nh, the B_k from the Kronecker
+assembly and the cached similarity S^H L S / 2 with
 S[:, i] = vec(s_i); `hybrid_liouvillian` and `LindbladSystem.h_nh` are
 the references it is tested against.  `superop_of_map`, `h_superop` and
 `gamma_superop` evaluate the Gell-Mann M_ij = Tr(map(s_j) s_i)/2 directly,
@@ -42,13 +43,8 @@ import numpy as np
 from . import model
 from .model import LindbladSystem, ModelParams
 
-GELLMANN = "gellmann"
-FOCKLIOUVILLE = "fockliouville"
 
-
-def _check_basis(basis, d):
-    if basis not in (GELLMANN, FOCKLIOUVILLE):
-        raise ValueError(f"unknown basis {basis!r}")
+def _check_dim(d):
     if not 2 <= d <= 16:
         raise ValueError("basis dimension must be in [2, 16]")
 
@@ -65,7 +61,7 @@ def gellmann_basis(d):
     The cached, read-only (d^2, d, d) array of the basis matrices, identity-
     proportional element last.
     """
-    _check_basis(GELLMANN, d)
+    _check_dim(d)
     mats = []
     for j in range(d):
         for k in range(j + 1, d):
@@ -146,23 +142,20 @@ def _gellmann_similarity(d):
     return s, s_inv
 
 
-def hybrid_liouvillian(sys: LindbladSystem, q, basis):
-    """Hybrid Liouvillian L(q) = -i Hhat + Gammahat + q Lambdahat.
+def hybrid_liouvillian(sys: LindbladSystem, q):
+    """Gell-Mann matrix of the hybrid Liouvillian
+    L(q) = -i Hhat + Gammahat + q Lambdahat.
 
     q = 0 is the NHH superoperator of the system, q = 1 the full Lindblad
-    generator.  `basis` is GELLMANN or FOCKLIOUVILLE.
+    generator.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    _check_basis(basis, sys.dim)
-    m = _fock_liouville_matrix(sys.hamiltonian, sys.jumps, q)
-    if basis == FOCKLIOUVILLE:
-        return m
     s, s_inv = _gellmann_similarity(sys.dim)
-    return s_inv @ m @ s
+    return s_inv @ fock_liouville_matrix(sys.hamiltonian, sys.jumps, q) @ s
 
 
-def _fock_liouville_matrix(h, jumps, q):
+def fock_liouville_matrix(h, jumps, q):
     """Column-stacked matrix of
     rho -> -i(H rho - rho H^dag) + sum_L (q L rho L^dag - {L^dag L, rho}/2)."""
     d = h.shape[0]
@@ -200,7 +193,7 @@ class Generator:
     operator_terms: np.ndarray  # (K, d^2) complex128, read-only
 
     def matrices(self, p: ModelParams, points=None) -> np.ndarray:
-        """The float64 hybrid_liouvillian(build(p), p.q, GELLMANN) as an
+        """The float64 hybrid_liouvillian(build(p), p.q) as an
         (n, d^2, d^2) stack: the one at p, or one per point of `points` (see
         LinearForm.coefficients, which checks no value)."""
         return _contract(self.form.coefficients(p, points), self.terms)
@@ -240,7 +233,7 @@ def generator(name) -> Generator:
     n = form.dim ** 2
     coeffs = np.concatenate([form.coefficients(p) for p in form.probes])
     systems = [form.build(p) for p in form.probes]
-    mats = np.array([_fock_liouville_matrix(sys.hamiltonian, sys.jumps, p.q).ravel()
+    mats = np.array([fock_liouville_matrix(sys.hamiltonian, sys.jumps, p.q).ravel()
                      for sys, p in zip(systems, form.probes)])
     s, s_inv = _gellmann_similarity(form.dim)
     terms = s_inv @ np.linalg.solve(coeffs, mats).reshape(-1, n, n) @ s

@@ -333,8 +333,7 @@ def criterion_9():
                       np.abs(ghat.imag).max())
         sys = model.LindbladSystem(d, h, tuple(jumps))
         worst_c = max(worst_c, spectra.correspondence_check(
-            sys.h_nh(), linalg.eigvals(superop.hybrid_liouvillian(
-                sys, 0.0, superop.GELLMANN))))
+            sys.h_nh(), linalg.eigvals(superop.hybrid_liouvillian(sys, 0.0))))
     ok = worst_h <= 1e-12 and worst_g <= 1e-12 and worst_c <= 1e-8
     return [_result(
         "9", "Hamiltonian part antisymmetric imaginary, relaxation part symmetric "
@@ -398,8 +397,9 @@ def criterion_12():
                  for _ in range(1 + trial % 4)]
         sys = model.LindbladSystem(dim=d, hamiltonian=h, jumps=tuple(jumps))
         q = float(rng.uniform())
-        ev_gm = linalg.eigvals(superop.hybrid_liouvillian(sys, q, "gellmann"))
-        ev_fl = linalg.eigvals(superop.hybrid_liouvillian(sys, q, "fockliouville"))
+        ev_gm = linalg.eigvals(superop.hybrid_liouvillian(sys, q))
+        ev_fl = linalg.eigvals(superop.fock_liouville_matrix(
+            sys.hamiltonian, sys.jumps, q))
         worst = max(worst, _rel_match(ev_gm, ev_fl))
     return [_result(
         "12", "Gell-Mann and Fock-Liouville spectra agree, rel 1e-8, 20 random draws",

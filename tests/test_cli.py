@@ -618,12 +618,27 @@ class TestExitCodes:
         ("find-ep", {"params": {"omega": 30.0, "j": 1.0, "q": 0.0},
                      "findep": {"box": {"delta_opt": [0.0, 1e200]},
                                 "target_mult": 2}}),
+        ("sweep", {"sweep": {"parameter": "delta_opt", "start": 0.0,
+                             "stop": 1e200, "points": 5}}),
     ])
     def test_coefficient_overflow_exits_3(self, tmp_path, capsys, command, blk):
-        # valid params whose eff3 coefficients leave float range
+        # valid params whose eff3 coefficients leave float range; the
+        # message names the coefficient and where it overflowed
         assert run([command, "--config", write_config(tmp_path, {**BASE, **blk})]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "decay rate gamma_sp omega_r^2 / |h_e|^2" in err
+        assert "delta_opt = " in err and "gamma_sp = " in err
+
+    def test_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # linalg.eig lets LAPACK's non-convergence through to cli.main
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", fail)
+        assert run(["spectrum", "--config", write_config(tmp_path, BASE)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: Eigenvalues did not converge\n"
 
     @pytest.mark.parametrize("passed,rc,status", [(False, 1, "FAIL"),
                                                   (True, 0, "XFAIL")])

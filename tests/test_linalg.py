@@ -203,7 +203,7 @@ class TestExpm:
 
     def test_against_eigen_expansion(self, rng):
         p = model.ModelParams(omega=30.0, j=10.0, q=1.0)
-        l = superop.hybrid_liouvillian(model.build_eff3(p), 1.0, "gellmann")
+        l = superop.hybrid_liouvillian(model.build_eff3(p), 1.0)
         r = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         rho0 = r @ r.conj().T
         rho0 /= np.trace(rho0)

@@ -15,7 +15,7 @@ from conftest import h_nh_detuned, h_nh_tuned
 
 
 def gm_liouvillian(p):
-    return superop.hybrid_liouvillian(build_eff3(p), p.q, "gellmann")
+    return superop.hybrid_liouvillian(build_eff3(p), p.q)
 
 
 def stacked(builder):
@@ -26,6 +26,25 @@ def stacked(builder):
         return np.array([builder(base.replace(**dict(zip(points, x))))
                          for x in zip(*cols, strict=True)])
     return build
+
+
+JORDAN_C = 0.7 - 0.3j
+FAR = (5.0, -4.0 + 3.0j, 8.0j)
+
+
+def jordan_draws(partition, count):
+    """`count` matrices U J U^H: J has Jordan chains `partition` at JORDAN_C
+    and the simple eigenvalues FAR, U is the Q of a complex Gaussian
+    (default_rng(7), one per draw)."""
+    size = sum(partition)
+    sup = np.zeros(size + len(FAR) - 1)
+    for end, k in zip(np.cumsum(partition), partition):
+        sup[end - k:end - 1] = 1.0
+    j = np.diag(np.r_[np.full(size, JORDAN_C), FAR]) + np.diag(sup, 1)
+    rng = np.random.default_rng(7)
+    for _ in range(count):
+        u, _ = np.linalg.qr(rng.normal(size=j.shape) + 1j * rng.normal(size=j.shape))
+        yield u @ j @ u.conj().T
 
 
 def asymptote_check(kind, p, grid):
@@ -184,6 +203,52 @@ class TestDetectDegeneracy:
         assert values.tolist() == [0.0] * n
         assert (r.kind, r.algebraic_mult, r.geometric_mult) == ("exceptional", n, 1)
         assert r.partition == (n,)
+
+    @pytest.mark.parametrize("partition", [
+        (2,), (3,), (4,), (1, 1), (2, 1), (3, 1), (2, 2), (2, 1, 1), (3, 2),
+        (1, 1, 1), (3, 1, 1), (2, 2, 1), (4, 1)])
+    def test_jordan_partitions_of_conjugated_jordan_matrices(self, partition):
+        for a in jordan_draws(partition, 20):
+            [r] = detect_degeneracy(a)[1]
+            assert abs(r.cluster_value - JORDAN_C) < 1e-9
+            assert r.partition == partition
+            assert r.geometric_mult == len(partition)
+            assert r.algebraic_mult == sum(partition)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the 4th power of a length-5 chain over ||A - cI||_2 ~ 8 has singular "
+        "value ~2e-4, at the cutoff 2 spread / ||A - cI|| that the chain's "
+        "eps**(1/5) scatter sets: this draw reads (4,)"))
+    def test_single_chain_of_five(self):
+        *_, a = jordan_draws((5,), 11)  # draw 10
+        [r] = detect_degeneracy(a)[1]
+        assert (r.algebraic_mult, r.geometric_mult) == (5, 1)
+        assert r.partition == (5,)
+
+    @pytest.mark.parametrize("case,powers", [("triple point", 6),
+                                             ("diabolical pair", 2)])
+    def test_jordan_powers_stop_when_the_null_space_stops_growing(
+            self, monkeypatch, case, powers):
+        # chains (5, 3, 1) grow the null space by 3, 2, 2, 1, 1 and then 0 at
+        # the 6th power, (1, 1) by 2 and then 0: no power up to m + 1 follows
+        if case == "triple point":
+            j, d, _ = triple_point(30.0)
+            a = gm_liouvillian(ModelParams(omega=30.0, j=j, delta_rf=d, q=0.0))
+            want = (9, 3, (5, 3, 1))
+        else:
+            [a] = jordan_draws((1, 1), 1)
+            want = (2, 2, (1, 1))
+        svd, shapes = np.linalg.svd, []
+
+        def counted(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        [r] = detect_degeneracy(a)[1]
+        assert (r.algebraic_mult, r.geometric_mult, r.partition) == want
+        # the stacked pseudospectrum test of the links is one 3-D call
+        assert sum(len(shape) == 2 for shape in shapes) == powers
 
     def test_diabolical_crossing(self):
         _, reports = detect_degeneracy(np.diag([1.0, 1.0, 2.0]).astype(complex))

@@ -9,9 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from lioup import analytic, cli, linalg, model, spectra, superop
 from lioup.model import LindbladSystem, ModelParams, build_eff3, build_ground_relaxation
-from lioup.superop import (FOCKLIOUVILLE, GELLMANN, devectorize,
-                           gamma_superop, gellmann_basis, h_superop,
-                           hybrid_liouvillian, matrix_from_json,
+from lioup.superop import (devectorize, gamma_superop, gellmann_basis,
+                           h_superop, hybrid_liouvillian, matrix_from_json,
                            superop_of_map, vectorize)
 
 from conftest import find_signed_permutation, model_params, reference_hybrid_matrix
@@ -41,7 +40,7 @@ def nhh_superop(h_nh):
     of any square H: the Kronecker assembly without jumps, by similarity."""
     h_nh = np.asarray(h_nh, dtype=complex)
     s, s_inv = superop._gellmann_similarity(h_nh.shape[0])
-    return s_inv @ superop._fock_liouville_matrix(h_nh, (), 0.0) @ s
+    return s_inv @ superop.fock_liouville_matrix(h_nh, (), 0.0) @ s
 
 
 def random_system(rng, d, n_jumps, scale=1.0):
@@ -107,7 +106,7 @@ class TestVectorize:
         # takes |1><1| to -i(|0><1| - |1><0|)
         h = np.array([[0.0, 1.0], [0.0, 0.0]])
         rho = np.diag([0.0, 1.0])
-        got = superop._fock_liouville_matrix(h, (), 0.0) @ rho.flatten(order="F")
+        got = superop.fock_liouville_matrix(h, (), 0.0) @ rho.flatten(order="F")
         assert np.array_equal(got, [0, 1j, -1j, 0])
 
     def test_round_trip(self, rng):
@@ -122,23 +121,17 @@ class TestVectorize:
         assert np.abs(v.imag).max() < 1e-12
 
     def test_rejects_unknown_names_and_dimensions(self):
-        sys2 = LindbladSystem(dim=2, hamiltonian=np.eye(2))
         sys17 = LindbladSystem(dim=17, hamiltonian=np.eye(17))
-        for basis, d, match in (("pauli", 2, "unknown basis"),
-                                (GELLMANN, 17, "dimension"),
-                                (FOCKLIOUVILLE, 1, "dimension")):
-            with pytest.raises(ValueError, match=match):
-                hybrid_liouvillian(LindbladSystem(dim=d, hamiltonian=np.eye(d)),
-                                   0.0, basis)
+        for d in (17, 1):
+            with pytest.raises(ValueError, match="dimension"):
+                hybrid_liouvillian(LindbladSystem(dim=d, hamiltonian=np.eye(d)), 0.0)
         for d in (1, 17):
             with pytest.raises(ValueError, match="dimension"):
                 vectorize(np.eye(d))
             with pytest.raises(ValueError, match="dimension"):
                 devectorize(np.zeros(d * d))
-        with pytest.raises(ValueError, match="unknown basis"):
-            hybrid_liouvillian(sys2, 0.5, "pauli")
         with pytest.raises(ValueError, match="dimension"):
-            hybrid_liouvillian(sys17, 0.5, FOCKLIOUVILLE)
+            hybrid_liouvillian(sys17, 0.5)
         with pytest.raises(ValueError, match="length"):
             devectorize(np.zeros(5))
 
@@ -220,8 +213,8 @@ class TestHybridLiouvillian:
     def test_first_eight_rows_are_q_independent(self):
         p = ModelParams(omega=30.0, j=10.0)
         sys3 = build_eff3(p)
-        m0 = hybrid_liouvillian(sys3, 0.0, "gellmann")
-        m1 = hybrid_liouvillian(sys3, 1.0, "gellmann")
+        m0 = hybrid_liouvillian(sys3, 0.0)
+        m1 = hybrid_liouvillian(sys3, 1.0)
         assert np.abs(m0[:8] - m1[:8]).max() < 1e-12
         assert np.abs(m1[8]).max() < 1e-12  # trace preservation at q = 1
 
@@ -230,7 +223,7 @@ class TestHybridLiouvillian:
     def test_matches_reference_matrix_up_to_signed_permutation(self, q, delta):
         omega, j = 30.0, 10.0
         p = ModelParams(omega=omega, j=j, delta_rf=delta, q=q)
-        mine = hybrid_liouvillian(build_eff3(p), q, "gellmann")
+        mine = hybrid_liouvillian(build_eff3(p), q)
         ref = reference_hybrid_matrix(omega, j, delta, q)
         t = find_signed_permutation(mine, ref)
         assert t is not None
@@ -241,26 +234,26 @@ class TestHybridLiouvillian:
         # must be derived at a generic point, away from the extra symmetries
         # of delta = 0 and q in {0, 1}
         p0 = ModelParams(omega=30.0, j=10.0, delta_rf=5.0, q=0.3)
-        mine0 = hybrid_liouvillian(build_eff3(p0), 0.3, "gellmann")
+        mine0 = hybrid_liouvillian(build_eff3(p0), 0.3)
         t = find_signed_permutation(mine0, reference_hybrid_matrix(30.0, 10.0, 5.0, 0.3))
         for omega, j, delta, q in ((20.0, 5.0, 0.0, 0.0), (40.0, 25.0, 7.0, 1.0),
                                    (30.0, 15.0, -4.0, 0.7)):
             p = ModelParams(omega=omega, j=j, delta_rf=delta, q=q)
-            mine = hybrid_liouvillian(build_eff3(p), q, "gellmann")
+            mine = hybrid_liouvillian(build_eff3(p), q)
             ref = reference_hybrid_matrix(omega, j, delta, q)
             assert np.abs(t @ mine @ t.T - ref).max() < 1e-9
 
     def test_q0_spectrum_analytic(self):
         for omega, j in ((30.0, 10.0), (30.0, 35.0), (20.0, 21.0)):
             p = ModelParams(omega=omega, j=j, q=0.0)
-            ev = linalg.eigvals(hybrid_liouvillian(build_eff3(p), 0.0, "gellmann"))
+            ev = linalg.eigvals(hybrid_liouvillian(build_eff3(p), 0.0))
             want = analytic.nhh_superop_spectrum(omega, j)
             assert spectra.match_distance(ev, want) < 1e-8 * np.abs(want).max()
 
     def test_q0_equals_nhh_superop_spectrum(self):
         p = ModelParams(omega=30.0, j=10.0, delta_rf=3.0)
         sys3 = build_eff3(p)
-        hyb = hybrid_liouvillian(sys3, 0.0, "gellmann")
+        hyb = hybrid_liouvillian(sys3, 0.0)
         nhh = nhh_superop(sys3.h_nh())
         assert spectra.match_distance(linalg.eigvals(hyb),
                                       linalg.eigvals(nhh)) < 1e-9
@@ -268,14 +261,14 @@ class TestHybridLiouvillian:
     def test_rejects_bad_q(self):
         p = ModelParams(omega=30.0, j=10.0)
         with pytest.raises(ValueError):
-            hybrid_liouvillian(build_eff3(p), 1.5, "gellmann")
+            hybrid_liouvillian(build_eff3(p), 1.5)
 
     def test_action_equivalence_both_bases(self, rng):
         for d in (2, 3, 4):
             sys = random_system(rng, d, 3)
             for q in (0.0, 0.3, 1.0):
-                m_gm = hybrid_liouvillian(sys, q, GELLMANN)
-                m_fl = hybrid_liouvillian(sys, q, FOCKLIOUVILLE)
+                m_gm = hybrid_liouvillian(sys, q)
+                m_fl = superop.fock_liouville_matrix(sys.hamiltonian, sys.jumps, q)
                 for _ in range(3):
                     r = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                     rho = r + r.conj().T
@@ -296,7 +289,7 @@ class TestGellMannSimilarity:
             ghat = gamma_superop(sys.jumps, d)
             lhat = lambda_superop(sys.jumps, d)
             for q in (0.0, 0.3, 1.0):
-                got = hybrid_liouvillian(sys, q, GELLMANN)
+                got = hybrid_liouvillian(sys, q)
                 want = -1j * hhat + ghat + q * lhat
                 assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
@@ -314,7 +307,7 @@ class TestGenerator:
     @given(p=model_params(), name=st.sampled_from(["eff3", "full4"]))
     def test_matches_the_builders(self, p, name):
         sys = self.BUILDERS[name](p)
-        want = hybrid_liouvillian(sys, p.q, GELLMANN)
+        want = hybrid_liouvillian(sys, p.q)
         gen = superop.generator(name)
         got = gen.matrices(p)[0]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -409,7 +402,7 @@ class TestGenerator:
             columns=lambda v: (v["j"],),
             probes=(ModelParams(omega=1.0, j=1.0),))
         monkeypatch.setitem(model.LINEAR_FORMS, "not_real", form)
-        monkeypatch.setattr(superop, "_fock_liouville_matrix",
+        monkeypatch.setattr(superop, "fock_liouville_matrix",
                             lambda h, jumps, q: -1j * np.kron(np.eye(len(h)), h))
         with pytest.raises(ValueError, match="not real"):
             superop.generator.__wrapped__("not_real")
@@ -546,7 +539,8 @@ class TestSpectralProperties:
     def test_spectrum_is_closed_under_conjugation(self, sys, q):
         # L(q) commutes with rho -> rho^dag, so its spectrum is real as a
         # multiset even in complex arithmetic, where nothing pairs it
-        ev = linalg.eigvals(hybrid_liouvillian(sys, q, FOCKLIOUVILLE))
+        ev = linalg.eigvals(superop.fock_liouville_matrix(sys.hamiltonian,
+                                                          sys.jumps, q))
         scale = max(np.abs(ev).max(), 1e-300)
         assert spectra.match_distance(ev, ev.conj()) <= 1e-10 * scale
 
@@ -569,18 +563,20 @@ class TestFockLiouville:
     def test_amplitude_damping_spectrum(self):
         sys = LindbladSystem(dim=2, hamiltonian=np.zeros((2, 2)),
                              jumps=(np.array([[0.0, 1.0], [0.0, 0.0]]),))
-        ev = linalg.eigvals(hybrid_liouvillian(sys, 1.0, FOCKLIOUVILLE))
+        ev = linalg.eigvals(superop.fock_liouville_matrix(sys.hamiltonian,
+                                                          sys.jumps, 1.0))
         assert spectra.match_distance(ev, np.array([0.0, -0.5, -0.5, -1.0])) < 1e-12
 
     def test_trace_preservation_left_null_vector(self, rng):
         sys = random_system(rng, 3, 2)
-        sop = hybrid_liouvillian(sys, 1.0, FOCKLIOUVILLE)
+        sop = superop.fock_liouville_matrix(sys.hamiltonian, sys.jumps, 1.0)
         vec_id = np.eye(3).flatten(order="F")
         assert np.abs(vec_id.conj() @ sop).max() < 1e-12
 
     def test_four_level_groups(self):
         p = ModelParams(omega=30.0, j=10.0, gamma_sp=model.GAMMA_D2)
-        sop = hybrid_liouvillian(model.build_full4_rwa(p), 1.0, FOCKLIOUVILLE)
+        sys = model.build_full4_rwa(p)
+        sop = superop.fock_liouville_matrix(sys.hamiltonian, sys.jumps, 1.0)
         ev = linalg.eigvals(sop)
         g = model.GAMMA_D2
         sizes = ((ev.real > -g / 4).sum(),
@@ -596,9 +592,9 @@ class TestIsotropicExtension:
         omega, j, gamma = 30.0, 10.0, 0.37
         for q in (0.0, 0.5, 1.0):
             p = ModelParams(omega=omega, j=j, q=q)
-            base = hybrid_liouvillian(build_eff3(p), q, GELLMANN)
+            base = hybrid_liouvillian(build_eff3(p), q)
             direct = hybrid_liouvillian(build_eff3(p.replace(gamma_g=gamma)),
-                                        q, GELLMANN)
+                                        q)
             shift = np.full(9, gamma)
             shift[-1] = gamma * (1.0 - q)
             assert np.abs(direct - (base - np.diag(shift))).max() < 1e-12
