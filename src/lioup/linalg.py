@@ -12,8 +12,6 @@ function that uses it, because loading it costs about 0.3 s of CPU at
 start-up and most commands never propagate.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Soft size cap: nothing in this package needs more than the 16^2-dimensional
@@ -38,20 +36,10 @@ def as_matrix(a):
     return a
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Right eigenpairs in a deterministic order.
-
-    values        : (n,) complex eigenvalues sorted lexicographically by (re, im)
-    right_vectors : (n, n) unit-norm right eigenvectors as columns
-    """
-
-    values: np.ndarray
-    right_vectors: np.ndarray
-
-
 def eig(a):
-    """Full eigendecomposition with deterministic (re, im) ordering.
+    """Right eigenpairs (values, vectors) in a deterministic order: the
+    (n,) complex eigenvalues sorted lexicographically by (re, im), and the
+    (n, n) matrix of unit-norm right eigenvectors as its columns.
 
     Eigenvectors of defective matrices come back numerically parallel; no
     orthogonality is promised.  NumPy's LinAlgError passes through if the
@@ -64,8 +52,7 @@ def eig(a):
     w = w.astype(complex, copy=False)
     order = np.lexsort((w.imag, w.real))
     vr = vr[:, order]
-    return EigenDecomposition(values=w[order],
-                              right_vectors=vr / np.linalg.norm(vr, axis=0))
+    return w[order], vr / np.linalg.norm(vr, axis=0)
 
 
 def eigvals(a):

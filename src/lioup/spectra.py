@@ -15,9 +15,10 @@ superop.Generator's `matrices`; `evolve_check` takes the generator's
 Gell-Mann matrix as an array.
 
 scipy.optimize is imported inside its three callers, `match_distance`,
-`_track` (for `sweep`) and `find_ep`, because loading it (and the
-scipy.linalg it pulls in) costs about 0.5 s of CPU at start-up and a
-spectrum or evolve command never calls it.
+`_track` (for `sweep`, and only when some step needs the solver) and
+`find_ep`, because loading it (and the scipy.linalg it pulls in) costs
+about 0.5 s of CPU at start-up and a spectrum or evolve command never
+calls it.
 """
 
 import dataclasses
@@ -232,8 +233,7 @@ def detect_degeneracy(a, tol_cluster=None):
     """
     a = linalg.as_matrix(a)
     n = a.shape[0]
-    dec = linalg.eig(a)
-    w, vecs = dec.values, dec.right_vectors
+    w, vecs = linalg.eig(a)
     linked = _conditioned_links(a, w, vecs)
     if tol_cluster is not None:
         linked |= _within(w, tol_cluster)
@@ -276,7 +276,7 @@ def detect_degeneracy(a, tol_cluster=None):
 def correspondence_check(h_nh, super_spectrum):
     """Max mismatch between {-i (E_i - E_j^*)} of the operator and the
     given superoperator spectrum, under optimal pairing."""
-    ev = linalg.eig(h_nh).values
+    ev = linalg.eig(h_nh)[0]
     d = ev.size
     super_spectrum = np.asarray(super_spectrum, dtype=complex).ravel()
     if super_spectrum.size != d * d:
@@ -343,30 +343,21 @@ def sweep(stack, grid):
 def _track(values):
     """Per row of `values` (points, n), the order that continues the
     branches: branch b at point k is values[k, order[k, b]], and the first
-    row keeps its order.  See `sweep` for which steps call the solver."""
-    import scipy.optimize
-
-    steps = len(values) - 1
+    row keeps its order.  A clear step follows the nearest neighbours, every
+    other step calls the solver (see `sweep`), and scipy.optimize is
+    imported only if some step is unclear."""
     nearest, unique = _unique_nearest(values)
+    if not unique.all():
+        import scipy.optimize
     order = np.empty(values.shape, dtype=np.intp)
     order[0] = cols = np.arange(values.shape[1])
-    start = 0  # cols = order[start] is known
-    for stop in np.flatnonzero(~unique).tolist() + [steps]:
-        if stop > start:
-            # steps start..stop-1 follow the nearest neighbours; compose them
-            # by doubling: chain[i] = nearest[start + i] o ... o nearest[start]
-            chain, shift = nearest[start:stop], 1
-            while shift < len(chain):
-                chain[shift:] = np.take_along_axis(chain[shift:], chain[:-shift],
-                                                   axis=1)
-                shift *= 2
-            order[start + 1:stop + 1] = chain[:, cols]
-            cols = order[stop]
-        if stop < steps:
-            cost = np.abs(values[stop][cols][:, None] - values[stop + 1][None, :])
+    for step, clear in enumerate(unique.tolist()):
+        if clear:
+            cols = nearest[step][cols]
+        else:
+            cost = np.abs(values[step][cols][:, None] - values[step + 1][None, :])
             cols = scipy.optimize.linear_sum_assignment(cost)[1]
-            order[stop + 1] = cols
-        start = stop + 1
+        order[step + 1] = cols
     return order
 
 
@@ -535,7 +526,7 @@ def find_ep(build, box, target_mult, base: ModelParams):
             is_min &= ~(padded[tuple(nb)] < s_grid)
     seeds = np.flatnonzero(is_min)
 
-    found = []
+    found, reports = [], []
     widths = his - los
     for k in seeds:
         values = coarse_vals[k]
@@ -543,20 +534,18 @@ def find_ep(build, box, target_mult, base: ModelParams):
         centre = _nearest(values, least, target_mult).mean()
         x = scipy.optimize.least_squares(power_sums, pts[k], bounds=(los, his),
                                          args=(centre,)).x
-        s_min = _gap_sums(linalg.eigvals(matrix_at(x)), target_mult).min()
+        a = matrix_at(x)
+        s_min = _gap_sums(linalg.eigvals(a), target_mult).min()
         if s_min >= threshold:
             continue
-        if any(np.max(np.abs(x - f[0]) / widths) < 1e-4 for f in found):
+        if any(np.max(np.abs(x - f) / widths) < 1e-4 for f in found):
             continue  # duplicate basin
-        found.append((x, s_min))
-
-    reports = []
-    for x, s_min in found:
+        found.append(x)
         p = base.replace(**dict(zip(names, x.tolist())))
         # the solution need not sit on the coalescence, so pairs within
         # the spread measured there are linked as well
         reports += [dataclasses.replace(rep, params=p) for rep in
-                    detect_degeneracy(matrix_at(x), tol_cluster=3.0 * s_min)[1]
+                    detect_degeneracy(a, tol_cluster=3.0 * s_min)[1]
                     if rep.algebraic_mult >= target_mult]
     return reports
 
@@ -578,8 +567,9 @@ def evolve_check(l, rho0, times):
     `l` is the generator's Gell-Mann matrix, and it must preserve the
     trace, as hybrid generators with q < 1 and dissipation do not.  rho0 is
     checked and vectorized, and l eigendecomposed, once for all times;
-    expm(l t) is formed at each time as the independent route.  A defective
-    Liouvillian disables the eigen-expansion route: rho_eig is None.
+    expm(l t) is formed at each time as the independent route, and
+    FloatingPointError names the first time whose state is not finite.  A
+    defective Liouvillian disables the eigen-expansion route: rho_eig is None.
     """
     # the last row holds the traces Tr(l(s_j)) times sqrt(2/d) / 2
     if np.abs(l[-1]).max() > 1e-12 * np.abs(l).max():
@@ -601,15 +591,17 @@ def evolve_check(l, rho0, times):
 
     v0 = superop.vectorize(rho0)
     rho_expm = np.array([superop.devectorize(linalg.expm(l * t) @ v0) for t in times])
+    bad = np.flatnonzero(~np.isfinite(rho_expm).all(axis=(1, 2)))
+    if bad.size:
+        raise FloatingPointError(f"expm(l t) is not finite at t = {times[bad[0]]:g}")
     trace_drift = np.abs(np.trace(rho_expm, axis1=1, axis2=2) - np.trace(rho0))
 
-    dec = linalg.eig(l)
-    v = dec.right_vectors
+    values, v = linalg.eig(l)
     if np.linalg.cond(v) > 1e12:
         return EvolveResult(rho_expm=rho_expm, rho_eig=None, trace_drift=trace_drift,
                             max_diff=np.full(times.size, np.nan))
     coeff = np.linalg.solve(v, v0)
-    rho_eig = np.array([superop.devectorize(v @ (coeff * np.exp(dec.values * t)))
+    rho_eig = np.array([superop.devectorize(v @ (coeff * np.exp(values * t)))
                         for t in times])
     return EvolveResult(rho_expm=rho_expm, rho_eig=rho_eig, trace_drift=trace_drift,
                         max_diff=np.abs(rho_expm - rho_eig).max(axis=(1, 2)))

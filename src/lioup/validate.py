@@ -122,9 +122,8 @@ def criterion_2():
         # just off the coalescence the three moving branches share one
         # eigenvector while the simple bystander branch stays independent
         p_off = base.replace(j=omega / SQ2 - 1e-4)
-        dec = linalg.eig(_gm_liouvillian(p_off))
-        idx = np.argsort(np.abs(dec.values + 2 * omega))[:4]
-        vecs = dec.right_vectors[:, idx]
+        values, vecs = linalg.eig(_gm_liouvillian(p_off))
+        vecs = vecs[:, np.argsort(np.abs(values + 2 * omega))[:4]]
         ov = np.abs(vecs.conj().T @ vecs) - np.eye(4)
         family = [k for k in range(4) if np.sort(ov[k])[-2] > 0.5]
         ok_fam = (len(family) == 3

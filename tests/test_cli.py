@@ -630,6 +630,16 @@ class TestExitCodes:
         assert "decay rate gamma_sp omega_r^2 / |h_e|^2" in err
         assert "delta_opt = " in err and "gamma_sp = " in err
 
+    def test_non_finite_evolution_exits_3(self, tmp_path, capsys):
+        # expm(l t) of this generator is finite up to t = 1e20 but not at the
+        # later rows of a t_max = 1e50 grid; the first bad time is named
+        cfg = write_config(tmp_path, {**BASE, "evolve": {"t_max": 1e50, "steps": 3}})
+        out = tmp_path / "evolve.csv"
+        assert run(["evolve", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: expm(l t) is not finite at t = 5e+49\n"
+        assert not out.exists()
+
     def test_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         # linalg.eig lets LAPACK's non-convergence through to cli.main
         def fail(*args, **kwargs):

@@ -470,6 +470,17 @@ class TestSweep:
         assert same_bits(res.branches, assignment_branches(values))
         assert [k for k, _ in res.failures] == [0, 40, 41]
 
+    def test_one_solved_point_leaves_no_step_to_track(self):
+        base = ModelParams(omega=30.0, j=10.0, q=0.5)
+        grid = np.linspace(5.0, 40.0, 4)
+        stack = superop.generator("eff3").matrices(base, {"j": grid})
+        stack[[0, 1, 3], 0, 0] = np.nan
+        res = sweep(stack, grid)
+        assert np.isfinite(res.branches[:, 2]).all()
+        assert np.isnan(np.delete(res.branches, 2, axis=1)).all()
+        assert [k for k, _ in res.failures] == [0, 1, 3]
+        assert res.ep_candidates == ()
+
     def test_rejects_unsorted_grid(self):
         mats = [h_nh_tuned(30.0, j) for j in (3.0, 2.0)]
         with pytest.raises(ValueError, match="ascending"):
@@ -608,9 +619,9 @@ class TestEvolveCheck:
         # J > Omega/sqrt(2) keeps every decaying mode fast (rate >= Omega/3)
         p = ModelParams(omega=30.0, j=25.0, q=1.0)
         l = gm_liouvillian(p)
-        dec = linalg.eig(l)
-        k = int(np.argmin(np.abs(dec.values)))
-        stat = superop.devectorize(dec.right_vectors[:, k])
+        values, vecs = linalg.eig(l)
+        k = int(np.argmin(np.abs(values)))
+        stat = superop.devectorize(vecs[:, k])
         stat = stat / np.trace(stat)
         rho0 = np.eye(3) / 3.0
         res = evolve_check(l, rho0, [50.0 / p.omega])

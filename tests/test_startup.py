@@ -61,6 +61,19 @@ def test_evolve_loads_linalg_but_not_optimize(tmp_path):
     assert "scipy.optimize" not in modules
 
 
+def test_sweep_with_only_clear_steps_loads_no_scipy(tmp_path):
+    # a detuned sweep whose every step is settled by the nearest neighbours,
+    # so the assignment solver is never called
+    rc, modules = run_fresh(tmp_path, "sweep", {
+        "model": "eff3",
+        "params": {"omega": 28.0623, "j": 23.3127, "q": 0.262313,
+                   "gamma_sp": 40772.3, "gamma_g": 2.17575, "delta_opt": -179.065},
+        "sweep": {"parameter": "delta_rf", "start": -28.0623, "stop": 28.0623,
+                  "points": 101}})
+    assert rc == 0
+    assert modules == set()
+
+
 def test_sweep_loads_optimize(tmp_path):
     rc, modules = run_fresh(tmp_path, "sweep", {
         "model": "eff3", "params": PARAMS,
