@@ -18,12 +18,12 @@ import sys
 
 import numpy as np
 
-from . import __version__, linalg, model, spectra, superop, validate
+from . import __version__, model, spectra, superop, validate
 
 FLOAT_FMT = "%.12e"
 
 TOLERANCES = {
-    "tol_rank": linalg.TOL_RANK,
+    "tol_rank": spectra.TOL_RANK,
     "tol_class_rel": spectra.TOL_CLASS_REL,
     "cluster_c": spectra.CLUSTER_C,
     "ep_candidate_rel": spectra.EP_CANDIDATE_REL,
@@ -114,6 +114,11 @@ def _format_block(x):
         text = [FLOAT_FMT % v for v in x[slow].tolist()]
         cells[slow, :5] = np.array(text, dtype="S20").view(np.uint32).reshape(-1, 5)
     return cells.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _matrix_from_json(rows):
+    """A complex matrix from nested lists of [re, im] pairs."""
+    return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
 def _check_keys(obj, allowed, path):
@@ -284,25 +289,24 @@ def cmd_sweep(cfg, out_path):
     grid = np.linspace(start, stop, points)
     gen = superop.generator(cfg["model"])
     build = gen.operators if level == "operator" else gen.matrices
-    result = spectra.sweep(build(p, {parameter: grid}), grid)
+    branches, candidates, failures = spectra.sweep(build(p, {parameter: grid}))
 
-    nb = result.branches.shape[0]
+    nb = branches.shape[0]
     header = ([parameter] + [f"re_{k + 1}" for k in range(nb)]
               + [f"im_{k + 1}" for k in range(nb)])
-    table = np.column_stack([result.grid, result.branches.real.T,
-                             result.branches.imag.T])
+    table = np.column_stack([grid, branches.real.T, branches.imag.T])
     _emit("".join([",".join(header) + "\r\n"] + _format_rows(table)), out_path)
     _emit_metadata(cfg, out_path, extra={
         "branch_provenance": "columns follow the (re, im)-sorted eigenvalues "
                              "at the first grid point, continuity-tracked by "
                              "minimal-total-distance assignment",
         "ep_candidates": [{"index": i, parameter: _fmt(grid[i])}
-                          for i in result.ep_candidates],
+                          for i in candidates],
         "failures": [{"index": i, parameter: _fmt(grid[i]), "message": msg}
-                     for i, msg in result.failures]})
-    for idx, msg in result.failures:
+                     for i, msg in failures]})
+    for idx, msg in failures:
         print(f"warning: grid point {idx} failed: {msg}", file=sys.stderr)
-    return 4 if result.failures else 0
+    return 4 if failures else 0
 
 
 def cmd_find_ep(cfg, out_path):
@@ -364,7 +368,7 @@ def cmd_evolve(cfg, out_path):
         rho0 = np.eye(d) / d
     elif isinstance(spec0, list):
         try:
-            rho0 = superop.matrix_from_json(spec0)
+            rho0 = _matrix_from_json(spec0)
         except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"invalid 'config.evolve.rho0': {exc}") from exc
         if rho0.shape != (d, d):
@@ -375,15 +379,17 @@ def cmd_evolve(cfg, out_path):
 
     times = np.linspace(0.0, t_max, steps)
     try:
-        res = spectra.evolve_check(gen.matrices(p)[0], rho0, times)
+        states, route_diff = spectra.evolve_check(gen.matrices(p)[0], rho0, times)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     header = ["t", "trace"] + [f"pop_{k + 1}" for k in range(d)] + ["route_diff"]
     lines = [",".join(header)]
-    for t, rho, diff in zip(times, res.rho_expm, res.max_diff):
+    for t, rho, diff in zip(times, states, route_diff):
         row = [_fmt(t), _fmt(np.trace(rho).real)]
         row += [_fmt(rho[k, k].real) for k in range(d)]
-        row.append(_fmt(diff))  # NaN when the generator is defective
+        # NaN for a defective generator (eigenvector condition number above
+        # 1e12), and where the eigen-expansion overflows at long times
+        row.append(_fmt(diff))
         lines.append(",".join(row))
     _emit("\r\n".join(lines) + "\r\n", out_path)
     _emit_metadata(cfg, out_path)

@@ -18,8 +18,6 @@ import numpy as np
 # Fock-Liouville space of the four-level model.
 MAX_DIM = 256
 
-TOL_RANK = 1e-7
-
 
 def as_matrix(a):
     """`a` as a square, finite matrix or (n, d, d) stack of them, at most

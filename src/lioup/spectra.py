@@ -10,9 +10,10 @@ linalg's input rule, so a float64 generator is solved in real arithmetic.
 Results are plain values: `classify` gives kind strings, `splittings`
 (i, j, dE_real, dE_imag) tuples, and `detect_degeneracy` the eigenvalues
 with reports whose `indices` index them.  `sweep` analyses a stack of
-matrices, one per grid point, and `find_ep` calls a stack builder such as
-superop.Generator's `matrices`; `evolve_check` takes the generator's
-Gell-Mann matrix as an array.
+matrices, one per grid point, into (branches, ep_candidates, failures), and
+`find_ep` calls a stack builder such as superop.Generator's `matrices`;
+`evolve_check` takes the generator's Gell-Mann matrix as an array and gives
+(states, route_diff).
 
 scipy.optimize is imported inside its three callers, `match_distance`,
 `_track` (for `sweep`, and only when some step needs the solver) and
@@ -35,6 +36,7 @@ PURE_DECAY = "pure_decay"
 DAMPED_OSCILLATION = "damped_oscillation"
 UNSTABLE = "unstable"
 
+TOL_RANK = 1e-7
 TOL_CLASS_REL = 1e-8  # relative to the spectral diameter
 # Two eigenvalues of A cluster when a perturbation of CLUSTER_C eps ||A||_2,
 # a hundred roundings, could merge them (see detect_degeneracy).
@@ -189,7 +191,7 @@ def _jordan_chains(m, mult, coalesce_tol):
     if norm == 0.0:
         return mult, (1,) * mult
     mn = m / norm
-    cut = min(max(linalg.TOL_RANK, coalesce_tol / norm), 0.5)
+    cut = min(max(TOL_RANK, coalesce_tol / norm), 0.5)
     growth = []
     p = np.eye(n, dtype=complex)
     nullity = 0
@@ -286,22 +288,16 @@ def correspondence_check(h_nh, super_spectrum):
     return match_distance(pairs, super_spectrum)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    grid: np.ndarray
-    branches: np.ndarray  # (n_branches, n_points), continuity-tracked
-    ep_candidates: tuple
-    failures: tuple = ()  # of (grid index, message)
-
-
-def sweep(stack, grid):
-    """Eigenvalue branches of an (n, d, d) stack of matrices, one per point
-    of an ascending parameter grid.
+def sweep(stack):
+    """Eigenvalue branches of an (n, d, d) stack of matrices, one per grid
+    point, as (branches (d, n), ep_candidates, failures): tuples of point
+    indices and of (point index, message) pairs.
 
     The stack is solved by one batched eigensolve, in real arithmetic when
     it is float64.  Branches are tracked between consecutive solved points
-    by the minimal-total-distance assignment; grid points whose eigensolve
-    raises are recorded as failures and their branch column is NaN.
+    by the minimal-total-distance assignment; points whose eigensolve raises
+    are failures, and their branch column is NaN.  FloatingPointError names
+    a step whose eigenvalue distances overflow.
 
     A step skips the assignment solver where every eigenvalue's nearest
     neighbour at the next point is a different one, nearer than its
@@ -314,38 +310,33 @@ def sweep(stack, grid):
     depends on row order.
 
     EP candidates are the points with more eigenvalue pairs closer than
-    1e-5 of the largest spectral diameter on the grid than the fewest any
-    point of the grid has.  Degeneracies present at every point, such as the
+    1e-5 of the largest spectral diameter of the stack than the fewest any
+    point has.  Degeneracies present at every point, such as the
     symmetry-protected exact doubles of a superoperator spectrum, therefore
     flag nothing; a coalescence on top of them does.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 2 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be ascending with at least 2 points")
-    if len(stack) != grid.size:
-        raise ValueError("the stack must hold one matrix per grid point")
     values, good, failures = _eigvals_each(stack)
     if not good:
         raise RuntimeError("eigensolve failed at every grid point")
 
-    tracked = np.take_along_axis(values, _track(values), axis=1)
-    branches = np.full((values.shape[1], grid.size), np.nan + 1j * np.nan,
+    tracked = np.take_along_axis(values, _track(values, good), axis=1)
+    branches = np.full((values.shape[1], len(stack)), np.nan + 1j * np.nan,
                        dtype=complex)
     branches[:, good] = tracked.T
 
     counts = _close_pairs(tracked)
     fewest = counts.min()
     candidates = tuple(i for i, c in zip(good, counts) if c > fewest)
-    return SweepResult(grid=grid, branches=branches, ep_candidates=candidates,
-                       failures=tuple(failures))
+    return branches, candidates, tuple(failures)
 
 
-def _track(values):
+def _track(values, points):
     """Per row of `values` (points, n), the order that continues the
     branches: branch b at point k is values[k, order[k, b]], and the first
     row keeps its order.  A clear step follows the nearest neighbours, every
     other step calls the solver (see `sweep`), and scipy.optimize is
-    imported only if some step is unclear."""
+    imported only if some step is unclear.  `points` holds the rows' grid
+    indices, for the error of a step whose distances are not finite."""
     nearest, unique = _unique_nearest(values)
     if not unique.all():
         import scipy.optimize
@@ -356,7 +347,12 @@ def _track(values):
             cols = nearest[step][cols]
         else:
             cost = np.abs(values[step][cols][:, None] - values[step + 1][None, :])
-            cols = scipy.optimize.linear_sum_assignment(cost)[1]
+            try:
+                cols = scipy.optimize.linear_sum_assignment(cost)[1]
+            except ValueError:
+                raise FloatingPointError(
+                    f"eigenvalue distances are not finite between grid points "
+                    f"{points[step]} and {points[step + 1]}") from None
         order[step + 1] = cols
     return order
 
@@ -550,34 +546,33 @@ def find_ep(build, box, target_mult, base: ModelParams):
     return reports
 
 
-@dataclass(frozen=True)
-class EvolveResult:
-    """Both propagation routes at each requested time, first axis time."""
-
-    rho_expm: np.ndarray  # (n, d, d)
-    rho_eig: np.ndarray | None  # (n, d, d); None if defective
-    trace_drift: np.ndarray  # (n,)
-    max_diff: np.ndarray  # (n,); NaN if defective
-
-
 def evolve_check(l, rho0, times):
     """Propagate rho0 to each of the 1-D array `times` by expm and by
-    eigen-expansion.
+    eigen-expansion, as (states, route_diff): the (n, d, d) expm states and
+    the (n,) largest entry difference of the two routes, NaN when l is
+    defective (eigenvector condition number above 1e12) and at times whose
+    eigen-expansion overflows.
 
     `l` is the generator's Gell-Mann matrix, and it must preserve the
     trace, as hybrid generators with q < 1 and dissipation do not.  rho0 is
     checked and vectorized, and l eigendecomposed, once for all times;
-    expm(l t) is formed at each time as the independent route, and
-    FloatingPointError names the first time whose state is not finite.  A
-    defective Liouvillian disables the eigen-expansion route: rho_eig is None.
+    expm(l t) is formed at each time as the independent route.
+    FloatingPointError names l, or l t at the largest |t|, if it is not
+    finite, and the first time whose expm state is not finite.
     """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("times must be a 1-D array")
+    if not np.isfinite(l).all():
+        raise FloatingPointError("the generator is not finite")
+    t_far = times[np.argmax(np.abs(times))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(l * t_far).all():
+            raise FloatingPointError(f"l t is not finite at t = {t_far:g}")
     # the last row holds the traces Tr(l(s_j)) times sqrt(2/d) / 2
     if np.abs(l[-1]).max() > 1e-12 * np.abs(l).max():
         raise ValueError("evolve_check requires a trace-preserving generator: "
                          "hybrid generators with q < 1 are not trace-preserving")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError("times must be a 1-D array")
     rho0 = np.asarray(rho0, dtype=complex)
     if not np.isfinite(rho0).all():
         raise ValueError("rho0 must be finite")
@@ -590,18 +585,15 @@ def evolve_check(l, rho0, times):
         raise ValueError("rho0 must be positive semidefinite")
 
     v0 = superop.vectorize(rho0)
-    rho_expm = np.array([superop.devectorize(linalg.expm(l * t) @ v0) for t in times])
-    bad = np.flatnonzero(~np.isfinite(rho_expm).all(axis=(1, 2)))
+    states = np.array([superop.devectorize(linalg.expm(l * t) @ v0) for t in times])
+    bad = np.flatnonzero(~np.isfinite(states).all(axis=(1, 2)))
     if bad.size:
         raise FloatingPointError(f"expm(l t) is not finite at t = {times[bad[0]]:g}")
-    trace_drift = np.abs(np.trace(rho_expm, axis1=1, axis2=2) - np.trace(rho0))
 
     values, v = linalg.eig(l)
     if np.linalg.cond(v) > 1e12:
-        return EvolveResult(rho_expm=rho_expm, rho_eig=None, trace_drift=trace_drift,
-                            max_diff=np.full(times.size, np.nan))
+        return states, np.full(times.size, np.nan)
     coeff = np.linalg.solve(v, v0)
     rho_eig = np.array([superop.devectorize(v @ (coeff * np.exp(values * t)))
                         for t in times])
-    return EvolveResult(rho_expm=rho_expm, rho_eig=rho_eig, trace_drift=trace_drift,
-                        max_diff=np.abs(rho_expm - rho_eig).max(axis=(1, 2)))
+    return states, np.abs(states - rho_eig).max(axis=(1, 2))

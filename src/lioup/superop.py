@@ -49,11 +49,6 @@ def _check_dim(d):
         raise ValueError("basis dimension must be in [2, 16]")
 
 
-def matrix_from_json(rows):
-    """A complex matrix from nested lists of [re, im] pairs."""
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
 @functools.lru_cache(maxsize=None)
 def gellmann_basis(d):
     """Generalized Gell-Mann basis for a d-level system (Pauli set at d=2).

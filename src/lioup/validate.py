@@ -374,9 +374,11 @@ def criterion_11():
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         rho0 = a @ a.conj().T
         rho0 /= np.trace(rho0).real
-        res = spectra.evolve_check(l1, rho0, np.linspace(0.0, 5.0 / omega, 6))
-        worst_tr = max(worst_tr, res.trace_drift.max())
-        worst_diff = max(worst_diff, res.max_diff.max())
+        states, route_diff = spectra.evolve_check(l1, rho0,
+                                                  np.linspace(0.0, 5.0 / omega, 6))
+        drift = np.abs(np.trace(states, axis1=1, axis2=2) - np.trace(rho0))
+        worst_tr = max(worst_tr, drift.max())
+        worst_diff = max(worst_diff, route_diff.max())
     ok = worst_tr <= 1e-9 and worst_diff <= 1e-8
     return [_result(
         "11", "q=1 evolution preserves trace to 1e-9; expm and eigen-expansion "

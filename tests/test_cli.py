@@ -194,11 +194,11 @@ class TestSweepCommand:
         assert run(["sweep", "--config", write_config(tmp_path, cfg),
                     "--out", str(out)]) == 4
         grid = np.linspace(0.0, 30.0, 9)
-        res = spectra.sweep(superop.generator("eff3").operators(
-            cli.params_from_config(cfg), {"omega": grid}), grid)
+        branches, _, _ = spectra.sweep(superop.generator("eff3").operators(
+            cli.params_from_config(cfg), {"omega": grid}))
         want = [",".join([cli._fmt(x)] + [cli._fmt(z.real) for z in col]
                          + [cli._fmt(z.imag) for z in col])
-                for x, col in zip(res.grid, res.branches.T)]
+                for x, col in zip(grid, branches.T)]
         assert out.read_bytes().decode().split("\r\n")[1:-1] == want
         assert want[0].count("nan") == 6
 
@@ -456,6 +456,13 @@ class TestGeneratorOnly:
                     name, command, blk)
 
 
+class TestJsonExport:
+    def test_matrix_round_trip(self, rng):
+        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        rows = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+        assert np.array_equal(cli._matrix_from_json(rows), m)
+
+
 class TestSchemaValidation:
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**BASE, "bogus": 1})
@@ -639,6 +646,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "numerical failure: expm(l t) is not finite at t = 5e+49\n"
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("model_name,params,t_max,message", [
+        # the model's coefficients overflow, so the generator is not finite
+        pytest.param("full4", {"omega": 30.0, "j": 1e308, "delta_rf": 1e308,
+                               "q": 1.0}, 1.0, "the generator is not finite",
+                     id="generator"),
+        # a finite generator times the last time leaves float range
+        pytest.param("eff3", {"omega": 30.0, "j": 10.0, "q": 1.0}, 1e307,
+                     "l t is not finite at t = 1e+307", id="l_t"),
+    ])
+    def test_evolve_beyond_float_range_exits_3(self, tmp_path, capsys, model_name,
+                                              params, t_max, message):
+        cfg = write_config(tmp_path, {
+            "model": model_name, "params": params,
+            "evolve": {"rho0": "mixed", "t_max": t_max, "steps": 3}})
+        assert run(["evolve", "--config", cfg]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:effective reduction assumes:UserWarning")
+    def test_sweep_distance_overflow_names_its_step(self, tmp_path, capsys):
+        # j near 1e308: points 9 and 10 fail their eigensolve, and the
+        # eigenvalues near 1e308 of the others overflow the tracker's
+        # distances; from point 3 on some are infinite, and between points
+        # 6 and 7 too many for any assignment of finite cost
+        cfg = write_config(tmp_path, {**BASE, "sweep": {
+            "parameter": "j", "start": 0.0, "stop": 1e308, "points": 11}})
+        assert run(["sweep", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: eigenvalue distances are not finite "
+                       "between grid points 6 and 7\n")
 
     def test_eigensolver_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         # linalg.eig lets LAPACK's non-convergence through to cli.main

@@ -7,8 +7,9 @@ name or a string constant (the benchmark's tracer names its targets by
 string), in any top-level statement other than the one that defines it.  A
 method counts as referenced when its name appears as an attribute, so that
 a string such as a level named "operator" is not a call, in any top-level
-statement or method other than its own definition.  Helpers that only
-tests call belong in the tests.
+statement or method other than its own definition.  Every field of a
+dataclass is read somewhere in that code, as an attribute or a string
+constant.  Helpers and fields that only tests use belong in the tests.
 """
 
 import ast
@@ -89,6 +90,45 @@ def test_every_public_name_has_a_program_caller():
 
 def test_every_public_method_has_a_program_caller():
     assert unreferenced_public_methods() == []
+
+
+def _is_dataclass(cls):
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def dataclass_fields():
+    """(module, class, field) of every field of the package's dataclasses."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.ClassDef) and _is_dataclass(stmt):
+                out += [(path.stem, stmt.name, item.target.id) for item in stmt.body
+                        if isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)]
+    return out
+
+
+def fields_read_nowhere():
+    """Dataclass fields that appear in no program code as an attribute or a
+    string constant (such as a field name handed to getattr)."""
+    read = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return [f"{mod}.{cls}.{name}" for mod, cls, name in dataclass_fields()
+            if name not in read]
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    assert dataclass_fields()
+    assert fields_read_nowhere() == []
 
 
 def tolerance_constants():

@@ -339,30 +339,30 @@ class TestSweep:
         base = ModelParams(omega=omega, j=20.0, q=0.0)
         j_star = omega / np.sqrt(2.0)
         grid = np.sort(np.append(np.linspace(15.0, 25.0, 100), j_star))
-        res = sweep(stacked(tuned)(base, {"j": grid}), grid)
-        below = res.grid < j_star - 0.2
-        above = res.grid > j_star + 0.2
-        spread_re = np.ptp(res.branches.real, axis=0)
+        branches, candidates, _ = sweep(stacked(tuned)(base, {"j": grid}))
+        below = grid < j_star - 0.2
+        above = grid > j_star + 0.2
+        spread_re = np.ptp(branches.real, axis=0)
         assert spread_re[below].max() < 1e-8
         assert spread_re[above].min() > 1.0
-        assert [res.grid[i] for i in res.ep_candidates] == [j_star]
+        assert [grid[i] for i in candidates] == [j_star]
 
     def test_columns_are_permutations_of_spectra(self):
         base = ModelParams(omega=30.0, j=10.0, q=0.5)
         grid = np.linspace(5.0, 40.0, 36)
-        res = sweep(stacked(gm_liouvillian)(base, {"j": grid}), grid)
+        branches, _, _ = sweep(stacked(gm_liouvillian)(base, {"j": grid}))
         for k in (0, 17, 35):
             ev = linalg.eigvals(gm_liouvillian(base.replace(j=float(grid[k]))))
-            assert match_distance(res.branches[:, k], ev) < 1e-9
+            assert match_distance(branches[:, k], ev) < 1e-9
 
     def test_no_ninefold_degeneracy_with_jumps_at_triple_point(self):
         omega = 30.0
         _, d, _ = triple_point(omega)
         base = ModelParams(omega=omega, j=20.0, delta_rf=d, q=1.0)
         grid = np.linspace(10.0, 40.0, 61)
-        res = sweep(stacked(gm_liouvillian)(base, {"j": grid}), grid)
+        branches, _, _ = sweep(stacked(gm_liouvillian)(base, {"j": grid}))
         for k in range(61):
-            ev = res.branches[:, k]
+            ev = branches[:, k]
             diam = spectra.spectral_diameter(ev)
             groups = spectra._single_linkage(spectra._within(ev, 1e-3 * diam))
             assert max(len(g) for g in groups) < 9
@@ -370,13 +370,12 @@ class TestSweep:
     def test_no_candidates_without_degeneracies(self):
         base = ModelParams(omega=30.0, j=10.0, delta_rf=14.0, q=0.0)
         grid = np.linspace(0.5, 60.0, 120)
-        res = sweep(DETUNED(base, {"j": grid}), grid)
-        assert res.ep_candidates == ()
+        _, candidates, _ = sweep(DETUNED(base, {"j": grid}))
+        assert candidates == ()
 
     def test_failure_at_every_point_raises(self):
-        grid = np.linspace(5.0, 40.0, 4)
         with pytest.raises(RuntimeError, match="failed at every grid point"):
-            sweep(np.full((4, 3, 3), np.nan), grid)
+            sweep(np.full((4, 3, 3), np.nan))
 
     def test_eigensolve_failure_is_recorded_at_its_grid_index(self):
         # a non-finite matrix makes the batched solve raise; the per-matrix
@@ -385,11 +384,11 @@ class TestSweep:
         grid = np.linspace(15.0, 25.0, 11)
         mats = stacked(tuned)(base, {"j": grid})
         mats[5, 0, 0] = np.nan
-        res = sweep(mats, grid)
-        assert [i for i, _ in res.failures] == [5]
-        assert res.failures[0][1].startswith("ValueError")
-        assert np.isnan(res.branches[:, 5]).all()
-        assert np.isfinite(np.delete(res.branches, 5, axis=1)).all()
+        branches, _, failures = sweep(mats)
+        assert [i for i, _ in failures] == [5]
+        assert failures[0][1].startswith("ValueError")
+        assert np.isnan(branches[:, 5]).all()
+        assert np.isfinite(np.delete(branches, 5, axis=1)).all()
 
     def test_complex_matrices_after_real_ones_keep_their_imaginary_parts(self):
         def builder(j):
@@ -399,21 +398,22 @@ class TestSweep:
             return np.diag([j + 1j * j, 2.0 * j - 1j])
 
         grid = np.linspace(15.0, 25.0, 11)
-        res = sweep([builder(x) for x in grid], grid)
-        assert res.failures == ()
-        want = [np.sort_complex(linalg.eigvals(builder(x))) for x in res.grid]
-        got = [np.sort_complex(res.branches[:, k]) for k in range(11)]
+        branches, _, failures = sweep([builder(x) for x in grid])
+        assert failures == ()
+        want = [np.sort_complex(linalg.eigvals(builder(x))) for x in grid]
+        got = [np.sort_complex(branches[:, k]) for k in range(11)]
         assert np.array_equal(np.array(got), np.array(want))
-        assert np.abs(res.branches[:, 6:].imag).min() >= 1.0
+        assert np.abs(branches[:, 6:].imag).min() >= 1.0
 
     def test_persistent_doubles_are_not_candidates(self):
         # the Gell-Mann superoperator keeps two exact doubles at every j;
         # only the point with a coalescence on top of them is flagged
         base = ModelParams(omega=30.0, j=10.0, q=0.5)
         grid = np.linspace(15.0, 25.0, 201)
-        res = sweep(superop.generator("eff3").matrices(base, {"j": grid}), grid)
-        assert res.ep_candidates == (100,)
-        ev = res.branches[:, 100]
+        branches, candidates, _ = sweep(
+            superop.generator("eff3").matrices(base, {"j": grid}))
+        assert candidates == (100,)
+        ev = branches[:, 100]
         assert np.count_nonzero(np.abs(ev + 20.0) < 1e-5) == 3
 
     def test_close_pair_counts_match_all_pairs(self, rng):
@@ -438,7 +438,7 @@ class TestSweep:
         stack = superop.generator(name).matrices(ModelParams(**params),
                                                  {parameter: grid})
         values = linalg.eigvals(stack)
-        assert same_bits(sweep(stack, grid).branches, assignment_branches(list(values)))
+        assert same_bits(sweep(stack)[0], assignment_branches(list(values)))
         assert spectra._unique_nearest(values)[1].any() == (name == "full4")
 
     def test_tracking_with_repeats_and_crossings(self, rng):
@@ -452,7 +452,7 @@ class TestSweep:
         values[250:260] += rng.normal(size=(10, 8))  # jumps: neighbours collide
         for k in range(0, 401, 50):
             values[k] = values[k, rng.permutation(8)]
-        got = np.take_along_axis(values, spectra._track(values), axis=1)
+        got = np.take_along_axis(values, spectra._track(values, range(401)), axis=1)
         assert same_bits(got, assignment_branches(list(values)).T)
         unique = spectra._unique_nearest(values)[1]
         assert unique.any() and not unique.all()
@@ -464,29 +464,22 @@ class TestSweep:
         grid = np.linspace(5.0, 40.0, 101)
         stack = superop.generator("full4").matrices(p, {"j": grid})
         stack[[0, 40, 41], 0, 0] = np.nan
-        res = sweep(stack, grid)
+        branches, _, failures = sweep(stack)
         values = [None if k in (0, 40, 41) else linalg.eigvals(m)
                   for k, m in enumerate(stack)]
-        assert same_bits(res.branches, assignment_branches(values))
-        assert [k for k, _ in res.failures] == [0, 40, 41]
+        assert same_bits(branches, assignment_branches(values))
+        assert [k for k, _ in failures] == [0, 40, 41]
 
     def test_one_solved_point_leaves_no_step_to_track(self):
         base = ModelParams(omega=30.0, j=10.0, q=0.5)
         grid = np.linspace(5.0, 40.0, 4)
         stack = superop.generator("eff3").matrices(base, {"j": grid})
         stack[[0, 1, 3], 0, 0] = np.nan
-        res = sweep(stack, grid)
-        assert np.isfinite(res.branches[:, 2]).all()
-        assert np.isnan(np.delete(res.branches, 2, axis=1)).all()
-        assert [k for k, _ in res.failures] == [0, 1, 3]
-        assert res.ep_candidates == ()
-
-    def test_rejects_unsorted_grid(self):
-        mats = [h_nh_tuned(30.0, j) for j in (3.0, 2.0)]
-        with pytest.raises(ValueError, match="ascending"):
-            sweep(mats, [3.0, 2.0])
-        with pytest.raises(ValueError, match="one matrix per grid point"):
-            sweep(mats[:1], [2.0, 3.0])
+        branches, candidates, failures = sweep(stack)
+        assert np.isfinite(branches[:, 2]).all()
+        assert np.isnan(np.delete(branches, 2, axis=1)).all()
+        assert [k for k, _ in failures] == [0, 1, 3]
+        assert candidates == ()
 
 
 class TestFindEp:
@@ -606,14 +599,19 @@ class TestAsymptotes:
             asymptote_check("small_j", p, [2.0])
 
 
+def trace_drift(states, rho0):
+    """|Tr rho(t) - Tr rho0| per state, as validate's criterion 11 reads it."""
+    return np.abs(np.trace(states, axis1=1, axis2=2) - np.trace(rho0))
+
+
 class TestEvolveCheck:
     def test_time_zero_is_identity(self, rng):
         p = ModelParams(omega=30.0, j=10.0, q=1.0)
         l = gm_liouvillian(p)
         rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        res = evolve_check(l, rho0, [0.0])
-        assert np.abs(res.rho_expm[0] - rho0).max() < 1e-12
-        assert res.max_diff[0] < 1e-12
+        states, route_diff = evolve_check(l, rho0, [0.0])
+        assert np.abs(states[0] - rho0).max() < 1e-12
+        assert route_diff[0] < 1e-12
 
     def test_long_time_reaches_stationary_state(self):
         # J > Omega/sqrt(2) keeps every decaying mode fast (rate >= Omega/3)
@@ -624,16 +622,17 @@ class TestEvolveCheck:
         stat = superop.devectorize(vecs[:, k])
         stat = stat / np.trace(stat)
         rho0 = np.eye(3) / 3.0
-        res = evolve_check(l, rho0, [50.0 / p.omega])
-        assert np.abs(res.rho_expm[0] - stat).max() < 1e-6
+        states, _ = evolve_check(l, rho0, [50.0 / p.omega])
+        assert np.abs(states[0] - stat).max() < 1e-6
 
     def test_trace_preserved_along_path(self):
         p = ModelParams(omega=30.0, j=10.0, q=1.0)
         l = gm_liouvillian(p)
         rho0 = np.diag([0.2, 0.5, 0.3]).astype(complex)
-        res = evolve_check(l, rho0, np.linspace(0.0, 5.0 / p.omega, 8))
-        assert res.trace_drift.shape == (8,)
-        assert res.trace_drift.max() <= 1e-9
+        states, _ = evolve_check(l, rho0, np.linspace(0.0, 5.0 / p.omega, 8))
+        drift = trace_drift(states, rho0)
+        assert drift.shape == (8,)
+        assert drift.max() <= 1e-9
 
     def test_one_eigendecomposition_for_all_times(self, monkeypatch):
         p = ModelParams(omega=30.0, j=10.0, delta_rf=2.0, q=1.0)
@@ -643,14 +642,13 @@ class TestEvolveCheck:
         calls = []
         eig = linalg.eig
         monkeypatch.setattr(linalg, "eig", lambda a: calls.append(1) or eig(a))
-        res = evolve_check(l, rho0, times)
-        assert len(calls) == 1 and res.max_diff.max() < 1e-10
+        states, route_diff = evolve_check(l, rho0, times)
+        assert len(calls) == 1 and route_diff.max() < 1e-10
         # each time carries the bits of a call at that time alone
         for k, t in enumerate(times):
-            one = evolve_check(l, rho0, [t])
-            assert np.array_equal(one.rho_expm[0], res.rho_expm[k])
-            assert np.array_equal(one.rho_eig[0], res.rho_eig[k])
-            assert one.max_diff[0] == res.max_diff[k]
+            one_state, one_diff = evolve_check(l, rho0, [t])
+            assert np.array_equal(one_state[0], states[k])
+            assert one_diff[0] == route_diff[k]
 
     def test_defective_generator_keeps_only_the_expm_route(self):
         # qubit Gell-Mann generator moving the sigma_y component into the
@@ -659,12 +657,11 @@ class TestEvolveCheck:
         l[0, 1] = 1.0
         rho0 = np.array([[0.5, -0.25j], [0.25j, 0.5]])
         times = np.linspace(0.0, 2.0, 5)
-        res = evolve_check(l, rho0, times)
-        assert res.rho_eig is None
-        assert np.isnan(res.max_diff).all()
-        assert np.all(res.trace_drift == 0.0)
+        states, route_diff = evolve_check(l, rho0, times)
+        assert np.isnan(route_diff).all()
+        assert np.all(trace_drift(states, rho0) == 0.0)
         v0 = superop.vectorize(rho0)
-        for t, rho in zip(times, res.rho_expm):
+        for t, rho in zip(times, states):
             want = superop.devectorize(v0 + t * (l @ v0))
             assert np.abs(rho - want).max() < 1e-15
 
@@ -679,9 +676,10 @@ class TestEvolveCheck:
         # and preserves the trace: the check reads the generator, not q
         p = ModelParams(omega_r=0.0, j=10.0, delta_rf=3.0, q=0.5)
         l = superop.generator("eff3").matrices(p)[0]
-        res = evolve_check(l, np.diag([0.2, 0.5, 0.3]), np.linspace(0.0, 0.5, 4))
-        assert res.trace_drift.max() <= 1e-12
-        assert res.max_diff.max() < 1e-10
+        rho0 = np.diag([0.2, 0.5, 0.3])
+        states, route_diff = evolve_check(l, rho0, np.linspace(0.0, 0.5, 4))
+        assert trace_drift(states, rho0).max() <= 1e-12
+        assert route_diff.max() < 1e-10
 
     def test_rejects_times_that_are_not_1d(self):
         l = gm_liouvillian(ModelParams(omega=30.0, j=10.0, q=1.0))

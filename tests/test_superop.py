@@ -10,8 +10,8 @@ from hypothesis.extra.numpy import arrays
 from lioup import analytic, cli, linalg, model, spectra, superop
 from lioup.model import LindbladSystem, ModelParams, build_eff3, build_ground_relaxation
 from lioup.superop import (devectorize, gamma_superop, gellmann_basis,
-                           h_superop, hybrid_liouvillian, matrix_from_json,
-                           superop_of_map, vectorize)
+                           h_superop, hybrid_liouvillian, superop_of_map,
+                           vectorize)
 
 from conftest import find_signed_permutation, model_params, reference_hybrid_matrix
 
@@ -598,10 +598,3 @@ class TestIsotropicExtension:
             shift = np.full(9, gamma)
             shift[-1] = gamma * (1.0 - q)
             assert np.abs(direct - (base - np.diag(shift))).max() < 1e-12
-
-
-class TestJsonExport:
-    def test_matrix_round_trip(self, rng):
-        m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        rows = [[[float(z.real), float(z.imag)] for z in row] for row in m]
-        assert np.array_equal(matrix_from_json(rows), m)
