@@ -23,7 +23,6 @@ from . import __version__, model, spectra, superop, validate
 FLOAT_FMT = "%.12e"
 
 TOLERANCES = {
-    "tol_rank": spectra.TOL_RANK,
     "tol_class_rel": spectra.TOL_CLASS_REL,
     "cluster_c": spectra.CLUSTER_C,
     "ep_candidate_rel": spectra.EP_CANDIDATE_REL,

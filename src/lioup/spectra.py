@@ -1,7 +1,7 @@
 """Spectral analysis of operators and superoperators.
 
 Covers eigenvalue classification, quasienergy splittings, degeneracy
-detection with Jordan-structure estimation (rank plateaus of powers),
+detection with Jordan-structure estimation (ranks of powers, deflated),
 the operator <-> superoperator spectral correspondence, continuity-tracked
 parameter sweeps, EP search by least squares on cluster power sums, and an
 evolution cross-check (expm against eigen-expansion).  Matrices follow
@@ -36,7 +36,6 @@ PURE_DECAY = "pure_decay"
 DAMPED_OSCILLATION = "damped_oscillation"
 UNSTABLE = "unstable"
 
-TOL_RANK = 1e-7
 TOL_CLASS_REL = 1e-8  # relative to the spectral diameter
 # Two eigenvalues of A cluster when a perturbation of CLUSTER_C eps ||A||_2,
 # a hundred roundings, could merge them (see detect_degeneracy).
@@ -141,9 +140,9 @@ def _within(values, radius):
     return np.abs(values[:, None] - values[None, :]) <= radius
 
 
-def _conditioned_links(a, values, vecs):
-    """Which eigenvalue pairs of `a` a perturbation of CLUSTER_C eps ||a||_2
-    could merge, as a boolean (n, n) matrix.
+def _conditioned_links(a, values, vecs, tol):
+    """Which eigenvalue pairs of `a` a perturbation of norm tol, CLUSTER_C
+    eps ||a||_2, could merge, as a boolean (n, n) matrix.
 
     Eigenvalue i moves by up to kappa_i times a perturbation's norm, with
     kappa_i the norm of row i of V^-1 (Wilkinson's condition number; V has
@@ -155,7 +154,6 @@ def _conditioned_links(a, values, vecs):
     small perturbation joins.  If V is singular, every pair is a candidate.
     """
     n = values.size
-    tol = CLUSTER_C * np.finfo(float).eps * np.linalg.norm(a, 2)
     with np.errstate(all="ignore"):
         try:
             kappa = np.linalg.norm(np.linalg.inv(vecs), axis=1)
@@ -172,26 +170,22 @@ def _conditioned_links(a, values, vecs):
     return linked
 
 
-def _jordan_chains(m, mult, coalesce_tol):
-    """(geometric multiplicity, Jordan chain lengths longest first) of the
-    near-zero eigenvalues of m, a cluster of algebraic multiplicity mult.
+def _jordan_chains(m, mult, cutoff):
+    """Jordan chain lengths, longest first, of the near-zero eigenvalues of
+    m, a cluster of algebraic multiplicity mult.
 
     The null space of (m / ||m||_2)^k grows by the number of chains longer
     than k - 1.  Powers are formed until that growth, clamped to 0..its
     previous value, stops, and at most mult + 1 of them.  Perturbations of
-    size eps enter matrix powers to first order, so one fixed cutoff
-    max(TOL_RANK, coalesce_tol / ||m||) applies to every power of the
-    spectrally normalized matrix: singular values responding within the
-    eigenvalue coalescence tolerance count as part of the degenerate
-    structure.  The geometric multiplicity, the first growth, is clipped to
-    1..mult, and the chains are capped at mult in total.
+    size eps enter matrix powers to first order, so one cut, cutoff / ||m||,
+    applies to every power of the spectrally normalized matrix.  The chains
+    are capped at mult in total.
     """
     n = m.shape[0]
     norm = np.linalg.norm(m, 2)
     if norm == 0.0:
-        return mult, (1,) * mult
-    mn = m / norm
-    cut = min(max(TOL_RANK, coalesce_tol / norm), 0.5)
+        return (1,) * mult
+    mn, cut = m / norm, cutoff / norm
     growth = []
     p = np.eye(n, dtype=complex)
     nullity = 0
@@ -212,7 +206,7 @@ def _jordan_chains(m, mult, coalesce_tol):
             if length <= 0:
                 break
             chains.append(length)
-    return int(np.clip(growth[0] if growth else 0, 1, mult)), tuple(chains)
+    return tuple(chains)
 
 
 def detect_degeneracy(a, tol_cluster=None):
@@ -227,28 +221,35 @@ def detect_degeneracy(a, tol_cluster=None):
     so no radius is set by hand.  A caller that has measured a wider spread,
     as find_ep does, may pass it as tol_cluster: pairs within it are linked
     as well.
-    The ranks of (a - mean*I)^k, counted above twice the cluster's own
-    spread from k = 1 until the null space stops growing (at most k = m+1,
-    `_jordan_chains`), give the Jordan partition, the geometric
-    multiplicity n - rank at k = 1 (clipped to 1..m) and the order, the
-    longest chain.
+    Chains are read on the clusters' own block Q^H a Q, Q the orthonormal
+    complement of the simple eigenvalues' eigenvectors (deflation; Golub and
+    Wilkinson, SIAM Review 18, 1976): the ranks of (Q^H a Q - mean*I)^k
+    above max(2 * spread, CLUSTER_C eps ||a||_2), from k = 1 until the null
+    space stops growing (at most k = m+1, `_jordan_chains`), give the Jordan
+    partition, whose number of chains is the geometric multiplicity and
+    whose longest chain is the order.
     """
     a = linalg.as_matrix(a)
-    n = a.shape[0]
     w, vecs = linalg.eig(a)
-    linked = _conditioned_links(a, w, vecs)
+    floor = CLUSTER_C * np.finfo(float).eps * np.linalg.norm(a, 2)
+    linked = _conditioned_links(a, w, vecs, floor)
     if tol_cluster is not None:
         linked |= _within(w, tol_cluster)
 
+    clusters = [g for g in _single_linkage(linked) if len(g) > 1]
+    if not clusters:
+        return w, []
+    simple = sorted(set(range(w.size)).difference(*clusters))
+    q = np.linalg.qr(vecs[:, simple], mode="complete")[0][:, len(simple):]
+    block = q.conj().T @ a @ q
     reports = []
-    for group in _single_linkage(linked):
+    for group in clusters:
         m = len(group)
-        if m < 2:
-            continue
         center = np.mean(w[group])
         spread = float(np.abs(w[group] - center).max())
-        geometric, partition = _jordan_chains(a - center * np.eye(n), m,
-                                              2.0 * spread)
+        partition = _jordan_chains(block - center * np.eye(len(block)), m,
+                                   max(2.0 * spread, floor))
+        geometric = max(len(partition), 1)
         if geometric == m:
             kind = "diabolical"
         elif geometric == 1:

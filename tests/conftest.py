@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from lioup import spectra
 from lioup.model import ModelParams
 
 
@@ -33,6 +34,54 @@ def misindexed_reports(doc):
     return [r for r in doc["degeneracies"]
             if np.abs(ev[r["indices"]] - number(r["cluster_value"])).max()
             > float(r["gap_residual"]) + slack]
+
+
+def inconsistent_reports(reports):
+    """Degeneracy reports, as `EPReport`s or as the JSON a command prints,
+    whose geometric multiplicity is not their number of Jordan chains, whose
+    chains do not sum to their algebraic multiplicity, or whose order is not
+    their longest chain."""
+    def get(r, key):
+        return r[key] if isinstance(r, dict) else getattr(r, key)
+
+    return [r for r in reports
+            if get(r, "geometric_mult") != len(get(r, "partition"))
+            or sum(get(r, "partition")) != get(r, "algebraic_mult")
+            or get(r, "order") != max(get(r, "partition"), default=0)]
+
+
+def schur_partition(a, values, indices):
+    """Reference Jordan partition, longest chain first, of the cluster
+    values[indices] of `a`, from an ordered complex Schur form.
+
+    The sort puts first every Schur eigenvalue whose nearest entry of
+    `values` belongs to the cluster, so the leading m x m block holds the
+    cluster alone.  Its chains are counted from the nullities of powers of
+    (block - mean I) / ||block - mean I||_2, above the cut that
+    detect_degeneracy documents: max(2 spread, CLUSTER_C eps ||a||_2) over
+    the same norm.
+    """
+    import scipy.linalg
+
+    indices = list(indices)
+    m = len(indices)
+    t, _, sdim = scipy.linalg.schur(
+        a, output="complex",
+        sort=lambda z: int(np.argmin(np.abs(values - z))) in indices)
+    assert sdim == m
+    center = values[indices].mean()
+    block = t[:m, :m] - center * np.eye(m)
+    norm = np.linalg.norm(block, 2)
+    if norm == 0.0:
+        return (1,) * m
+    cut = max(2.0 * np.abs(values[indices] - center).max(),
+              spectra.CLUSTER_C * np.finfo(float).eps * np.linalg.norm(a, 2)) / norm
+    nullity = [0] + [m - int(np.count_nonzero(np.linalg.svd(
+        np.linalg.matrix_power(block / norm, k), compute_uv=False) > cut))
+        for k in range(1, m + 1)]
+    longer = np.diff(nullity).tolist() + [0]  # chains longer than k - 1
+    return tuple(k for k in range(m, 0, -1)
+                 for _ in range(longer[k - 1] - longer[k]))
 
 
 def h_nh_tuned(omega, j):

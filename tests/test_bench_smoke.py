@@ -5,16 +5,19 @@ loaded read-only from their source (no bytecode is written next to them).
 Each command runs through cli.main with its output captured, and the oracle
 must find nothing wrong: the four sweep slots on small grids, then one cycle
 of the oneshot and of the findep command mix.  Each `spectrum` report's
-`indices` must also point at listed eigenvalues of its cluster.  One
-repetition and no timing gates.  The tracer's targets must name callables
-of the program, so that a rename breaks this suite and not only traced
-benchmark runs.
+`indices` must also point at listed eigenvalues of its cluster, and its
+multiplicities, order and Jordan chains must agree.  One repetition and no
+timing gates.  The Jordan chains of the spectra among the first 80 oneshot
+commands of seed 1 must match an ordered Schur form's.  The tracer's
+targets must name callables of the program, so that a rename breaks this
+suite and not only traced benchmark runs.
 """
 
 import ast
 import contextlib
 import importlib
 import io
+import itertools
 import json
 import pathlib
 import sys
@@ -23,9 +26,9 @@ import types
 import numpy as np
 import pytest
 
-from lioup import cli
+from lioup import cli, spectra, superop
 
-from conftest import misindexed_reports
+from conftest import inconsistent_reports, misindexed_reports, schur_partition
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 SEED = 3
@@ -72,7 +75,24 @@ def test_oracle_accepts_the_output(tmp_path, cmd):
     fails, _ = oracle.check(cmd, out.getvalue(), err.getvalue())
     assert fails == []
     if cmd.subcommand == "spectrum":
-        assert misindexed_reports(json.loads(out.getvalue())) == []
+        doc = json.loads(out.getvalue())
+        assert misindexed_reports(doc) == []
+        assert inconsistent_reports(doc["degeneracies"]) == []
+
+
+SCHUR_COMMANDS = [(k, cmd) for k, cmd in enumerate(itertools.islice(
+    workloads.commands("oneshot", 1), 80)) if cmd.subcommand == "spectrum"]
+
+
+@pytest.mark.parametrize("cmd", [cmd for _, cmd in SCHUR_COMMANDS],
+                         ids=[f"seed1-{k}" for k, _ in SCHUR_COMMANDS])
+def test_jordan_chains_match_an_ordered_schur_form(cmd):
+    # the matrix `spectrum` solves
+    m = superop.generator(cmd.config["model"]).matrices(
+        cli.params_from_config(cmd.config))[0]
+    values, reports = spectra.detect_degeneracy(m)
+    assert [r.partition for r in reports] == [
+        schur_partition(m, values, r.indices) for r in reports]
 
 
 def _traced_modules():

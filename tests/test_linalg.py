@@ -165,7 +165,7 @@ class TestSvdRank:
         omega = 30.0
         j, d, e_tp = model.triple_point(omega)
         h = h_nh_detuned(omega, j, d)
-        assert np.linalg.matrix_rank(h - e_tp * np.eye(3), rtol=spectra.TOL_RANK) == 2
+        assert np.linalg.matrix_rank(h - e_tp * np.eye(3), rtol=1e-7) == 2
 
 
 class TestKron:

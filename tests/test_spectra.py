@@ -11,7 +11,8 @@ from lioup.spectra import (DAMPED_OSCILLATION, PURE_DECAY, PURE_OSCILLATION,
                            detect_degeneracy, evolve_check, find_ep,
                            match_distance, splittings, sweep)
 
-from conftest import h_nh_detuned, h_nh_tuned
+from conftest import (h_nh_detuned, h_nh_tuned, inconsistent_reports,
+                      schur_partition)
 
 
 def gm_liouvillian(p):
@@ -32,19 +33,32 @@ JORDAN_C = 0.7 - 0.3j
 FAR = (5.0, -4.0 + 3.0j, 8.0j)
 
 
-def jordan_draws(partition, count):
-    """`count` matrices U J U^H: J has Jordan chains `partition` at JORDAN_C
-    and the simple eigenvalues FAR, U is the Q of a complex Gaussian
-    (default_rng(7), one per draw)."""
-    size = sum(partition)
-    sup = np.zeros(size + len(FAR) - 1)
-    for end, k in zip(np.cumsum(partition), partition):
-        sup[end - k:end - 1] = 1.0
-    j = np.diag(np.r_[np.full(size, JORDAN_C), FAR]) + np.diag(sup, 1)
-    rng = np.random.default_rng(7)
+def jordan_matrix(*clusters):
+    """Upper bidiagonal J with Jordan chains `partition` at `value` for each
+    (value, partition) of `clusters`, then the simple eigenvalues FAR."""
+    diagonal, sup = [], []
+    for value, partition in clusters:
+        for k in partition:
+            diagonal += [value] * k
+            sup += [1.0] * (k - 1) + [0.0]
+    diagonal += FAR
+    sup += [0.0] * (len(FAR) - 1)
+    return np.diag(np.array(diagonal, dtype=complex)) + np.diag(sup, 1)
+
+
+def conjugations(j, count, seed):
+    """`count` matrices U J U^H, U the Q of a complex Gaussian
+    (default_rng(seed), one per draw)."""
+    rng = np.random.default_rng(seed)
     for _ in range(count):
         u, _ = np.linalg.qr(rng.normal(size=j.shape) + 1j * rng.normal(size=j.shape))
         yield u @ j @ u.conj().T
+
+
+def jordan_draws(partition, count):
+    """`count` conjugations (default_rng(7)) of the Jordan chains
+    `partition` at JORDAN_C beside FAR."""
+    return conjugations(jordan_matrix((JORDAN_C, partition)), count, 7)
 
 
 def asymptote_check(kind, p, grid):
@@ -189,6 +203,28 @@ class TestDetectDegeneracy:
         reports = detect_degeneracy(superop.generator("full4").matrices(p)[0])[1]
         assert reports
         assert max(r.gap_residual for r in reports) <= 1e-6
+        if j == 10.0:
+            # three tight pairs, each two chains of length 1: ||A - cI||_2
+            # ~ gamma_sp here, so a rank cut relative to it would count an
+            # eigenvalue one unit away as a null direction and read (2,)
+            assert [r.partition for r in reports] == [(1, 1)] * 3
+
+    def test_pairs_of_a_held_out_spectrum_are_diabolical(self):
+        # a simple eigenvalue 0.0125 from the pair at -0.476 must not enter
+        # its chains: (2,) would contradict geometric multiplicity 2
+        p = ModelParams(omega=32.5699, j=3.92499, q=0.971245, gamma_sp=200593.0)
+        reports = detect_degeneracy(superop.generator("eff3").matrices(p)[0])[1]
+        assert [round(r.cluster_value.real, 3) for r in reports] == [-64.663, -0.476]
+        assert [(r.geometric_mult, r.partition) for r in reports] == [(2, (1, 1))] * 2
+
+    def test_resonant_quadruple_at_minus_omega_holds_two_pairs(self):
+        # near q = 0 and J* = omega / sqrt(2) the -omega quadruple keeps the
+        # chains (2, 2) that it has at q = 0, as an ordered Schur form reads
+        p = ModelParams(omega=31.1908, j=22.055226190633366, q=0.263269,
+                        gamma_sp=5417430.0)
+        [r] = detect_degeneracy(superop.generator("eff3").matrices(p)[0])[1]
+        assert abs(r.cluster_value + 31.1908) < 1e-9
+        assert (r.algebraic_mult, r.geometric_mult, r.partition) == (4, 2, (2, 2))
 
     def test_four_level_operator_has_no_pair_at_half_drive(self):
         # full4's operator EP sits near J = 21.213239, not at omega / sqrt(2)
@@ -206,7 +242,7 @@ class TestDetectDegeneracy:
 
     @pytest.mark.parametrize("partition", [
         (2,), (3,), (4,), (1, 1), (2, 1), (3, 1), (2, 2), (2, 1, 1), (3, 2),
-        (1, 1, 1), (3, 1, 1), (2, 2, 1), (4, 1)])
+        (1, 1, 1), (3, 1, 1), (2, 2, 1), (4, 1), (5,), (6,), (4, 2), (3, 3)])
     def test_jordan_partitions_of_conjugated_jordan_matrices(self, partition):
         for a in jordan_draws(partition, 20):
             [r] = detect_degeneracy(a)[1]
@@ -215,22 +251,23 @@ class TestDetectDegeneracy:
             assert r.geometric_mult == len(partition)
             assert r.algebraic_mult == sum(partition)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the 4th power of a length-5 chain over ||A - cI||_2 ~ 8 has singular "
-        "value ~2e-4, at the cutoff 2 spread / ||A - cI|| that the chain's "
-        "eps**(1/5) scatter sets: this draw reads (4,)"))
     def test_single_chain_of_five(self):
+        # on the whole matrix, ||A - cI||_2 ~ 8 puts the 4th power's chain
+        # singular value, 2.1e-4, at the cut 2 spread / ||A - cI||, 2.2e-4;
+        # on the cluster's 5 x 5 block they are 1 and 1.9e-3
         *_, a = jordan_draws((5,), 11)  # draw 10
         [r] = detect_degeneracy(a)[1]
         assert (r.algebraic_mult, r.geometric_mult) == (5, 1)
         assert r.partition == (5,)
 
-    @pytest.mark.parametrize("case,powers", [("triple point", 6),
-                                             ("diabolical pair", 2)])
+    @pytest.mark.parametrize("case,powers,side", [("triple point", 6, 9),
+                                                  ("diabolical pair", 2, 2)])
     def test_jordan_powers_stop_when_the_null_space_stops_growing(
-            self, monkeypatch, case, powers):
+            self, monkeypatch, case, powers, side):
         # chains (5, 3, 1) grow the null space by 3, 2, 2, 1, 1 and then 0 at
-        # the 6th power, (1, 1) by 2 and then 0: no power up to m + 1 follows
+        # the 6th power, (1, 1) by 2 and then 0: no power up to m + 1 follows.
+        # The powers are of the clusters' block, without the simple
+        # eigenvalues: 2 x 2 for the pair beside the three values FAR
         if case == "triple point":
             j, d, _ = triple_point(30.0)
             a = gm_liouvillian(ModelParams(omega=30.0, j=j, delta_rf=d, q=0.0))
@@ -248,7 +285,24 @@ class TestDetectDegeneracy:
         [r] = detect_degeneracy(a)[1]
         assert (r.algebraic_mult, r.geometric_mult, r.partition) == want
         # the stacked pseudospectrum test of the links is one 3-D call
-        assert sum(len(shape) == 2 for shape in shapes) == powers
+        assert [shape for shape in shapes if len(shape) == 2] == [(side, side)] * powers
+
+    @pytest.mark.parametrize("first,second", [
+        ((2,), (2,)), ((3,), (2,)), ((3, 1), (2, 2)), ((4,), (3,)),
+        ((2, 1), (3,)), ((5,), (2,))])
+    def test_two_defective_clusters(self, first, second):
+        # each cluster is read on the one block that holds both, as in the
+        # exact Jordan matrix and in 20 unitary conjugations of it, and
+        # agrees with an ordered Schur form
+        j = jordan_matrix((JORDAN_C, first), (2.1 + 0.4j, second))
+        for a in [j, *conjugations(j, 20, 11)]:
+            values, reports = detect_degeneracy(a)
+            assert [r.partition for r in reports] == [first, second]
+            assert abs(reports[0].cluster_value - JORDAN_C) < 1e-9
+            assert abs(reports[1].cluster_value - (2.1 + 0.4j)) < 1e-9
+            assert inconsistent_reports(reports) == []
+            for r in reports:
+                assert schur_partition(a, values, r.indices) == r.partition
 
     def test_diabolical_crossing(self):
         _, reports = detect_degeneracy(np.diag([1.0, 1.0, 2.0]).astype(complex))
@@ -540,6 +594,18 @@ class TestFindEp:
         assert sizes[0] == (65 if len(box) == 1 else 33 * 33)
         assert set(sizes[1:]) == {1}
         assert sum(sizes) <= limit
+
+    @pytest.mark.parametrize("level", ["operator", "superoperator"])
+    @pytest.mark.parametrize("target", [2, 3])
+    def test_four_level_reports_agree_with_their_chains(self, level, target):
+        # the README's find-ep box run as full4, whose gamma_sp sets
+        # ||A||_2: every report's chains agree with its multiplicities
+        gen = superop.generator("full4")
+        build = gen.operators if level == "operator" else gen.matrices
+        base = ModelParams(omega=30.0, j=10.0, q=1.0, gamma_sp=3.581e7)
+        reps = find_ep(build, {"j": (15.0, 30.0)}, target, base)
+        assert reps
+        assert inconsistent_reports(reps) == []
 
     def test_box_outside_the_model_domain_raises(self):
         # the corners are checked before any matrix is built: j must be
