@@ -25,11 +25,10 @@ FLOAT_FMT = "%.12e"
 TOLERANCES = {
     "tol_class_rel": spectra.TOL_CLASS_REL,
     "cluster_c": spectra.CLUSTER_C,
-    "ep_candidate_rel": spectra.EP_CANDIDATE_REL,
 }
 
 PARAM_KEYS = tuple(f.name for f in dataclasses.fields(model.ModelParams))
-SWEEPABLE = {"j", "omega", "omega_r", "delta_rf", "delta_opt", "gamma_g"}
+SWEEPABLE = {"j", "omega", "omega_r", "delta_rf", "delta_opt", "gamma_g", "q"}
 
 
 class SchemaError(Exception):
@@ -297,8 +296,8 @@ def cmd_sweep(cfg, out_path):
     _emit("".join([",".join(header) + "\r\n"] + _format_rows(table)), out_path)
     _emit_metadata(cfg, out_path, extra={
         "branch_provenance": "columns follow the (re, im)-sorted eigenvalues "
-                             "at the first grid point, continuity-tracked by "
-                             "minimal-total-distance assignment",
+                             "at the first solved grid point, each shared "
+                             "block tracked by minimal-total-distance assignment",
         "ep_candidates": [{"index": i, parameter: _fmt(grid[i])}
                           for i in candidates],
         "failures": [{"index": i, parameter: _fmt(grid[i]), "message": msg}

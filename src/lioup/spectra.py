@@ -2,8 +2,9 @@
 
 Covers eigenvalue classification, quasienergy splittings, degeneracy
 detection with Jordan-structure estimation (ranks of powers, deflated),
-the operator <-> superoperator spectral correspondence, continuity-tracked
-parameter sweeps, EP search by least squares on cluster power sums, and an
+the operator <-> superoperator spectral correspondence, parameter sweeps
+continuity-tracked block by block with EP candidates where a pair's squared
+gap changes sign, EP search by least squares on cluster power sums, and an
 evolution cross-check (expm against eigen-expansion).  Matrices follow
 linalg's input rule, so a float64 generator is solved in real arithmetic.
 
@@ -40,9 +41,6 @@ TOL_CLASS_REL = 1e-8  # relative to the spectral diameter
 # Two eigenvalues of A cluster when a perturbation of CLUSTER_C eps ||A||_2,
 # a hundred roundings, could merge them (see detect_degeneracy).
 CLUSTER_C = 100.0
-# A sweep's close pairs lie within this fraction of its largest spectral
-# diameter; written as the product the threshold has always used.
-EP_CANDIDATE_REL = 10.0 * 1e-6
 
 
 def spectral_diameter(values):
@@ -294,41 +292,50 @@ def sweep(stack):
     point, as (branches (d, n), ep_candidates, failures): tuples of point
     indices and of (point index, message) pairs.
 
-    The stack is solved by one batched eigensolve, in real arithmetic when
-    it is float64.  Branches are tracked between consecutive solved points
-    by the minimal-total-distance assignment; points whose eigensolve raises
-    are failures, and their branch column is NaN.  FloatingPointError names
-    a step whose eigenvalue distances overflow.
+    Each block that the matrices share (`_blocks`, from exact zeros) is
+    solved by one batched eigensolve, in real arithmetic when the stack is
+    float64, and a one-block stack as it is.  Points whose solve raises in
+    any block are failures, with a NaN branch column.  Each block's branches
+    are tracked between consecutive solved points by the minimal-total-
+    distance assignment, then ordered by (re, im) at the first solved point.
+    A step skips the solver where every eigenvalue's nearest neighbour at
+    the next point is a different one, nearer than its runner-up by more
+    than 1e-9 of the step's largest distance: that matching reaches the sum
+    of the row minima, a lower bound of every assignment, which every other
+    matching exceeds, so it is the solver's answer.  Other steps call the
+    solver on the previous point's branch order, whose row order breaks
+    ties.  FloatingPointError names a step whose distances overflow.
 
-    A step skips the assignment solver where every eigenvalue's nearest
-    neighbour at the next point is a different one, nearer than its
-    runner-up by more than 1e-9 of the step's largest distance.  That
-    matching reaches the sum of the row minima, which bounds every
-    assignment from below, and every other matching exceeds it by at least
-    the margin, so it is the unique optimum and the solver's answer.  Every
-    other step calls the solver on the previous point's branch order: at
-    ties, such as the exact doubles of a resonant superoperator, its choice
-    depends on row order.
-
-    EP candidates are the points with more eigenvalue pairs closer than
-    1e-5 of the largest spectral diameter of the stack than the fewest any
-    point has.  Degeneracies present at every point, such as the
-    symmetry-protected exact doubles of a superoperator spectrum, therefore
-    flag nothing; a coalescence on top of them does.
+    EP candidates (`_turns`) need no threshold: a pair's squared difference
+    s = (lambda_a - lambda_b)**2 is analytic with a simple zero at an EP2,
+    and changes sign where a real pair of a real matrix turns conjugate.  A
+    crossing only touches zero, and an avoided crossing stays away from it.
+    An EP at the first or last solved point has no step across it.
     """
-    values, good, failures = _eigvals_each(stack)
+    stack = np.asarray(stack)
+    blocks = _blocks(stack)
+    values, good, failures = _eigvals_each(stack, blocks)
     if not good:
         raise RuntimeError("eigensolve failed at every grid point")
 
-    tracked = np.take_along_axis(values, _track(values, good), axis=1)
+    parts, candidates = [], set()
+    for part in np.split(values, np.cumsum([len(b) for b in blocks])[:-1], axis=1):
+        parts.append(np.take_along_axis(part, _track(part, good), axis=1))
+        candidates |= _turns(parts[-1], good)
+    tracked = np.hstack(parts)
+    tracked = tracked[:, np.lexsort((tracked[0].imag, tracked[0].real))]
     branches = np.full((values.shape[1], len(stack)), np.nan + 1j * np.nan,
                        dtype=complex)
     branches[:, good] = tracked.T
+    return branches, tuple(sorted(candidates)), tuple(failures)
 
-    counts = _close_pairs(tracked)
-    fewest = counts.min()
-    candidates = tuple(i for i, c in zip(good, counts) if c > fewest)
-    return branches, candidates, tuple(failures)
+
+def _blocks(stack):
+    """The index sets, each ascending, that split every matrix of an
+    (n, d, d) stack block-diagonally: the connected components of the union
+    of the matrices' non-zero patterns.  A NaN entry counts as non-zero."""
+    nonzero = (stack != 0).any(axis=0)
+    return _single_linkage(nonzero | nonzero.T)
 
 
 def _track(values, points):
@@ -336,8 +343,9 @@ def _track(values, points):
     branches: branch b at point k is values[k, order[k, b]], and the first
     row keeps its order.  A clear step follows the nearest neighbours, every
     other step calls the solver (see `sweep`), and scipy.optimize is
-    imported only if some step is unclear.  `points` holds the rows' grid
-    indices, for the error of a step whose distances are not finite."""
+    imported only if some step is unclear.  `sweep` tracks each block on
+    its own.  `points` holds the rows' grid indices, for the error of a step
+    whose distances are not finite."""
     nearest, unique = _unique_nearest(values)
     if not unique.all():
         import scipy.optimize
@@ -391,48 +399,41 @@ def _unique_nearest(values):
     return nearest, unique
 
 
-def _close_pairs(values):
-    """Per row of `values` (points, n): eigenvalue pairs closer than
-    EP_CANDIDATE_REL times the largest spectral diameter over all rows.
-
-    Each pass over the columns compares one column with the ones after it,
-    so no (points, n, n) array is formed.
-    """
-    cols = range(values.shape[1] - 1)
-    diam = max((np.abs(values[:, k + 1:] - values[:, k:k + 1]).max()
-                for k in cols), default=0.0)
-    threshold = EP_CANDIDATE_REL * diam
-    counts = np.zeros(len(values), dtype=int)
-    for k in cols:
-        counts += np.count_nonzero(
-            np.abs(values[:, k + 1:] - values[:, k:k + 1]) < threshold, axis=1)
-    return counts
+def _turns(branches, points):
+    """The grid points of `points` nearest a zero of some pair's s =
+    (branches[:, a] - branches[:, b])**2, branches (points, n): for each step
+    across which s turns by more than a right angle, Re(s_k conj(s_k+1)) < 0,
+    the end with the smaller |s|, the earlier at a tie."""
+    found = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(branches.shape[1] - 1):
+            s = np.square(branches[:, k + 1:] - branches[:, k:k + 1])
+            step, pair = np.nonzero((s[:-1] * s[1:].conj()).real < 0.0)
+            later = np.abs(s[step + 1, pair]) < np.abs(s[step, pair])
+            found.update(np.asarray(points)[step + later].tolist())
+    return found
 
 
-def _describe(exc):
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _eigvals_each(stack):
-    """Eigenvalues of the matrices of a stack that solve, from one batched
-    solve: (values, good, failures), where values[k] belongs to matrix
-    good[k].
-
-    Should the batched solve raise, every matrix is solved on its own; the
-    ones that fail come back as (position, message) failures.
-    """
+def _eigvals_each(stack, blocks):
+    """Eigenvalues of the matrices of a stack that solve, one batched solve
+    per block: (values, good, failures), values[k] holding matrix good[k]'s,
+    block after block.  Should a batched solve raise, each matrix is solved
+    on its own, and one whose solve raises in any block comes back as one
+    (position, message) failure."""
+    subs = [stack if len(b) == stack.shape[-1] else stack[:, b][:, :, b]
+            for b in blocks]
     try:
-        values = linalg.eigvals(stack)
+        values = np.hstack([linalg.eigvals(sub) for sub in subs])
         return values, list(range(len(values))), []
     except (ValueError, np.linalg.LinAlgError):
         pass
     values, good, failed = [], [], []
-    for k, m in enumerate(stack):
+    for k in range(len(stack)):
         try:
-            values.append(linalg.eigvals(m))
+            values.append(np.hstack([linalg.eigvals(sub[k]) for sub in subs]))
             good.append(k)
         except (ValueError, np.linalg.LinAlgError) as exc:
-            failed.append((k, _describe(exc)))
+            failed.append((k, f"{type(exc).__name__}: {exc}"))
     return np.array(values), good, failed
 
 

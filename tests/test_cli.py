@@ -214,28 +214,36 @@ class TestSweepCommand:
                     "--out", str(out)]) == 2
         assert "{'omega': -10.0}" in capsys.readouterr().err
         # grid point 0 fails its eigensolve; omega = 30 at j = 30/sqrt(2) is
-        # the operator pair EP
+        # the operator pair EP, but at the last grid point no step crosses it
         cfg["sweep"]["start"] = 0.0
         fail_first_operator(monkeypatch)
         assert run(["sweep", "--config", write_config(tmp_path, cfg),
                     "--out", str(out)]) == 4
         assert "grid point 0 failed" in capsys.readouterr().err
         meta = json.loads((tmp_path / "ep.csv.meta.json").read_text())
-        assert [c["index"] for c in meta["ep_candidates"]] == [4]
-        assert float(meta["ep_candidates"][0]["omega"]) == 30.0
+        assert meta["ep_candidates"] == []
         [failure] = meta["failures"]
         assert failure["index"] == 0 and float(failure["omega"]) == 0.0
         assert failure["message"].startswith("ValueError")
         # the CSV keeps its layout: the failed row is NaN
         rows = out.read_text().splitlines()
         assert len(rows) == 6 and "nan" in rows[1]
+        # up to omega = 45 the step from 22.5 to 33.75 crosses the EP, and
+        # 33.75 lies nearer it
+        cfg["sweep"]["stop"] = 45.0
+        assert run(["sweep", "--config", write_config(tmp_path, cfg),
+                    "--out", str(out)]) == 4
+        meta = json.loads((tmp_path / "ep.csv.meta.json").read_text())
+        assert [c["index"] for c in meta["ep_candidates"]] == [3]
+        assert float(meta["ep_candidates"][0]["omega"]) == 33.75
 
-    @pytest.mark.parametrize("name,level,parameter", [
-        ("eff3", "superoperator", "j"), ("full4", "operator", "omega_r")])
+    @pytest.mark.parametrize("name,level,parameter,blocks", [
+        ("eff3", "superoperator", "j", 2), ("full4", "operator", "omega_r", 1)])
     def test_builds_no_params_per_grid_point(self, tmp_path, monkeypatch, name,
-                                             level, parameter):
+                                             level, parameter, blocks):
         # a 1001-point sweep builds the base params and checks its two ends,
-        # then solves its whole stack in one batched eigensolve
+        # then solves its whole stack in one batched eigensolve per block: a
+        # resonant superoperator splits into two
         superop.generator(name)
         counts = {"params": 0, "eigvals": 0}
         post_init, eigvals = model.ModelParams.__post_init__, linalg.eigvals
@@ -255,7 +263,28 @@ class TestSweepCommand:
             "sweep": {"parameter": parameter, "start": 5.0, "stop": 40.0,
                       "points": 1001, "level": level}})
         assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
-        assert counts == {"params": 3, "eigvals": 1}
+        assert counts == {"params": 3, "eigvals": blocks}
+
+    def test_resonant_sweep_rarely_calls_the_assignment_solver(self, tmp_path,
+                                                              monkeypatch):
+        # within a block no exact double ties the nearest neighbours, so few
+        # of the 1000 steps are unclear
+        import scipy.optimize
+
+        calls = []
+        solve = scipy.optimize.linear_sum_assignment
+
+        def counting_solve(cost):
+            calls.append(len(cost))
+            return solve(cost)
+
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting_solve)
+        cfg = write_config(tmp_path, {
+            "model": "eff3", "params": {"omega": 30.0, "j": 10.0, "q": 0.5},
+            "sweep": {"parameter": "j", "start": 5.0, "stop": 40.0,
+                      "points": 1001}})
+        assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
+        assert len(calls) <= 100
 
     def test_operator_level_sweep(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -549,7 +578,7 @@ class TestSchemaValidation:
         ("spectrum", {"basis": "pauli"}, "config.basis"),
         ("spectrum", {"params": {"omega": "30", "j": 10.0}}, "config.params.omega"),
         ("spectrum", {"spectrum": {}}, "config.spectrum"),  # no such block
-        ("sweep", {"sweep": {"parameter": "q", "start": 0.0, "stop": 1.0,
+        ("sweep", {"sweep": {"parameter": "gamma_sp", "start": 1e3, "stop": 1e4,
                              "points": 3}}, "config.sweep.parameter"),
         ("sweep", {"sweep": {"parameter": "j", "stop": 2.0, "points": 3}},
          "config.sweep.start"),
@@ -559,8 +588,8 @@ class TestSchemaValidation:
         ("evolve", {}, "config.evolve"),
         ("find-ep", {"findep": {"box": [15.0, 30.0], "target_mult": 2}},
          "config.findep.box"),
-        ("find-ep", {"findep": {"box": {"q": [0.0, 1.0]}, "target_mult": 2}},
-         "config.findep.box.q"),
+        ("find-ep", {"findep": {"box": {"gamma_sp": [1e3, 1e4]}, "target_mult": 2}},
+         "config.findep.box.gamma_sp"),
         ("evolve", {"evolve": {"t_max": 0.0, "steps": 3}}, "config.evolve.t_max"),
         ("evolve", {"evolve": {"rho0": [[[1.0, 0.0]]], "t_max": 0.1, "steps": 3}},
          "config.evolve.rho0"),

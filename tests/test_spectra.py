@@ -460,25 +460,100 @@ class TestSweep:
         assert np.abs(branches[:, 6:].imag).min() >= 1.0
 
     def test_persistent_doubles_are_not_candidates(self):
-        # the Gell-Mann superoperator keeps two exact doubles at every j;
-        # only the point with a coalescence on top of them is flagged
+        # the Gell-Mann superoperator keeps two exact doubles at every j, one
+        # member in each block, and three eigenvalues cross at -20 at j = 20;
+        # only the grid point nearest the pair EP at 30/sqrt(2) is flagged
         base = ModelParams(omega=30.0, j=10.0, q=0.5)
         grid = np.linspace(15.0, 25.0, 201)
-        branches, candidates, _ = sweep(
-            superop.generator("eff3").matrices(base, {"j": grid}))
-        assert candidates == (100,)
+        stack = superop.generator("eff3").matrices(base, {"j": grid})
+        branches, candidates, _ = sweep(stack)
+        assert candidates == (124,)
+        assert abs(grid[124] - 30.0 / math.sqrt(2.0)) < 0.025
         ev = branches[:, 100]
         assert np.count_nonzero(np.abs(ev + 20.0) < 1e-5) == 3
+        [crossing] = [r for r in detect_degeneracy(stack[100])[1]
+                      if abs(r.cluster_value + 20.0) < 1e-5]
+        assert crossing.kind == "diabolical" and crossing.partition == (1, 1, 1)
 
-    def test_close_pair_counts_match_all_pairs(self, rng):
-        values = rng.normal(size=(50, 9)) + 1j * rng.normal(size=(50, 9))
-        values[::7, 3] = values[::7, 5] + 1e-9
-        values[::5, :3] = values[::5, 8:9]
-        diam = max(spectra.spectral_diameter(v) for v in values)
-        tol = spectra.EP_CANDIDATE_REL * diam
-        want = [int(np.count_nonzero(np.triu(np.abs(v[:, None] - v[None, :])
-                                             < tol, 1))) for v in values]
-        assert spectra._close_pairs(values).tolist() == want
+    def test_turns_match_every_pair_and_step(self, rng):
+        # a real pair that becomes a conjugate pair: s = 4 (t + 0.011) changes
+        # sign between t[148] = -0.0133 and t[149] = -0.0067, and t[148] is
+        # nearer its zero; an exact repeat and steady branches flag nothing
+        t = np.linspace(-1.0, 1.0, 301)
+        points = np.sort(rng.choice(1000, size=301, replace=False))
+        values = np.empty((301, 7), dtype=complex)
+        values[:, :5] = 10.0 * np.arange(5) + 1e-3 * t[:, None]
+        values[40:90, 4] = values[40:90, 2]
+        values[:, 5] = 0.3 + np.sqrt(t + 0.011 + 0j)
+        values[:, 6] = 0.3 - np.sqrt(t + 0.011 + 0j)
+        assert spectra._turns(values, points) == {int(points[148])}
+        # brute force over the pairs and steps, on random branches with that
+        # pair and repeat, and rows whose order is permuted
+        values[:, :5] = rng.normal(size=(301, 5)) + 1j * rng.normal(size=(301, 5))
+        values[40:90, 4] = values[40:90, 2]
+        for k in range(0, 301, 60):
+            values[k] = values[k, rng.permutation(7)]
+        want = set()
+        for a in range(7):
+            for b in range(a + 1, 7):
+                s = np.square(values[:, a] - values[:, b]).tolist()
+                for k in range(300):
+                    if (s[k] * s[k + 1].conjugate()).real < 0.0:
+                        want.add(int(points[k + (abs(s[k + 1]) < abs(s[k]))]))
+        assert int(points[148]) in want
+        assert spectra._turns(values, points) == want
+
+    @pytest.mark.parametrize("q,lo,hi", [
+        (1.0, 1.0, 8.0), (0.5, 5.0, 15.0), (0.0, 15.0, 30.0), (0.1, 10.0, 20.0)])
+    def test_resonant_sweep_flags_the_hybrid_ep(self, q, lo, hi):
+        # J*(q) is the double root of the jump-coupled cubic, nu^2 + phi^3 = 0
+        # with the coefficients of analytic.jump_coupled_three
+        import scipy.optimize
+
+        omega = 30.0
+
+        def discriminant(j):
+            phi = 54.0 * j ** 2 + omega ** 2 * (-4.0 * q ** 2 + 18.0 * q - 27.0)
+            nu = omega * q * (324.0 * j ** 2
+                              + omega ** 2 * (8.0 * q ** 2 - 54.0 * q + 81.0))
+            return nu ** 2 + phi ** 3
+
+        j_star = scipy.optimize.brentq(discriminant, lo, hi, maxiter=1000)
+        grid = np.linspace(lo, hi, 201)
+        _, candidates, _ = sweep(superop.generator("eff3").matrices(
+            ModelParams(omega=omega, j=10.0, q=q), {"j": grid}))
+        assert candidates == (int(np.argmin(np.abs(grid - j_star))),)
+
+    def test_q_sweep_flags_the_hybrid_ep(self):
+        # J = 10.086179 is J*(0.5): the coalescence moves through it at q = 0.5
+        grid = np.linspace(0.0, 1.0, 201)
+        _, candidates, _ = sweep(superop.generator("eff3").matrices(
+            ModelParams(omega=30.0, j=10.086179), {"q": grid}))
+        assert candidates == (100,)
+
+    @pytest.mark.parametrize("name,sizes", [("eff3", [3, 6]), ("full4", [6, 10])])
+    @pytest.mark.parametrize("gamma_g", [0.0, 1.5])
+    def test_blocks_of_resonant_and_detuned_stacks(self, name, sizes, gamma_g):
+        gen = superop.generator(name)
+        base = ModelParams(omega=30.0, j=10.0, q=0.6, gamma_sp=1e5, gamma_g=gamma_g)
+        grid = {"j": np.linspace(1.0, 40.0, 7)}
+        blocks = spectra._blocks(gen.matrices(base, grid))
+        assert sorted(map(len, blocks)) == sizes
+        assert sorted(i for b in blocks for i in b) == list(range(sum(sizes)))
+        one = [list(range(gen.form.dim ** 2))]
+        assert spectra._blocks(gen.matrices(base.replace(delta_rf=2.0), grid)) == one
+        assert spectra._blocks(gen.matrices(base, {"delta_rf": [-1.0, 0.0]})) == one
+        assert spectra._blocks(gen.operators(base, grid)) == [list(range(gen.form.dim))]
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("j", [10.0, 25.0])
+    def test_jump_free_block_is_the_fixed_three(self, q, j):
+        # the eff3 3-block holds -2 omega, -a1 and -a1*, the same at every q
+        stack = superop.generator("eff3").matrices(ModelParams(omega=30.0, j=j, q=q))
+        [block] = [b for b in spectra._blocks(stack) if len(b) == 3]
+        got = linalg.eigvals(stack[0][np.ix_(block, block)])
+        six = analytic.fixed_six(30.0, j)
+        assert match_distance(got, six[[1, 2, 4]]) < 1e-12 * 60.0
 
     @pytest.mark.parametrize("name,params,parameter,lo,hi", [
         # resonant: the exact doubles tie at every step
@@ -488,11 +563,17 @@ class TestSweep:
                        delta_opt=300.0), "delta_rf", -30.0, 30.0)])
     def test_tracking_is_the_per_step_assignment(self, name, params, parameter,
                                                  lo, hi):
+        # per block of the stack, ordered by (re, im) at the first point
         grid = np.linspace(lo, hi, 301)
         stack = superop.generator(name).matrices(ModelParams(**params),
                                                  {parameter: grid})
+        blocks = spectra._blocks(stack)
+        assert len(blocks) == (2 if name == "eff3" else 1)
+        want = np.vstack([assignment_branches(list(linalg.eigvals(
+            stack[:, b][:, :, b]))) for b in blocks])
+        want = want[np.lexsort((want[:, 0].imag, want[:, 0].real))]
+        assert same_bits(sweep(stack)[0], want)
         values = linalg.eigvals(stack)
-        assert same_bits(sweep(stack)[0], assignment_branches(list(values)))
         assert spectra._unique_nearest(values)[1].any() == (name == "full4")
 
     def test_tracking_with_repeats_and_crossings(self, rng):

@@ -429,7 +429,7 @@ def sweep_values(field, p):
             "omega_r": st.floats(-10.0 * root, 10.0 * root),
             "delta_rf": st.floats(-100.0, 100.0),
             "delta_opt": st.floats(-2.0 * p.gamma_sp, 2.0 * p.gamma_sp),
-            "gamma_g": st.floats(0.0, 10.0)}[field]
+            "gamma_g": st.floats(0.0, 10.0), "q": st.floats(0.0, 1.0)}[field]
 
 
 def draw_points(data, fields, values):
