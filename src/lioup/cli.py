@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, model, spectra, superop, validate
+from . import __version__, model, spectra, superop
 
 FLOAT_FMT = "%.12e"
 
@@ -232,6 +232,15 @@ def _real_part_groups(values):
     return out
 
 
+def _csv(header, table):
+    """CSV text: the header line, then the rows of a 2-D float array."""
+    return "".join([",".join(header) + "\r\n"] + _format_rows(table))
+
+
+def _json(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def _emit(text, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -242,12 +251,8 @@ def _emit(text, out_path):
 
 def _emit_metadata(cfg, out_path, extra=None):
     if out_path:
-        doc = _metadata(cfg)
-        if extra:
-            doc.update(extra)
         with open(f"{out_path}.meta.json", "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(_json({**_metadata(cfg), **(extra or {})}))
 
 
 def cmd_spectrum(cfg, out_path):
@@ -262,7 +267,7 @@ def cmd_spectrum(cfg, out_path):
         "degeneracies": [_report_json(r) for r in reports],
         "real_part_groups": _real_part_groups(ev),
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
+    _emit(_json(doc), out_path)
     return 0
 
 
@@ -281,6 +286,9 @@ def cmd_sweep(cfg, out_path):
     if stop <= start:
         raise SchemaError("'config.sweep.stop' must exceed start")
     level = _level(blk, "config.sweep")
+    if level == "operator" and parameter == "q":
+        raise SchemaError("'config.sweep.parameter' cannot be 'q' at operator "
+                          "level: H_nh does not depend on q")
 
     p = params_from_config(cfg)
     _check_box(p, {parameter: (start, stop)}, "config.sweep")
@@ -293,7 +301,7 @@ def cmd_sweep(cfg, out_path):
     header = ([parameter] + [f"re_{k + 1}" for k in range(nb)]
               + [f"im_{k + 1}" for k in range(nb)])
     table = np.column_stack([grid, branches.real.T, branches.imag.T])
-    _emit("".join([",".join(header) + "\r\n"] + _format_rows(table)), out_path)
+    _emit(_csv(header, table), out_path)
     _emit_metadata(cfg, out_path, extra={
         "branch_provenance": "columns follow the (re, im)-sorted eigenvalues "
                              "at the first solved grid point, each shared "
@@ -328,6 +336,9 @@ def cmd_find_ep(cfg, out_path):
             raise SchemaError(f"'config.findep.box.{key}' must have lo < hi")
     target = _integer(blk, "target_mult", "config.findep")
     level = _level(blk, "config.findep")
+    if level == "operator" and "q" in box:
+        raise SchemaError("'config.findep.box.q' is not searchable at operator "
+                          "level: H_nh does not depend on q")
 
     p = params_from_config(cfg)
     _check_box(p, box, "config.findep.box")
@@ -340,7 +351,7 @@ def cmd_find_ep(cfg, out_path):
     reports = spectra.find_ep(build, box, target, p)
     doc = {"metadata": _metadata(cfg),
            "reports": [_report_json(r) for r in reports]}
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
+    _emit(_json(doc), out_path)
     return 0
 
 
@@ -381,20 +392,18 @@ def cmd_evolve(cfg, out_path):
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     header = ["t", "trace"] + [f"pop_{k + 1}" for k in range(d)] + ["route_diff"]
-    lines = [",".join(header)]
-    for t, rho, diff in zip(times, states, route_diff):
-        row = [_fmt(t), _fmt(np.trace(rho).real)]
-        row += [_fmt(rho[k, k].real) for k in range(d)]
-        # NaN for a defective generator (eigenvector condition number above
-        # 1e12), and where the eigen-expansion overflows at long times
-        row.append(_fmt(diff))
-        lines.append(",".join(row))
-    _emit("\r\n".join(lines) + "\r\n", out_path)
+    # route_diff is NaN for a defective generator (eigenvector condition
+    # number above 1e12), and where the eigen-expansion overflows at long times
+    table = np.column_stack([times, np.trace(states, axis1=1, axis2=2).real,
+                             states.diagonal(axis1=1, axis2=2).real, route_diff])
+    _emit(_csv(header, table), out_path)
     _emit_metadata(cfg, out_path)
     return 0
 
 
 def cmd_validate(out_path):
+    from . import validate  # its checks and closed forms serve this command only
+
     results = validate.run_all()
     report, ok = validate.format_report(results)
     _emit(report + "\n", out_path)

@@ -384,32 +384,26 @@ def _eff3_columns(v):
     # -omega_r, so h_eff = h_g - omega_r^2 Re(1/h_e) |1,0><1,0| and every
     # reduced jump is sqrt(gamma_sp) omega_r / h_e times a fixed matrix
     _warn_unless_fast_decay(v)
-    omega_r2 = _pointwise(_square, v["omega_r"])
-    shift = -omega_r2 * _pointwise(_inverse_real, v["delta_opt"], v["gamma_sp"])
-    rate = v["gamma_sp"] * omega_r2 / _pointwise(_abs_square, v["delta_opt"],
-                                                 v["gamma_sp"])
+    shift, rate = np.transpose(_pointwise(_shift_and_rate, v["omega_r"],
+                                          v["delta_opt"], v["gamma_sp"]))
     return (v["delta_rf"], v["j"], shift, rate, v["q"] * rate,
             v["gamma_g"], v["q"] * v["gamma_g"])
 
 
-def _excited_nhh(delta_opt, gamma_sp):
+def _shift_and_rate(omega_r, delta_opt, gamma_sp):
+    # the ground shift -omega_r^2 Re(1/h_e) and the reduced decay rate
+    # gamma_sp omega_r^2 / |h_e|^2 at one point
+    omega_r2 = omega_r ** 2
     h_e = complex(-delta_opt, -0.5 * gamma_sp)
     _check_excited_nhh(h_e)
-    return h_e
-
-
-def _inverse_real(delta_opt, gamma_sp):
-    return (1.0 / _excited_nhh(delta_opt, gamma_sp)).real
-
-
-def _abs_square(delta_opt, gamma_sp):
     try:
-        return abs(_excited_nhh(delta_opt, gamma_sp)) ** 2
+        abs_square = abs(h_e) ** 2
     except OverflowError as exc:
         raise OverflowError(
             "the eff3 decay rate gamma_sp omega_r^2 / |h_e|^2 overflows: "
             f"|h_e|^2 is beyond float range at delta_opt = {delta_opt:.6g}, "
             f"gamma_sp = {gamma_sp:.6g}") from exc
+    return -omega_r2 * (1.0 / h_e).real, gamma_sp * omega_r2 / abs_square
 
 
 # Probe values are powers of two small enough against gamma_sp = 1 that the

@@ -177,7 +177,8 @@ def _jordan_chains(m, mult, cutoff):
     previous value, stops, and at most mult + 1 of them.  Perturbations of
     size eps enter matrix powers to first order, so one cut, cutoff / ||m||,
     applies to every power of the spectrally normalized matrix.  The chains
-    are capped at mult in total.
+    are the conjugate partition of that growth (the Weyr characteristic),
+    cut to mult in total, longest first.
     """
     n = m.shape[0]
     norm = np.linalg.norm(m, 2)
@@ -195,16 +196,11 @@ def _jordan_chains(m, mult, cutoff):
             break
         growth.append(step)
         nullity = null
-    # growth[k - 1] - growth[k] chains have length exactly k
-    ends = growth[1:] + [0]
+    # chain i is as long as the number of powers that grew by more than i
     chains = []
-    for k in range(len(growth), 0, -1):
-        for _ in range(growth[k - 1] - ends[k - 1]):
-            length = min(k, mult - sum(chains))
-            if length <= 0:
-                break
-            chains.append(length)
-    return tuple(chains)
+    for i in range(growth[0] if growth else 0):
+        chains.append(min(sum(g > i for g in growth), mult - sum(chains)))
+    return tuple(c for c in chains if c > 0)
 
 
 def detect_degeneracy(a, tol_cluster=None):
@@ -372,31 +368,25 @@ def _unique_nearest(values):
     permutation with every one nearer than the runner-up by more than 1e-9
     of the step's largest distance (never where a distance is NaN).
 
-    A block of steps takes its distances one column of the next row at a
-    time, so no (steps, n, n) array is formed.
+    All steps are taken in one pass over the columns of the next row, so
+    the temporaries are (steps, n), n times smaller than the matrix stack.
     """
-    steps, n = len(values) - 1, values.shape[1]
-    nearest = np.zeros((steps, n), dtype=np.intp)
-    unique = np.empty(steps, dtype=bool)
-    rows = max(1, 8192 // n)
-    for s in range(0, steps, rows):
-        t = min(s + rows, steps)
-        prev, cur, near = values[s:t], values[s + 1:t + 1], nearest[s:t]
-        best = np.full(prev.shape, np.inf)
-        runner_up = np.full(prev.shape, np.inf)
-        span = np.zeros(prev.shape)
-        for j in range(n):
-            dist = np.abs(prev - cur[:, j, None])
-            np.maximum(span, dist, out=span)
-            near[dist < best] = j
-            np.minimum(runner_up, np.maximum(best, dist), out=runner_up)
-            np.minimum(best, dist, out=best)
-        clear = runner_up - best > 1e-9 * span.max(axis=1, keepdims=True)
-        # n neighbours hit all n eigenvalues only if they are all different
-        hit = np.zeros(prev.shape, dtype=bool)
-        hit[np.arange(t - s)[:, None], near] = True
-        unique[s:t] = clear.all(axis=1) & hit.all(axis=1)
-    return nearest, unique
+    prev, cur = values[:-1], values[1:]
+    nearest = np.zeros(prev.shape, dtype=np.intp)
+    best = np.full(prev.shape, np.inf)
+    runner_up = np.full(prev.shape, np.inf)
+    span = np.zeros(prev.shape)
+    for j in range(values.shape[1]):
+        dist = np.abs(prev - cur[:, j, None])
+        np.maximum(span, dist, out=span)
+        nearest[dist < best] = j
+        np.minimum(runner_up, np.maximum(best, dist), out=runner_up)
+        np.minimum(best, dist, out=best)
+    clear = runner_up - best > 1e-9 * span.max(axis=1, keepdims=True)
+    # n neighbours hit all n eigenvalues only if they are all different
+    hit = np.zeros(prev.shape, dtype=bool)
+    hit[np.arange(len(prev))[:, None], nearest] = True
+    return nearest, clear.all(axis=1) & hit.all(axis=1)
 
 
 def _turns(branches, points):

@@ -454,6 +454,28 @@ class TestEvolveCommand:
         first = out.read_text().splitlines()[1].split(",")
         assert float(first[2]) == pytest.approx(0.5)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("t_max", [0.17, 1e20])
+    def test_csv_matches_per_value_formatting(self, tmp_path, t_max):
+        # at t_max 1e20 the eigen-expansion overflows and route_diff is NaN,
+        # which the table writer formats on its slow path
+        cfg = {**BASE, "evolve": {"rho0": "mixed", "t_max": t_max, "steps": 4}}
+        out = tmp_path / "evolve.csv"
+        assert run(["evolve", "--config", write_config(tmp_path, cfg),
+                    "--out", str(out)]) == 0
+        times = np.linspace(0.0, t_max, 4)
+        l = superop.generator("eff3").matrices(cli.params_from_config(cfg))[0]
+        states, route_diff = spectra.evolve_check(l, np.eye(3) / 3.0, times)
+        assert np.isnan(route_diff[-1]) == (t_max == 1e20)
+        lines = ["t,trace,pop_1,pop_2,pop_3,route_diff"]
+        for t, rho, diff in zip(times, states, route_diff):
+            row = [cli.FLOAT_FMT % float(t), cli.FLOAT_FMT % float(np.trace(rho).real)]
+            row += [cli.FLOAT_FMT % float(rho[k, k].real) for k in range(3)]
+            row.append(cli.FLOAT_FMT % float(diff))
+            lines.append(",".join(row))
+        assert out.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+
 
 class TestGeneratorOnly:
     def test_no_command_builds_a_model(self, tmp_path, monkeypatch):
@@ -595,6 +617,13 @@ class TestSchemaValidation:
          "config.evolve.rho0"),
         ("evolve", {"evolve": {"rho0": "pure", "t_max": 0.1, "steps": 3}},
          "config.evolve.rho0"),
+        # H_nh does not depend on q
+        ("find-ep", {"params": {"omega": 30.0, "j": 21.0, "q": 0.0},
+                     "findep": {"box": {"q": [0.2, 0.8]}, "target_mult": 2,
+                                "level": "operator"}}, "config.findep.box.q"),
+        ("sweep", {"sweep": {"parameter": "q", "start": 0.0, "stop": 1.0,
+                             "points": 5, "level": "operator"}},
+         "config.sweep.parameter"),
     ])
     def test_schema_branches_name_their_key(self, tmp_path, capsys, command, blk, key):
         assert run([command, "--config", write_config(tmp_path, {**BASE, **blk})]) == 2

@@ -326,6 +326,27 @@ class TestDetectDegeneracy:
     def test_no_reports_for_separated_spectrum(self):
         assert detect_degeneracy(np.diag([1.0, 2.0, 4.0]).astype(complex))[1] == []
 
+    def test_block_split_keeps_the_jordan_partitions(self):
+        # at the operator EP J = Omega/sqrt(2), q = 0, the stack splits 3 + 6;
+        # counting a simple eigenvalue as one chain of length 1, the chains of
+        # the two blocks add up to the whole matrix's at -2 Omega and -Omega
+        a = superop.generator("eff3").matrices(
+            ModelParams(omega=30.0, j=30.0 / math.sqrt(2.0), q=0.0))[0]
+
+        def chains(m):
+            """Chain lengths, longest first, at -2 Omega and at -Omega."""
+            values, reports = detect_degeneracy(m)
+            found = [(r.cluster_value, r.partition) for r in reports]
+            clustered = {i for r in reports for i in r.indices}
+            found += [(z, (1,)) for i, z in enumerate(values) if i not in clustered]
+            return [sorted((c for z, p in found if abs(z - value) < 1.0
+                            for c in p), reverse=True) for value in (-60.0, -30.0)]
+
+        blocks = spectra._blocks(a[None])
+        got = {len(b): chains(a[np.ix_(b, b)]) for b in blocks}
+        assert got == {3: [[1], [2]], 6: [[3], [2]]}
+        assert chains(a) == [[3, 1], [2, 2]]
+
 
 class TestCorrespondence:
     def test_hand_evaluated_two_level(self):
@@ -827,6 +848,33 @@ class TestEvolveCheck:
         states, route_diff = evolve_check(l, rho0, np.linspace(0.0, 0.5, 4))
         assert trace_drift(states, rho0).max() <= 1e-12
         assert route_diff.max() < 1e-10
+
+    STIFF = ModelParams(omega=34.8396, j=21.2861, q=1.0, gamma_sp=6373683.670053524,
+                        delta_rf=13.4437, delta_opt=244542.0)
+    STIFF_TIMES = np.linspace(0.0, 0.118464, 4)
+
+    def test_stiff_expm_route_matches_extended_precision(self):
+        # full4 with gamma_sp / omega ~ 2e5: the expm route against a
+        # 40-digit mpmath.expm at t_max (it agrees to about 6e-12)
+        import mpmath
+
+        l = superop.generator("full4").matrices(self.STIFF)[0]
+        rho0 = np.eye(4) / 4.0
+        states, _ = evolve_check(l, rho0, self.STIFF_TIMES)
+        with mpmath.workdps(40):
+            e = mpmath.expm(mpmath.matrix(l.tolist()) * self.STIFF_TIMES[-1])
+            v = e * mpmath.matrix(superop.vectorize(rho0).real.tolist())
+            want = superop.devectorize(np.array(v.tolist(), dtype=float).ravel())
+        assert np.abs(states[-1] - want).max() < 1e-10
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "stiff full4 generator: the eigen-expansion route is off by 1.4e-8 "
+        "(route_diff 1.39e-8 at t = 0.079, 1.37e-8 at t_max) while expm is "
+        "right to 6e-12 against mpmath; ROADMAP item 8"))
+    def test_stiff_routes_agree(self):
+        l = superop.generator("full4").matrices(self.STIFF)[0]
+        _, route_diff = evolve_check(l, np.eye(4) / 4.0, self.STIFF_TIMES)
+        assert route_diff.max() <= 1e-8
 
     def test_rejects_times_that_are_not_1d(self):
         l = gm_liouvillian(ModelParams(omega=30.0, j=10.0, q=1.0))

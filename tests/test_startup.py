@@ -1,9 +1,10 @@
-"""Which SciPy packages a CLI command loads.
+"""Which SciPy packages, and whether `lioup.validate`, a CLI command loads.
 
 SciPy is imported only inside the functions that call it, because loading
-it costs more CPU than a spectrum command's whole computation.  Each case
-runs `lioup.cli.main` in a fresh interpreter and checks the module names it
-left in `sys.modules`; nothing here is timed.
+it costs more CPU than a spectrum command's whole computation; likewise
+`lioup.validate` only for `lioup validate`.  Each case runs `lioup.cli.main`
+in a fresh interpreter and checks the module names it left in
+`sys.modules`; nothing here is timed.
 """
 
 import json
@@ -18,15 +19,16 @@ PROBE = """
 import json, sys
 from lioup import cli
 rc = cli.main(sys.argv[1:])
-print(json.dumps([rc, sorted(m for m in sys.modules
-                             if m == "scipy" or m.startswith("scipy."))]))
+print(json.dumps([rc, sorted(m for m in sys.modules if m == "scipy"
+                             or m.startswith("scipy.") or m == "lioup.validate")]))
 """
 
 PARAMS = {"omega": 30.0, "j": 10.0, "q": 1.0}
 
 
 def run_fresh(tmp_path, command, cfg):
-    """(exit code, SciPy module names) of one command in a new interpreter."""
+    """(exit code, names of the SciPy modules and of lioup.validate if
+    loaded) of one command in a new interpreter."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -43,6 +45,13 @@ def test_spectrum_loads_no_scipy(tmp_path):
                             {"model": "eff3", "params": PARAMS})
     assert rc == 0
     assert modules == set()
+
+
+def test_spectrum_does_not_load_validate(tmp_path):
+    rc, modules = run_fresh(tmp_path, "spectrum",
+                            {"model": "full4", "params": PARAMS})
+    assert rc == 0
+    assert "lioup.validate" not in modules
 
 
 def test_config_error_loads_no_scipy(tmp_path):
