@@ -16,14 +16,16 @@ matrices, one per grid point, into (branches, ep_candidates, failures), and
 `evolve_check` takes the generator's Gell-Mann matrix as an array and gives
 (states, route_diff).
 
-scipy.optimize is imported inside its three callers, `match_distance`,
-`_track` (for `sweep`, and only when some step needs the solver) and
-`find_ep`, because loading it (and the scipy.linalg it pulls in) costs
-about 0.5 s of CPU at start-up and a spectrum or evolve command never
-calls it.
+The minimal-total-distance assignment of `match_distance` and of `sweep`'s
+branch tracking is `_assign`, an exact port of SciPy's
+`linear_sum_assignment` (same assignment bit for bit, ties included), so a
+sweep loads no SciPy.  scipy.optimize is imported only inside `find_ep`
+(for `least_squares`), because loading it (and the scipy.linalg it pulls
+in) costs 0.7-0.9 s of CPU at start-up and no other command calls it.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,16 +54,89 @@ def spectral_diameter(values):
 
 def match_distance(a, b):
     """Max absolute mismatch between two equal-size complex multisets
-    under the optimal (Hungarian) pairing."""
-    import scipy.optimize
-
+    under the optimal pairing (the minimal-total-distance assignment of
+    `_assign`)."""
     a = np.asarray(a).ravel()
     b = np.asarray(b).ravel()
     if a.size != b.size:
         raise ValueError("multisets differ in size")
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    return float(cost[np.arange(a.size), _assign(cost.tolist())].max())
+
+
+def _assign(cost):
+    """The minimal-total-cost assignment of a square cost matrix, given as
+    nested lists: col4row, the column of each row.
+
+    A line-for-line port, for square input, of SciPy 1.17's
+    `rectangular_lsap.cpp` (Crouse's shortest augmenting path, IEEE Trans.
+    Aerosp. Electron. Syst. 52, 1679 (2016)), the code behind
+    `scipy.optimize.linear_sum_assignment`.  It does the same IEEE
+    operations in the same order, so it returns SciPy's assignment bit for
+    bit, ties included: `remaining` starts reversed (a constant matrix gives
+    the identity), a tie for the lowest reduced cost goes to an unassigned
+    column, and a column leaves `remaining` by swap-remove.  SciPy's masks
+    SR and SC of the rows and columns on the path are kept as lists, so the
+    dual updates visit only those, each with SciPy's arithmetic.  It is kept
+    here so that a sweep never imports scipy.optimize, 0.7-0.9 s of CPU at
+    start-up, where a solve costs 6-80 us (3x3 to 16x16) against SciPy's
+    2-3 us.  ValueError, as in SciPy, for a NaN or -inf entry and for an
+    infeasible matrix.
+    """
+    n = len(cost)
+    # a NaN or -inf entry makes the sum NaN or -inf; so may a negative overflow
+    total = sum(map(sum, cost))
+    if (total != total or total == -math.inf) and any(
+            c != c or c == -math.inf for row in cost for c in row):
+        raise ValueError("matrix contains invalid numeric entries")
+    u, v = [0.0] * n, [0.0] * n
+    path, col4row, row4col = [-1] * n, [-1] * n, [-1] * n
+    for cur_row in range(n):
+        # the shortest augmenting path from cur_row
+        min_val = 0.0
+        remaining = list(range(n - 1, -1, -1))
+        shortest = [math.inf] * n
+        sr, sc = [], []
+        i, sink = cur_row, -1
+        while sink == -1:
+            index, lowest = -1, math.inf
+            sr.append(i)
+            row, u_i = cost[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                s = shortest[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest = s
+                    index = it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            sc.append(j)
+            remaining[index] = remaining[-1]
+            del remaining[-1]
+        # update the dual variables; sr[0] is cur_row
+        u[cur_row] += min_val
+        for i in sr[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in sc:
+            v[j] -= min_val - shortest[j]
+        # augment the previous solution
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row
 
 
 def classify(values):
@@ -338,13 +413,11 @@ def _track(values, points):
     """Per row of `values` (points, n), the order that continues the
     branches: branch b at point k is values[k, order[k, b]], and the first
     row keeps its order.  A clear step follows the nearest neighbours, every
-    other step calls the solver (see `sweep`), and scipy.optimize is
-    imported only if some step is unclear.  `sweep` tracks each block on
-    its own.  `points` holds the rows' grid indices, for the error of a step
-    whose distances are not finite."""
+    other step calls `_assign`, the in-package port of SciPy's solver (see
+    `sweep`).  `sweep` tracks each block on its own.  `points` holds the
+    rows' grid indices, for the error of a step whose distances are not
+    finite."""
     nearest, unique = _unique_nearest(values)
-    if not unique.all():
-        import scipy.optimize
     order = np.empty(values.shape, dtype=np.intp)
     order[0] = cols = np.arange(values.shape[1])
     for step, clear in enumerate(unique.tolist()):
@@ -353,7 +426,7 @@ def _track(values, points):
         else:
             cost = np.abs(values[step][cols][:, None] - values[step + 1][None, :])
             try:
-                cols = scipy.optimize.linear_sum_assignment(cost)[1]
+                cols = _assign(cost.tolist())
             except ValueError:
                 raise FloatingPointError(
                     f"eigenvalue distances are not finite between grid points "
@@ -586,6 +659,9 @@ def evolve_check(l, rho0, times):
     if np.linalg.cond(v) > 1e12:
         return states, np.full(times.size, np.nan)
     coeff = np.linalg.solve(v, v0)
-    rho_eig = np.array([superop.devectorize(v @ (coeff * np.exp(values * t)))
-                        for t in times])
+    # an eigenvalue whose real part is positive at rounding level overflows
+    # exp at a large t, and route_diff is NaN there (see the docstring)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho_eig = np.array([superop.devectorize(v @ (coeff * np.exp(values * t)))
+                            for t in times])
     return states, np.abs(states - rho_eig).max(axis=(1, 2))

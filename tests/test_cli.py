@@ -269,22 +269,20 @@ class TestSweepCommand:
                                                               monkeypatch):
         # within a block no exact double ties the nearest neighbours, so few
         # of the 1000 steps are unclear
-        import scipy.optimize
-
         calls = []
-        solve = scipy.optimize.linear_sum_assignment
+        solve = spectra._assign
 
         def counting_solve(cost):
             calls.append(len(cost))
             return solve(cost)
 
-        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", counting_solve)
+        monkeypatch.setattr(spectra, "_assign", counting_solve)
         cfg = write_config(tmp_path, {
             "model": "eff3", "params": {"omega": 30.0, "j": 10.0, "q": 0.5},
             "sweep": {"parameter": "j", "start": 5.0, "stop": 40.0,
                       "points": 1001}})
         assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
-        assert len(calls) <= 100
+        assert 0 < len(calls) <= 100
 
     def test_operator_level_sweep(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -454,8 +452,6 @@ class TestEvolveCommand:
         first = out.read_text().splitlines()[1].split(",")
         assert float(first[2]) == pytest.approx(0.5)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("t_max", [0.17, 1e20])
     def test_csv_matches_per_value_formatting(self, tmp_path, t_max):
         # at t_max 1e20 the eigen-expansion overflows and route_diff is NaN,

@@ -408,6 +408,54 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def conjugate_pairs_to_half_real(rng, n):
+    """Distances from a spectrum of conjugate pairs to the next one, where
+    half of the pairs have turned real: each real value is exactly as far
+    from a pair's two members, so the costs tie in pairs."""
+    k = n // 2
+    pairs = rng.normal(size=k) + 1j * rng.normal(size=k)
+    prev = np.concatenate([pairs, pairs.conj(), rng.normal(size=n - 2 * k)])
+    split = rng.normal(size=k) * (np.arange(k) < (k + 1) // 2)
+    turned = pairs + 0.1 * rng.normal(size=k) * 1j
+    nxt = np.where(split != 0, pairs.real + split, turned)
+    nxt = np.concatenate([nxt, np.where(split != 0, pairs.real - split, turned.conj()),
+                          prev[2 * k:] + 0.1])
+    return np.abs(prev[:, None] - nxt[None, :])
+
+
+class TestAssign:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 9, 10, 16])
+    def test_equals_scipy_bit_for_bit(self, rng, n):
+        import scipy.optimize
+
+        costs = [rng.random((n, n)) * 10.0 ** rng.uniform(-3, 3) for _ in range(100)]
+        costs += [rng.integers(0, 3, (n, n)).astype(float) for _ in range(100)]
+        costs += [conjugate_pairs_to_half_real(rng, n) for _ in range(100)]
+        # a pair's two members are equally far from a value that turned real
+        assert n == 1 or costs[-1][0, 0] == costs[-1][n // 2, 0]
+        costs.append(np.ones((n, n)))
+        for cost in costs:
+            want = scipy.optimize.linear_sum_assignment(cost)
+            assert want[0].tolist() == list(range(n))
+            assert spectra._assign(cost.tolist()) == want[1].tolist()
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_invalid_entries_raise(self, bad):
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            spectra._assign([[1.0, 2.0], [bad, 3.0]])
+
+    def test_infeasible_matrix_raises(self):
+        with pytest.raises(ValueError, match="infeasible"):
+            spectra._assign([[math.inf, math.inf], [1.0, 2.0]])
+
+    def test_infinite_step_names_both_grid_points(self):
+        # a repeated value makes the step unclear, and an infinite value
+        # leaves no assignment of finite cost
+        values = np.array([[1.0, 1.0], [np.inf, 2.0]], dtype=complex)
+        with pytest.raises(FloatingPointError, match="grid points 4 and 7$"):
+            spectra._track(values, [4, 7])
+
+
 class TestSweep:
     def test_bifurcation_at_critical_drive(self):
         omega = 30.0

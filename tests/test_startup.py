@@ -13,6 +13,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 PROBE = """
@@ -70,22 +72,26 @@ def test_evolve_loads_linalg_but_not_optimize(tmp_path):
     assert "scipy.optimize" not in modules
 
 
-def test_sweep_with_only_clear_steps_loads_no_scipy(tmp_path):
-    # a detuned sweep whose every step is settled by the nearest neighbours,
-    # so the assignment solver is never called
-    rc, modules = run_fresh(tmp_path, "sweep", {
+@pytest.mark.parametrize("cfg", [
+    # detuned: every step is settled by the nearest neighbours
+    pytest.param({
         "model": "eff3",
         "params": {"omega": 28.0623, "j": 23.3127, "q": 0.262313,
                    "gamma_sp": 40772.3, "gamma_g": 2.17575, "delta_opt": -179.065},
         "sweep": {"parameter": "delta_rf", "start": -28.0623, "stop": 28.0623,
-                  "points": 101}})
+                  "points": 101}}, id="detuned"),
+    # resonant: the exact doubles leave steps for the assignment solver
+    pytest.param({
+        "model": "eff3", "params": PARAMS,
+        "sweep": {"parameter": "j", "start": 10.0, "stop": 20.0, "points": 5}},
+        id="resonant"),
+    # operator level: the step across the EP at j = omega/sqrt(2) is unclear
+    pytest.param({
+        "model": "eff3", "params": PARAMS,
+        "sweep": {"parameter": "j", "start": 15.0, "stop": 25.0, "points": 5,
+                  "level": "operator"}}, id="operator"),
+])
+def test_every_sweep_loads_no_scipy(tmp_path, cfg):
+    rc, modules = run_fresh(tmp_path, "sweep", cfg)
     assert rc == 0
     assert modules == set()
-
-
-def test_sweep_loads_optimize(tmp_path):
-    rc, modules = run_fresh(tmp_path, "sweep", {
-        "model": "eff3", "params": PARAMS,
-        "sweep": {"parameter": "j", "start": 10.0, "stop": 20.0, "points": 5}})
-    assert rc == 0
-    assert "scipy.optimize" in modules
