@@ -27,6 +27,13 @@ def fixed_six(omega, j):
     return np.array([0.0, -2.0 * omega, -a1s, -a1s, -a1, -a1])
 
 
+def _cubic(omega, j, q):
+    # phi, nu and nu^2 + phi^3 of jump_coupled_three's cubic
+    phi = 54.0 * j ** 2 + omega ** 2 * (-4.0 * q ** 2 + 18.0 * q - 27.0)
+    nu = omega * q * (324.0 * j ** 2 + omega ** 2 * (8.0 * q ** 2 - 54.0 * q + 81.0))
+    return phi, nu, nu ** 2 + phi ** 3
+
+
 def jump_coupled_three(omega, j, q):
     """The three q-dependent hybrid eigenvalues, solved in radicals.
 
@@ -35,9 +42,8 @@ def jump_coupled_three(omega, j, q):
     phi = 54 J^2 + Omega^2 (-4q^2 + 18q - 27) and
     nu  = Omega q (324 J^2 + Omega^2 (8q^2 - 54q + 81)).
     """
-    phi = 54.0 * j ** 2 + omega ** 2 * (-4.0 * q ** 2 + 18.0 * q - 27.0)
-    nu = omega * q * (324.0 * j ** 2 + omega ** 2 * (8.0 * q ** 2 - 54.0 * q + 81.0))
-    zeta = _branch_sqrt(nu ** 2 + phi ** 3) + nu
+    phi, nu, discriminant = _cubic(omega, j, q)
+    zeta = _branch_sqrt(discriminant) + nu
     c = omega * (2.0 * q - 9.0)
     if zeta == 0:
         ts = np.zeros(3, dtype=complex)
@@ -50,6 +56,15 @@ def jump_coupled_three(omega, j, q):
             phi / z * (1 - r3) / 2 - z * (1 + r3) / 2,
         ])
     return (2.0 / 9.0) * (ts + c)
+
+
+def jump_coupled_ep(omega, q):
+    """J*(q), where two jump-coupled eigenvalues coalesce: the root of nu^2 +
+    phi^3 in [0, Omega / sqrt(2)], whose ends differ in sign for 0 < q <= 1."""
+    import scipy.optimize  # loaded only when called, as in spectra.find_ep
+
+    return scipy.optimize.brentq(lambda j: _cubic(omega, j, q)[2], 0.0,
+                                 omega / np.sqrt(2.0))
 
 
 def hybrid_spectrum(omega, j, q):

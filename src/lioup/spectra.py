@@ -2,26 +2,21 @@
 
 Covers eigenvalue classification, quasienergy splittings, degeneracy
 detection with Jordan-structure estimation (ranks of powers, deflated),
-the operator <-> superoperator spectral correspondence, parameter sweeps
-continuity-tracked block by block with EP candidates where a pair's squared
-gap changes sign, EP search by least squares on cluster power sums, and an
-evolution cross-check (expm against eigen-expansion).  Matrices follow
-linalg's input rule, so a float64 generator is solved in real arithmetic.
+the operator <-> superoperator spectral correspondence, one census of a
+stack of matrices (tracked block by block, with the turns of each pair's
+squared gap) that gives `sweep` its EP candidates and `find_ep` the seeds
+of its least-squares solves on cluster power sums, and an evolution
+cross-check (expm against eigen-expansion).  Matrices follow linalg's
+input rule, so a float64 generator is solved in real arithmetic.
 
 Results are plain values: `classify` gives kind strings, `splittings`
 (i, j, dE_real, dE_imag) tuples, and `detect_degeneracy` the eigenvalues
-with reports whose `indices` index them.  `sweep` analyses a stack of
-matrices, one per grid point, into (branches, ep_candidates, failures), and
-`find_ep` calls a stack builder such as superop.Generator's `matrices`;
-`evolve_check` takes the generator's Gell-Mann matrix as an array and gives
-(states, route_diff).
-
-The minimal-total-distance assignment of `match_distance` and of `sweep`'s
-branch tracking is `_assign`, an exact port of SciPy's
-`linear_sum_assignment` (same assignment bit for bit, ties included), so a
-sweep loads no SciPy.  scipy.optimize is imported only inside `find_ep`
-(for `least_squares`), because loading it (and the scipy.linalg it pulls
-in) costs 0.7-0.9 s of CPU at start-up and no other command calls it.
+with reports whose `indices` index them.  `sweep` turns a stack of matrices,
+one per grid point, into (branches, ep_candidates, failures), `find_ep`
+calls a stack builder such as superop.Generator's `matrices`, and
+`evolve_check` turns a Gell-Mann generator into (states, route_diff).
+Tracking assigns by `_assign`, an exact port of SciPy's solver, so only
+`find_ep` loads scipy.optimize (0.7-0.9 s of CPU at start-up).
 """
 
 import dataclasses
@@ -360,45 +355,63 @@ def correspondence_check(h_nh, super_spectrum):
 
 def sweep(stack):
     """Eigenvalue branches of an (n, d, d) stack of matrices, one per grid
-    point, as (branches (d, n), ep_candidates, failures): tuples of point
-    indices and of (point index, message) pairs.
-
-    Each block that the matrices share (`_blocks`, from exact zeros) is
-    solved by one batched eigensolve, in real arithmetic when the stack is
-    float64, and a one-block stack as it is.  Points whose solve raises in
-    any block are failures, with a NaN branch column.  Each block's branches
-    are tracked between consecutive solved points by the minimal-total-
-    distance assignment, then ordered by (re, im) at the first solved point.
-    A step skips the solver where every eigenvalue's nearest neighbour at
-    the next point is a different one, nearer than its runner-up by more
-    than 1e-9 of the step's largest distance: that matching reaches the sum
-    of the row minima, a lower bound of every assignment, which every other
-    matching exceeds, so it is the solver's answer.  Other steps call the
-    solver on the previous point's branch order, whose row order breaks
-    ties.  FloatingPointError names a step whose distances overflow.
-
-    EP candidates (`_turns`) need no threshold: a pair's squared difference
-    s = (lambda_a - lambda_b)**2 is analytic with a simple zero at an EP2,
-    and changes sign where a real pair of a real matrix turns conjugate.  A
-    crossing only touches zero, and an avoided crossing stays away from it.
-    An EP at the first or last solved point has no step across it.
-    """
-    stack = np.asarray(stack)
-    blocks = _blocks(stack)
-    values, good, failures = _eigvals_each(stack, blocks)
-    if not good:
-        raise RuntimeError("eigensolve failed at every grid point")
-
-    parts, candidates = [], set()
-    for part in np.split(values, np.cumsum([len(b) for b in blocks])[:-1], axis=1):
-        parts.append(np.take_along_axis(part, _track(part, good), axis=1))
-        candidates |= _turns(parts[-1], good)
+    point, as (branches (d, n), ep_candidates, failures): `_census`'s
+    branches ordered by (re, im) at the first solved point, NaN at failed
+    points, the points of its turns (none at the first or last solved
+    point), and its (point index, message) failures."""
+    _, parts, turns, good, failures = _census(np.asarray(stack))
     tracked = np.hstack(parts)
     tracked = tracked[:, np.lexsort((tracked[0].imag, tracked[0].real))]
-    branches = np.full((values.shape[1], len(stack)), np.nan + 1j * np.nan,
+    branches = np.full((tracked.shape[1], len(stack)), np.nan + 1j * np.nan,
                        dtype=complex)
     branches[:, good] = tracked.T
+    candidates = {point for block in turns for point, _ in block}
     return branches, tuple(sorted(candidates)), tuple(failures)
+
+
+def _census(stack):
+    """The tracked eigenvalues of an (n, d, d) stack of matrices, one per
+    grid point, and the turns of their pairs, block by block: (blocks,
+    parts, turns, good, failures), parts[b] holding block b's branches at
+    the solved points `good` and turns[b] their `_turns`.  Each block that
+    the matrices share (`_blocks`, from exact zeros) is solved by one
+    batched eigensolve, a one-block stack as it is; should it raise, each
+    matrix is solved alone, and one that raises in any block is a (point
+    index, message) failure (RuntimeError if all are).
+
+    Each block is tracked between consecutive solved points by the
+    minimal-total-distance assignment.  A step skips the solver where every
+    eigenvalue's nearest neighbour at the next point is a different one,
+    nearer than its runner-up by more than 1e-9 of the step's largest
+    distance: that matching reaches the sum of the row minima, a lower
+    bound of every assignment that every other matching exceeds.  Other
+    steps call the solver on the previous point's branch order, whose row
+    order breaks ties.  FloatingPointError names a step whose distances
+    overflow.  Turns need no threshold: a pair's s is analytic with a
+    simple zero at an EP2, where a real pair of a real matrix turns
+    conjugate; a resonant generator's persistent doubles pair with nothing,
+    having one member in each block.
+    """
+    blocks = _blocks(stack)
+    subs = [stack if len(b) == stack.shape[-1] else stack[:, b][:, :, b]
+            for b in blocks]
+    try:
+        values = np.hstack([linalg.eigvals(sub) for sub in subs])
+        good, failures = list(range(len(stack))), []
+    except (ValueError, np.linalg.LinAlgError):
+        values, good, failures = [], [], []
+        for k in range(len(stack)):
+            try:
+                values.append(np.hstack([linalg.eigvals(sub[k]) for sub in subs]))
+                good.append(k)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                failures.append((k, f"{type(exc).__name__}: {exc}"))
+        values = np.array(values)
+    if not good:
+        raise RuntimeError("eigensolve failed at every grid point")
+    parts = [np.take_along_axis(part, _track(part, good), axis=1) for part in
+             np.split(values, np.cumsum([len(b) for b in blocks])[:-1], axis=1)]
+    return blocks, parts, [_turns(part, good) for part in parts], good, failures
 
 
 def _blocks(stack):
@@ -414,7 +427,7 @@ def _track(values, points):
     branches: branch b at point k is values[k, order[k, b]], and the first
     row keeps its order.  A clear step follows the nearest neighbours, every
     other step calls `_assign`, the in-package port of SciPy's solver (see
-    `sweep`).  `sweep` tracks each block on its own.  `points` holds the
+    `_census`, which tracks each block on its own).  `points` holds the
     rows' grid indices, for the error of a step whose distances are not
     finite."""
     nearest, unique = _unique_nearest(values)
@@ -463,56 +476,20 @@ def _unique_nearest(values):
 
 
 def _turns(branches, points):
-    """The grid points of `points` nearest a zero of some pair's s =
-    (branches[:, a] - branches[:, b])**2, branches (points, n): for each step
-    across which s turns by more than a right angle, Re(s_k conj(s_k+1)) < 0,
-    the end with the smaller |s|, the earlier at a tie."""
-    found = set()
+    """The zeros of each pair's s = (branches[:, a] - branches[:, b])**2,
+    branches (len(points), n), pair by pair and then step by step: for each
+    step where s turns by more than a right angle, Re(s_k conj(s_k+1)) < 0,
+    (the entry of `points`, the pair's mean) at its end with the smaller |s|,
+    the earlier at a tie."""
+    found = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(branches.shape[1] - 1):
             s = np.square(branches[:, k + 1:] - branches[:, k:k + 1])
-            step, pair = np.nonzero((s[:-1] * s[1:].conj()).real < 0.0)
-            later = np.abs(s[step + 1, pair]) < np.abs(s[step, pair])
-            found.update(np.asarray(points)[step + later].tolist())
+            pair, step = np.nonzero(((s[:-1] * s[1:].conj()).real < 0.0).T)
+            row = step + (np.abs(s[step + 1, pair]) < np.abs(s[step, pair]))
+            mean = 0.5 * (branches[row, k] + branches[row, k + 1 + pair])
+            found += zip(np.asarray(points)[row].tolist(), mean.tolist())
     return found
-
-
-def _eigvals_each(stack, blocks):
-    """Eigenvalues of the matrices of a stack that solve, one batched solve
-    per block: (values, good, failures), values[k] holding matrix good[k]'s,
-    block after block.  Should a batched solve raise, each matrix is solved
-    on its own, and one whose solve raises in any block comes back as one
-    (position, message) failure."""
-    subs = [stack if len(b) == stack.shape[-1] else stack[:, b][:, :, b]
-            for b in blocks]
-    try:
-        values = np.hstack([linalg.eigvals(sub) for sub in subs])
-        return values, list(range(len(values))), []
-    except (ValueError, np.linalg.LinAlgError):
-        pass
-    values, good, failed = [], [], []
-    for k in range(len(stack)):
-        try:
-            values.append(np.hstack([linalg.eigvals(sub[k]) for sub in subs]))
-            good.append(k)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            failed.append((k, f"{type(exc).__name__}: {exc}"))
-    return np.array(values), good, failed
-
-
-def _gap_sums(values, target_mult):
-    """Per eigenvalue, the sum of its (m-1) nearest-neighbour gaps, over the
-    last axis of `values`, a spectrum or a stack of them.
-
-    The least of these, the gap objective, vanishes only where m eigenvalues
-    genuinely meet.  Summing the smallest pairwise gaps globally would not:
-    spectra with persistent exact doubles (the jump-free superoperator has
-    three of them at every parameter value) keep that sum at rounding level
-    everywhere.
-    """
-    dist = np.sort(np.abs(values[..., :, None] - values[..., None, :]), axis=-1)
-    # column 0 is the zero self-distance
-    return dist[..., 1:target_mult].sum(axis=-1)
 
 
 def _nearest(values, centre, count):
@@ -523,91 +500,85 @@ def find_ep(build, box, target_mult, base: ModelParams):
     """Locate and certify parameter-space degeneracies of a given multiplicity.
 
     `build(base, points)` is a stack builder such as superop.Generator's
-    `matrices`.  `box` maps one or two ModelParams field names to (lo, hi)
-    ranges whose corners model.check_box accepts; 2 <= target_mult m <= the
-    matrix dimension.  A coarse grid, 65 points per axis in one dimension
-    and 33 in two, is built in one call and scored by the gap objective: the
-    smallest sum of the m-1 nearest-neighbour gaps from any one eigenvalue.
-    Each local minimum seeds one bounded least-squares solve, one point per
-    build call, on the centred power sums p_k = sum((lambda_i - mu) / tau)**k,
-    k = 2..m, of the m eigenvalues nearest the seed's cluster centre (the
-    mean of the m eigenvalues nearest the seed's least-gap eigenvalue), with
-    mu their mean.  Those sums are analytic in the parameters and vanish
-    together exactly where the m eigenvalues coalesce.  The unit tau is the
-    certification threshold, 200 eps**(1/m) times the spectral scale;
-    solutions whose gap objective falls below it are passed to
-    detect_degeneracy, whose reports alone get ModelParams.  The threshold
-    scales as eps**(1/m) because an order-m coalescence responds to parameter
-    perturbations with the m-th root, so even at float-exact parameters the
-    eigenvalue spread cannot drop below roughly (eps * scale)**(1/m).
+    `matrices`; `box` maps one or two ModelParams fields to (lo, hi) ranges
+    whose corners model.check_box accepts; 2 <= target_mult m <= the matrix
+    dimension.  `_census` analyses the coarse lines, built in one call: the
+    box at 65 points in one dimension, its four edges at 33 in two.  Each
+    turn in a block of at least m eigenvalues, in the order of the coarse
+    spread of the block's m eigenvalues nearest the pair's mean, seeds one
+    bounded least-squares solve (one point per build call) on their centred
+    power sums p_k = sum((lambda_i - mu) / tau)**k, k = 2..m, all zero
+    exactly where they coalesce; a seed whose spread reaches a cluster
+    already reported from the pair's mean is skipped.  tau is 200
+    eps**(1/m) (an order-m cluster scatters like an m-th root) times the
+    largest coarse spectral diameter.  A new solution whose m eigenvalues'
+    least gap sum s from one of them is below tau reports, with its
+    ModelParams, the whole matrix's cluster of algebraic multiplicity >= m
+    nearest them, linked by detect_degeneracy within 3 s as well.
     """
     import scipy.optimize
 
     names = list(box)
     if not 1 <= len(names) <= 2:
         raise ValueError("box must constrain one or two parameters")
-    n_axis = 65 if len(names) == 1 else 33
     los, his = np.array(list(box.values()), dtype=float).T
     if np.any(his <= los):
         raise ValueError("empty box")
     check_box(base, box)
 
-    def matrix_at(x):
-        return build(base, dict(zip(names, x.tolist())))[0]
-
-    axes = [np.linspace(lo, hi, n_axis) for lo, hi in zip(los, his)]
-    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    if len(names) == 1:
+        lines = [np.linspace(los, his, 65)]
+    else:
+        ax, ay = (np.linspace(lo, hi, 33) for lo, hi in zip(los, his))
+        lines = ([np.column_stack([np.full(33, x), ay]) for x in (los[0], his[0])]
+                 + [np.column_stack([ax, np.full(33, y)]) for y in (los[1], his[1])])
+    pts = np.concatenate(lines)
     coarse = build(base, dict(zip(names, pts.T)))
     if not 2 <= target_mult <= coarse.shape[-1]:
         raise ValueError(f"target_mult must be between 2 and the matrix dimension "
                          f"{coarse.shape[-1]}")
-    coarse_vals = linalg.eigvals(coarse)
-    scale = max(spectral_diameter(v) for v in coarse_vals)
-    if scale == 0.0:
-        scale = 1.0
-    coarse_sums = _gap_sums(coarse_vals, target_mult)
+
+    seeds, scale = [], 0.0
+    for line in np.split(np.arange(len(pts)), len(lines)):
+        blocks, parts, turns, _, failures = _census(coarse[line])
+        if failures:
+            raise FloatingPointError(f"coarse point {pts[line[failures[0][0]]]} "
+                                     f"failed: {failures[0][1]}")
+        scale = max(scale, *map(spectral_diameter, np.hstack(parts)))
+        for block, part, block_turns in zip(blocks, parts, turns):
+            for k, mean in block_turns if len(block) >= target_mult else ():
+                z = _nearest(part[k], mean, target_mult)
+                seeds.append((np.abs(z - z.mean()).max(), mean, block, pts[line[k]]))
     threshold = 200.0 * np.finfo(float).eps ** (1.0 / target_mult) * scale
 
-    def power_sums(x, centre):
-        z = _nearest(linalg.eigvals(matrix_at(x)), centre, target_mult)
+    def cluster_at(x, centre, block):
+        a = build(base, dict(zip(names, x.tolist())))[0]
+        return a, _nearest(linalg.eigvals(a[np.ix_(block, block)]), centre, target_mult)
+
+    def power_sums(x, centre, block):
+        z = cluster_at(x, centre, block)[1]
         z = (z - z.mean()) / threshold
         p = np.array([np.sum(z ** k) for k in range(2, target_mult + 1)])
         return np.concatenate([p.real, p.imag])
 
-    # seeds: local minima of the coarse landscape (grid-graph neighborhood),
-    # each point against its neighbours along every axis; the +inf border
-    # stands in for the neighbours past the box's edges
-    s_grid = coarse_sums.min(axis=-1).reshape((n_axis,) * len(names))
-    padded = np.pad(s_grid, 1, constant_values=np.inf)
-    is_min = np.ones(s_grid.shape, dtype=bool)
-    for axis in range(s_grid.ndim):
-        for step in (-1, 1):
-            nb = [slice(1, -1)] * s_grid.ndim
-            nb[axis] = slice(1 + step, n_axis + 1 + step)
-            is_min &= ~(padded[tuple(nb)] < s_grid)
-    seeds = np.flatnonzero(is_min)
-
     found, reports = [], []
-    widths = his - los
-    for k in seeds:
-        values = coarse_vals[k]
-        least = values[np.argmin(coarse_sums[k])]
-        centre = _nearest(values, least, target_mult).mean()
-        x = scipy.optimize.least_squares(power_sums, pts[k], bounds=(los, his),
-                                         args=(centre,)).x
-        a = matrix_at(x)
-        s_min = _gap_sums(linalg.eigvals(a), target_mult).min()
-        if s_min >= threshold:
-            continue
-        if any(np.max(np.abs(x - f) / widths) < 1e-4 for f in found):
-            continue  # duplicate basin
+    for spread, centre, block, seed in sorted(seeds, key=lambda s: s[0]):
+        if any(abs(r.cluster_value - centre) <= spread for r in reports):
+            continue  # a cluster already reported
+        x = scipy.optimize.least_squares(power_sums, seed, bounds=(los, his),
+                                         args=(centre, block)).x
+        a, z = cluster_at(x, centre, block)
+        s_min = np.abs(z[:, None] - z).sum(axis=1).min()
+        if s_min >= threshold or any(np.max(np.abs(x - f) / (his - los)) < 1e-4
+                                     for f in found):
+            continue  # not certified, or a duplicate basin
         found.append(x)
-        p = base.replace(**dict(zip(names, x.tolist())))
-        # the solution need not sit on the coalescence, so pairs within
-        # the spread measured there are linked as well
-        reports += [dataclasses.replace(rep, params=p) for rep in
-                    detect_degeneracy(a, tol_cluster=3.0 * s_min)[1]
-                    if rep.algebraic_mult >= target_mult]
+        clusters = [r for r in detect_degeneracy(a, tol_cluster=3.0 * s_min)[1]
+                    if r.algebraic_mult >= target_mult]
+        if clusters:
+            rep = min(clusters, key=lambda r: abs(r.cluster_value - z.mean()))
+            p = base.replace(**dict(zip(names, x.tolist())))
+            reports.append(dataclasses.replace(rep, params=p))
     return reports
 
 

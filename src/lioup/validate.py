@@ -407,10 +407,24 @@ def criterion_12():
         worst <= 1e-8, f"worst relative mismatch {worst:.3e}")]
 
 
+def criterion_13():
+    """Quantum jumps move the pair EP of the jump-coupled eigenvalues to J*(q)."""
+    ok, got = True, []
+    for q in (0.1, 0.5, 1.0):
+        j_star = analytic.jump_coupled_ep(OMEGA_REF, q)
+        reps = spectra.find_ep(superop.generator("eff3").matrices, {"j": (1.0, 20.0)},
+                               2, _eff3_params(OMEGA_REF, 10.0, q=q))
+        ok &= (len(reps) == 1 and reps[0].kind == "exceptional"
+               and abs(reps[0].params.j - j_star) <= 1e-6 * j_star)
+        got.append((q, round(j_star, 6), [(r.kind, round(r.params.j, 6)) for r in reps]))
+    return [_result("13a", "one exceptional superoperator pair in J <= 20, at J*(q) "
+                    "rel 1e-6, for q = 0.1, 0.5, 1", ok, f"(q, J*, reports): {got}")]
+
+
 CRITERIA = (
     criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
     criterion_6, criterion_7, criterion_8, criterion_9, criterion_10,
-    criterion_11, criterion_12,
+    criterion_11, criterion_12, criterion_13,
 )
 
 

@@ -547,7 +547,8 @@ class TestSweep:
     def test_turns_match_every_pair_and_step(self, rng):
         # a real pair that becomes a conjugate pair: s = 4 (t + 0.011) changes
         # sign between t[148] = -0.0133 and t[149] = -0.0067, and t[148] is
-        # nearer its zero; an exact repeat and steady branches flag nothing
+        # nearer its zero; an exact repeat and steady branches flag nothing;
+        # the pair's mean there is 0.3
         t = np.linspace(-1.0, 1.0, 301)
         points = np.sort(rng.choice(1000, size=301, replace=False))
         values = np.empty((301, 7), dtype=complex)
@@ -555,21 +556,25 @@ class TestSweep:
         values[40:90, 4] = values[40:90, 2]
         values[:, 5] = 0.3 + np.sqrt(t + 0.011 + 0j)
         values[:, 6] = 0.3 - np.sqrt(t + 0.011 + 0j)
-        assert spectra._turns(values, points) == {int(points[148])}
+        assert spectra._turns(values, points) == [(int(points[148]), 0.3 + 0j)]
         # brute force over the pairs and steps, on random branches with that
-        # pair and repeat, and rows whose order is permuted
+        # pair and repeat, and rows whose order is permuted: each turn once,
+        # pair by pair and then step by step, with the pair's mean at the
+        # flagged end
         values[:, :5] = rng.normal(size=(301, 5)) + 1j * rng.normal(size=(301, 5))
         values[40:90, 4] = values[40:90, 2]
         for k in range(0, 301, 60):
             values[k] = values[k, rng.permutation(7)]
-        want = set()
+        want = []
         for a in range(7):
             for b in range(a + 1, 7):
                 s = np.square(values[:, a] - values[:, b]).tolist()
                 for k in range(300):
                     if (s[k] * s[k + 1].conjugate()).real < 0.0:
-                        want.add(int(points[k + (abs(s[k + 1]) < abs(s[k]))]))
-        assert int(points[148]) in want
+                        row = k + (abs(s[k + 1]) < abs(s[k]))
+                        mean = complex(values[row, a] + values[row, b]) / 2.0
+                        want.append((int(points[row]), mean))
+        assert (int(points[148]), 0.3 + 0j) in want
         assert spectra._turns(values, points) == want
 
     @pytest.mark.parametrize("q,lo,hi", [
@@ -724,14 +729,18 @@ class TestFindEp:
         # the README's find-ep example: 65 coarse-grid points
         (superop.generator("eff3").operators, {"j": (15.0, 30.0)}, 2,
          ModelParams(omega=30.0, j=10.0, q=0.0), 200),
-        # criterion 5's box: 33 x 33 coarse-grid points
+        # criterion 5's box: its four edges, 33 points each
         (superop.generator("eff3").operators,
          {"j": (20.0, 26.0), "delta_rf": (9.0, 14.0)}, 3,
          ModelParams(omega=30.0, j=23.0, delta_rf=11.0, q=0.0), 3000),
-    ], ids=["readme", "criterion-5"])
+        # the hybrid EP at J*(0.5) = 10.086179: one solve, not one per seed
+        # on the persistent doubles
+        (superop.generator("eff3").matrices, {"j": (5.0, 15.0)}, 2,
+         ModelParams(omega=30.0, j=10.0, q=0.5), 100),
+    ], ids=["readme", "criterion-5", "hybrid"])
     def test_builder_calls_stay_near_the_coarse_grid(self, build, box, target,
                                                      base, limit):
-        # counts the matrices built: the coarse grid in one call, then one
+        # counts the matrices built: the coarse lines in one call, then one
         # point per call
         sizes = []
 
@@ -741,7 +750,7 @@ class TestFindEp:
             return stack
 
         assert find_ep(counted, box, target, base)
-        assert sizes[0] == (65 if len(box) == 1 else 33 * 33)
+        assert sizes[0] == (65 if len(box) == 1 else 4 * 33)
         assert set(sizes[1:]) == {1}
         assert sum(sizes) <= limit
 
@@ -757,12 +766,47 @@ class TestFindEp:
         assert reps
         assert inconsistent_reports(reps) == []
 
+    @pytest.mark.parametrize("name,level,params,box,want", [
+        # the README box as full4: no pair at the box edge J = 15, whose
+        # eigenvalues are 8.79 apart
+        ("full4", "operators", dict(omega=30.0, j=10.0, q=1.0, gamma_sp=3.581e7),
+         {"j": (15.0, 30.0)}, ("exceptional", (2,), -30j, 30.0 / math.sqrt(2.0))),
+        # the README box at superoperator level: the pair EP at -omega, once,
+        # and none of the doubles that persist over the whole box
+        ("eff3", "matrices", dict(omega=30.0, j=10.0, q=1.0),
+         {"j": (15.0, 30.0)}, ("hybrid", (2, 2), -30.0, 30.0 / math.sqrt(2.0))),
+        # J*(0.5) = 10.086179: the hybrid EP moves through it at q = 0.5
+        ("eff3", "matrices", dict(omega=30.0, j=10.086179),
+         {"q": (0.2, 0.8)}, ("exceptional", (2,), -77.27413, 0.5)),
+    ], ids=["full4-operator", "eff3-superoperator", "q-box"])
+    def test_one_report_per_ep(self, name, level, params, box, want):
+        kind, partition, value, location = want
+        build = getattr(superop.generator(name), level)
+        [rep] = find_ep(build, box, 2, ModelParams(**params))
+        assert (rep.kind, rep.partition) == (kind, partition)
+        assert abs(rep.cluster_value - value) < 1e-3
+        [field] = box
+        assert getattr(rep.params, field) == pytest.approx(location, abs=1e-4)
+
     def test_box_outside_the_model_domain_raises(self):
         # the corners are checked before any matrix is built: j must be
         # non-negative
         base = ModelParams(omega=30.0, j=20.0, q=0.0)
         with pytest.raises(ValueError, match="j must be non-negative"):
             find_ep(superop.generator("eff3").operators, {"j": (-5.0, 5.0)}, 2, base)
+
+    def test_failed_coarse_point_is_named(self):
+        # find-ep has no failures channel, so a coarse point whose eigensolve
+        # raises stops the search and is named
+        def build(base, points):
+            stack = stacked(tuned)(base, points)
+            stack[len(stack) // 2, 0, 0] = np.nan
+            return stack
+
+        base = ModelParams(omega=30.0, j=20.0, q=0.0)
+        with pytest.raises(FloatingPointError,
+                           match=r"coarse point \[22\.5\] failed: ValueError"):
+            find_ep(build, {"j": (15.0, 30.0)}, 2, base)
 
     def test_empty_box_is_not_an_error(self):
         base = ModelParams(omega=30.0, j=20.0, delta_rf=14.0, q=0.0)
@@ -771,14 +815,12 @@ class TestFindEp:
 
     def test_all_zero_spectrum_falls_back_to_unit_scale(self):
         # without optical drive delta_opt changes nothing and H_nh = 0 on the
-        # whole box: the spectral scale is 0, and the unit fallback keeps the
-        # certification threshold positive, so the zero cluster is reported
+        # whole box: a degeneracy present on the whole box has no turn and no
+        # location, as with the persistent doubles of a sweep
         gen = superop.generator("eff3")
         base = ModelParams(omega=0.0, j=0.0, q=0.0)
         reps = find_ep(gen.operators, {"delta_opt": (-1.0, 1.0)}, 2, base)
-        assert reps
-        assert all((r.kind, r.algebraic_mult, r.cluster_value) == ("diabolical", 3, 0)
-                   for r in reps)
+        assert reps == []
 
     def test_box_validation(self):
         base = ModelParams(omega=30.0, j=20.0)
