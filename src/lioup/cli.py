@@ -149,22 +149,6 @@ def _integer(blk, key, path):
     return v
 
 
-def _level(blk, path):
-    """The block's `level`: "superoperator" (the default) or "operator"."""
-    level = blk.get("level", "superoperator")
-    if level not in ("superoperator", "operator"):
-        raise SchemaError(f"'{path}.level' must be 'superoperator' or 'operator'")
-    return level
-
-
-def _check_box(p, box, path):
-    """Raise a config error unless model.check_box(p, box) passes."""
-    try:
-        model.check_box(p, box)
-    except ValueError as exc:
-        raise SchemaError(f"'{path}' has {exc}") from exc
-
-
 def load_config(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -194,6 +178,26 @@ def params_from_config(cfg):
         return model.ModelParams(**raw)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"invalid 'config.params': {exc}") from exc
+
+
+def _search_space(cfg, name, box, box_path, q_key):
+    """(params, generator, level, builder) of the `name` block, whose level
+    is "superoperator" (the default) or "operator".  The block varies the
+    fields of `box`, a map of fields to (lo, hi) set at `box_path`, and q,
+    if among them, at `q_key`; the params must be valid at every corner."""
+    level = cfg[name].get("level", "superoperator")
+    if level not in ("superoperator", "operator"):
+        raise SchemaError(f"'config.{name}.level' must be 'superoperator' or 'operator'")
+    if level == "operator" and "q" in box:
+        raise SchemaError(f"'{q_key}' cannot vary q at operator level: H_nh "
+                          "does not depend on q")
+    p = params_from_config(cfg)
+    try:
+        model.check_box(p, box)
+    except ValueError as exc:
+        raise SchemaError(f"'{box_path}' has {exc}") from exc
+    gen = superop.generator(cfg["model"])
+    return p, gen, level, gen.operators if level == "operator" else gen.matrices
 
 
 def _metadata(cfg):
@@ -285,16 +289,9 @@ def cmd_sweep(cfg, out_path):
     points = _integer(blk, "points", "config.sweep")
     if stop <= start:
         raise SchemaError("'config.sweep.stop' must exceed start")
-    level = _level(blk, "config.sweep")
-    if level == "operator" and parameter == "q":
-        raise SchemaError("'config.sweep.parameter' cannot be 'q' at operator "
-                          "level: H_nh does not depend on q")
-
-    p = params_from_config(cfg)
-    _check_box(p, {parameter: (start, stop)}, "config.sweep")
+    p, _, _, build = _search_space(cfg, "sweep", {parameter: (start, stop)},
+                                   "config.sweep", "config.sweep.parameter")
     grid = np.linspace(start, stop, points)
-    gen = superop.generator(cfg["model"])
-    build = gen.operators if level == "operator" else gen.matrices
     branches, candidates, failures = spectra.sweep(build(p, {parameter: grid}))
 
     nb = branches.shape[0]
@@ -335,19 +332,12 @@ def cmd_find_ep(cfg, out_path):
         if box[key][1] <= box[key][0]:
             raise SchemaError(f"'config.findep.box.{key}' must have lo < hi")
     target = _integer(blk, "target_mult", "config.findep")
-    level = _level(blk, "config.findep")
-    if level == "operator" and "q" in box:
-        raise SchemaError("'config.findep.box.q' is not searchable at operator "
-                          "level: H_nh does not depend on q")
-
-    p = params_from_config(cfg)
-    _check_box(p, box, "config.findep.box")
-    gen = superop.generator(cfg["model"])
+    p, gen, level, build = _search_space(cfg, "findep", box, "config.findep.box",
+                                         "config.findep.box.q")
     dim = gen.form.dim if level == "operator" else gen.form.dim ** 2
     if target > dim:
         raise SchemaError(f"'config.findep.target_mult' must be at most {dim}, "
                           f"the dimension at {level} level")
-    build = gen.operators if level == "operator" else gen.matrices
     reports = spectra.find_ep(build, box, target, p)
     doc = {"metadata": _metadata(cfg),
            "reports": [_report_json(r) for r in reports]}

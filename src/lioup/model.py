@@ -68,10 +68,7 @@ class ModelParams:
         if self.omega is None and self.omega_r is None:
             raise ValueError("provide omega or omega_r")
         if self.omega_r is not None:
-            try:
-                from_r = self.omega_r ** 2 / self.gamma_sp
-            except OverflowError:  # float ** raises where * gives inf
-                raise ValueError("omega_r**2 / gamma_sp is not finite") from None
+            from_r = self.omega_r * self.omega_r / self.gamma_sp
         if self.omega is None:
             object.__setattr__(self, "omega", from_r)
         elif self.omega_r is None:
@@ -251,8 +248,8 @@ def _warn_unless_fast_decay(v):
         )
 
 
-def _check_excited_nhh(h_e):
-    if abs(h_e) < 1e-300:
+def _check_excited_nhh(abs_h_e):
+    if abs_h_e < 1e-300:
         raise ValueError("excited-state NHH is singular (gamma_sp = delta_opt = 0)")
 
 
@@ -283,7 +280,7 @@ def reduce_effective(sys4: LindbladSystem, p: ModelParams) -> LindbladSystem:
     g_e = sum((op.conj().T @ op for op in spont),
               np.zeros((sys4.dim, sys4.dim), dtype=complex))[ngr:, ngr:]
     h_enh = h_e - 0.5j * g_e
-    _check_excited_nhh(h_enh[0, 0])
+    _check_excited_nhh(abs(h_enh[0, 0]))
     h_enh_inv = np.linalg.inv(h_enh)
 
     h_eff = h_g - 0.5 * (v_minus @ (h_enh_inv + h_enh_inv.conj().T) @ v_plus)
@@ -325,10 +322,12 @@ class LinearForm:
 
         `points` maps one or two fields to numbers or to equal-length 1-D
         arrays: one row per array entry, else the one row at p.  omega and
-        omega_r re-derive each other as in ModelParams.replace, and each row
-        has the bits of the row at the ModelParams it stands for.  No value
-        is validated (see `check_box`); the eff3 fast-decay warning and the
-        singular excited-NHH error run once over all the points.
+        omega_r re-derive each other as in ModelParams.replace, omega =
+        omega_r * omega_r / gamma_sp.  Each coefficient is one closed-form
+        expression that numbers and arrays evaluate alike, so each row has
+        the bits of the row at the ModelParams it stands for.  No value is
+        validated (see `check_box`); the eff3 fast-decay warning and the
+        coefficient range checks run once over all the points.
         """
         v, points, n = dict(vars(p)), points or {}, None
         for field, x in points.items():
@@ -344,31 +343,11 @@ class LinearForm:
         if "omega" in points and "omega_r" not in points:
             v["omega_r"] = np.sqrt(v["omega"] * v["gamma_sp"])
         elif "omega_r" in points and "omega" not in points:
-            v["omega"] = _pointwise(_square, v["omega_r"]) / v["gamma_sp"]
+            v["omega"] = v["omega_r"] * v["omega_r"] / v["gamma_sp"]
         cols = self.columns(v)
         if n is None:
             return np.array([cols], dtype=float)
         return np.column_stack(np.broadcast_arrays(*cols))
-
-
-def _pointwise(fn, *args):
-    """fn at each point of its broadcast arguments, on Python numbers.
-
-    For what NumPy rounds differently from Python: `x ** 2` is the C
-    library's pow, not NumPy's x * x (about one square in a thousand
-    differs), and CPython's complex division scales by the larger part and
-    divides, where NumPy's multiplies by a reciprocal.  Scalar arguments
-    give fn(*args) itself.
-    """
-    if not any([isinstance(a, np.ndarray) for a in args]):
-        return fn(*args)
-    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-    points = zip(*(np.broadcast_to(a, shape).tolist() for a in args))
-    return np.array([fn(*x) for x in points])
-
-
-def _square(x):
-    return x ** 2
 
 
 def _full4_columns(v):
@@ -381,29 +360,29 @@ def _full4_columns(v):
 def _eff3_columns(v):
     # reduce_effective on build_full4_rwa: the excited state has the scalar
     # NHH h_e = -delta_opt - i gamma_sp / 2 and couples to |1,0> through
-    # -omega_r, so h_eff = h_g - omega_r^2 Re(1/h_e) |1,0><1,0| and every
-    # reduced jump is sqrt(gamma_sp) omega_r / h_e times a fixed matrix
+    # -omega_r, so h_eff = h_g + shift |1,0><1,0| and the reduced jumps are
+    # sqrt(gamma_sp) omega_r / h_e times fixed matrices whose L^dag L sum to
+    # rate |1,0><1,0|, with shift = omega_r^2 delta_opt / |h_e|^2 and rate =
+    # gamma_sp omega_r^2 / |h_e|^2
     _warn_unless_fast_decay(v)
-    shift, rate = np.transpose(_pointwise(_shift_and_rate, v["omega_r"],
-                                          v["delta_opt"], v["gamma_sp"]))
+    omega_r, delta_opt, gamma_sp = v["omega_r"], v["delta_opt"], v["gamma_sp"]
+    with np.errstate(over="ignore"):  # inf, as on Python floats; |h_e|^2 is checked
+        abs_square = delta_opt * delta_opt + (0.5 * gamma_sp) * (0.5 * gamma_sp)
+        ok = np.ravel((abs_square > 0.0) & (abs_square < math.inf))
+        if not ok.all():
+            # the first point where |h_e|^2 leaves float range; a singular
+            # excited NHH, |h_e| < 1e-300, is one
+            d, g, a = (np.broadcast_to(x, ok.shape)[ok.argmin()]
+                       for x in (delta_opt, gamma_sp, abs_square))
+            _check_excited_nhh(math.hypot(d, 0.5 * g))
+            raise ArithmeticError(
+                "the eff3 decay rate gamma_sp omega_r^2 / |h_e|^2 leaves float "
+                f"range: |h_e|^2 rounds to {a:g} at delta_opt = {d:.6g}, "
+                f"gamma_sp = {g:.6g}")
+        shift = omega_r * omega_r * delta_opt / abs_square
+        rate = gamma_sp * (omega_r * omega_r) / abs_square
     return (v["delta_rf"], v["j"], shift, rate, v["q"] * rate,
             v["gamma_g"], v["q"] * v["gamma_g"])
-
-
-def _shift_and_rate(omega_r, delta_opt, gamma_sp):
-    # the ground shift -omega_r^2 Re(1/h_e) and the reduced decay rate
-    # gamma_sp omega_r^2 / |h_e|^2 at one point
-    omega_r2 = omega_r ** 2
-    h_e = complex(-delta_opt, -0.5 * gamma_sp)
-    _check_excited_nhh(h_e)
-    try:
-        abs_square = abs(h_e) ** 2
-    except OverflowError as exc:
-        raise OverflowError(
-            "the eff3 decay rate gamma_sp omega_r^2 / |h_e|^2 overflows: "
-            f"|h_e|^2 is beyond float range at delta_opt = {delta_opt:.6g}, "
-            f"gamma_sp = {gamma_sp:.6g}") from exc
-    return -omega_r2 * (1.0 / h_e).real, gamma_sp * omega_r2 / abs_square
 
 
 # Probe values are powers of two small enough against gamma_sp = 1 that the

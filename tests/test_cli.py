@@ -664,6 +664,10 @@ class TestSchemaValidation:
         assert "config.params" in capsys.readouterr().err
 
 
+TINY_GAMMA = {"omega": 30.0, "j": 10.0, "gamma_sp": 1e-200}
+SLOW_DECAY = pytest.mark.filterwarnings("ignore:effective reduction assumes")
+
+
 class TestExitCodes:
     def test_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -681,10 +685,20 @@ class TestExitCodes:
                                 "target_mult": 2}}),
         ("sweep", {"sweep": {"parameter": "delta_opt", "start": 0.0,
                              "stop": 1e200, "points": 5}}),
+        # |h_e|^2 = delta_opt^2 + gamma_sp^2 / 4 underflows to 0 while |h_e|
+        # is not yet singular; gamma_sp this small also warns of slow decay
+        pytest.param("spectrum", {"params": TINY_GAMMA}, marks=SLOW_DECAY),
+        pytest.param("sweep", {"params": TINY_GAMMA, "sweep": {
+            "parameter": "j", "start": 0.0, "stop": 10.0, "points": 5}},
+            marks=SLOW_DECAY),
+        pytest.param("sweep", {"params": TINY_GAMMA, "sweep": {
+            "parameter": "delta_opt", "start": -1e-200, "stop": 1e-200, "points": 5}},
+            marks=SLOW_DECAY),
     ])
     def test_coefficient_overflow_exits_3(self, tmp_path, capsys, command, blk):
         # valid params whose eff3 coefficients leave float range; the
-        # message names the coefficient and where it overflowed
+        # message names the coefficient and the first point where |h_e|^2
+        # over- or underflows
         assert run([command, "--config", write_config(tmp_path, {**BASE, **blk})]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1

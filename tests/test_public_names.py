@@ -1,5 +1,5 @@
-"""Every public top-level name of the package, and every public method of
-its top-level classes, has a caller outside the tests.
+"""Every top-level name of the package, public or private, and every public
+method of its top-level classes, has a caller outside the tests.
 
 The sources of `src/lioup` and `perfbench` are parsed, not imported.  A name
 counts as referenced when it appears, as a name, an attribute, an imported
@@ -9,7 +9,8 @@ method counts as referenced when its name appears as an attribute, so that
 a string such as a level named "operator" is not a call, in any top-level
 statement or method other than its own definition.  Every field of a
 dataclass is read somewhere in that code, as an attribute or a string
-constant.  Helpers and fields that only tests use belong in the tests.
+constant.  Helpers and fields that only tests use belong in the tests, and
+a private helper that no program code calls is left over from a deletion.
 """
 
 import ast
@@ -42,7 +43,9 @@ def _used(stmt):
     return out
 
 
-def unreferenced_public_names():
+def unreferenced_names(private=False):
+    """The public top-level names of the package, or with `private` those
+    that start with '_', that no other top-level statement references."""
     statements = []  # (module path, statement)
     for path in SOURCES:
         statements += [(path, stmt) for stmt in ast.parse(path.read_text()).body]
@@ -52,7 +55,7 @@ def unreferenced_public_names():
         if path.parent != PACKAGE:
             continue
         for name in sorted(_defined(stmt)):
-            if not name.startswith("_") and not any(
+            if name.startswith("_") == private and not any(
                     name in names for j, names in enumerate(used) if j != k):
                 unused.append(f"{path.stem}.{name}")
     return unused
@@ -85,7 +88,11 @@ def test_sources_found():
 
 
 def test_every_public_name_has_a_program_caller():
-    assert unreferenced_public_names() == []
+    assert unreferenced_names() == []
+
+
+def test_every_private_name_has_a_program_caller():
+    assert unreferenced_names(private=True) == []
 
 
 def test_every_public_method_has_a_program_caller():

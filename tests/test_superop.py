@@ -315,6 +315,23 @@ class TestGenerator:
         assert h_nh.dtype == np.complex128
         assert np.abs(h_nh - sys.h_nh()).max() <= 1e-12 * np.abs(sys.h_nh()).max()
 
+    @pytest.mark.parametrize("gamma_sp", [1.0, 1e3, model.GAMMA_D2])
+    def test_eff3_shift_and_rate_match_the_reduction(self, gamma_sp):
+        # each coefficient against its own size: the bound above is relative
+        # to the largest entry, which a small ground shift lies far below
+        p = ModelParams(omega=0.05 * gamma_sp, gamma_sp=gamma_sp)
+        grid = gamma_sp * np.outer([-1.0, 1.0], np.logspace(-3.0, 3.0, 61)).ravel()
+        rows = model.LINEAR_FORMS["eff3"].coefficients(p, {"delta_opt": grid})
+        for x, (shift, rate) in zip(grid.tolist(), rows[:, 2:4]):
+            at = p.replace(delta_opt=x)
+            sys4 = model.build_full4_rwa(at)
+            sys3 = model.reduce_effective(sys4, at)
+            want_shift = (sys3.hamiltonian[1, 1] - sys4.hamiltonian[1, 1]).real
+            want_rate = sum(np.trace(op.conj().T @ op).real for op in sys3.jumps)
+            assert len(sys3.jumps) == 3
+            assert abs(shift - want_shift) <= 1e-13 * abs(want_shift), x
+            assert abs(rate - want_rate) <= 1e-13 * want_rate, x
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(p=model_params(), name=st.sampled_from(["eff3", "full4"]))
     def test_jump_weight_enters_linearly(self, p, name):
@@ -409,15 +426,15 @@ class TestGenerator:
 
 
 def reference_coefficients(name, p):
-    """The coefficients at one ModelParams, restated in Python's scalar
-    arithmetic: float ** 2 is the C library's pow and 1 / complex is
-    CPython's complex division."""
+    """The coefficients at one ModelParams in IEEE real arithmetic: for eff3
+    the ground shift omega_r^2 delta_opt / |h_e|^2 and the decay rate
+    gamma_sp omega_r^2 / |h_e|^2, with |h_e|^2 = delta_opt^2 + (gamma_sp / 2)^2."""
     if name == "full4":
         return (p.delta_rf, p.j, p.omega_r, p.delta_opt,
                 p.gamma_sp, p.q * p.gamma_sp, p.gamma_g, p.q * p.gamma_g)
-    h_e = complex(-p.delta_opt, -0.5 * p.gamma_sp)
-    shift = -p.omega_r ** 2 * (1.0 / h_e).real
-    rate = p.gamma_sp * p.omega_r ** 2 / abs(h_e) ** 2
+    abs_square = p.delta_opt * p.delta_opt + (0.5 * p.gamma_sp) * (0.5 * p.gamma_sp)
+    shift = p.omega_r * p.omega_r * p.delta_opt / abs_square
+    rate = p.gamma_sp * (p.omega_r * p.omega_r) / abs_square
     return (p.delta_rf, p.j, shift, rate, p.q * rate, p.gamma_g, p.q * p.gamma_g)
 
 
@@ -473,10 +490,9 @@ class TestGrid:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(p=model_params(), seed=st.integers(0, 2 ** 32 - 1))
-    def test_eff3_shift_and_rate_round_as_python_arithmetic(self, p, seed):
-        # |delta_opt| below and above gamma_sp / 2 takes the two branches of
-        # CPython's complex division, which NumPy's rounds differently from;
-        # about one square in a thousand differs between pow and x * x
+    def test_eff3_shift_and_rate_rows_are_the_closed_form(self, p, seed):
+        # |delta_opt| below and above gamma_sp / 2, where either term of
+        # |h_e|^2 dominates, and omega_r of both signs
         rng = np.random.default_rng(seed)
         side = rng.choice([-1.0, 1.0], 100)
         grids = {"delta_opt": p.gamma_sp * np.concatenate([
