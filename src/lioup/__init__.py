@@ -3,4 +3,4 @@ of the driven dissipative alkali-vapor model."""
 
 __version__ = "0.1.0"
 
-from . import angular, linalg, model, spectra, superop  # noqa: F401
+from . import linalg, model, spectra, superop  # noqa: F401

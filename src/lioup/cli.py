@@ -302,7 +302,10 @@ def cmd_sweep(cfg, out_path):
     _emit_metadata(cfg, out_path, extra={
         "branch_provenance": "columns follow the (re, im)-sorted eigenvalues "
                              "at the first solved grid point, each shared "
-                             "block tracked by minimal-total-distance assignment",
+                             "block tracked by minimal-total-distance assignment; "
+                             "a column is one branch only up to its first EP "
+                             "candidate, past which a rounding-level change may "
+                             "swap the labels of the coalescing pair",
         "ep_candidates": [{"index": i, parameter: _fmt(grid[i])}
                           for i in candidates],
         "failures": [{"index": i, parameter: _fmt(grid[i]), "message": msg}

@@ -29,10 +29,9 @@ import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-
-from .angular import HalfInteger, spin_ops, wigner3j
 
 # Excited-state linewidth of the 87Rb D2 line (f=1 -> F=0), the default
 # spontaneous rate when only the reduced Rabi frequency is specified.
@@ -141,16 +140,68 @@ class LindbladSystem:
 
 def _phase_to_i(op):
     # multiply by a unit phase so the first nonzero entry is +i * positive
-    flat = op.ravel()
-    idx = np.flatnonzero(np.abs(flat) > 0)
-    if idx.size == 0:
-        return op
-    c = flat[idx[0]]
-    return op * (1j * abs(c) / c)
+    c = op[op != 0]
+    return op * (1j * abs(c[0]) / c[0]) if c.size else op
+
+
+def _momentum(x):
+    # the one modelled line, f = 1 -> F' = 0, needs only integer momenta
+    if x != int(x):
+        raise ValueError(f"{x!r} is not an integer angular momentum")
+    return int(x)
+
+
+def wigner3j(j1, j2, j3, m1, m2, m3):
+    """Wigner 3j symbol (j1 j2 j3; m1 m2 m3) of integer momenta.
+
+    The Racah sum is exact (integers and fractions), so cancellation in it
+    cannot reach the jump operators; the one rounding is the final float.
+    Selection-rule violations (projection sum, triangle) return 0.0.  A
+    non-integer or negative momentum, or |m| > j, raises ValueError.
+    """
+    j1, j2, j3, m1, m2, m3 = map(_momentum, (j1, j2, j3, m1, m2, m3))
+    if min(j1, j2, j3) < 0:
+        raise ValueError("negative angular momentum")
+    for j, m, name in ((j1, m1, "m1"), (j2, m2, "m2"), (j3, m3, "m3")):
+        if abs(m) > j:
+            raise ValueError(f"projection |{name}| exceeds its angular momentum")
+    if m1 + m2 + m3 != 0 or not abs(j1 - j2) <= j3 <= j1 + j2:
+        return 0.0
+
+    fact = math.factorial
+    delta = Fraction(fact(j1 + j2 - j3) * fact(j1 - j2 + j3) * fact(-j1 + j2 + j3),
+                     fact(j1 + j2 + j3 + 1))
+    pi = math.prod(fact(j + m) * fact(j - m) for j, m in ((j1, m1), (j2, m2), (j3, m3)))
+    total = sum(Fraction((-1) ** t, fact(t) * fact(j1 + j2 - j3 - t)
+                         * fact(j1 - m1 - t) * fact(j2 + m2 - t)
+                         * fact(j3 - j2 + m1 + t) * fact(j3 - j1 - m2 + t))
+                for t in range(max(0, j2 - j3 - m1, j1 - j3 + m2),
+                               min(j1 + j2 - j3, j1 - m1, j2 + m2) + 1))
+    if total == 0:
+        return 0.0
+
+    # value = phase * sign(total) * sqrt(delta * pi * total^2); single rounding
+    phase = -1 if (j1 - j2 - m3) % 2 else 1
+    sign = 1 if total > 0 else -1
+    return phase * sign * math.sqrt(float(delta * pi * total * total))
+
+
+def spin_ops(f):
+    """Standard spin-f matrices (Fx, Fy, Fz) of an integer f in the |f, m>
+    basis, m = f..-f."""
+    f = _momentum(f)
+    if f < 0:
+        raise ValueError("f must be non-negative")
+    ms = np.arange(f, -f - 1, -1.0)
+    # raising |f, m> -> |f, m+1> on the superdiagonal
+    fp = np.diag(np.sqrt(f * (f + 1) - ms[1:] * (ms[1:] + 1)), 1).astype(complex)
+    fm = fp.conj().T
+    return (fp + fm) / 2.0, (fp - fm) / 2.0j, np.diag(ms).astype(complex)
 
 
 def build_spont_jumps(f, F, gamma_sp):
-    """Spontaneous-emission jump operators for an f -> F transition.
+    """Spontaneous-emission jump operators for an f -> F transition of
+    integer momenta.
 
     Returns three block operators of dimension (2f+1)+(2F+1), ordered by the
     polarization label eps = +1, 0, -1; basis is ground m = f..-f followed by
@@ -164,11 +215,9 @@ def build_spont_jumps(f, F, gamma_sp):
 
     The returned arrays are read-only.
     """
-    f = HalfInteger.of(f)
-    F = HalfInteger.of(F)
-    if abs(f.twice - F.twice) > 2:
+    if abs(f - F) > 1:
         raise ValueError("transition forbidden: |f - F| must be <= 1")
-    ops = math.sqrt(gamma_sp) * _unit_spont_jumps(f, F)
+    ops = math.sqrt(gamma_sp) * _unit_spont_jumps(_momentum(f), _momentum(F))
     ops.flags.writeable = False
     return list(ops)
 
@@ -176,13 +225,11 @@ def build_spont_jumps(f, F, gamma_sp):
 @functools.lru_cache(maxsize=None)
 def _unit_spont_jumps(f, F):
     # exact 3j symbols are slow; they depend only on (f, F)
-    ng, ne = f.twice + 1, F.twice + 1
+    ng, ne = 2 * f + 1, 2 * F + 1
     ops = np.zeros((3, ng + ne, ng + ne), dtype=complex)
-    for op, eps in zip(ops, (-1, 0, 1)):
-        for i in range(ng):
-            for k in range(ne):
-                op[i, ng + k] = wigner3j(f, 1, F, HalfInteger(2 * i - f.twice), eps,
-                                         HalfInteger(F.twice - 2 * k))
+    for (n, eps), i, k in itertools.product(enumerate((-1, 0, 1)),
+                                            range(ng), range(ne)):
+        ops[n, i, ng + k] = wigner3j(f, 1, F, i - f, eps, F - k)
     ops = np.array([_phase_to_i(op) for op in ops])
     ops.flags.writeable = False
     return ops
@@ -195,20 +242,7 @@ def build_ground_relaxation(gamma_g):
     """
     if gamma_g < 0:
         raise ValueError("gamma_g must be non-negative")
-    ops = []
-    amp = math.sqrt(gamma_g / 3.0)
-    for m in range(3):
-        for n in range(3):
-            op = np.zeros((3, 3), dtype=complex)
-            op[m, n] = amp
-            ops.append(op)
-    return ops
-
-
-def _embed_ground(op3):
-    out = np.zeros((4, 4), dtype=complex)
-    out[:3, :3] = op3
-    return out
+    return list(math.sqrt(gamma_g / 3.0) * np.eye(9, dtype=complex).reshape(9, 3, 3))
 
 
 def build_full4_rwa(p: ModelParams) -> LindbladSystem:
@@ -227,7 +261,8 @@ def build_full4_rwa(p: ModelParams) -> LindbladSystem:
     h[3, 3] = -D
     jumps = build_spont_jumps(1, 0, p.gamma_sp)
     if p.gamma_g > 0:
-        jumps += [_embed_ground(op) for op in build_ground_relaxation(p.gamma_g)]
+        ground = build_ground_relaxation(p.gamma_g)
+        jumps += list(np.pad(ground, ((0, 0), (0, 1), (0, 1))))
     return LindbladSystem(dim=4, hamiltonian=h, jumps=tuple(jumps))
 
 
@@ -366,7 +401,7 @@ def _eff3_columns(v):
     # gamma_sp omega_r^2 / |h_e|^2
     _warn_unless_fast_decay(v)
     omega_r, delta_opt, gamma_sp = v["omega_r"], v["delta_opt"], v["gamma_sp"]
-    with np.errstate(over="ignore"):  # inf, as on Python floats; |h_e|^2 is checked
+    with np.errstate(over="ignore"):  # inf, as on Python floats; all are checked
         abs_square = delta_opt * delta_opt + (0.5 * gamma_sp) * (0.5 * gamma_sp)
         ok = np.ravel((abs_square > 0.0) & (abs_square < math.inf))
         if not ok.all():
@@ -381,6 +416,15 @@ def _eff3_columns(v):
                 f"gamma_sp = {g:.6g}")
         shift = omega_r * omega_r * delta_opt / abs_square
         rate = gamma_sp * (omega_r * omega_r) / abs_square
+    ok = np.ravel(np.isfinite(shift) & np.isfinite(rate))
+    if not ok.all():
+        # the first point where a numerator overflows though |h_e|^2 does not
+        d, g, r = (np.broadcast_to(x, ok.shape)[ok.argmin()]
+                   for x in (delta_opt, gamma_sp, rate))
+        name = ("ground shift omega_r^2 delta_opt" if math.isfinite(r)
+                else "decay rate gamma_sp omega_r^2")
+        raise ArithmeticError(f"the eff3 {name} / |h_e|^2 leaves float range at "
+                              f"delta_opt = {d:.6g}, gamma_sp = {g:.6g}")
     return (v["delta_rf"], v["j"], shift, rate, v["q"] * rate,
             v["gamma_g"], v["q"] * v["gamma_g"])
 

@@ -150,17 +150,23 @@ def hybrid_liouvillian(sys: LindbladSystem, q):
     return s_inv @ fock_liouville_matrix(sys.hamiltonian, sys.jumps, q) @ s
 
 
+def _kron(a, b):
+    # np.kron of two d x d matrices as one broadcast multiply, entry by entry
+    d = a.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
+
+
 def fock_liouville_matrix(h, jumps, q):
     """Column-stacked matrix of
     rho -> -i(H rho - rho H^dag) + sum_L (q L rho L^dag - {L^dag L, rho}/2)."""
     d = h.shape[0]
     eye = np.eye(d)
     # column stacking: vec(A rho B) = (B^T kron A) vec(rho)
-    m = -1j * (np.kron(eye, h) - np.kron(h.conj(), eye))
+    m = -1j * (_kron(eye, h) - _kron(h.conj(), eye))
     for op in jumps:
         ll = op.conj().T @ op
-        m += q * np.kron(op.conj(), op)
-        m -= 0.5 * (np.kron(eye, ll) + np.kron(ll.T, eye))
+        m += q * _kron(op.conj(), op)
+        m -= 0.5 * (_kron(eye, ll) + _kron(ll.T, eye))
     return m
 
 

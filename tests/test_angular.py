@@ -1,34 +1,26 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lioup.angular import HalfInteger, spin_ops, wigner3j
+from lioup.model import spin_ops, wigner3j
 
-HALVES = [HalfInteger(t) for t in range(5)]  # 0, 1/2, 1, 3/2, 2
+MOMENTA = range(4)  # 0, 1, 2, 3
 
 
 def projections(j):
-    return [HalfInteger(t) for t in range(-j.twice, j.twice + 1, 2)]
+    return range(-j, j + 1)
 
 
 def valid_triples():
-    for j1 in HALVES:
-        for j2 in HALVES:
-            for j3 in HALVES:
-                if abs(j1.twice - j2.twice) <= j3.twice <= j1.twice + j2.twice \
-                        and (j1.twice + j2.twice + j3.twice) % 2 == 0:
+    for j1 in MOMENTA:
+        for j2 in MOMENTA:
+            for j3 in MOMENTA:
+                if abs(j1 - j2) <= j3 <= j1 + j2:
                     yield j1, j2, j3
 
 
 class TestWigner3j:
-    def test_half_integer_coercion(self):
-        assert HalfInteger.of(1.5).twice == 3
-        assert HalfInteger.of(Fraction(1, 2)).twice == 1
-        with pytest.raises(ValueError):
-            HalfInteger.of(0.3)
-
     def test_contraction_with_zero_momentum(self):
         for m in (-1, 0, 1):
             val = wigner3j(1, 1, 0, -m, m, 0)
@@ -44,19 +36,18 @@ class TestWigner3j:
     def test_invalid_projection_raises(self):
         with pytest.raises(ValueError):
             wigner3j(1, 1, 0, 2, -2, 0)
-        with pytest.raises(ValueError):
-            wigner3j(0.5, 0.5, 1, 0, 0, 0)  # integer m for half-integer j
+        with pytest.raises(ValueError, match="not an integer"):
+            wigner3j(0.5, 0.5, 1, 0.5, -0.5, 0)
 
     def test_squared_sum_rule(self):
         # sum over polarization and ground projection at fixed excited state
-        for tf, tF in ((2, 0), (2, 2), (2, 4), (4, 2)):
-            f, F = HalfInteger(tf), HalfInteger(tF)
+        for f, F in ((1, 0), (1, 1), (1, 2), (2, 1)):
             for M in projections(F):
                 total = 0.0
                 for eps in (-1, 0, 1):
                     for m in projections(f):
-                        total += wigner3j(f, 1, F, HalfInteger(-m.twice), eps, M) ** 2
-                assert abs(total - 1.0 / (F.twice + 1)) < 1e-14
+                        total += wigner3j(f, 1, F, -m, eps, M) ** 2
+                assert abs(total - 1.0 / (2 * F + 1)) < 1e-14
 
     def test_against_sympy_oracle(self, rng):
         from sympy import Rational
@@ -66,55 +57,43 @@ class TestWigner3j:
         for j1, j2, j3 in valid_triples():
             for m1 in projections(j1):
                 for m2 in projections(j2):
-                    m3 = HalfInteger(-(m1.twice + m2.twice))
-                    if abs(m3.twice) <= j3.twice:
+                    m3 = -(m1 + m2)
+                    if abs(m3) <= j3:
                         combos.append((j1, j2, j3, m1, m2, m3))
         picks = rng.choice(len(combos), size=min(250, len(combos)), replace=False)
         for k in picks:
             j1, j2, j3, m1, m2, m3 = combos[k]
             mine = wigner3j(j1, j2, j3, m1, m2, m3)
-            ref = float(wigner_3j(Rational(j1.twice, 2), Rational(j2.twice, 2),
-                                  Rational(j3.twice, 2), Rational(m1.twice, 2),
-                                  Rational(m2.twice, 2), Rational(m3.twice, 2)))
+            ref = float(wigner_3j(*(Rational(x) for x in combos[k])))
             assert abs(mine - ref) <= 1e-15 * max(1.0, abs(ref))
 
     def test_column_permutation_symmetry(self):
         for j1, j2, j3 in valid_triples():
-            sign = (-1) ** ((j1.twice + j2.twice + j3.twice) // 2)
+            sign = (-1) ** (j1 + j2 + j3)
             for m1 in projections(j1):
                 for m2 in projections(j2):
-                    m3 = HalfInteger(-(m1.twice + m2.twice))
-                    if abs(m3.twice) > j3.twice:
+                    m3 = -(m1 + m2)
+                    if abs(m3) > j3:
                         continue
                     base = wigner3j(j1, j2, j3, m1, m2, m3)
                     even = wigner3j(j2, j3, j1, m2, m3, m1)
                     odd = wigner3j(j2, j1, j3, m2, m1, m3)
-                    flip = wigner3j(j1, j2, j3,
-                                    HalfInteger(-m1.twice),
-                                    HalfInteger(-m2.twice),
-                                    HalfInteger(-m3.twice))
+                    flip = wigner3j(j1, j2, j3, -m1, -m2, -m3)
                     assert abs(even - base) < 1e-14
                     assert abs(odd - sign * base) < 1e-14
                     assert abs(flip - sign * base) < 1e-14
 
     def test_orthogonality(self):
-        for j1 in HALVES:
-            for j2 in HALVES:
-                lo, hi = abs(j1.twice - j2.twice), j1.twice + j2.twice
-                js = [HalfInteger(t) for t in range(lo, hi + 1, 2)]
-                for j3 in js:
-                    for j3p in js:
-                        for m3 in projections(j3):
-                            for m3p in projections(j3p):
-                                total = 0.0
-                                for m1 in projections(j1):
-                                    for m2 in projections(j2):
-                                        total += (
-                                            (j3.twice + 1)
-                                            * wigner3j(j1, j2, j3, m1, m2, m3)
-                                            * wigner3j(j1, j2, j3p, m1, m2, m3p))
-                                want = 1.0 if (j3 == j3p and m3 == m3p) else 0.0
-                                assert abs(total - want) < 1e-13
+        # sum_{m1 m2} (2 j3 + 1) 3j(j1 j2 j3; m1 m2 m3) 3j(j1 j2 j3'; m1 m2 m3')
+        # = delta_j3j3' delta_m3m3', as W W^T = 1 with one row per (j3, m3)
+        for j1 in MOMENTA:
+            for j2 in MOMENTA:
+                rows = [(j3, m3) for j3 in range(abs(j1 - j2), j1 + j2 + 1)
+                        for m3 in projections(j3)]
+                w = np.array([[math.sqrt(2 * j3 + 1) * wigner3j(j1, j2, j3, m1, m2, m3)
+                               for m1 in projections(j1) for m2 in projections(j2)]
+                              for j3, m3 in rows])
+                assert np.abs(w @ w.T - np.eye(len(rows))).max() < 1e-13
 
 
 class TestSpinOps:
@@ -124,14 +103,18 @@ class TestSpinOps:
         s = 1 / math.sqrt(2)
         assert np.allclose(fx, np.array([[0, s, 0], [s, 0, s], [0, s, 0]]))
 
-    @pytest.mark.parametrize("f", [0.5, 1, 1.5, 2])
+    @pytest.mark.parametrize("f", [0, 1, 2, 3])
     def test_commutation_and_casimir(self, f):
         fx, fy, fz = spin_ops(f)
         assert np.abs(fx @ fy - fy @ fx - 1j * fz).max() < 1e-12
         assert np.abs(fy @ fz - fz @ fy - 1j * fx).max() < 1e-12
         assert np.abs(fz @ fx - fx @ fz - 1j * fy).max() < 1e-12
         casimir = fx @ fx + fy @ fy + fz @ fz
-        assert np.abs(casimir - f * (f + 1) * np.eye(int(2 * f + 1))).max() < 1e-12
+        assert np.abs(casimir - f * (f + 1) * np.eye(2 * f + 1)).max() < 1e-12
+
+    def test_half_integer_spin_raises(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            spin_ops(0.5)
 
     def test_ground_hamiltonian_pattern(self):
         # -delta Fz + J sqrt(2) Fx carries plain J on the off-diagonals

@@ -665,6 +665,7 @@ class TestSchemaValidation:
 
 
 TINY_GAMMA = {"omega": 30.0, "j": 10.0, "gamma_sp": 1e-200}
+HUGE_GAMMA = {"omega": 30.0, "j": 1.0, "gamma_sp": 1.2e154}
 SLOW_DECAY = pytest.mark.filterwarnings("ignore:effective reduction assumes")
 
 
@@ -694,11 +695,18 @@ class TestExitCodes:
         pytest.param("sweep", {"params": TINY_GAMMA, "sweep": {
             "parameter": "delta_opt", "start": -1e-200, "stop": 1e-200, "points": 5}},
             marks=SLOW_DECAY),
+        # |h_e|^2 is finite but gamma_sp omega_r^2 = omega gamma_sp^2
+        # overflows, and at delta_opt = gamma_sp so does omega_r^2 delta_opt
+        ("spectrum", {"params": HUGE_GAMMA}),
+        ("sweep", {"params": HUGE_GAMMA, "sweep": {
+            "parameter": "j", "start": 0.0, "stop": 10.0, "points": 5}}),
+        ("spectrum", {"params": {"omega": 30.0, "j": 1.0, "gamma_sp": 1e154,
+                                 "delta_opt": 1e154}}),
     ])
     def test_coefficient_overflow_exits_3(self, tmp_path, capsys, command, blk):
         # valid params whose eff3 coefficients leave float range; the
         # message names the coefficient and the first point where |h_e|^2
-        # over- or underflows
+        # over- or underflows, or where a coefficient overflows
         assert run([command, "--config", write_config(tmp_path, {**BASE, **blk})]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1

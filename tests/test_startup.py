@@ -1,4 +1,4 @@
-"""Which SciPy packages, and whether `lioup.validate`, a CLI command loads.
+"""Which SciPy packages and which `lioup` modules a CLI command loads.
 
 SciPy is imported only inside the functions that call it, because loading
 it costs more CPU than a spectrum command's whole computation; likewise
@@ -21,15 +21,16 @@ PROBE = """
 import json, sys
 from lioup import cli
 rc = cli.main(sys.argv[1:])
-print(json.dumps([rc, sorted(m for m in sys.modules if m == "scipy"
-                             or m.startswith("scipy.") or m == "lioup.validate")]))
+print(json.dumps([rc] + [sorted(m for m in sys.modules
+                                if m == pkg or m.startswith(pkg + "."))
+                         for pkg in ("scipy", "lioup")]))
 """
 
 PARAMS = {"omega": 30.0, "j": 10.0, "q": 1.0}
 
 
-def run_fresh(tmp_path, command, cfg):
-    """(exit code, names of the SciPy modules and of lioup.validate if
+def run_fresh(tmp_path, command, cfg, package="scipy"):
+    """(exit code, names of the modules of `package`, "scipy" or "lioup",
     loaded) of one command in a new interpreter."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -38,8 +39,8 @@ def run_fresh(tmp_path, command, cfg):
         [sys.executable, "-c", PROBE, command, "--config", str(path),
          "--out", str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=120, check=True)
-    rc, modules = json.loads(proc.stdout.strip().splitlines()[-1])
-    return rc, set(modules)
+    rc, scipy, lioup = json.loads(proc.stdout.strip().splitlines()[-1])
+    return rc, set(scipy if package == "scipy" else lioup)
 
 
 def test_spectrum_loads_no_scipy(tmp_path):
@@ -49,11 +50,17 @@ def test_spectrum_loads_no_scipy(tmp_path):
     assert modules == set()
 
 
-def test_spectrum_does_not_load_validate(tmp_path):
-    rc, modules = run_fresh(tmp_path, "spectrum",
-                            {"model": "full4", "params": PARAMS})
+@pytest.mark.parametrize("command,cfg", [
+    ("spectrum", {"model": "full4", "params": PARAMS}),
+    ("sweep", {"model": "eff3", "params": PARAMS, "sweep": {
+        "parameter": "j", "start": 10.0, "stop": 20.0, "points": 5}}),
+])
+def test_command_loads_only_its_pipeline(tmp_path, command, cfg):
+    # lioup.validate in particular stays unloaded
+    rc, modules = run_fresh(tmp_path, command, cfg, package="lioup")
     assert rc == 0
-    assert "lioup.validate" not in modules
+    assert modules == {"lioup", "lioup.cli", "lioup.linalg", "lioup.model",
+                       "lioup.spectra", "lioup.superop"}
 
 
 def test_config_error_loads_no_scipy(tmp_path):

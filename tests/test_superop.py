@@ -575,7 +575,38 @@ class TestSpectralProperties:
             assert np.abs(ev - lam).min() <= 1e-8 * scale  # criterion 3b
 
 
+def kron_fock_liouville(h, jumps, q):
+    """fock_liouville_matrix written with np.kron, term for term."""
+    eye = np.eye(h.shape[0])
+    m = -1j * (np.kron(eye, h) - np.kron(h.conj(), eye))
+    for op in jumps:
+        ll = op.conj().T @ op
+        m += q * np.kron(op.conj(), op)
+        m -= 0.5 * (np.kron(eye, ll) + np.kron(ll.T, eye))
+    return m
+
+
 class TestFockLiouville:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
+    def test_equals_the_kronecker_products_bit_for_bit(self, rng, d, q):
+        # the generator's terms B_k are solved from these matrices, so each
+        # entry must be the single product np.kron forms
+        for n_jumps in range(10):
+            sys = random_system(rng, d, n_jumps)
+            assert np.array_equal(
+                superop.fock_liouville_matrix(sys.hamiltonian, sys.jumps, q),
+                kron_fock_liouville(sys.hamiltonian, sys.jumps, q))
+
+    @pytest.mark.parametrize("name", sorted(model.LINEAR_FORMS))
+    def test_probes_equal_the_kronecker_products_bit_for_bit(self, name):
+        form = model.LINEAR_FORMS[name]
+        for p in form.probes:
+            sys = form.build(p)
+            assert np.array_equal(
+                superop.fock_liouville_matrix(sys.hamiltonian, sys.jumps, p.q),
+                kron_fock_liouville(sys.hamiltonian, sys.jumps, p.q))
+
     def test_amplitude_damping_spectrum(self):
         sys = LindbladSystem(dim=2, hamiltonian=np.zeros((2, 2)),
                              jumps=(np.array([[0.0, 1.0], [0.0, 0.0]]),))
