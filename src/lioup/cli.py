@@ -5,8 +5,8 @@
 Configs are JSON; unknown keys are rejected before any computation.  Numeric
 output uses fixed %.12e formatting so identical configs produce byte-identical
 files.  Exit codes: 0 success, 1 validation-criteria failure, 2 schema or
-config error, 3 numerical failure, 4 partial result (a sweep wrote its
-output, but some grid points failed).
+config error or an unwritable --out, 3 numerical failure, 4 partial result
+(a sweep wrote its output, but some grid points failed).
 """
 
 import argparse
@@ -246,17 +246,19 @@ def _json(doc):
 
 
 def _emit(text, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write output: {exc}") from exc
 
 
 def _emit_metadata(cfg, out_path, extra=None):
     if out_path:
-        with open(f"{out_path}.meta.json", "w", encoding="utf-8") as fh:
-            fh.write(_json({**_metadata(cfg), **(extra or {})}))
+        _emit(_json({**_metadata(cfg), **(extra or {})}), f"{out_path}.meta.json")
 
 
 def cmd_spectrum(cfg, out_path):

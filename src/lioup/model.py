@@ -379,10 +379,9 @@ class LinearForm:
             v["omega_r"] = np.sqrt(v["omega"] * v["gamma_sp"])
         elif "omega_r" in points and "omega" not in points:
             v["omega"] = v["omega_r"] * v["omega_r"] / v["gamma_sp"]
-        cols = self.columns(v)
-        if n is None:
-            return np.array([cols], dtype=float)
-        return np.column_stack(np.broadcast_arrays(*cols))
+        # integer fields (ModelParams takes ints) give integer columns
+        cols = np.broadcast_arrays(*self.columns(v))
+        return np.column_stack(cols).astype(float, copy=False)
 
 
 def _full4_columns(v):

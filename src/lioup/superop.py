@@ -22,11 +22,11 @@ in the Gell-Mann basis as a plain matrix; at q = 0 it is the jump-free
 Gell-Mann B_k, and its non-Hermitian Hamiltonian as
 H_nh(p) = sum_k c_k(p) A_k with the same coefficients and complex d x d
 A_k.  Its `matrices` and `operators` give the stack at one point or a
-grid over one or two fields from one coefficient evaluation and one small
-contraction per point; the spectrum does not depend on the basis.  Both
-term sets are solved once per model from its builder at the probe
-parameters: the A_k from the probes' H_nh, the B_k from the Kronecker
-assembly and the cached similarity S^H L S / 2 with
+grid over one or two fields from one coefficient evaluation and one
+stacked product of its rows with the terms; the spectrum does not depend
+on the basis.  Both term sets are solved once per model from its builder
+at the probe parameters: the A_k from the probes' H_nh, the B_k from the
+Kronecker assembly and the cached similarity S^H L S / 2 with
 S[:, i] = vec(s_i); `hybrid_liouvillian` and `LindbladSystem.h_nh` are
 the references it is tested against.  `superop_of_map`, `h_superop` and
 `gamma_superop` evaluate the Gell-Mann M_ij = Tr(map(s_j) s_i)/2 directly,
@@ -208,14 +208,12 @@ class Generator:
 def _contract(rows, terms):
     """One square matrix per coefficient row, each its own row @ terms.
 
-    A single (n, K) @ (K, M) product would round differently in the last
-    bits and run on every BLAS thread.
+    The rows go through one stacked (n, 1, K) @ (K, M) matmul, which rounds
+    each row as that row alone does.  A single (n, K) @ (K, M) product would
+    round differently in the last bits and run on every BLAS thread.
     """
     d = math.isqrt(terms.shape[1])
-    out = np.empty((len(rows), d, d), np.result_type(rows, terms))
-    for c, o in zip(rows, out.reshape(len(rows), d * d)):
-        np.matmul(c, terms, out=o)
-    return out
+    return np.matmul(rows[:, None, :], terms).reshape(len(rows), d, d)
 
 
 @functools.lru_cache(maxsize=None)

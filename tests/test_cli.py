@@ -766,6 +766,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "numerical failure: Eigenvalues did not converge\n"
 
+    @pytest.mark.parametrize("command,blk", [
+        ("spectrum", {}),
+        ("sweep", {"sweep": {"parameter": "j", "start": 1.0, "stop": 20.0,
+                             "points": 5}}),
+        ("find-ep", {"findep": {"box": {"j": [15.0, 30.0]}, "target_mult": 2,
+                                "level": "operator"}}),
+        ("evolve", {"evolve": {"rho0": "mixed", "t_max": 0.17, "steps": 3}}),
+        ("validate", None),
+    ])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, monkeypatch, command,
+                                    blk):
+        out = tmp_path / "missing" / "out.txt"
+        argv = [command, "--out", str(out)]
+        if blk is None:
+            monkeypatch.setattr(validate, "run_all", lambda: [
+                validate.CriterionResult("1a", "holds", True)])
+        else:
+            argv += ["--config", write_config(tmp_path, {**BASE, **blk})]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output: ")
+        assert err.count("\n") == 1 and str(out) in err
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("passed,rc,status", [(False, 1, "FAIL"),
                                                   (True, 0, "XFAIL")])
     def test_validate_exit_code(self, capsys, monkeypatch, passed, rc, status):

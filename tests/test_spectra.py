@@ -788,6 +788,18 @@ class TestFindEp:
         [field] = box
         assert getattr(rep.params, field) == pytest.approx(location, abs=1e-4)
 
+    def test_no_two_reports_share_a_basin(self):
+        # the 2-D triple-point box at q = 0, target 3: several seeds' solves
+        # converge to the same point, which is reported once
+        j_tp, d_tp, _ = triple_point(30.0)
+        box = {"j": (0.5 * j_tp, 1.5 * j_tp), "delta_rf": (0.0, 2.0 * d_tp)}
+        reps = find_ep(superop.generator("eff3").matrices, box, 3,
+                       ModelParams(omega=30.0, j=j_tp, delta_rf=d_tp, q=0.0))
+        extent = np.array([hi - lo for lo, hi in box.values()])
+        x = np.array([[r.params.j, r.params.delta_rf] for r in reps])
+        near = (np.abs(x[:, None] - x) / extent).max(axis=2) < 1e-4
+        assert reps and not near[np.triu_indices(len(x), 1)].any()
+
     def test_box_outside_the_model_domain_raises(self):
         # the corners are checked before any matrix is built: j must be
         # non-negative

@@ -54,9 +54,13 @@ def test_spectrum_loads_no_scipy(tmp_path):
     ("spectrum", {"model": "full4", "params": PARAMS}),
     ("sweep", {"model": "eff3", "params": PARAMS, "sweep": {
         "parameter": "j", "start": 10.0, "stop": 20.0, "points": 5}}),
+    ("find-ep", {"model": "eff3", "params": PARAMS, "findep": {
+        "box": {"j": [15.0, 30.0]}, "target_mult": 2, "level": "operator"}}),
+    ("evolve", {"model": "eff3", "params": PARAMS,
+                "evolve": {"rho0": "mixed", "t_max": 0.2, "steps": 4}}),
 ])
 def test_command_loads_only_its_pipeline(tmp_path, command, cfg):
-    # lioup.validate in particular stays unloaded
+    # lioup.validate and lioup.analytic in particular stay unloaded
     rc, modules = run_fresh(tmp_path, command, cfg, package="lioup")
     assert rc == 0
     assert modules == {"lioup", "lioup.cli", "lioup.linalg", "lioup.model",

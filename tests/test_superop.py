@@ -396,6 +396,15 @@ class TestGenerator:
         assert weighted.sum() == 2 and not ops[weighted].any()
         assert np.array_equal(gen.operators(p), gen.operators(p.replace(q=1.0)))
 
+    def test_integer_params_give_float_coefficients(self):
+        # every full4 coefficient is a field or a product of two, so integer
+        # fields would give an integer row
+        p = ModelParams(j=2, omega=4, omega_r=2, delta_rf=1, delta_opt=3,
+                        gamma_sp=1, gamma_g=5, q=1)
+        rows = superop.generator("full4").form.coefficients(p)
+        assert rows.dtype == np.float64
+        assert np.array_equal(rows, [reference_coefficients("full4", p)])
+
     @pytest.mark.parametrize("name", ["eff3", "full4"])
     def test_terms_are_real_and_equal_the_direct_parts(self, name):
         gen = superop.generator(name)
