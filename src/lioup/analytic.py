@@ -27,10 +27,10 @@ def fixed_six(omega, j):
     return np.array([0.0, -2.0 * omega, -a1s, -a1s, -a1, -a1])
 
 
-def _cubic(omega, j, q):
-    # phi, nu and nu^2 + phi^3 of jump_coupled_three's cubic
-    phi = 54.0 * j ** 2 + omega ** 2 * (-4.0 * q ** 2 + 18.0 * q - 27.0)
-    nu = omega * q * (324.0 * j ** 2 + omega ** 2 * (8.0 * q ** 2 - 54.0 * q + 81.0))
+def _cubic(omega, j2, q):
+    # phi, nu and nu^2 + phi^3 of jump_coupled_three's cubic, at j2 = J^2
+    phi = 54.0 * j2 + omega ** 2 * (-4.0 * q ** 2 + 18.0 * q - 27.0)
+    nu = omega * q * (324.0 * j2 + omega ** 2 * (8.0 * q ** 2 - 54.0 * q + 81.0))
     return phi, nu, nu ** 2 + phi ** 3
 
 
@@ -42,7 +42,7 @@ def jump_coupled_three(omega, j, q):
     phi = 54 J^2 + Omega^2 (-4q^2 + 18q - 27) and
     nu  = Omega q (324 J^2 + Omega^2 (8q^2 - 54q + 81)).
     """
-    phi, nu, discriminant = _cubic(omega, j, q)
+    phi, nu, discriminant = _cubic(omega, j ** 2, q)
     zeta = _branch_sqrt(discriminant) + nu
     c = omega * (2.0 * q - 9.0)
     if zeta == 0:
@@ -59,12 +59,14 @@ def jump_coupled_three(omega, j, q):
 
 
 def jump_coupled_ep(omega, q):
-    """J*(q), where two jump-coupled eigenvalues coalesce: the root of nu^2 +
-    phi^3 in [0, Omega / sqrt(2)], whose ends differ in sign for 0 < q <= 1."""
-    import scipy.optimize  # loaded only when called, as in spectra.find_ep
-
-    return scipy.optimize.brentq(lambda j: _cubic(omega, j, q)[2], 0.0,
-                                 omega / np.sqrt(2.0))
+    """J*(q), where two jump-coupled eigenvalues coalesce, for 0 < q <= 1: the
+    root of nu^2 + phi^3, a cubic in J^2 whose ends [0, Omega^2 / 2] differ in
+    sign, and one Newton step on the unexpanded cubic, which rounds less."""
+    if not 0.0 < q <= 1.0:
+        raise ValueError(f"q must lie in (0, 1], not {q}")
+    c = _cubic(omega, np.polynomial.Polynomial([0.0, 1.0]), q)[2]
+    x = next(r.real for r in c.roots() if r.imag == 0 and 0 <= r.real <= omega ** 2 / 2)
+    return float(np.sqrt(x - _cubic(omega, x, q)[2] / c.deriv()(x)))
 
 
 def hybrid_spectrum(omega, j, q):

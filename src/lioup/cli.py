@@ -399,8 +399,8 @@ def cmd_evolve(cfg, out_path):
 def cmd_validate(out_path):
     from . import validate  # its checks and closed forms serve this command only
 
-    results = validate.run_all()
-    report, ok = validate.format_report(results)
+    _emit("", out_path)  # an unwritable --out fails before the suite runs
+    report, ok = validate.format_report(validate.run_all())
     _emit(report + "\n", out_path)
     return 0 if ok else 1
 

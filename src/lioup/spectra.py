@@ -5,7 +5,7 @@ detection with Jordan-structure estimation (ranks of powers, deflated),
 the operator <-> superoperator spectral correspondence, one census of a
 stack of matrices (tracked block by block, with the turns of each pair's
 squared gap) that gives `sweep` its EP candidates and `find_ep` the seeds
-of its least-squares solves on cluster power sums, and an evolution
+of its Gauss-Newton solves on cluster power sums, and an evolution
 cross-check (expm against eigen-expansion).  Matrices follow linalg's
 input rule, so a float64 generator is solved in real arithmetic.
 
@@ -15,8 +15,8 @@ with reports whose `indices` index them.  `sweep` turns a stack of matrices,
 one per grid point, into (branches, ep_candidates, failures), `find_ep`
 calls a stack builder such as superop.Generator's `matrices`, and
 `evolve_check` turns a Gell-Mann generator into (states, route_diff).
-Tracking assigns by `_assign`, an exact port of SciPy's solver, so only
-`find_ep` loads scipy.optimize (0.7-0.9 s of CPU at start-up).
+Only `evolve_check` loads SciPy, for linalg.expm: tracking assigns by
+`_assign`, an exact port of SciPy's solver, and `find_ep` by `_gauss_newton`.
 """
 
 import dataclasses
@@ -72,11 +72,10 @@ def _assign(cost):
     the identity), a tie for the lowest reduced cost goes to an unassigned
     column, and a column leaves `remaining` by swap-remove.  SciPy's masks
     SR and SC of the rows and columns on the path are kept as lists, so the
-    dual updates visit only those, each with SciPy's arithmetic.  It is kept
-    here so that a sweep never imports scipy.optimize, 0.7-0.9 s of CPU at
-    start-up, where a solve costs 6-80 us (3x3 to 16x16) against SciPy's
-    2-3 us.  ValueError, as in SciPy, for a NaN or -inf entry and for an
-    infeasible matrix.
+    dual updates visit only those, each with SciPy's arithmetic.  It spares
+    every command scipy.optimize (321 modules, 0.33-0.57 s by `python -X
+    importtime`, 2-vCPU x86) for 6-80 us a solve (SciPy: 2-3 us; 3x3 to 16x16).
+    ValueError, as in SciPy, for a NaN or -inf entry or an infeasible matrix.
     """
     n = len(cost)
     # a NaN or -inf entry makes the sum NaN or -inf; so may a negative overflow
@@ -506,18 +505,15 @@ def find_ep(build, box, target_mult, base: ModelParams):
     box at 65 points in one dimension, its four edges at 33 in two.  Each
     turn in a block of at least m eigenvalues, in the order of the coarse
     spread of the block's m eigenvalues nearest the pair's mean, seeds one
-    bounded least-squares solve (one point per build call) on their centred
-    power sums p_k = sum((lambda_i - mu) / tau)**k, k = 2..m, all zero
-    exactly where they coalesce; a seed whose spread reaches a cluster
-    already reported from the pair's mean is skipped.  tau is 200
-    eps**(1/m) (an order-m cluster scatters like an m-th root) times the
-    largest coarse spectral diameter.  A new solution whose m eigenvalues'
-    least gap sum s from one of them is below tau reports, with its
-    ModelParams, the whole matrix's cluster of algebraic multiplicity >= m
-    nearest them, linked by detect_degeneracy within 3 s as well.
+    `_gauss_newton` solve (one point per build call) of their centred power
+    sums p_k = sum((lambda_i - mu) / tau)**k, k = 2..m, zero exactly where
+    they coalesce, unless that spread reaches a cluster already reported from
+    the pair's mean.  tau is 200 eps**(1/m) (an order-m cluster scatters like
+    an m-th root) times the largest coarse spectral diameter.  A new solution
+    whose m eigenvalues' least gap sum s from one of them is below tau
+    reports, with its ModelParams, the matrix's cluster of algebraic
+    multiplicity >= m nearest them, linked by detect_degeneracy within 3 s as well.
     """
-    import scipy.optimize
-
     names = list(box)
     if not 1 <= len(names) <= 2:
         raise ValueError("box must constrain one or two parameters")
@@ -551,26 +547,20 @@ def find_ep(build, box, target_mult, base: ModelParams):
                 seeds.append((np.abs(z - z.mean()).max(), mean, block, pts[line[k]]))
     threshold = 200.0 * np.finfo(float).eps ** (1.0 / target_mult) * scale
 
-    def cluster_at(x, centre, block):
+    def at(x, centre, block):  # the matrix, its block's cluster, the power sums
         a = build(base, dict(zip(names, x.tolist())))[0]
-        return a, _nearest(linalg.eigvals(a[np.ix_(block, block)]), centre, target_mult)
-
-    def power_sums(x, centre, block):
-        z = cluster_at(x, centre, block)[1]
-        z = (z - z.mean()) / threshold
-        p = np.array([np.sum(z ** k) for k in range(2, target_mult + 1)])
-        return np.concatenate([p.real, p.imag])
+        z = _nearest(linalg.eigvals(a[np.ix_(block, block)]), centre, target_mult)
+        p = [np.sum(((z - z.mean()) / threshold) ** k) for k in range(2, z.size + 1)]
+        return a, z, np.concatenate([np.real(p), np.imag(p)])
 
     found, reports = [], []
     for spread, centre, block, seed in sorted(seeds, key=lambda s: s[0]):
         if any(abs(r.cluster_value - centre) <= spread for r in reports):
             continue  # a cluster already reported
-        x = scipy.optimize.least_squares(power_sums, seed, bounds=(los, his),
-                                         args=(centre, block)).x
-        a, z = cluster_at(x, centre, block)
+        x, (a, z, _) = _gauss_newton(lambda x: at(x, centre, block), seed, los, his)
         s_min = np.abs(z[:, None] - z).sum(axis=1).min()
-        if s_min >= threshold or any(np.max(np.abs(x - f) / (his - los)) < 1e-4
-                                     for f in found):
+        if not s_min < threshold or any(np.max(np.abs(x - f) / (his - los)) < 1e-4
+                                        for f in found):
             continue  # not certified, or a duplicate basin
         found.append(x)
         clusters = [r for r in detect_degeneracy(a, tol_cluster=3.0 * s_min)[1]
@@ -580,6 +570,29 @@ def find_ep(build, box, target_mult, base: ModelParams):
             p = base.replace(**dict(zip(names, x.tolist())))
             reports.append(dataclasses.replace(rep, params=p))
     return reports
+
+
+def _gauss_newton(fun, x, lo, hi):
+    """Projected Gauss-Newton from x on r = fun(x)[-1] in the box [lo, hi]:
+    (x, fun(x)) at the last point that lowered |r|^2.  Forward differences
+    take SciPy's '2-point' step h, inward at the upper bound; a step that
+    lowers nothing is halved while longer than h; 100 len(x) evaluations cap it."""
+    best, evals = fun(x), 1
+    while evals + x.size < 100 * x.size:  # room for the probes and a step
+        h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
+        probes = x + np.diag(np.where(x + h > hi, -h, h))
+        jac = np.column_stack([(fun(p)[-1] - best[-1]) / (p - x).sum() for p in probes])
+        step = np.clip(x - np.linalg.lstsq(jac, best[-1])[0], lo, hi) - x
+        evals += x.size
+        while evals < 100 * x.size:
+            trial, evals = fun(np.clip(x + step, lo, hi)), evals + 1
+            if trial[-1] @ trial[-1] < best[-1] @ best[-1]:
+                x, best = np.clip(x + step, lo, hi), trial
+                break
+            if np.all(np.abs(step) <= h):
+                return x, best
+            step = step / 2
+    return x, best
 
 
 def evolve_check(l, rho0, times):

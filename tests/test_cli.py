@@ -780,8 +780,9 @@ class TestExitCodes:
         out = tmp_path / "missing" / "out.txt"
         argv = [command, "--out", str(out)]
         if blk is None:
-            monkeypatch.setattr(validate, "run_all", lambda: [
-                validate.CriterionResult("1a", "holds", True)])
+            # the output is checked before the suite runs
+            monkeypatch.setattr(validate, "run_all", lambda: pytest.fail(
+                "validate ran its criteria before checking --out"))
         else:
             argv += ["--config", write_config(tmp_path, {**BASE, **blk})]
         assert run(argv) == 2

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lioup import analytic, linalg, model, spectra, superop
 from lioup.model import ModelParams, build_eff3, triple_point
@@ -17,6 +19,15 @@ from conftest import (h_nh_detuned, h_nh_tuned, inconsistent_reports,
 
 def gm_liouvillian(p):
     return superop.hybrid_liouvillian(build_eff3(p), p.q)
+
+
+def jump_cubic(omega, j, q):
+    """phi, nu and nu^2 + phi^3 of the jump-coupled cubic t^3 + 3 phi t - 2 nu,
+    with the coefficients of analytic.jump_coupled_three: J*(q) is the double
+    root, where nu^2 + phi^3 = 0."""
+    phi = 54.0 * j ** 2 + omega ** 2 * (-4.0 * q ** 2 + 18.0 * q - 27.0)
+    nu = omega * q * (324.0 * j ** 2 + omega ** 2 * (8.0 * q ** 2 - 54.0 * q + 81.0))
+    return phi, nu, nu ** 2 + phi ** 3
 
 
 def stacked(builder):
@@ -580,19 +591,11 @@ class TestSweep:
     @pytest.mark.parametrize("q,lo,hi", [
         (1.0, 1.0, 8.0), (0.5, 5.0, 15.0), (0.0, 15.0, 30.0), (0.1, 10.0, 20.0)])
     def test_resonant_sweep_flags_the_hybrid_ep(self, q, lo, hi):
-        # J*(q) is the double root of the jump-coupled cubic, nu^2 + phi^3 = 0
-        # with the coefficients of analytic.jump_coupled_three
         import scipy.optimize
 
         omega = 30.0
-
-        def discriminant(j):
-            phi = 54.0 * j ** 2 + omega ** 2 * (-4.0 * q ** 2 + 18.0 * q - 27.0)
-            nu = omega * q * (324.0 * j ** 2
-                              + omega ** 2 * (8.0 * q ** 2 - 54.0 * q + 81.0))
-            return nu ** 2 + phi ** 3
-
-        j_star = scipy.optimize.brentq(discriminant, lo, hi, maxiter=1000)
+        j_star = scipy.optimize.brentq(lambda j: jump_cubic(omega, j, q)[2], lo, hi,
+                                       maxiter=1000)
         grid = np.linspace(lo, hi, 201)
         _, candidates, _ = sweep(superop.generator("eff3").matrices(
             ModelParams(omega=omega, j=10.0, q=q), {"j": grid}))
@@ -825,7 +828,7 @@ class TestFindEp:
         reps = find_ep(DETUNED, {"j": (0.01, 60.0)}, 2, base)
         assert reps == []
 
-    def test_all_zero_spectrum_falls_back_to_unit_scale(self):
+    def test_degeneracy_over_the_whole_box_is_not_reported(self):
         # without optical drive delta_opt changes nothing and H_nh = 0 on the
         # whole box: a degeneracy present on the whole box has no turn and no
         # location, as with the persistent doubles of a sweep
@@ -844,6 +847,60 @@ class TestFindEp:
         for target in (1, 4, 10 ** 18):
             with pytest.raises(ValueError, match="target_mult"):
                 find_ep(stacked(tuned), {"j": (15.0, 30.0)}, target, base)
+
+
+class TestGaussNewton:
+    def test_stays_in_the_box_and_stops_on_its_bound(self):
+        # the residual's zero, x = 2, lies outside [0, 1]: every evaluation,
+        # the difference probe at the upper bound included, stays inside
+        seen = []
+
+        def fun(x):
+            seen.append(float(x[0]))
+            return (np.array([x[0] - 2.0, 0.0]),)
+
+        x, (r,) = spectra._gauss_newton(fun, np.array([0.5]), np.array([0.0]),
+                                        np.array([1.0]))
+        assert x.tolist() == [1.0] and r.tolist() == [-1.0, 0.0]
+        assert min(seen) >= 0.0 and max(seen) <= 1.0
+        assert len(seen) < 10
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_evaluations_stop_at_least_squares_default(self, size):
+        # exp(-x) falls at every Gauss-Newton step and has no zero
+        seen = []
+
+        def fun(x):
+            seen.append(x)
+            return (np.exp(-x),)
+
+        x, (r,) = spectra._gauss_newton(fun, np.zeros(size), np.zeros(size),
+                                        np.full(size, 1e9))
+        assert 99 * size <= len(seen) <= 100 * size
+        assert np.array_equal(r, np.exp(-x)) and (x > 10.0).all()
+
+
+class TestJumpCoupledEp:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(q=st.floats(0.01, 1.0), omega=st.floats(10.0, 50.0))
+    def test_double_root_of_the_jump_coupled_cubic(self, q, omega):
+        import scipy.optimize
+
+        j = analytic.jump_coupled_ep(omega, q)
+        phi, nu, discriminant = jump_cubic(omega, j, q)
+        assert abs(discriminant) <= 1e-12 * (nu ** 2 + abs(phi) ** 3)
+        want = scipy.optimize.brentq(lambda x: jump_cubic(omega, x, q)[2], 0.0,
+                                     omega / math.sqrt(2.0), xtol=1e-14, rtol=1e-15)
+        assert j == pytest.approx(want, rel=1e-10)
+        # two of the three jump-coupled eigenvalues coalesce there
+        lam = analytic.jump_coupled_three(omega, j, q)
+        gaps = np.abs(lam[:, None] - lam[None, :])[np.triu_indices(3, 1)]
+        assert gaps.min() <= 1e-6 * omega
+
+    @pytest.mark.parametrize("q", [0.0, -0.5, 1.5])
+    def test_q_outside_its_range_raises(self, q):
+        with pytest.raises(ValueError, match="q must lie in"):
+            analytic.jump_coupled_ep(30.0, q)
 
 
 class TestAsymptotes:

@@ -31,13 +31,15 @@ PARAMS = {"omega": 30.0, "j": 10.0, "q": 1.0}
 
 def run_fresh(tmp_path, command, cfg, package="scipy"):
     """(exit code, names of the modules of `package`, "scipy" or "lioup",
-    loaded) of one command in a new interpreter."""
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    loaded) of one command in a new interpreter; cfg None for `validate`."""
+    argv = [command, "--out", str(tmp_path / "out")]
+    if cfg is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        argv += ["--config", str(path)]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, command, "--config", str(path),
-         "--out", str(tmp_path / "out")],
+        [sys.executable, "-c", PROBE, *argv],
         env=env, capture_output=True, text=True, timeout=120, check=True)
     rc, scipy, lioup = json.loads(proc.stdout.strip().splitlines()[-1])
     return rc, set(scipy if package == "scipy" else lioup)
@@ -81,6 +83,25 @@ def test_evolve_loads_linalg_but_not_optimize(tmp_path):
     assert rc == 0
     assert "scipy.linalg" in modules
     assert "scipy.optimize" not in modules
+
+
+@pytest.mark.parametrize("level", ["operator", "superoperator"])
+def test_find_ep_loads_no_scipy(tmp_path, level):
+    # the EP search and its certification run on NumPy alone
+    rc, modules = run_fresh(tmp_path, "find-ep", {
+        "model": "eff3", "params": {**PARAMS, "q": 0.5},
+        "findep": {"box": {"j": [5.0, 15.0]}, "target_mult": 2, "level": level}})
+    assert rc == 0
+    assert modules == set()
+
+
+def test_validate_loads_linalg_but_not_optimize(tmp_path):
+    # criterion 11 evolves through linalg.expm; J*(q) is a cubic's root
+    rc, modules = run_fresh(tmp_path, "validate", None)
+    assert rc == 0
+    assert "scipy.linalg" in modules
+    assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.")
+                   for m in modules)
 
 
 @pytest.mark.parametrize("cfg", [
