@@ -381,14 +381,15 @@ def cmd_evolve(cfg, out_path):
         raise SchemaError("'config.evolve.rho0' must be 'mixed' or a matrix of "
                           "[re, im] pairs")
 
-    times = np.linspace(0.0, t_max, steps)
     try:
-        states, route_diff = spectra.evolve_check(gen.matrices(p)[0], rho0, times)
+        states, route_diff = spectra.evolve_check(gen.matrices(p)[0], rho0,
+                                                  t_max, steps)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     header = ["t", "trace"] + [f"pop_{k + 1}" for k in range(d)] + ["route_diff"]
     # route_diff is NaN for a defective generator (eigenvector condition
     # number above 1e12), and where the eigen-expansion overflows at long times
+    times = np.linspace(0.0, t_max, steps)  # the times evolve_check steps to
     table = np.column_stack([times, np.trace(states, axis1=1, axis2=2).real,
                              states.diagonal(axis1=1, axis2=2).real, route_diff])
     _emit(_csv(header, table), out_path)

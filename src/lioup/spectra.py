@@ -6,8 +6,9 @@ the operator <-> superoperator spectral correspondence, one census of a
 stack of matrices (tracked block by block, with the turns of each pair's
 squared gap) that gives `sweep` its EP candidates and `find_ep` the seeds
 of its Gauss-Newton solves on cluster power sums, and an evolution
-cross-check (expm against eigen-expansion).  Matrices follow linalg's
-input rule, so a float64 generator is solved in real arithmetic.
+cross-check (one stepped propagator against eigen-expansion).  Matrices
+follow linalg's input rule, so a float64 generator is solved in real
+arithmetic.
 
 Results are plain values: `classify` gives kind strings, `splittings`
 (i, j, dE_real, dE_imag) tuples, and `detect_degeneracy` the eigenvalues
@@ -15,8 +16,6 @@ with reports whose `indices` index them.  `sweep` turns a stack of matrices,
 one per grid point, into (branches, ep_candidates, failures), `find_ep`
 calls a stack builder such as superop.Generator's `matrices`, and
 `evolve_check` turns a Gell-Mann generator into (states, route_diff).
-Only `evolve_check` loads SciPy, for linalg.expm: tracking assigns by
-`_assign`, an exact port of SciPy's solver, and `find_ep` by `_gauss_newton`.
 """
 
 import dataclasses
@@ -595,29 +594,28 @@ def _gauss_newton(fun, x, lo, hi):
     return x, best
 
 
-def evolve_check(l, rho0, times):
-    """Propagate rho0 to each of the 1-D array `times` by expm and by
-    eigen-expansion, as (states, route_diff): the (n, d, d) expm states and
-    the (n,) largest entry difference of the two routes, NaN when l is
-    defective (eigenvector condition number above 1e12) and at times whose
-    eigen-expansion overflows.
+def evolve_check(l, rho0, t_max, steps):
+    """Propagate rho0 to the `steps` equally spaced times from 0 to t_max by
+    one propagator and by eigen-expansion, as (states, route_diff): the
+    (steps, d, d) propagated states and the (steps,) largest entry difference
+    of the two routes, NaN when l is defective (eigenvector condition number
+    above 1e12) and at times whose eigen-expansion overflows.
 
     `l` is the generator's Gell-Mann matrix, and it must preserve the
     trace, as hybrid generators with q < 1 and dissipation do not.  rho0 is
-    checked and vectorized, and l eigendecomposed, once for all times;
-    expm(l t) is formed at each time as the independent route.
-    FloatingPointError names l, or l t at the largest |t|, if it is not
-    finite, and the first time whose expm state is not finite.
+    checked and vectorized, and l eigendecomposed, once for all times.  The
+    propagator E = expm(l t_max / (steps - 1)) is formed once, and each
+    state is E times the one before; the eigen-expansion, evaluated at each
+    time, is the independent route.  FloatingPointError names l, or l t_max,
+    if it is not finite, and the first time whose state is not finite.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError("times must be a 1-D array")
+    if steps < 2:
+        raise ValueError("steps must be at least 2")
     if not np.isfinite(l).all():
         raise FloatingPointError("the generator is not finite")
-    t_far = times[np.argmax(np.abs(times))]
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(l * t_far).all():
-            raise FloatingPointError(f"l t is not finite at t = {t_far:g}")
+        if not np.isfinite(l * t_max).all():
+            raise FloatingPointError(f"l t is not finite at t = {t_max:g}")
     # the last row holds the traces Tr(l(s_j)) times sqrt(2/d) / 2
     if np.abs(l[-1]).max() > 1e-12 * np.abs(l).max():
         raise ValueError("evolve_check requires a trace-preserving generator: "
@@ -633,16 +631,21 @@ def evolve_check(l, rho0, times):
     if np.linalg.eigvalsh(0.5 * (rho0 + rho0.conj().T)).min() < -1e-9:
         raise ValueError("rho0 must be positive semidefinite")
 
-    v0 = superop.vectorize(rho0)
-    states = np.array([superop.devectorize(linalg.expm(l * t) @ v0) for t in times])
+    times = np.linspace(0.0, t_max, steps)
+    prop = linalg.expm(l * (t_max / (steps - 1)))
+    vecs = [superop.vectorize(rho0)]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for _ in range(steps - 1):
+            vecs.append(prop @ vecs[-1])
+    states = np.array([superop.devectorize(v) for v in vecs])
     bad = np.flatnonzero(~np.isfinite(states).all(axis=(1, 2)))
     if bad.size:
         raise FloatingPointError(f"expm(l t) is not finite at t = {times[bad[0]]:g}")
 
     values, v = linalg.eig(l)
     if np.linalg.cond(v) > 1e12:
-        return states, np.full(times.size, np.nan)
-    coeff = np.linalg.solve(v, v0)
+        return states, np.full(steps, np.nan)
+    coeff = np.linalg.solve(v, vecs[0])
     # an eigenvalue whose real part is positive at rounding level overflows
     # exp at a large t, and route_diff is NaN there (see the docstring)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -462,7 +462,7 @@ class TestEvolveCommand:
                     "--out", str(out)]) == 0
         times = np.linspace(0.0, t_max, 4)
         l = superop.generator("eff3").matrices(cli.params_from_config(cfg))[0]
-        states, route_diff = spectra.evolve_check(l, np.eye(3) / 3.0, times)
+        states, route_diff = spectra.evolve_check(l, np.eye(3) / 3.0, t_max, 4)
         assert np.isnan(route_diff[-1]) == (t_max == 1e20)
         lines = ["t,trace,pop_1,pop_2,pop_3,route_diff"]
         for t, rho, diff in zip(times, states, route_diff):
@@ -713,14 +713,19 @@ class TestExitCodes:
         assert "decay rate gamma_sp omega_r^2 / |h_e|^2" in err
         assert "delta_opt = " in err and "gamma_sp = " in err
 
-    def test_non_finite_evolution_exits_3(self, tmp_path, capsys):
-        # expm(l t) of this generator is finite up to t = 1e20 but not at the
-        # later rows of a t_max = 1e50 grid; the first bad time is named
-        cfg = write_config(tmp_path, {**BASE, "evolve": {"t_max": 1e50, "steps": 3}})
+    def test_non_finite_evolution_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a trace-preserving Gell-Mann generator with the nilpotent chain of
+        # basis elements 8 (the identity) -> 6 -> 0: states grow like t^2,
+        # so on a grid of step 1e153 the propagator is finite but the states
+        # leave float range from t = 3e154 on; the first bad time is named
+        l = np.zeros((9, 9))
+        l[6, 8] = l[0, 6] = 1.0
+        monkeypatch.setattr(superop.Generator, "matrices", lambda self, p: l[None])
+        cfg = write_config(tmp_path, {**BASE, "evolve": {"t_max": 4e154, "steps": 41}})
         out = tmp_path / "evolve.csv"
         assert run(["evolve", "--config", cfg, "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err == "numerical failure: expm(l t) is not finite at t = 5e+49\n"
+        assert err == "numerical failure: expm(l t) is not finite at t = 3e+154\n"
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -213,6 +213,47 @@ class TestExpm:
         via_eig = v @ (coeff * np.exp(values * t))
         assert np.abs(via_expm - via_eig).max() < 1e-10
 
+    def test_one_norm_beyond_float_range(self):
+        # l t is finite but its column sums are not; s still comes out (1020
+        # squarings), and exp(l t) of this trace-preserving generator maps
+        # every state to the stationary one
+        p = model.ModelParams(omega=30.0, j=25.0, q=1.0)
+        l = superop.generator("eff3").matrices(p)[0]
+        a = l * 2.9e306
+        with np.errstate(over="ignore"):
+            assert np.isfinite(a).all() and np.isinf(np.abs(a).sum(axis=0)).any()
+        values, vecs = linalg.eig(l)
+        stat = vecs[:, np.argmin(np.abs(values))].real
+        stat /= stat[-1] / superop.vectorize(np.eye(3) / 3.0)[-1].real
+        v0 = superop.vectorize(np.diag([0.2, 0.5, 0.3])).real
+        assert np.abs(linalg.expm(a) @ v0 - stat).max() < 1e-6
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(["eff3", "full4"]), omega=st.floats(5.0, 50.0),
+           j=st.floats(0.0, 50.0), delta_rf=st.floats(-50.0, 50.0),
+           delta_opt=st.floats(-1000.0, 1000.0), log_gamma_sp=st.floats(3.0, 6.0),
+           gamma_g=st.floats(0.0, 10.0), omega_t=st.floats(0.5, 5.0))
+    def test_matches_scipy_on_model_propagators(self, name, omega, j, delta_rf,
+                                                delta_opt, log_gamma_sp, gamma_g,
+                                                omega_t):
+        import scipy.linalg
+
+        p = model.ModelParams(omega=omega, j=j, delta_rf=delta_rf, delta_opt=delta_opt,
+                              gamma_sp=10.0 ** log_gamma_sp, gamma_g=gamma_g, q=1.0)
+        a = superop.generator(name).matrices(p)[0] * (omega_t / omega)
+        assert np.abs(linalg.expm(a) - scipy.linalg.expm(a)).max() < 1e-11
+
+    def test_default_gamma_sp_matches_extended_precision(self):
+        # full4 at the D2 line's gamma_sp ~ 3.6e7, t = 1: ||l||_1 ~ 3.6e7, so
+        # 23 squarings; the propagator is within 3.7e-10 of a 40-digit
+        # mpmath.expm (scipy's expm: 3.9e-10)
+        import mpmath
+
+        l = superop.generator("full4").matrices(model.ModelParams(omega=30.0, j=10.0))[0]
+        with mpmath.workdps(40):
+            want = np.array(mpmath.expm(mpmath.matrix(l.tolist())).tolist(), dtype=float)
+        assert np.abs(linalg.expm(l) - want).max() < 1e-9
+
 
 class TestCubicRoots:
     def test_triple_zero(self):

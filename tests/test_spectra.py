@@ -932,11 +932,16 @@ def trace_drift(states, rho0):
 
 
 class TestEvolveCheck:
+    # full4 with gamma_sp / omega ~ 2e5
+    STIFF = ModelParams(omega=34.8396, j=21.2861, q=1.0, gamma_sp=6373683.670053524,
+                        delta_rf=13.4437, delta_opt=244542.0)
+    STIFF_T_MAX = 0.118464
+
     def test_time_zero_is_identity(self, rng):
         p = ModelParams(omega=30.0, j=10.0, q=1.0)
         l = gm_liouvillian(p)
         rho0 = np.diag([0.5, 0.3, 0.2]).astype(complex)
-        states, route_diff = evolve_check(l, rho0, [0.0])
+        states, route_diff = evolve_check(l, rho0, 0.1, 2)
         assert np.abs(states[0] - rho0).max() < 1e-12
         assert route_diff[0] < 1e-12
 
@@ -949,14 +954,14 @@ class TestEvolveCheck:
         stat = superop.devectorize(vecs[:, k])
         stat = stat / np.trace(stat)
         rho0 = np.eye(3) / 3.0
-        states, _ = evolve_check(l, rho0, [50.0 / p.omega])
-        assert np.abs(states[0] - stat).max() < 1e-6
+        states, _ = evolve_check(l, rho0, 50.0 / p.omega, 2)
+        assert np.abs(states[-1] - stat).max() < 1e-6
 
     def test_trace_preserved_along_path(self):
         p = ModelParams(omega=30.0, j=10.0, q=1.0)
         l = gm_liouvillian(p)
         rho0 = np.diag([0.2, 0.5, 0.3]).astype(complex)
-        states, _ = evolve_check(l, rho0, np.linspace(0.0, 5.0 / p.omega, 8))
+        states, _ = evolve_check(l, rho0, 5.0 / p.omega, 8)
         drift = trace_drift(states, rho0)
         assert drift.shape == (8,)
         assert drift.max() <= 1e-9
@@ -965,17 +970,30 @@ class TestEvolveCheck:
         p = ModelParams(omega=30.0, j=10.0, delta_rf=2.0, q=1.0)
         l = gm_liouvillian(p)
         rho0 = np.diag([0.2, 0.5, 0.3]).astype(complex)
-        times = np.linspace(0.0, 5.0 / p.omega, 6)
         calls = []
-        eig = linalg.eig
-        monkeypatch.setattr(linalg, "eig", lambda a: calls.append(1) or eig(a))
-        states, route_diff = evolve_check(l, rho0, times)
-        assert len(calls) == 1 and route_diff.max() < 1e-10
-        # each time carries the bits of a call at that time alone
-        for k, t in enumerate(times):
-            one_state, one_diff = evolve_check(l, rho0, [t])
-            assert np.array_equal(one_state[0], states[k])
-            assert one_diff[0] == route_diff[k]
+        eig, expm = linalg.eig, linalg.expm
+        monkeypatch.setattr(linalg, "eig", lambda a: calls.append("eig") or eig(a))
+        monkeypatch.setattr(linalg, "expm", lambda a: calls.append("expm") or expm(a))
+        _, route_diff = evolve_check(l, rho0, 5.0 / p.omega, 6)
+        assert sorted(calls) == ["eig", "expm"] and route_diff.max() < 1e-10
+
+    @pytest.mark.parametrize("p,t_max", [
+        pytest.param(ModelParams(omega=30.0, j=20.0, delta_rf=5.0, delta_opt=300.0,
+                                 gamma_sp=1e5, q=1.0), 5.0 / 30.0, id="gamma_sp_1e5"),
+        pytest.param(STIFF, STIFF_T_MAX, id="stiff"),
+    ])
+    def test_ten_thousand_steps_follow_per_time_expm(self, p, t_max):
+        # full4: 9,999 products with one propagator against scipy's expm at
+        # every time
+        import scipy.linalg
+
+        l = superop.generator("full4").matrices(p)[0]
+        rho0 = np.eye(4) / 4.0
+        states, _ = evolve_check(l, rho0, t_max, 10_000)
+        v0 = superop.vectorize(rho0).real
+        want = np.array([superop.devectorize(scipy.linalg.expm(l * t) @ v0)
+                         for t in np.linspace(0.0, t_max, 10_000)])
+        assert np.abs(states - want).max() < 1e-10
 
     def test_defective_generator_keeps_only_the_expm_route(self):
         # qubit Gell-Mann generator moving the sigma_y component into the
@@ -984,7 +1002,7 @@ class TestEvolveCheck:
         l[0, 1] = 1.0
         rho0 = np.array([[0.5, -0.25j], [0.25j, 0.5]])
         times = np.linspace(0.0, 2.0, 5)
-        states, route_diff = evolve_check(l, rho0, times)
+        states, route_diff = evolve_check(l, rho0, 2.0, 5)
         assert np.isnan(route_diff).all()
         assert np.all(trace_drift(states, rho0) == 0.0)
         v0 = superop.vectorize(rho0)
@@ -996,7 +1014,7 @@ class TestEvolveCheck:
         p = ModelParams(omega=30.0, j=10.0, q=0.5)
         l = gm_liouvillian(p)
         with pytest.raises(ValueError, match="trace-preserving"):
-            evolve_check(l, np.eye(3) / 3.0, [0.1])
+            evolve_check(l, np.eye(3) / 3.0, 0.1, 2)
 
     def test_accepts_a_hybrid_generator_without_dissipation(self):
         # omega_r = gamma_g = 0 leaves no jump, so L(q) = -i[H, .] at every q
@@ -1004,55 +1022,51 @@ class TestEvolveCheck:
         p = ModelParams(omega_r=0.0, j=10.0, delta_rf=3.0, q=0.5)
         l = superop.generator("eff3").matrices(p)[0]
         rho0 = np.diag([0.2, 0.5, 0.3])
-        states, route_diff = evolve_check(l, rho0, np.linspace(0.0, 0.5, 4))
+        states, route_diff = evolve_check(l, rho0, 0.5, 4)
         assert trace_drift(states, rho0).max() <= 1e-12
         assert route_diff.max() < 1e-10
 
-    STIFF = ModelParams(omega=34.8396, j=21.2861, q=1.0, gamma_sp=6373683.670053524,
-                        delta_rf=13.4437, delta_opt=244542.0)
-    STIFF_TIMES = np.linspace(0.0, 0.118464, 4)
-
     def test_stiff_expm_route_matches_extended_precision(self):
-        # full4 with gamma_sp / omega ~ 2e5: the expm route against a
-        # 40-digit mpmath.expm at t_max (it agrees to about 6e-12)
+        # the stepped route against a 40-digit mpmath.expm at t_max (it
+        # agrees to about 6.5e-12, as scipy's expm at t_max does)
         import mpmath
 
         l = superop.generator("full4").matrices(self.STIFF)[0]
         rho0 = np.eye(4) / 4.0
-        states, _ = evolve_check(l, rho0, self.STIFF_TIMES)
+        states, _ = evolve_check(l, rho0, self.STIFF_T_MAX, 4)
         with mpmath.workdps(40):
-            e = mpmath.expm(mpmath.matrix(l.tolist()) * self.STIFF_TIMES[-1])
+            e = mpmath.expm(mpmath.matrix(l.tolist()) * self.STIFF_T_MAX)
             v = e * mpmath.matrix(superop.vectorize(rho0).real.tolist())
             want = superop.devectorize(np.array(v.tolist(), dtype=float).ravel())
         assert np.abs(states[-1] - want).max() < 1e-10
 
     @pytest.mark.xfail(strict=True, reason=(
         "stiff full4 generator: the eigen-expansion route is off by 1.4e-8 "
-        "(route_diff 1.39e-8 at t = 0.079, 1.37e-8 at t_max) while expm is "
-        "right to 6e-12 against mpmath; ROADMAP item 8"))
+        "(route_diff 1.39e-8 at t = 0.079, 1.37e-8 at t_max) while the "
+        "stepped propagator is right to 6.5e-12 against mpmath; ROADMAP item 5"))
     def test_stiff_routes_agree(self):
         l = superop.generator("full4").matrices(self.STIFF)[0]
-        _, route_diff = evolve_check(l, np.eye(4) / 4.0, self.STIFF_TIMES)
+        _, route_diff = evolve_check(l, np.eye(4) / 4.0, self.STIFF_T_MAX, 4)
         assert route_diff.max() <= 1e-8
 
-    def test_rejects_times_that_are_not_1d(self):
+    def test_rejects_fewer_than_two_steps(self):
         l = gm_liouvillian(ModelParams(omega=30.0, j=10.0, q=1.0))
-        with pytest.raises(ValueError, match="1-D"):
-            evolve_check(l, np.eye(3) / 3.0, 0.1)
+        with pytest.raises(ValueError, match="steps"):
+            evolve_check(l, np.eye(3) / 3.0, 0.1, 1)
 
     def test_rejects_a_state_that_is_not_finite(self):
         l = gm_liouvillian(ModelParams(omega=30.0, j=10.0, q=1.0))
         rho0 = np.diag([0.5, 0.5, np.nan]).astype(complex)
         with pytest.raises(ValueError, match="finite"):
-            evolve_check(l, rho0, [0.1])
+            evolve_check(l, rho0, 0.1, 2)
 
     def test_rejects_unphysical_state(self):
         p = ModelParams(omega=30.0, j=10.0, q=1.0)
         l = gm_liouvillian(p)
         with pytest.raises(ValueError):
-            evolve_check(l, np.diag([0.7, 0.5, -0.2]).astype(complex), [0.1])
+            evolve_check(l, np.diag([0.7, 0.5, -0.2]).astype(complex), 0.1, 2)
         with pytest.raises(ValueError):
-            evolve_check(l, np.diag([0.7, 0.5, 0.2]).astype(complex), [0.1])
+            evolve_check(l, np.diag([0.7, 0.5, 0.2]).astype(complex), 0.1, 2)
         with pytest.raises(ValueError, match="Hermitian"):
             evolve_check(l, np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]],
-                                     dtype=complex), [0.1])
+                                     dtype=complex), 0.1, 2)

@@ -1,10 +1,9 @@
 """Which SciPy packages and which `lioup` modules a CLI command loads.
 
-SciPy is imported only inside the functions that call it, because loading
-it costs more CPU than a spectrum command's whole computation; likewise
-`lioup.validate` only for `lioup validate`.  Each case runs `lioup.cli.main`
-in a fresh interpreter and checks the module names it left in
-`sys.modules`; nothing here is timed.
+No command loads SciPy, whose import costs more CPU than a spectrum
+command's whole computation; `lioup.validate` loads only for `lioup
+validate`.  Each case runs `lioup.cli.main` in a fresh interpreter and
+checks the module names it left in `sys.modules`; nothing here is timed.
 """
 
 import json
@@ -45,10 +44,40 @@ def run_fresh(tmp_path, command, cfg, package="scipy"):
     return rc, set(scipy if package == "scipy" else lioup)
 
 
-def test_spectrum_loads_no_scipy(tmp_path):
-    rc, modules = run_fresh(tmp_path, "spectrum",
-                            {"model": "eff3", "params": PARAMS})
-    assert rc == 0
+@pytest.mark.parametrize("command,cfg,code", [
+    pytest.param("spectrum", {"model": "eff3", "params": PARAMS}, 0, id="spectrum"),
+    pytest.param("spectrum", {"model": "eff3", "params": PARAMS, "colour": 1}, 2,
+                 id="config_error"),
+    # criterion 11 evolves through linalg.expm; J*(q) is a cubic's root
+    pytest.param("validate", None, 0, id="validate"),
+    pytest.param("evolve", {"model": "eff3", "params": PARAMS, "evolve": {
+        "rho0": "mixed", "t_max": 0.2, "steps": 4}}, 0, id="evolve"),
+    # the EP search and its certification
+    *(pytest.param("find-ep", {
+        "model": "eff3", "params": {**PARAMS, "q": 0.5},
+        "findep": {"box": {"j": [5.0, 15.0]}, "target_mult": 2, "level": level}},
+        0, id=f"find_ep_{level}") for level in ("operator", "superoperator")),
+    # detuned: every step is settled by the nearest neighbours
+    pytest.param("sweep", {
+        "model": "eff3",
+        "params": {"omega": 28.0623, "j": 23.3127, "q": 0.262313,
+                   "gamma_sp": 40772.3, "gamma_g": 2.17575, "delta_opt": -179.065},
+        "sweep": {"parameter": "delta_rf", "start": -28.0623, "stop": 28.0623,
+                  "points": 101}}, 0, id="sweep_detuned"),
+    # resonant: the exact doubles leave steps for the assignment solver
+    pytest.param("sweep", {
+        "model": "eff3", "params": PARAMS,
+        "sweep": {"parameter": "j", "start": 10.0, "stop": 20.0, "points": 5}},
+        0, id="sweep_resonant"),
+    # operator level: the step across the EP at j = omega/sqrt(2) is unclear
+    pytest.param("sweep", {
+        "model": "eff3", "params": PARAMS,
+        "sweep": {"parameter": "j", "start": 15.0, "stop": 25.0, "points": 5,
+                  "level": "operator"}}, 0, id="sweep_operator"),
+])
+def test_no_command_loads_scipy(tmp_path, command, cfg, code):
+    rc, modules = run_fresh(tmp_path, command, cfg)
+    assert rc == code
     assert modules == set()
 
 
@@ -67,63 +96,3 @@ def test_command_loads_only_its_pipeline(tmp_path, command, cfg):
     assert rc == 0
     assert modules == {"lioup", "lioup.cli", "lioup.linalg", "lioup.model",
                        "lioup.spectra", "lioup.superop"}
-
-
-def test_config_error_loads_no_scipy(tmp_path):
-    rc, modules = run_fresh(tmp_path, "spectrum",
-                            {"model": "eff3", "params": PARAMS, "colour": 1})
-    assert rc == 2
-    assert modules == set()
-
-
-def test_evolve_loads_linalg_but_not_optimize(tmp_path):
-    rc, modules = run_fresh(tmp_path, "evolve", {
-        "model": "eff3", "params": PARAMS,
-        "evolve": {"rho0": "mixed", "t_max": 0.2, "steps": 4}})
-    assert rc == 0
-    assert "scipy.linalg" in modules
-    assert "scipy.optimize" not in modules
-
-
-@pytest.mark.parametrize("level", ["operator", "superoperator"])
-def test_find_ep_loads_no_scipy(tmp_path, level):
-    # the EP search and its certification run on NumPy alone
-    rc, modules = run_fresh(tmp_path, "find-ep", {
-        "model": "eff3", "params": {**PARAMS, "q": 0.5},
-        "findep": {"box": {"j": [5.0, 15.0]}, "target_mult": 2, "level": level}})
-    assert rc == 0
-    assert modules == set()
-
-
-def test_validate_loads_linalg_but_not_optimize(tmp_path):
-    # criterion 11 evolves through linalg.expm; J*(q) is a cubic's root
-    rc, modules = run_fresh(tmp_path, "validate", None)
-    assert rc == 0
-    assert "scipy.linalg" in modules
-    assert not any(m == "scipy.optimize" or m.startswith("scipy.optimize.")
-                   for m in modules)
-
-
-@pytest.mark.parametrize("cfg", [
-    # detuned: every step is settled by the nearest neighbours
-    pytest.param({
-        "model": "eff3",
-        "params": {"omega": 28.0623, "j": 23.3127, "q": 0.262313,
-                   "gamma_sp": 40772.3, "gamma_g": 2.17575, "delta_opt": -179.065},
-        "sweep": {"parameter": "delta_rf", "start": -28.0623, "stop": 28.0623,
-                  "points": 101}}, id="detuned"),
-    # resonant: the exact doubles leave steps for the assignment solver
-    pytest.param({
-        "model": "eff3", "params": PARAMS,
-        "sweep": {"parameter": "j", "start": 10.0, "stop": 20.0, "points": 5}},
-        id="resonant"),
-    # operator level: the step across the EP at j = omega/sqrt(2) is unclear
-    pytest.param({
-        "model": "eff3", "params": PARAMS,
-        "sweep": {"parameter": "j", "start": 15.0, "stop": 25.0, "points": 5,
-                  "level": "operator"}}, id="operator"),
-])
-def test_every_sweep_loads_no_scipy(tmp_path, cfg):
-    rc, modules = run_fresh(tmp_path, "sweep", cfg)
-    assert rc == 0
-    assert modules == set()
