@@ -77,11 +77,14 @@ _THETA13 = 5.371920351148152
 def expm(a):
     """Matrix exponential: the Pade [13/13] approximant r(a / 2^s),
     squared s times, with the least s >= 0 that brings ||a||_1 / 2^s to
-    _THETA13 or below (Higham 2005).  r = (V - U)^-1 (V + U) is formed as
-    I + 2 (V - U)^-1 U, which rounds less in the squarings of a stiff
-    generator.  The norm is taken in logarithms, so a finite `a` whose
-    column sums leave float range still gets its s; entries of exp(a) that
-    leave float range come back inf or NaN, without a warning."""
+    _THETA13 / 2 or below.  Higham (2005) stops at _THETA13, but there the
+    solve for r can leave a rounding-level error in the trace row of a
+    trace-preserving generator's r, which the s squarings multiply by 2^s.
+    r = (V - U)^-1 (V + U) is formed as I + 2 (V - U)^-1 U, which rounds
+    less in the squarings of a stiff generator.  The norm is taken in
+    logarithms, so a finite `a` whose column sums leave float range still
+    gets its s; entries of exp(a) that leave float range come back inf or
+    NaN, without a warning."""
     a = as_matrix(a)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {a.shape}")
@@ -90,7 +93,7 @@ def expm(a):
     s = 0
     if big > 0:
         log_norm = math.log2(big) + math.log2((mag / big).sum(axis=0).max())
-        s = max(0, math.ceil(log_norm - math.log2(_THETA13)))
+        s = max(0, math.ceil(log_norm - math.log2(_THETA13 / 2)))
     a = a * 0.5 ** s  # a power of two: exact above the subnormal range
     b = _PADE13
     ident = np.eye(a.shape[0])

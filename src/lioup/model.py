@@ -107,23 +107,22 @@ def check_box(p: ModelParams, box):
 
 @dataclass(frozen=True)
 class LindbladSystem:
-    """A Hermitian Hamiltonian plus a tuple of d x d jump operators, d = dim."""
+    """A Hermitian d x d Hamiltonian plus a tuple of d x d jump operators."""
 
-    dim: int
     hamiltonian: np.ndarray
     jumps: tuple = ()
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
-        if h.shape != (self.dim, self.dim):
-            raise ValueError("hamiltonian has wrong shape")
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+            raise ValueError("hamiltonian must be square")
         if not np.isfinite(h).all():
             raise ValueError("hamiltonian has non-finite entries")
         object.__setattr__(self, "hamiltonian", h)
         ops = []
         for k, op in enumerate(self.jumps):
             op = np.asarray(op, dtype=complex)
-            if op.shape != (self.dim, self.dim):
+            if op.shape != h.shape:
                 raise ValueError(f"jump {k} has wrong shape")
             ops.append(op)
         object.__setattr__(self, "jumps", tuple(ops))
@@ -131,17 +130,16 @@ class LindbladSystem:
         if np.linalg.norm(h - h.conj().T) > 1e-12 * scale:
             raise ValueError("hamiltonian is not Hermitian")
 
+    @property
+    def dim(self):
+        """The Hilbert-space dimension d, read from the Hamiltonian."""
+        return self.hamiltonian.shape[0]
+
     def h_nh(self):
         """Non-Hermitian Hamiltonian H - (i/2) sum L^dag L."""
         g = sum((op.conj().T @ op for op in self.jumps),
                 np.zeros((self.dim, self.dim), dtype=complex))
         return self.hamiltonian - 0.5j * g
-
-
-def _phase_to_i(op):
-    # multiply by a unit phase so the first nonzero entry is +i * positive
-    c = op[op != 0]
-    return op * (1j * abs(c[0]) / c[0]) if c.size else op
 
 
 def _momentum(x):
@@ -186,51 +184,39 @@ def wigner3j(j1, j2, j3, m1, m2, m3):
     return phase * sign * math.sqrt(float(delta * pi * total * total))
 
 
-def spin_ops(f):
-    """Standard spin-f matrices (Fx, Fy, Fz) of an integer f in the |f, m>
-    basis, m = f..-f."""
-    f = _momentum(f)
-    if f < 0:
-        raise ValueError("f must be non-negative")
-    ms = np.arange(f, -f - 1, -1.0)
-    # raising |f, m> -> |f, m+1> on the superdiagonal
-    fp = np.diag(np.sqrt(f * (f + 1) - ms[1:] * (ms[1:] + 1)), 1).astype(complex)
+def spin_ops():
+    """Spin-1 matrices (Fx, Fy, Fz) in the |1, m> basis, m = 1, 0, -1."""
+    # raising |1, m> -> |1, m+1> on the superdiagonal, sqrt(2 - m (m + 1))
+    fp = np.diag([math.sqrt(2.0)] * 2, 1).astype(complex)
     fm = fp.conj().T
-    return (fp + fm) / 2.0, (fp - fm) / 2.0j, np.diag(ms).astype(complex)
+    return (fp + fm) / 2.0, (fp - fm) / 2.0j, np.diag([1.0, 0.0, -1.0]).astype(complex)
 
 
-def build_spont_jumps(f, F, gamma_sp):
-    """Spontaneous-emission jump operators for an f -> F transition of
-    integer momenta.
+def build_spont_jumps(gamma_sp):
+    """Spontaneous-emission jump operators of the f = 1 -> F' = 0 line, 4 x 4.
 
-    Returns three block operators of dimension (2f+1)+(2F+1), ordered by the
-    polarization label eps = +1, 0, -1; basis is ground m = f..-f followed by
-    excited M = F..-F.
-
-    The operator of label eps is sqrt(Gamma) * sum_mM 3j(f,1,F; -m,-eps,M)
-    |f m><F M|, with its global phase fixed so the leading entry is +i *
-    positive; for f=1 -> F=0 this is the explicit i*sqrt(Gamma/3)|1,-eps><0,0|
-    form.  Global per-operator phases do not affect relaxation, repopulation,
-    or any spectrum.
+    Returns three operators ordered by the polarization label eps = +1, 0,
+    -1, in the basis |1,1>, |1,0>, |1,-1>, |0,0>.  The operator of label eps
+    is sqrt(Gamma) 3j(1,1,0; eps,-eps,0) |1,-eps><0,0| with its global phase
+    fixed so the entry is +i * positive: i sqrt(Gamma/3) |1,-eps><0,0|.
+    Global per-operator phases do not affect relaxation, repopulation, or
+    any spectrum.
 
     The returned arrays are read-only.
     """
-    if abs(f - F) > 1:
-        raise ValueError("transition forbidden: |f - F| must be <= 1")
-    ops = math.sqrt(gamma_sp) * _unit_spont_jumps(_momentum(f), _momentum(F))
+    ops = math.sqrt(gamma_sp) * _unit_spont_jumps()
     ops.flags.writeable = False
     return list(ops)
 
 
-@functools.lru_cache(maxsize=None)
-def _unit_spont_jumps(f, F):
-    # exact 3j symbols are slow; they depend only on (f, F)
-    ng, ne = 2 * f + 1, 2 * F + 1
-    ops = np.zeros((3, ng + ne, ng + ne), dtype=complex)
-    for (n, eps), i, k in itertools.product(enumerate((-1, 0, 1)),
-                                            range(ng), range(ne)):
-        ops[n, i, ng + k] = wigner3j(f, 1, F, i - f, eps, F - k)
-    ops = np.array([_phase_to_i(op) for op in ops])
+@functools.cache
+def _unit_spont_jumps():
+    # exact 3j symbols are slow, so the unit-rate operators are made once
+    ops = np.zeros((3, 4, 4), dtype=complex)
+    for op, eps in zip(ops, (1, 0, -1)):
+        c = wigner3j(1, 1, 0, eps, -eps, 0)
+        op[1 + eps, 3] = c  # row 1 + eps is |1,-eps>
+        op *= 1j * abs(c) / c
     ops.flags.writeable = False
     return ops
 
@@ -254,16 +240,16 @@ def build_full4_rwa(p: ModelParams) -> LindbladSystem:
     `build_ground_relaxation` embedded in the 4-dimensional space.
     """
     d, D, J, Or = p.delta_rf, p.delta_opt, p.j, p.omega_r
-    fx, _, fz = spin_ops(1)
+    fx, _, fz = spin_ops()
     h = np.zeros((4, 4), dtype=complex)
     h[:3, :3] = -d * fz + J * math.sqrt(2.0) * fx  # ground block
     h[1, 3] = h[3, 1] = -Or
     h[3, 3] = -D
-    jumps = build_spont_jumps(1, 0, p.gamma_sp)
+    jumps = build_spont_jumps(p.gamma_sp)
     if p.gamma_g > 0:
         ground = build_ground_relaxation(p.gamma_g)
         jumps += list(np.pad(ground, ((0, 0), (0, 1), (0, 1))))
-    return LindbladSystem(dim=4, hamiltonian=h, jumps=tuple(jumps))
+    return LindbladSystem(h, tuple(jumps))
 
 
 def _warn_unless_fast_decay(v):
@@ -320,7 +306,7 @@ def reduce_effective(sys4: LindbladSystem, p: ModelParams) -> LindbladSystem:
 
     h_eff = h_g - 0.5 * (v_minus @ (h_enh_inv + h_enh_inv.conj().T) @ v_plus)
     l_eff = tuple((op[:ngr, ngr:] @ h_enh_inv @ v_plus) for op in spont)
-    return LindbladSystem(dim=ngr, hamiltonian=h_eff, jumps=l_eff + tuple(ground))
+    return LindbladSystem(h_eff, l_eff + tuple(ground))
 
 
 def build_eff3(p: ModelParams) -> LindbladSystem:
@@ -347,10 +333,14 @@ class LinearForm:
     and returns the K coefficients, each a number or an array along them.
     """
 
-    dim: int
     build: Callable[[ModelParams], LindbladSystem]
     columns: Callable[[dict], tuple]
     probes: tuple  # of ModelParams, one per coefficient
+
+    @functools.cached_property
+    def dim(self):
+        """The Hilbert-space dimension d of the model's systems."""
+        return self.build(self.probes[0]).dim
 
     def coefficients(self, p: ModelParams, points=None) -> np.ndarray:
         """The coefficients as an (n, K) float64 array, one row per point.
@@ -435,13 +425,13 @@ _PROBE = ModelParams(omega_r=0.0, gamma_sp=1.0, q=0.0)
 
 LINEAR_FORMS = {
     "full4": LinearForm(
-        dim=4, build=build_full4_rwa, columns=_full4_columns,
+        build=build_full4_rwa, columns=_full4_columns,
         probes=(_PROBE, _PROBE.replace(q=1.0), _PROBE.replace(delta_rf=0.0625),
                 _PROBE.replace(j=0.0625), _PROBE.replace(omega_r=0.25),
                 _PROBE.replace(delta_opt=0.0625), _PROBE.replace(gamma_g=1.0),
                 _PROBE.replace(gamma_g=1.0, q=1.0))),
     "eff3": LinearForm(
-        dim=3, build=build_eff3, columns=_eff3_columns,
+        build=build_eff3, columns=_eff3_columns,
         probes=(_PROBE.replace(delta_rf=0.0625), _PROBE.replace(j=0.0625),
                 _PROBE.replace(omega_r=0.25, delta_opt=0.5),
                 _PROBE.replace(omega_r=0.25),

@@ -334,7 +334,7 @@ def criterion_9():
                       np.abs(hhat.real).max())
         worst_g = max(worst_g, np.abs(ghat - ghat.T).max(),
                       np.abs(ghat.imag).max())
-        sys = model.LindbladSystem(d, h, tuple(jumps))
+        sys = model.LindbladSystem(h, tuple(jumps))
         worst_c = max(worst_c, spectra.correspondence_check(
             sys.h_nh(), linalg.eigvals(superop.hybrid_liouvillian(sys, 0.0))))
     ok = worst_h <= 1e-12 and worst_g <= 1e-12 and worst_c <= 1e-8
@@ -399,7 +399,7 @@ def criterion_12():
         h = a + a.conj().T
         jumps = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
                  for _ in range(1 + trial % 4)]
-        sys = model.LindbladSystem(dim=d, hamiltonian=h, jumps=tuple(jumps))
+        sys = model.LindbladSystem(h, tuple(jumps))
         q = float(rng.uniform())
         ev_gm = linalg.eigvals(superop.hybrid_liouvillian(sys, q))
         ev_fl = linalg.eigvals(superop.fock_liouville_matrix(

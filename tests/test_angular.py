@@ -39,6 +39,10 @@ class TestWigner3j:
         with pytest.raises(ValueError, match="not an integer"):
             wigner3j(0.5, 0.5, 1, 0.5, -0.5, 0)
 
+    def test_negative_momentum_raises(self):
+        with pytest.raises(ValueError, match="negative angular momentum"):
+            wigner3j(-1, 1, 0, 0, 0, 0)
+
     def test_squared_sum_rule(self):
         # sum over polarization and ground projection at fixed excited state
         for f, F in ((1, 0), (1, 1), (1, 2), (2, 1)):
@@ -98,27 +102,22 @@ class TestWigner3j:
 
 class TestSpinOps:
     def test_f1_matrices(self):
-        fx, fy, fz = spin_ops(1)
+        fx, fy, fz = spin_ops()
         assert np.allclose(fz, np.diag([1.0, 0.0, -1.0]))
         s = 1 / math.sqrt(2)
         assert np.allclose(fx, np.array([[0, s, 0], [s, 0, s], [0, s, 0]]))
 
-    @pytest.mark.parametrize("f", [0, 1, 2, 3])
-    def test_commutation_and_casimir(self, f):
-        fx, fy, fz = spin_ops(f)
+    def test_commutation_and_casimir(self):
+        fx, fy, fz = spin_ops()
         assert np.abs(fx @ fy - fy @ fx - 1j * fz).max() < 1e-12
         assert np.abs(fy @ fz - fz @ fy - 1j * fx).max() < 1e-12
         assert np.abs(fz @ fx - fx @ fz - 1j * fy).max() < 1e-12
         casimir = fx @ fx + fy @ fy + fz @ fz
-        assert np.abs(casimir - f * (f + 1) * np.eye(2 * f + 1)).max() < 1e-12
-
-    def test_half_integer_spin_raises(self):
-        with pytest.raises(ValueError, match="not an integer"):
-            spin_ops(0.5)
+        assert np.abs(casimir - 2.0 * np.eye(3)).max() < 1e-12
 
     def test_ground_hamiltonian_pattern(self):
         # -delta Fz + J sqrt(2) Fx carries plain J on the off-diagonals
         j, delta = 7.0, 0.0
-        fx, _, fz = spin_ops(1)
+        fx, _, fz = spin_ops()
         hg = -delta * fz + j * math.sqrt(2) * fx
         assert np.allclose(hg, np.array([[0, j, 0], [j, 0, j], [0, j, 0]]))

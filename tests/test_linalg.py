@@ -228,6 +228,20 @@ class TestExpm:
         v0 = superop.vectorize(np.diag([0.2, 0.5, 0.3])).real
         assert np.abs(linalg.expm(a) @ v0 - stat).max() < 1e-6
 
+    @pytest.mark.parametrize("t", [1e4, 1e5, 1e7])
+    def test_long_times_reach_the_stationary_state(self, t):
+        # 29 to 39 squarings, which multiply a rounding error in the trace
+        # row of the Pade approximant by 2^s; scaled to theta13 instead of
+        # theta13 / 2, the state ended 2.1e-8 to 2.2e-5 away
+        p = model.ModelParams(omega=30.0, j=10.0, delta_rf=3.0, delta_opt=100.0,
+                              gamma_sp=1e5, q=1.0)
+        l = superop.generator("full4").matrices(p)[0]
+        values, vecs = linalg.eig(l)
+        v0 = superop.vectorize(np.eye(4) / 4.0).real
+        stat = vecs[:, np.argmin(np.abs(values))].real
+        stat /= stat[-1] / v0[-1]
+        assert np.abs(linalg.expm(l * t) @ v0 - stat).max() < 1e-10
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(name=st.sampled_from(["eff3", "full4"]), omega=st.floats(5.0, 50.0),
            j=st.floats(0.0, 50.0), delta_rf=st.floats(-50.0, 50.0),

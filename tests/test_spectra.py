@@ -455,6 +455,10 @@ class TestAssign:
         with pytest.raises(ValueError, match="invalid numeric entries"):
             spectra._assign([[1.0, 2.0], [bad, 3.0]])
 
+    def test_match_distance_rejects_sizes_that_differ(self):
+        with pytest.raises(ValueError, match="differ in size"):
+            match_distance(np.zeros(3), np.zeros(4))
+
     def test_infeasible_matrix_raises(self):
         with pytest.raises(ValueError, match="infeasible"):
             spectra._assign([[math.inf, math.inf], [1.0, 2.0]])

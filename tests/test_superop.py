@@ -48,7 +48,7 @@ def random_system(rng, d, n_jumps, scale=1.0):
     h = scale * (a + a.conj().T)
     jumps = tuple(scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
                   for _ in range(n_jumps))
-    return LindbladSystem(dim=d, hamiltonian=h, jumps=jumps)
+    return LindbladSystem(h, jumps)
 
 
 def apply_hybrid(sys, q, rho):
@@ -115,16 +115,20 @@ class TestVectorize:
             rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             assert np.abs(devectorize(vectorize(rho)) - rho).max() < 1e-13
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="rho must be square"):
+            vectorize(np.ones((2, 3)))
+
     def test_gellmann_components_of_hermitian_are_real(self, rng):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         v = vectorize(a + a.conj().T)
         assert np.abs(v.imag).max() < 1e-12
 
     def test_rejects_unknown_names_and_dimensions(self):
-        sys17 = LindbladSystem(dim=17, hamiltonian=np.eye(17))
+        sys17 = LindbladSystem(np.eye(17))
         for d in (17, 1):
             with pytest.raises(ValueError, match="dimension"):
-                hybrid_liouvillian(LindbladSystem(dim=d, hamiltonian=np.eye(d)), 0.0)
+                hybrid_liouvillian(LindbladSystem(np.eye(d)), 0.0)
         for d in (1, 17):
             with pytest.raises(ValueError, match="dimension"):
                 vectorize(np.eye(d))
@@ -250,6 +254,15 @@ class TestHybridLiouvillian:
             want = analytic.nhh_superop_spectrum(omega, j)
             assert spectra.match_distance(ev, want) < 1e-8 * np.abs(want).max()
 
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    def test_undriven_spectrum_analytic(self, q):
+        # Omega = J = 0 takes jump_coupled_three's zeta = 0 branch
+        want = analytic.hybrid_spectrum(0.0, 0.0, q)
+        assert np.array_equal(want, np.zeros(9))
+        p = ModelParams(omega=0.0, j=0.0, q=q)
+        ev = linalg.eigvals(hybrid_liouvillian(build_eff3(p), q))
+        assert spectra.match_distance(ev, want) == 0.0
+
     def test_q0_equals_nhh_superop_spectrum(self):
         p = ModelParams(omega=30.0, j=10.0, delta_rf=3.0)
         sys3 = build_eff3(p)
@@ -357,6 +370,26 @@ class TestGenerator:
         assert (np.abs(gen.matrices(mirrored)[0] - rev @ m @ rev.T).max()
                 <= 1e-12 * np.abs(m).max())
 
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(p=model_params(), name=st.sampled_from(["eff3", "full4"]))
+    def test_optical_detuning_sign_conjugates_the_spectra(self, p, name):
+        # -H_nh(delta_rf, delta_opt)^* is H_nh(-delta_rf, -delta_opt) under
+        # the sign similarity diag(1, -1, 1, 1), and delta_rf -> -delta_rf is
+        # the state reversal: so delta_opt -> -delta_opt maps each operator
+        # eigenvalue E to -E^*, and leaves the real superoperator's spectrum
+        gen = superop.generator(name)
+        s = np.diag([1.0, -1.0, 1.0, 1.0][:gen.form.dim])
+        flipped = p.replace(delta_opt=-p.delta_opt)
+        both = flipped.replace(delta_rf=-p.delta_rf)
+        h = gen.operators(p)[0]
+        assert np.array_equal(gen.operators(both)[0], s @ -h.conj() @ s)
+        ev = linalg.eigvals(h)
+        got = linalg.eigvals(gen.operators(flipped)[0])
+        assert spectra.match_distance(got, -ev.conj()) <= 1e-13 * np.abs(ev).max()
+        ev = linalg.eigvals(gen.matrices(p)[0])
+        got = linalg.eigvals(gen.matrices(flipped)[0])
+        assert spectra.match_distance(got, ev) <= 1e-13 * np.abs(ev).max()
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(p=model_params(), name=st.sampled_from(["eff3", "full4"]))
     def test_jump_free_generator_is_the_nhh_superoperator(self, p, name):
@@ -423,8 +456,7 @@ class TestGenerator:
         # every Lindblad system maps Hermitian operators to Hermitian ones;
         # rho -> -i H rho does not, so its Gell-Mann matrix is complex
         form = model.LinearForm(
-            dim=2,
-            build=lambda p: LindbladSystem(dim=2, hamiltonian=p.j * PAULI["x"]),
+            build=lambda p: LindbladSystem(p.j * PAULI["x"]),
             columns=lambda v: (v["j"],),
             probes=(ModelParams(omega=1.0, j=1.0),))
         monkeypatch.setitem(model.LINEAR_FORMS, "not_real", form)
@@ -497,6 +529,15 @@ class TestGrid:
             assert np.array_equal(m, gen.matrices(at)[0])
             assert np.array_equal(h, gen.operators(at)[0])
 
+    def test_coefficients_reject_unknown_fields_and_ragged_points(self):
+        form = model.LINEAR_FORMS["full4"]
+        p = ModelParams(omega=30.0, j=10.0)
+        with pytest.raises(ValueError, match="unknown parameter 'x'"):
+            form.coefficients(p, {"x": 1.0})
+        for points in ({"j": [[1.0, 2.0]]}, {"j": [1.0, 2.0], "delta_rf": [1.0, 2.0, 3.0]}):
+            with pytest.raises(ValueError, match="equal-length 1-D arrays"):
+                form.coefficients(p, points)
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(p=model_params(), seed=st.integers(0, 2 ** 32 - 1))
     def test_eff3_shift_and_rate_rows_are_the_closed_form(self, p, seed):
@@ -555,7 +596,7 @@ def lindblad_systems(draw):
 
     a = complex_matrix()
     jumps = tuple(complex_matrix() for _ in range(draw(st.integers(0, 3))))
-    return LindbladSystem(dim=d, hamiltonian=a + a.conj().T, jumps=jumps)
+    return LindbladSystem(a + a.conj().T, jumps)
 
 
 class TestSpectralProperties:
@@ -617,8 +658,7 @@ class TestFockLiouville:
                 kron_fock_liouville(sys.hamiltonian, sys.jumps, p.q))
 
     def test_amplitude_damping_spectrum(self):
-        sys = LindbladSystem(dim=2, hamiltonian=np.zeros((2, 2)),
-                             jumps=(np.array([[0.0, 1.0], [0.0, 0.0]]),))
+        sys = LindbladSystem(np.zeros((2, 2)), jumps=(np.array([[0.0, 1.0], [0.0, 0.0]]),))
         ev = linalg.eigvals(superop.fock_liouville_matrix(sys.hamiltonian,
                                                           sys.jumps, 1.0))
         assert spectra.match_distance(ev, np.array([0.0, -0.5, -0.5, -1.0])) < 1e-12
