@@ -43,8 +43,9 @@ def _fmt(x):
 def _format_words():
     """The 4-byte words `_format_rows` builds its cells from, made on first
     use: every 4-digit group, sign with lead digit and point, exponent field
-    and separator; then, at offset k + 22 for |k| <= 22, the factors
-    10**max(k, 0) and 10**max(-k, 0), which a double holds exactly."""
+    and separator; then, at offset k + 22 for -22 <= k <= 44, the factors
+    10**clip(k, 0, 22), 10**max(k - 22, 0) and 10**max(-k, 0), which a
+    double holds exactly."""
     d = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     quads = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1)
     heads = [f"{sign}{lead}." for sign in ("", "-") for lead in range(10)]
@@ -53,8 +54,9 @@ def _format_words():
             np.array(heads, dtype="S4").view(np.uint32),
             np.array(tails, dtype="S4").view(np.uint32),
             np.array([",", "\r\n"], dtype="S4").view(np.uint32),
-            np.array([float(10 ** max(k, 0)) for k in range(-22, 23)]),
-            np.array([float(10 ** max(-k, 0)) for k in range(-22, 23)]))
+            np.array([float(10 ** min(max(k, 0), 22)) for k in range(-22, 45)]),
+            np.array([float(10 ** max(k - 22, 0)) for k in range(-22, 45)]),
+            np.array([float(10 ** max(-k, 0)) for k in range(-22, 45)]))
 
 
 def _format_rows(table):
@@ -69,20 +71,21 @@ def _format_rows(table):
 
 def _format_block(x):
     # %.12e prints m = rint(|x| 10**(12 - e)) as d.dddddddddddd with the
-    # exponent e = floor(log10 |x|).  Scaled by an exact power of ten, s
-    # takes one rounding, so it lies within 1.1e-3 of the exact value
-    # (s < 1e13, 2**-53 relative) and rint(s) is the correctly rounded m
-    # unless s lies within 4e-3 of a half.  Such values, non-finite ones and
-    # those whose exponent needs a power beyond 10**22 go through FLOAT_FMT.
-    quads, heads, tails, seps, up, down = _format_words()
+    # exponent e = floor(log10 |x|).  Scaled by exact powers of ten, one
+    # factor for e >= -10 and two below, s takes at most two roundings, so
+    # it lies within 2.3e-3 of the exact value (s < 1e13, 2**-53 relative
+    # each) and rint(s) is the correctly rounded m unless s lies within 4e-3
+    # of a half.  Such values, non-finite ones and those whose exponent
+    # needs a power beyond 10**44 or 10**-22 go through FLOAT_FMT.
+    quads, heads, tails, seps, up, up_more, down = _format_words()
     a = np.abs(x)
     with np.errstate(divide="ignore"):
         e = np.floor(np.log10(a))
-    fast = (e >= -10.0) & (e <= 34.0)  # so that |12 - e| <= 22
+    fast = (e >= -32.0) & (e <= 34.0)  # so that -22 <= 12 - e <= 44
     zero = a == 0.0
     a = np.where(fast, a, 1.0)
     k = np.where(fast, 34.0 - e, 22.0).astype(np.intp)  # 12 - e, offset by 22
-    s = a * up[k] / down[k]
+    s = a * up[k] * up_more[k] / down[k]
     m = np.rint(s)
     # Should log10 miss by one next to a power of ten, s leaves [1e12, 1e13)
     # unless it lies within rounding of an end, where both exponents print
@@ -291,10 +294,18 @@ def cmd_sweep(cfg, out_path):
     points = _integer(blk, "points", "config.sweep")
     if stop <= start:
         raise SchemaError("'config.sweep.stop' must exceed start")
-    p, _, _, build = _search_space(cfg, "sweep", {parameter: (start, stop)},
-                                   "config.sweep", "config.sweep.parameter")
+    p, _, level, build = _search_space(cfg, "sweep", {parameter: (start, stop)},
+                                       "config.sweep", "config.sweep.parameter")
     grid = np.linspace(start, stop, points)
-    branches, candidates, failures = spectra.sweep(build(p, {parameter: grid}))
+    # a range symmetric about zero in a field whose sign the spectrum ignores
+    # gets an exactly antisymmetric grid, the linspace's first half negated
+    # into its second, and the sweep solves half of it
+    mirrored = parameter in model.SIGN_SYMMETRIC[level] and start == -stop
+    if mirrored:
+        half = grid[:points // 2]
+        grid = np.concatenate([half, np.zeros(points % 2), -half[::-1]])
+    branches, candidates, failures = spectra.sweep(build(p, {parameter: grid}),
+                                                   mirrored)
 
     nb = branches.shape[0]
     header = ([parameter] + [f"re_{k + 1}" for k in range(nb)]

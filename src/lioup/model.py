@@ -11,7 +11,8 @@ Basis conventions used throughout:
 * in the detuned ground block the RF detuning enters as diag(-delta, 0,
   +delta).  Spectra are invariant under delta -> -delta, the state reversal
   |1,1> <-> |1,-1>, which maps this convention onto the mirrored
-  diag(+delta, 0, -delta) of the detuned-regime analyses.
+  diag(+delta, 0, -delta) of the detuned-regime analyses (see
+  SIGN_SYMMETRIC for the fields and levels this holds at).
 
 All rates and frequencies are plain angular frequencies in one shared unit.
 Every builder, the effective reduction included, returns a LindbladSystem
@@ -36,6 +37,19 @@ import numpy as np
 # Excited-state linewidth of the 87Rb D2 line (f=1 -> F=0), the default
 # spontaneous rate when only the reduced Rabi frequency is specified.
 GAMMA_D2 = 2 * math.pi * 5.7e6
+
+
+# The fields whose sign no spectrum of either model depends on, by level.
+# The state reversal P, |1,1> <-> |1,-1>, maps H_nh(delta_rf) to
+# P H_nh(-delta_rf) P and permutes the jumps, so delta_rf is mirrored at
+# both levels.  With S = diag(1, -1, 1, ...), -S H^* S is H at -delta_rf and
+# -delta_opt, and the jumps S L^* S differ from L by phases: the map
+# rho -> S rho^T S, real and orthogonal on Gell-Mann components, takes
+# L(delta_rf, delta_opt) to L(-delta_rf, -delta_opt), so delta_opt is
+# mirrored at superoperator level.  The operator spectrum goes to -E^*
+# instead, which is not the same set.
+SIGN_SYMMETRIC = {"operator": frozenset({"delta_rf"}),
+                  "superoperator": frozenset({"delta_rf", "delta_opt"})}
 
 
 @dataclass(frozen=True)

@@ -351,13 +351,16 @@ def correspondence_check(h_nh, super_spectrum):
     return match_distance(pairs, super_spectrum)
 
 
-def sweep(stack):
+def sweep(stack, mirrored=False):
     """Eigenvalue branches of an (n, d, d) stack of matrices, one per grid
     point, as (branches (d, n), ep_candidates, failures): `_census`'s
     branches ordered by (re, im) at the first solved point, NaN at failed
     points, the points of its turns (none at the first or last solved
-    point), and its (point index, message) failures."""
-    _, parts, turns, good, failures = _census(np.asarray(stack))
+    point), and its (point index, message) failures.  `mirrored` says that
+    row n - 1 - k has row k's spectrum, as on a grid antisymmetric in a
+    model.SIGN_SYMMETRIC field: `_census` then solves only the first
+    ceil(n / 2) rows of a one-block stack."""
+    _, parts, turns, good, failures = _census(np.asarray(stack), mirrored)
     tracked = np.hstack(parts)
     tracked = tracked[:, np.lexsort((tracked[0].imag, tracked[0].real))]
     branches = np.full((tracked.shape[1], len(stack)), np.nan + 1j * np.nan,
@@ -367,7 +370,7 @@ def sweep(stack):
     return branches, tuple(sorted(candidates)), tuple(failures)
 
 
-def _census(stack):
+def _census(stack, mirrored=False):
     """The tracked eigenvalues of an (n, d, d) stack of matrices, one per
     grid point, and the turns of their pairs, block by block: (blocks,
     parts, turns, good, failures), parts[b] holding block b's branches at
@@ -375,7 +378,12 @@ def _census(stack):
     the matrices share (`_blocks`, from exact zeros) is solved by one
     batched eigensolve, a one-block stack as it is; should it raise, each
     matrix is solved alone, and one that raises in any block is a (point
-    index, message) failure (RuntimeError if all are).
+    index, message) failure (RuntimeError if all are).  A `mirrored`
+    one-block stack, whose row n - 1 - k has row k's spectrum, is solved
+    only at its first ceil(n / 2) rows, and row n - 1 - k takes row k's
+    eigenvalues, or its failure and message.  A stack that splits is solved
+    in full: the symmetry behind a mirror, such as model.SIGN_SYMMETRIC's
+    state reversal, may permute its blocks.
 
     Each block is tracked between consecutive solved points by the
     minimal-total-distance assignment.  A step skips the solver where every
@@ -385,20 +393,22 @@ def _census(stack):
     bound of every assignment that every other matching exceeds.  Other
     steps call the solver on the previous point's branch order, whose row
     order breaks ties.  FloatingPointError names a step whose distances
-    overflow.  Turns need no threshold: a pair's s is analytic with a
-    simple zero at an EP2, where a real pair of a real matrix turns
-    conjugate; a resonant generator's persistent doubles pair with nothing,
-    having one member in each block.
+    overflow.  Turns need no threshold beyond `_turns`'s rounding floor: a
+    pair's s is analytic with a simple zero at an EP2, where a real pair of
+    a real matrix turns conjugate; a resonant generator's persistent doubles
+    pair with nothing, having one member in each block.
     """
     blocks = _blocks(stack)
-    subs = [stack if len(b) == stack.shape[-1] else stack[:, b][:, :, b]
-            for b in blocks]
+    n = len(stack)
+    solved = (n + 1) // 2 if mirrored and len(blocks) == 1 else n
+    subs = [stack[:solved] if len(b) == stack.shape[-1]
+            else stack[:solved, b][:, :, b] for b in blocks]
     try:
         values = np.hstack([linalg.eigvals(sub) for sub in subs])
-        good, failures = list(range(len(stack))), []
+        good, failures = list(range(solved)), []
     except (ValueError, np.linalg.LinAlgError):
         values, good, failures = [], [], []
-        for k in range(len(stack)):
+        for k in range(solved):
             try:
                 values.append(np.hstack([linalg.eigvals(sub[k]) for sub in subs]))
                 good.append(k)
@@ -407,9 +417,17 @@ def _census(stack):
         values = np.array(values)
     if not good:
         raise RuntimeError("eigensolve failed at every grid point")
+    if solved < n:  # rows solved .. n - 1 mirror rows n - 1 - solved .. 0
+        rows = [i for i in range(len(good) - 1, -1, -1)
+                if n - 1 - good[i] >= solved]
+        good += [n - 1 - good[i] for i in rows]
+        failures += [(n - 1 - k, msg) for k, msg in failures[::-1]
+                     if n - 1 - k >= solved]
+        values = np.concatenate([values, values[rows]])
     parts = [np.take_along_axis(part, _track(part, good), axis=1) for part in
              np.split(values, np.cumsum([len(b) for b in blocks])[:-1], axis=1)]
-    return blocks, parts, [_turns(part, good) for part in parts], good, failures
+    turns = [_turns(part, good, stack) for part in parts]
+    return blocks, parts, turns, good, failures
 
 
 def _blocks(stack):
@@ -473,21 +491,40 @@ def _unique_nearest(values):
     return nearest, clear.all(axis=1) & hit.all(axis=1)
 
 
-def _turns(branches, points):
+def _turns(branches, points, stack=None):
     """The zeros of each pair's s = (branches[:, a] - branches[:, b])**2,
     branches (len(points), n), pair by pair and then step by step: for each
     step where s turns by more than a right angle, Re(s_k conj(s_k+1)) < 0,
     (the entry of `points`, the pair's mean) at its end with the smaller |s|,
-    the earlier at a tie."""
-    found = []
+    the earlier at a tie.
+
+    Given the stack the branches come from, a turn whose larger end gap
+    sqrt|s| is within CLUSTER_C eps ||A||_F, A the step's end matrix of the
+    larger norm, is dropped: ||A||_F bounds ||A||_2, so a perturbation that
+    small, the floor of `_conditioned_links`, could join the pair at both
+    ends, as rounding does with the two members of an exact double.  Norms
+    are taken only at the steps that turn.
+    """
+    points = np.asarray(points)
+    found, steps, big = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(branches.shape[1] - 1):
             s = np.square(branches[:, k + 1:] - branches[:, k:k + 1])
             pair, step = np.nonzero(((s[:-1] * s[1:].conj()).real < 0.0).T)
-            row = step + (np.abs(s[step + 1, pair]) < np.abs(s[step, pair]))
+            ends = np.abs(s[step, pair]), np.abs(s[step + 1, pair])
+            row = step + (ends[1] < ends[0])
             mean = 0.5 * (branches[row, k] + branches[row, k + 1 + pair])
-            found += zip(np.asarray(points)[row].tolist(), mean.tolist())
-    return found
+            found += zip(points[row].tolist(), mean.tolist())
+            steps.append(step)
+            big.append(np.maximum(*ends))
+    if stack is None or not found:
+        return found
+    steps = np.concatenate(steps)
+    ends = stack[points[np.stack([steps, steps + 1])]]
+    floor = CLUSTER_C * np.finfo(float).eps * np.linalg.norm(
+        ends, axis=(-2, -1)).max(axis=0)
+    keep = np.concatenate(big) > np.square(floor)
+    return [turn for turn, k in zip(found, keep.tolist()) if k]
 
 
 def _nearest(values, centre, count):

@@ -284,6 +284,76 @@ class TestSweepCommand:
         assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
         assert 0 < len(calls) <= 100
 
+    @pytest.mark.parametrize("points", [6, 7])
+    @pytest.mark.parametrize("level,parameter,stop", [
+        ("operator", "delta_rf", 30.0), ("superoperator", "delta_rf", 30.0),
+        ("superoperator", "delta_opt", 500.0)])
+    def test_symmetric_range_solves_half_the_grid(self, tmp_path, monkeypatch,
+                                                  points, level, parameter, stop):
+        # the grid is exactly antisymmetric, with the configured ends, and
+        # the CSV is the mirrored sweep of its stack
+        calls, sweep = [], spectra.sweep
+
+        def recording_sweep(stack, mirrored=False):
+            calls.append((stack, mirrored))
+            return sweep(stack, mirrored)
+
+        monkeypatch.setattr(spectra, "sweep", recording_sweep)
+        cfg = {"model": "full4", "params": {"omega": 30.0, "j": 12.0, "q": 0.4,
+                                            "gamma_sp": 1e5, "delta_opt": 300.0},
+               "sweep": {"parameter": parameter, "start": -stop, "stop": stop,
+                         "points": points, "level": level}}
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--config", write_config(tmp_path, cfg),
+                    "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        grid = np.array([float(r.split(",")[0]) for r in rows])
+        assert np.array_equal(grid, -grid[::-1])
+        assert (grid[0], grid[-1]) == (-stop, stop)
+        [(stack, mirrored)] = calls
+        assert mirrored and len(stack) == points
+        monkeypatch.setattr(spectra, "sweep", sweep)
+        branches = sweep(stack, mirrored=True)[0]
+        assert rows == [",".join(cli._fmt(v) for v in row) for row in np.column_stack(
+            [grid, branches.real.T, branches.imag.T])]
+
+    @pytest.mark.parametrize("level,parameter,start,stop", [
+        ("superoperator", "delta_rf", -30.0, 20.0),
+        ("operator", "delta_opt", -500.0, 500.0),
+        ("superoperator", "j", 5.0, 40.0)])
+    def test_other_sweeps_solve_every_point(self, tmp_path, monkeypatch, level,
+                                            parameter, start, stop):
+        # an asymmetric range, and a field whose sign the spectrum keeps at
+        # that level, give the output of a sweep with no mirror at all
+        cfg = write_config(tmp_path, {
+            "model": "eff3", "params": {"omega": 30.0, "j": 12.0, "q": 0.4,
+                                        "gamma_sp": 1e5, "delta_opt": 300.0},
+            "sweep": {"parameter": parameter, "start": start, "stop": stop,
+                      "points": 41, "level": level}})
+        outputs = []
+        for table in (model.SIGN_SYMMETRIC, dict.fromkeys(model.SIGN_SYMMETRIC,
+                                                          frozenset())):
+            monkeypatch.setattr(model, "SIGN_SYMMETRIC", table)
+            out = tmp_path / "s.csv"
+            assert run(["sweep", "--config", cfg, "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), (tmp_path / "s.csv.meta.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_failed_point_fails_its_mirror(self, tmp_path, capsys, monkeypatch):
+        fail_first_operator(monkeypatch)
+        cfg = {**BASE, "sweep": {"parameter": "delta_rf", "start": -30.0,
+                                 "stop": 30.0, "points": 9, "level": "operator"}}
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--config", write_config(tmp_path, cfg),
+                    "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "grid point 0 failed" in err and "grid point 8 failed" in err
+        first, last = json.loads((tmp_path / "s.csv.meta.json").read_text())["failures"]
+        assert (first["index"], last["index"]) == (0, 8)
+        assert first["message"] == last["message"]
+        rows = out.read_text().splitlines()
+        assert "nan" in rows[1] and "nan" in rows[9] and "nan" not in rows[5]
+
     def test_operator_level_sweep(self, tmp_path):
         cfg = write_config(tmp_path, {
             "model": "eff3",
@@ -341,6 +411,19 @@ class TestFloatFormat:
         bits = rng.integers(0, 2 ** 64, 20000, dtype=np.uint64).view(np.float64)
         scaled = rng.normal(size=20000) * 10.0 ** rng.integers(-20, 40, 20000)
         assert_formats_as_per_value(np.concatenate([bits, scaled]), 33)
+
+    def test_small_exponents_take_the_vectorized_path(self, rng, monkeypatch):
+        # down to 1e-32 (evolve's route_diff lies near 1e-17 to 1e-13) two
+        # exact powers of ten scale a value; 14 digits ending in 2 lie far
+        # from a half in the 13th, so none needs FLOAT_FMT
+        digits = rng.integers(10 ** 12, 10 ** 13, 2000)
+        exps = rng.integers(-32, -10, 2000)
+        values = np.array([float(f"{d}2e{e - 13}")
+                           for d, e in zip(digits.tolist(), exps.tolist())])
+        table = np.concatenate([values, -values]).reshape(-1, 5)
+        want = per_value_rows(table)
+        monkeypatch.setattr(cli, "FLOAT_FMT", "%r")
+        assert "".join(cli._format_rows(table)) == want
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(values=st.lists(st.floats(), min_size=1, max_size=60),

@@ -686,6 +686,89 @@ class TestSweep:
         assert same_bits(branches, assignment_branches(values))
         assert [k for k, _ in failures] == [0, 40, 41]
 
+    @pytest.mark.parametrize("points", [40, 41])
+    @pytest.mark.parametrize("name", ["eff3", "full4"])
+    @pytest.mark.parametrize("level,field,stop", [
+        ("operator", "delta_rf", 30.0), ("superoperator", "delta_rf", 30.0),
+        ("superoperator", "delta_opt", 2e3)])
+    def test_mirrored_solve_matches_the_full_solve(self, monkeypatch, points,
+                                                   name, level, field, stop):
+        # on an antisymmetric grid of a SIGN_SYMMETRIC field the first
+        # ceil(n / 2) points are solved, bit for bit as in the full solve,
+        # and each other point is its mirror's spectrum to rounding
+        gen = superop.generator(name)
+        build = gen.operators if level == "operator" else gen.matrices
+        p = ModelParams(omega=30.0, j=12.0, delta_rf=3.0, delta_opt=300.0,
+                        gamma_sp=1e5, gamma_g=0.5, q=0.4)
+        half = np.linspace(-stop, stop, points)[:points // 2]
+        grid = np.concatenate([half, np.zeros(points % 2), -half[::-1]])
+        stack = build(p, {field: grid})
+        solved, eigvals = [], linalg.eigvals
+        monkeypatch.setattr(linalg, "eigvals",
+                            lambda a: solved.append(len(a)) or eigvals(a))
+        branches, candidates, failures = sweep(stack, mirrored=True)
+        monkeypatch.undo()
+        full, want_candidates, _ = sweep(stack)
+        assert solved == [(points + 1) // 2] and failures == ()
+        assert same_bits(branches[:, :solved[0]], full[:, :solved[0]])
+        scale = np.abs(full).max()
+        for got, want in zip(branches.T, full.T):
+            assert match_distance(got, want) <= 1e-12 * scale
+        assert candidates == want_candidates
+
+    def test_failed_source_point_fails_its_mirror(self):
+        p = ModelParams(omega=30.0, j=12.0, q=0.4, gamma_sp=1e5)
+        grid = np.linspace(-30.0, 30.0, 9)
+        stack = superop.generator("full4").operators(p, {"delta_rf": grid})
+        stack[1, 0, 0] = np.nan
+        branches, _, failures = sweep(stack, mirrored=True)
+        [(k, message), (mirror, same)] = failures
+        assert (k, mirror) == (1, 7) and same == message
+        assert message.startswith("ValueError")
+        assert np.isnan(branches[:, [1, 7]]).all()
+        assert np.isfinite(np.delete(branches, [1, 7], axis=1)).all()
+
+    def test_stack_that_splits_is_solved_in_full(self):
+        # at J = 0 the eff3 generator splits into blocks that the state
+        # reversal permutes: half of the mirrored block spectra differ, so
+        # the mirror is not used
+        p = ModelParams(omega=30.0, j=0.0, delta_opt=300.0, gamma_sp=1e5, q=0.4)
+        half = np.linspace(-30.0, 30.0, 11)[:5]
+        grid = np.concatenate([half, [0.0], -half[::-1]])
+        stack = superop.generator("eff3").matrices(p, {"delta_rf": grid})
+        blocks = spectra._blocks(stack)
+        assert sorted(map(len, blocks)) == [2, 2, 2, 3]
+        differ = [match_distance(ev[k], ev[10 - k]) > 1e-9 * np.abs(ev).max()
+                  for ev in (linalg.eigvals(stack[:, b][:, :, b]) for b in blocks)
+                  for k in range(5)]
+        assert sum(differ) == 10
+        full, mirrored = sweep(stack), sweep(stack, mirrored=True)
+        assert same_bits(mirrored[0], full[0]) and mirrored[1:] == full[1:]
+
+    def test_rounding_flips_of_exact_doubles_are_not_turns(self):
+        # where the detuned H_nh has a purely imaginary spectrum, the jump-free
+        # superoperator's -i(E_i - E_j^*) and -i(E_j - E_i^*) are one real
+        # value, whose squared gap turns at random steps: 159 turns at 81
+        # points without the floor; with it, only the step near J = 11.15
+        p = ModelParams(omega=30.0, j=5.0, delta_rf=2.165064, q=0.0)
+        grid = np.linspace(5.0, 20.0, 201)
+        stack = superop.generator("eff3").matrices(p, {"j": grid})
+        _, candidates, _ = sweep(stack)
+        assert candidates == (82, 83)
+        assert grid[82] == pytest.approx(11.15)
+        [block], [part], _, good, _ = spectra._census(stack)
+        raw = spectra._turns(part, good)
+        assert len(raw) == 159 and len({k for k, _ in raw}) == 81
+
+    def test_turn_floor_scales_with_the_matrix(self):
+        # a pair whose squared gap flips sign at 2e-15 apart: within the floor
+        # of a matrix of norm sqrt(2), beyond that of norm 1e-3 sqrt(2)
+        values = np.array([[1.0 + 1e-15j, 1.0 - 1e-15j], [1.0 + 1e-15, 1.0 - 1e-15]])
+        assert spectra._turns(values, [0, 1]) == [(0, 1.0 + 0j)]
+        assert spectra._turns(values, [0, 1], np.array([np.eye(2)] * 2)) == []
+        assert spectra._turns(values, [0, 1], np.array([1e-3 * np.eye(2)] * 2)) == [
+            (0, 1.0 + 0j)]
+
     def test_one_solved_point_leaves_no_step_to_track(self):
         base = ModelParams(omega=30.0, j=10.0, q=0.5)
         grid = np.linspace(5.0, 40.0, 4)

@@ -313,6 +313,35 @@ class TestGellMannSimilarity:
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
+@st.composite
+def detuned_params(draw):
+    # the ranges over which the sign symmetries are checked
+    gamma_sp = 10.0 ** draw(st.floats(3.0, 7.0))
+    return ModelParams(
+        omega=draw(st.floats(5.0, 50.0)), j=draw(st.floats(0.1, 60.0)),
+        delta_rf=draw(st.floats(-30.0, 30.0)),
+        delta_opt=gamma_sp * draw(st.floats(-0.05, 0.05)), gamma_sp=gamma_sp,
+        gamma_g=draw(st.floats(0.0, 3.0)), q=draw(st.floats(0.0, 1.0)))
+
+
+def sign_reversals(d):
+    """For each (level, field) of model.SIGN_SYMMETRIC, the fixed real
+    orthogonal Q with M(-x) = Q M(x) Q^T on the d-level model: the state
+    reversal R, |1,1> <-> |1,-1>, on H_nh, and rho -> R rho R on the Gell-Mann
+    generator for delta_rf; rho -> S R rho^T R S, S = diag(1, -1, 1, 1), for
+    delta_opt."""
+    r = np.eye(d)[[2, 1, 0, 3][:d]]
+    s = np.diag([1.0, -1.0, 1.0, 1.0][:d])
+    maps = {("superoperator", "delta_rf"): lambda x: r @ x @ r,
+            ("superoperator", "delta_opt"): lambda x: s @ r @ x.T @ r @ s}
+    out = {("operator", "delta_rf"): r}
+    for key, fn in maps.items():
+        q = superop_of_map(fn, d)
+        assert not q.imag.any()
+        out[key] = q.real
+    return out
+
+
 class TestGenerator:
     BUILDERS = {"eff3": build_eff3, "full4": model.build_full4_rwa}
 
@@ -389,6 +418,39 @@ class TestGenerator:
         ev = linalg.eigvals(gen.matrices(p)[0])
         got = linalg.eigvals(gen.matrices(flipped)[0])
         assert spectra.match_distance(got, ev) <= 1e-13 * np.abs(ev).max()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(p=detuned_params(), name=st.sampled_from(["eff3", "full4"]))
+    def test_sign_symmetric_fields_are_fixed_similarities(self, p, name):
+        # a sweep over a SIGN_SYMMETRIC field, on a range symmetric about
+        # zero, solves half its grid: the stack at -x is the stack at x under
+        # one fixed orthogonal similarity, checked on the matrices, whose
+        # eigenvalues would lose digits near an EP
+        gen = superop.generator(name)
+        similarities = sign_reversals(gen.form.dim)
+        assert set(similarities) == {(level, field) for level, fields
+                                     in model.SIGN_SYMMETRIC.items()
+                                     for field in fields}
+        for (level, field), q in similarities.items():
+            assert np.abs(q @ q.T - np.eye(len(q))).max() <= 1e-15
+            build = gen.operators if level == "operator" else gen.matrices
+            x = getattr(p, field)
+            grid = np.array([x, 0.5 * x, 0.0, -x])
+            for m, want in zip(build(p, {field: grid}), build(p, {field: -grid})):
+                assert (np.abs(want - q @ m @ q.T).max()
+                        <= 1e-14 * np.linalg.norm(m, 2))
+
+    @pytest.mark.parametrize("name", ["eff3", "full4"])
+    def test_operator_spectrum_keeps_the_optical_detuning_sign(self, name):
+        # H_nh's eigenvalues go to -E^* under delta_opt -> -delta_opt, a
+        # different set, so an operator-level delta_opt sweep is not mirrored
+        assert "delta_opt" not in model.SIGN_SYMMETRIC["operator"]
+        h = superop.generator(name).operators
+        p = ModelParams(omega=30.0, j=10.0, delta_rf=3.0, delta_opt=2e3,
+                        gamma_sp=1e4)
+        ev = linalg.eigvals(h(p)[0])
+        got = linalg.eigvals(h(p.replace(delta_opt=-p.delta_opt))[0])
+        assert spectra.match_distance(got, ev) > 0.5 * np.abs(ev).max()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(p=model_params(), name=st.sampled_from(["eff3", "full4"]))
