@@ -28,6 +28,11 @@ TOLERANCES = {
 }
 
 PARAM_KEYS = tuple(f.name for f in dataclasses.fields(model.ModelParams))
+# The keys a config may hold, each mapped to its block's keys or to None
+CONFIG_KEYS = {"model": None, "basis": None, "params": PARAM_KEYS,
+               "sweep": ("parameter", "start", "stop", "points", "level"),
+               "findep": ("box", "target_mult", "level"),
+               "evolve": ("rho0", "t_max", "steps")}
 SWEEPABLE = {"j", "omega", "omega_r", "delta_rf", "delta_opt", "gamma_g", "q"}
 
 
@@ -153,26 +158,31 @@ def _integer(blk, key, path):
 
 
 def load_config(path):
+    """The config at `path` as parsed, every block's keys in CONFIG_KEYS."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise SchemaError(f"cannot read config: {exc}") from exc
-    _check_keys(cfg, {"model", "basis", "params", "sweep", "findep", "evolve"},
-                "config")
+    _check_keys(cfg, CONFIG_KEYS, "config")
     if cfg.get("model") not in ("eff3", "full4"):
         raise SchemaError("'config.model' must be 'eff3' or 'full4'")
     # Every command solves the model's real Gell-Mann generator whatever the
     # basis: S / sqrt(2) is unitary, so spectrum and conditioning are the
     # same, and `basis` is only echoed in the metadata.
-    basis = cfg.get("basis", "gellmann" if cfg["model"] == "eff3" else "fockliouville")
-    if basis not in ("gellmann", "fockliouville"):
+    if cfg.get("basis", "gellmann") not in ("gellmann", "fockliouville"):
         raise SchemaError("'config.basis' must be 'gellmann' or 'fockliouville'")
-    cfg["basis"] = basis
-    if "params" not in cfg:
-        raise SchemaError("missing key 'config.params'")
-    _check_keys(cfg["params"], PARAM_KEYS, "config.params")
+    _block(cfg, "params")
+    for name, allowed in CONFIG_KEYS.items():
+        if allowed is not None and name in cfg:
+            _check_keys(cfg[name], allowed, f"config.{name}")
     return cfg
+
+
+def _block(cfg, name):
+    if name not in cfg:
+        raise SchemaError(f"missing key 'config.{name}'")
+    return cfg[name]
 
 
 def params_from_config(cfg):
@@ -281,13 +291,9 @@ def cmd_spectrum(cfg, out_path):
 
 
 def cmd_sweep(cfg, out_path):
-    if "sweep" not in cfg:
-        raise SchemaError("missing key 'config.sweep'")
-    blk = cfg["sweep"]
-    _check_keys(blk, {"parameter", "start", "stop", "points", "level"},
-                "config.sweep")
+    blk = _block(cfg, "sweep")
     parameter = blk.get("parameter")
-    if parameter not in SWEEPABLE:
+    if not isinstance(parameter, str) or parameter not in SWEEPABLE:
         raise SchemaError(f"'config.sweep.parameter' must be one of {sorted(SWEEPABLE)}")
     start = _number(blk, "start", "config.sweep")
     stop = _number(blk, "stop", "config.sweep")
@@ -329,10 +335,7 @@ def cmd_sweep(cfg, out_path):
 
 
 def cmd_find_ep(cfg, out_path):
-    if "findep" not in cfg:
-        raise SchemaError("missing key 'config.findep'")
-    blk = cfg["findep"]
-    _check_keys(blk, {"box", "target_mult", "level"}, "config.findep")
+    blk = _block(cfg, "findep")
     box_raw = blk.get("box")
     if not isinstance(box_raw, dict) or not 1 <= len(box_raw) <= 2:
         raise SchemaError("'config.findep.box' must map 1 or 2 parameters to ranges")
@@ -340,9 +343,7 @@ def cmd_find_ep(cfg, out_path):
     for key, rng in box_raw.items():
         if key not in SWEEPABLE:
             raise SchemaError(f"'config.findep.box.{key}' is not a searchable parameter")
-        if (not isinstance(rng, list) or len(rng) != 2
-                or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                       for v in rng)):
+        if not isinstance(rng, list) or len(rng) != 2:
             raise SchemaError(f"'config.findep.box.{key}' must be [lo, hi]")
         box[key] = tuple(_number({key: v}, key, "config.findep.box") for v in rng)
         if box[key][1] <= box[key][0]:
@@ -362,10 +363,7 @@ def cmd_find_ep(cfg, out_path):
 
 
 def cmd_evolve(cfg, out_path):
-    if "evolve" not in cfg:
-        raise SchemaError("missing key 'config.evolve'")
-    blk = cfg["evolve"]
-    _check_keys(blk, {"rho0", "t_max", "steps"}, "config.evolve")
+    blk = _block(cfg, "evolve")
     t_max = _number(blk, "t_max", "config.evolve")
     if t_max <= 0:
         raise SchemaError("'config.evolve.t_max' must be positive")

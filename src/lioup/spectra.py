@@ -181,23 +181,19 @@ class EPReport:
 
 def _single_linkage(linked):
     """The connected components of a symmetric boolean (n, n) matrix of
-    links, as lists of indices."""
+    links, as lists of ascending indices ordered by their least member.
+
+    Squaring the links with the identity k times joins every path of up to
+    2**k links, and 2**k > n - 1 after k = (n - 1).bit_length() squarings;
+    each index then reaches its whole component.
+    """
     n = len(linked)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in zip(*np.nonzero(np.triu(linked, 1))):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
+    reach = np.asarray(linked, dtype=bool) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):
+        reach = reach @ reach
     groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for i, least in enumerate(reach.argmax(axis=1).tolist()):
+        groups.setdefault(least, []).append(i)
     return list(groups.values())
 
 

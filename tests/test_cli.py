@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import math
 
@@ -631,11 +633,33 @@ class TestSchemaValidation:
         assert run(["find-ep", "--config", cfg]) == 2
         assert "config.findep.box.j" in capsys.readouterr().err
 
-    def test_unreadable_config(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [
+        b"{not json",
+        b'{"model": "eff3", "params": {"omega": 30.0, "j": 10.0}, "x": "\xe9"}',
+        b"[" * 100_000,  # past the recursion limit
+        b'{"model": "eff3", "params": {"omega": 3' + b"0" * 5000 + b"}}",
+    ], ids=["not-json", "latin-1", "nested", "5000-digits"])
+    def test_unreadable_config(self, tmp_path, capsys, text):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_bytes(text)
         assert run(["spectrum", "--config", str(path)]) == 2
-        assert "cannot read config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config:")
+        assert err.count("\n") == 1
+
+    def test_config_is_returned_as_parsed(self, tmp_path, capsys):
+        # no key is defaulted into the config, so the metadata echoes it as read
+        path = write_config(tmp_path, BASE)
+        assert cli.load_config(path) == BASE
+        assert run(["spectrum", "--config", path]) == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["config"] == BASE
+
+    def test_only_load_config_checks_keys(self):
+        tree = ast.parse(inspect.getsource(cli))
+        callers = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+                   for node in ast.walk(f) if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "_check_keys"}
+        assert callers == {"load_config"}
 
     @pytest.mark.parametrize("command,blk,key", [
         ("sweep", {"sweep": {"parameter": "j", "start": math.nan, "stop": 40.0,
@@ -703,6 +727,13 @@ class TestSchemaValidation:
         ("sweep", {"sweep": {"parameter": "q", "start": 0.0, "stop": 1.0,
                              "points": 5, "level": "operator"}},
          "config.sweep.parameter"),
+        ("sweep", {"sweep": {"parameter": ["j"], "start": 1.0, "stop": 2.0,
+                             "points": 3}}, "config.sweep.parameter"),
+        ("sweep", {"sweep": {"parameter": {"j": 1.0}, "start": 1.0, "stop": 2.0,
+                             "points": 3}}, "config.sweep.parameter"),
+        # every block present is checked, whether the command uses it or not
+        ("spectrum", {"sweep": {"bogus": 1}}, "config.sweep.bogus"),
+        ("spectrum", {"findep": [1]}, "config.findep"),
     ])
     def test_schema_branches_name_their_key(self, tmp_path, capsys, command, blk, key):
         assert run([command, "--config", write_config(tmp_path, {**BASE, **blk})]) == 2

@@ -101,6 +101,52 @@ def asymptote_check(kind, p, grid):
     return worst
 
 
+def union_find_components(linked):
+    """Reference connected components of a symmetric boolean matrix, by
+    union-find: ascending members, groups ordered by their least member."""
+    n = len(linked)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in zip(*np.nonzero(np.triu(linked, 1))):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+@st.composite
+def symmetric_links(draw):
+    """A symmetric boolean matrix of 1-19 indices with links drawn at a rate
+    of 0-30%, about where the components of that many indices join."""
+    n = draw(st.integers(1, 19))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    upper = np.triu(rng.random((n, n)) < draw(st.floats(0.0, 0.3)), 1)
+    return upper | upper.T
+
+
+class TestSingleLinkage:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(linked=symmetric_links())
+    def test_matches_union_find(self, linked):
+        got = spectra._single_linkage(linked)
+        assert got == union_find_components(linked)
+        assert all(type(i) is int for group in got for i in group)
+
+    def test_path_needs_every_squaring(self):
+        # 0 - 1 - ... - 18: index 18 lies 18 links from its least member
+        linked = np.eye(19, k=1, dtype=bool) | np.eye(19, k=-1, dtype=bool)
+        assert spectra._single_linkage(linked) == [list(range(19))]
+
+
 class TestClassify:
     def test_basic_cases(self):
         omega, j = 30.0, 30.0

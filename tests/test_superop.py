@@ -385,6 +385,38 @@ class TestGenerator:
         # the identity element's row: trace preservation at q = 1
         assert np.abs(m1[-1]).max() <= 1e-12 * np.abs(m1).max()
 
+    # the unit vector that spans the jump term's columns, the vectorized
+    # identity on the ground triplet: in eff3 the Gell-Mann identity element;
+    # in full4 (1/2, sqrt(3)/2) on the last diagonal element and the
+    # identity, whose weights on the excited state cancel
+    JUMP_COLUMNS = {"eff3": np.eye(9)[8],
+                    "full4": np.r_[np.zeros(14), 0.5, np.sqrt(3.0) / 2.0]}
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(p=model_params(), name=st.sampled_from(["eff3", "full4"]),
+           u=st.floats(0.0, 2.0), v=st.floats(-2.0, 2.0))
+    def test_jump_term_has_rank_one(self, p, name, u, v):
+        # Lambda = L(q=1) - L(q=0) = v w^T with v fixed per model, so that
+        # det(L(q) - z) is linear in q.  Lambda is 0 where there are no jumps
+        # (eff3 at omega = gamma_g = 0), which both bounds allow
+        m0, m1 = superop.generator(name).matrices(p, {"q": [0.0, 1.0]})
+        lam = m1 - m0
+        sigma = np.linalg.svd(lam, compute_uv=False)
+        assert sigma[1] <= 1e-12 * sigma[0]
+        col = self.JUMP_COLUMNS[name]
+        assert np.abs(lam - np.outer(col, col @ lam)).max() <= 1e-12 * sigma[0]
+        # z lies right of the spectra, whose real parts are at most 0, since
+        # next to an eigenvalue LU determinants lose every digit; the
+        # matrices are in units of max|L0|, so no determinant leaves float range
+        scale = np.abs(m0).max() or 1.0
+        z = (0.5 + u + 1j * v) * np.eye(len(m0))
+        a0, a1 = m0 / scale - z, m1 / scale - z
+        det0, det1 = np.linalg.det(a0), np.linalg.det(a1)
+        q = p.q
+        got = np.linalg.det((1.0 - q) * a0 + q * a1)
+        assert (abs(got - ((1.0 - q) * det0 + q * det1))
+                <= 1e-12 * ((1.0 - q) * abs(det0) + q * abs(det1)))
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(p=model_params(), name=st.sampled_from(["eff3", "full4"]))
     def test_detuning_sign_is_the_state_reversal(self, p, name):
