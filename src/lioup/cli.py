@@ -239,16 +239,6 @@ def _report_json(r):
     return out
 
 
-def _real_part_groups(values):
-    # single linkage in one dimension: split the sorted real parts where
-    # neighbours lie more than 5% of their spread apart
-    reals = np.sort(values.real)
-    cuts = np.flatnonzero(np.diff(reals) > 0.05 * (reals[-1] - reals[0])) + 1
-    out = [{"size": g.size, "mean_re": _fmt(g.mean())} for g in np.split(reals, cuts)]
-    out.sort(key=lambda d: float(d["mean_re"]), reverse=True)
-    return out
-
-
 def _csv(header, table):
     """CSV text: the header line, then the rows of a 2-D float array."""
     return "".join([",".join(header) + "\r\n"] + _format_rows(table))
@@ -284,7 +274,8 @@ def cmd_spectrum(cfg, out_path):
         "splittings": [[i, j, _fmt(re), _fmt(im)]
                        for i, j, re, im in spectra.splittings(ev)],
         "degeneracies": [_report_json(r) for r in reports],
-        "real_part_groups": _real_part_groups(ev),
+        "real_part_groups": [{"size": g.size, "mean_re": _fmt(g.real.mean())}
+                             for g in spectra.real_part_groups(ev)],
     }
     _emit(_json(doc), out_path)
     return 0
@@ -370,9 +361,6 @@ def cmd_evolve(cfg, out_path):
     steps = _integer(blk, "steps", "config.evolve")
 
     p = params_from_config(cfg)
-    if p.q != 1.0:
-        raise SchemaError("'config.params.q' must be 1 for evolve: hybrid "
-                          "generators with q < 1 are not trace-preserving")
     gen = superop.generator(cfg["model"])
     d = gen.form.dim
 

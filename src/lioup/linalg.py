@@ -4,7 +4,7 @@ One input rule, `as_matrix`, serves every routine: float64 stays real and
 every other dtype becomes complex128, so real input runs in real arithmetic
 (complex eigenvalues in exactly conjugate pairs, a real expm).  eigvals()
 also takes (n, d, d) stacks.  Problem sizes are tiny (operators up to
-16x16, superoperators up to 256x256), so the routines favor robustness and
+4x4, superoperators up to 16x16), so the routines favor robustness and
 reproducibility over speed: LAPACK eigensolvers with a fixed deterministic
 eigenvalue ordering (eig() gives right eigenpairs only) and a Pade
 scaling-and-squaring expm.
@@ -14,8 +14,9 @@ import math
 
 import numpy as np
 
-# Soft size cap: nothing in this package needs more than the 16^2-dimensional
-# Fock-Liouville space of the four-level model.
+# Soft size cap.  The four-level model's Fock-Liouville space is
+# 16-dimensional; 256 admits the superoperator of every basis dimension
+# d <= 16 that superop.gellmann_basis allows.
 MAX_DIM = 256
 
 

@@ -1,7 +1,7 @@
 """Spectral analysis of operators and superoperators.
 
-Covers eigenvalue classification, quasienergy splittings, degeneracy
-detection with Jordan-structure estimation (ranks of powers, deflated),
+Covers eigenvalue classification, quasienergy splittings, grouping by real
+part, degeneracy detection with Jordan-structure estimation (ranks of powers, deflated),
 the operator <-> superoperator spectral correspondence, one census of a
 stack of matrices (tracked block by block, with the turns of each pair's
 squared gap) that gives `sweep` its EP candidates and `find_ep` the seeds
@@ -11,7 +11,8 @@ follow linalg's input rule, so a float64 generator is solved in real
 arithmetic.
 
 Results are plain values: `classify` gives kind strings, `splittings`
-(i, j, dE_real, dE_imag) tuples, and `detect_degeneracy` the eigenvalues
+(i, j, dE_real, dE_imag) tuples, `real_part_groups` arrays of eigenvalues,
+and `detect_degeneracy` the eigenvalues
 with reports whose `indices` index them.  `sweep` turns a stack of matrices,
 one per grid point, into (branches, ep_candidates, failures), `find_ep`
 calls a stack builder such as superop.Generator's `matrices`, and
@@ -163,6 +164,18 @@ def splittings(values):
     return tuple(pairs)
 
 
+def real_part_groups(values):
+    """The eigenvalues grouped by real part, by single linkage in one
+    dimension: sorted by real part (stably), they split where neighbours lie
+    more than 5% of the real parts' spread apart.  Each group is an array in
+    that order, and the group of the largest mean real part comes first."""
+    values = np.asarray(values, dtype=complex)
+    ordered = values[np.argsort(values.real, kind="stable")]
+    reals = ordered.real
+    cuts = np.flatnonzero(np.diff(reals) > 0.05 * (reals[-1] - reals[0])) + 1
+    return sorted(np.split(ordered, cuts), key=lambda g: g.real.mean(), reverse=True)
+
+
 @dataclass(frozen=True)
 class EPReport:
     """A certified spectral degeneracy."""
@@ -195,11 +208,6 @@ def _single_linkage(linked):
     for i, least in enumerate(reach.argmax(axis=1).tolist()):
         groups.setdefault(least, []).append(i)
     return list(groups.values())
-
-
-def _within(values, radius):
-    """The links of single linkage at a fixed radius."""
-    return np.abs(values[:, None] - values[None, :]) <= radius
 
 
 def _conditioned_links(a, values, vecs, tol):
@@ -292,7 +300,7 @@ def detect_degeneracy(a, tol_cluster=None):
     floor = CLUSTER_C * np.finfo(float).eps * np.linalg.norm(a, 2)
     linked = _conditioned_links(a, w, vecs, floor)
     if tol_cluster is not None:
-        linked |= _within(w, tol_cluster)
+        linked |= np.abs(w[:, None] - w[None, :]) <= tol_cluster
 
     clusters = [g for g in _single_linkage(linked) if len(g) > 1]
     if not clusters:
@@ -487,19 +495,19 @@ def _unique_nearest(values):
     return nearest, clear.all(axis=1) & hit.all(axis=1)
 
 
-def _turns(branches, points, stack=None):
+def _turns(branches, points, stack):
     """The zeros of each pair's s = (branches[:, a] - branches[:, b])**2,
     branches (len(points), n), pair by pair and then step by step: for each
     step where s turns by more than a right angle, Re(s_k conj(s_k+1)) < 0,
     (the entry of `points`, the pair's mean) at its end with the smaller |s|,
     the earlier at a tie.
 
-    Given the stack the branches come from, a turn whose larger end gap
-    sqrt|s| is within CLUSTER_C eps ||A||_F, A the step's end matrix of the
-    larger norm, is dropped: ||A||_F bounds ||A||_2, so a perturbation that
-    small, the floor of `_conditioned_links`, could join the pair at both
-    ends, as rounding does with the two members of an exact double.  Norms
-    are taken only at the steps that turn.
+    `stack` holds the matrices the branches come from, indexed by `points`.
+    A turn whose larger end gap sqrt|s| is within CLUSTER_C eps ||A||_F, A
+    the step's end matrix of the larger norm, is dropped: ||A||_F bounds
+    ||A||_2, so a perturbation that small, the floor of `_conditioned_links`,
+    could join the pair at both ends, as rounding does with the two members
+    of an exact double.  Norms are taken only at the steps that turn.
     """
     points = np.asarray(points)
     found, steps, big = [], [], []
@@ -513,7 +521,7 @@ def _turns(branches, points, stack=None):
             found += zip(points[row].tolist(), mean.tolist())
             steps.append(step)
             big.append(np.maximum(*ends))
-    if stack is None or not found:
+    if not found:
         return found
     steps = np.concatenate(steps)
     ends = stack[points[np.stack([steps, steps + 1])]]
@@ -652,7 +660,7 @@ def evolve_check(l, rho0, t_max, steps):
     # the last row holds the traces Tr(l(s_j)) times sqrt(2/d) / 2
     if np.abs(l[-1]).max() > 1e-12 * np.abs(l).max():
         raise ValueError("evolve_check requires a trace-preserving generator: "
-                         "hybrid generators with q < 1 are not trace-preserving")
+                         "hybrid generators with jumps and q < 1 are not")
     rho0 = np.asarray(rho0, dtype=complex)
     if not np.isfinite(rho0).all():
         raise ValueError("rho0 must be finite")

@@ -28,10 +28,9 @@ on the basis.  Both term sets are solved once per model from its builder
 at the probe parameters: the A_k from the probes' H_nh, the B_k from the
 Kronecker assembly and the cached similarity S^H L S / 2 with
 S[:, i] = vec(s_i); `hybrid_liouvillian` and `LindbladSystem.h_nh` are
-the references it is tested against.  `superop_of_map`, `h_superop` and
-`gamma_superop` evaluate the Gell-Mann M_ij = Tr(map(s_j) s_i)/2 directly,
-independently of the Kronecker path, taking the dimension from h or, where
-a jump set may be empty, from d.
+the references it is tested against.  `superop_of_map` evaluates the
+Gell-Mann matrix M_ij = Tr(map(s_j) s_i)/2 of a map on d x d operators
+directly, independently of the Kronecker path.
 """
 
 import functools
@@ -104,28 +103,6 @@ def superop_of_map(apply_fn, d):
     gm = gellmann_basis(d)
     images = np.array([apply_fn(s) for s in gm])
     return 0.5 * np.einsum("jab,iba->ij", images, gm)
-
-
-def h_superop(h):
-    """Hamiltonian superoperator Hhat_ij = Tr([H, s_j] s_i)/2.
-
-    Requires Hermitian input (antisymmetric, purely imaginary output); a
-    non-Hermitian H_nh = H - (i/2) sum L^dag L is the q = 0 hybrid_liouvillian
-    of the system (H, jumps) instead.
-    """
-    h = np.asarray(h, dtype=complex)
-    scale = max(np.linalg.norm(h), 1.0)
-    if np.linalg.norm(h - h.conj().T) > 1e-10 * scale:
-        raise ValueError("h_superop requires a Hermitian matrix; use "
-                         "hybrid_liouvillian at q = 0 for H - (i/2) sum L^dag L")
-    return superop_of_map(lambda s: h @ s - s @ h, h.shape[0])
-
-
-def gamma_superop(jumps, d):
-    """Relaxation superoperator, -1/4 sum Tr({L^dag L, s_j} s_i); symmetric, real."""
-    g = sum((np.asarray(l, dtype=complex).conj().T @ np.asarray(l, dtype=complex)
-             for l in jumps), np.zeros((d, d), dtype=complex))
-    return superop_of_map(lambda s: -0.5 * (g @ s + s @ g), d)
 
 
 @functools.lru_cache(maxsize=None)

@@ -524,6 +524,25 @@ class TestEvolveCommand:
         assert run(["evolve", "--config", cfg]) == 2
         assert "trace-preserving" in capsys.readouterr().err
 
+    def test_accepts_a_hybrid_generator_without_dissipation(self, tmp_path):
+        # at omega 0 and gamma_g 0 eff3 has no jumps, and L(q) = -i[H, .]
+        # preserves the trace at q 0.5 as at 1
+        cfg = write_config(tmp_path, {
+            "model": "eff3",
+            "params": {"omega": 0.0, "j": 10.0, "delta_rf": 2.0, "q": 0.5},
+            "evolve": {"rho0": [[[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                                [[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]],
+                                [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]],
+                       "t_max": 0.3, "steps": 7},
+        })
+        out = tmp_path / "evolve.csv"
+        assert run(["evolve", "--config", cfg, "--out", str(out)]) == 0
+        rows = [[float(v) for v in r.split(",")]
+                for r in out.read_text().splitlines()[1:]]
+        assert max(abs(r[1] - 1.0) for r in rows) <= 1e-12
+        # the state moves: the populations are not constant
+        assert max(abs(r[2] - 0.5) for r in rows) > 1e-3
+
     def test_explicit_initial_state(self, tmp_path):
         rho0 = [[[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]],
                 [[0.0, 0.0], [0.25, 0.0], [0.0, 0.0]],

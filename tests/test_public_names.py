@@ -163,3 +163,37 @@ def test_every_tolerance_is_read_by_a_function():
     names = tolerance_constants()
     assert names
     assert [n for n in names if n not in names_read_in_functions()] == []
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads_across_modules():
+    """(module, line, name) of every read of a private name of another lioup
+    module: an attribute of a module bound by `from . import x` (or `from
+    lioup import x`), or a name imported from one.  Dunder names such as
+    __version__ are public."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()
+        for node in ast.walk(tree):
+            source = getattr(node, "module", None) or ""
+            if not isinstance(node, ast.ImportFrom) or not (
+                    node.level or source.split(".")[0] == "lioup"):
+                continue
+            for alias in node.names:
+                if _private(alias.name):
+                    out.append((path.stem, node.lineno, alias.name))
+                elif source in ("", "lioup"):  # the package: its names are modules
+                    modules.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and _private(node.attr)
+                    and isinstance(node.value, ast.Name) and node.value.id in modules):
+                out.append((path.stem, node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(out)
+
+
+def test_no_module_reads_another_modules_private_names():
+    assert private_reads_across_modules() == []

@@ -191,6 +191,25 @@ class TestSplittings:
         assert d89 < 1e-6
 
 
+class TestRealPartGroups:
+    def test_groups_are_the_split_sorted_real_parts(self, rng):
+        # each group's real parts are the bits of the sorted real parts' own
+        # split, so its mean is too; ties in the real part keep their order
+        values = (np.repeat([0.0, -5.0, -10.0], [9, 6, 1])
+                  + 0.1 * rng.normal(size=16) + 1j * rng.normal(size=16))
+        values[[3, 7]] = values[3].real + 1j * np.array([2.0, -2.0])
+        groups = spectra.real_part_groups(values)
+        assert [g.size for g in groups] == [9, 6, 1]
+        reals = np.sort(values.real)
+        cuts = np.flatnonzero(np.diff(reals) > 0.05 * (reals[-1] - reals[0])) + 1
+        want = np.split(reals, cuts)[::-1]
+        assert all(np.array_equal(g.real, w) and g.real.mean() == w.mean()
+                   for g, w in zip(groups, want))
+        tied = [z for g in groups for z in g if z.real == values[3].real]
+        assert tied == [values[3], values[7]]
+        assert match_distance(np.concatenate(groups), values) == 0.0
+
+
 class TestDetectDegeneracy:
     def test_operator_pair_coalescence(self):
         omega = 30.0
@@ -548,7 +567,7 @@ class TestSweep:
         for k in range(61):
             ev = branches[:, k]
             diam = spectra.spectral_diameter(ev)
-            groups = spectra._single_linkage(spectra._within(ev, 1e-3 * diam))
+            groups = spectra._single_linkage(np.abs(ev[:, None] - ev) <= 1e-3 * diam)
             assert max(len(g) for g in groups) < 9
 
     def test_no_candidates_without_degeneracies(self):
@@ -617,7 +636,9 @@ class TestSweep:
         values[40:90, 4] = values[40:90, 2]
         values[:, 5] = 0.3 + np.sqrt(t + 0.011 + 0j)
         values[:, 6] = 0.3 - np.sqrt(t + 0.011 + 0j)
-        assert spectra._turns(values, points) == [(int(points[148]), 0.3 + 0j)]
+        no_floor = np.zeros((1000, 1, 1))  # a zero stack: no turn is dropped
+        want = [(int(points[148]), 0.3 + 0j)]
+        assert spectra._turns(values, points, no_floor) == want
         # brute force over the pairs and steps, on random branches with that
         # pair and repeat, and rows whose order is permuted: each turn once,
         # pair by pair and then step by step, with the pair's mean at the
@@ -636,7 +657,7 @@ class TestSweep:
                         mean = complex(values[row, a] + values[row, b]) / 2.0
                         want.append((int(points[row]), mean))
         assert (int(points[148]), 0.3 + 0j) in want
-        assert spectra._turns(values, points) == want
+        assert spectra._turns(values, points, no_floor) == want
 
     @pytest.mark.parametrize("q,lo,hi", [
         (1.0, 1.0, 8.0), (0.5, 5.0, 15.0), (0.0, 15.0, 30.0), (0.1, 10.0, 20.0)])
@@ -803,14 +824,14 @@ class TestSweep:
         assert candidates == (82, 83)
         assert grid[82] == pytest.approx(11.15)
         [block], [part], _, good, _ = spectra._census(stack)
-        raw = spectra._turns(part, good)
+        raw = spectra._turns(part, good, np.zeros_like(stack))
         assert len(raw) == 159 and len({k for k, _ in raw}) == 81
 
     def test_turn_floor_scales_with_the_matrix(self):
         # a pair whose squared gap flips sign at 2e-15 apart: within the floor
         # of a matrix of norm sqrt(2), beyond that of norm 1e-3 sqrt(2)
         values = np.array([[1.0 + 1e-15j, 1.0 - 1e-15j], [1.0 + 1e-15, 1.0 - 1e-15]])
-        assert spectra._turns(values, [0, 1]) == [(0, 1.0 + 0j)]
+        assert spectra._turns(values, [0, 1], np.zeros((2, 2, 2))) == [(0, 1.0 + 0j)]
         assert spectra._turns(values, [0, 1], np.array([np.eye(2)] * 2)) == []
         assert spectra._turns(values, [0, 1], np.array([1e-3 * np.eye(2)] * 2)) == [
             (0, 1.0 + 0j)]

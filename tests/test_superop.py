@@ -9,9 +9,8 @@ from hypothesis.extra.numpy import arrays
 
 from lioup import analytic, cli, linalg, model, spectra, superop
 from lioup.model import LindbladSystem, ModelParams, build_eff3, build_ground_relaxation
-from lioup.superop import (devectorize, gamma_superop, gellmann_basis,
-                           h_superop, hybrid_liouvillian, superop_of_map,
-                           vectorize)
+from lioup.superop import (devectorize, gellmann_basis, hybrid_liouvillian,
+                           superop_of_map, vectorize)
 
 from conftest import find_signed_permutation, model_params, reference_hybrid_matrix
 
@@ -20,6 +19,19 @@ PAULI = {
     "y": np.array([[0, -1j], [1j, 0]]),
     "z": np.diag([1.0, -1.0]).astype(complex),
 }
+
+
+def h_superop(h):
+    """Hamiltonian superoperator Hhat_ij = Tr([H, s_j] s_i)/2 of a Hermitian H."""
+    h = np.asarray(h, dtype=complex)
+    return superop_of_map(lambda s: h @ s - s @ h, h.shape[0])
+
+
+def gamma_superop(jumps, d):
+    """Relaxation superoperator, -1/4 sum Tr({L^dag L, s_j} s_i); symmetric, real."""
+    g = sum((np.asarray(l, dtype=complex).conj().T @ np.asarray(l, dtype=complex)
+             for l in jumps), np.zeros((d, d), dtype=complex))
+    return superop_of_map(lambda s: -0.5 * (g @ s + s @ g), d)
 
 
 def lambda_superop(jumps, d):
@@ -165,10 +177,6 @@ class TestHamiltonianPart:
             m = h_superop(a + a.conj().T)
             assert np.abs(m + m.T).max() < 1e-12
             assert np.abs(m.real).max() < 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            h_superop(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestRelaxationAndJumpParts:
@@ -416,6 +424,42 @@ class TestGenerator:
         got = np.linalg.det((1.0 - q) * a0 + q * a1)
         assert (abs(got - ((1.0 - q) * det0 + q * det1))
                 <= 1e-12 * ((1.0 - q) * abs(det0) + q * abs(det1)))
+
+    @staticmethod
+    def q_free_eigenvalues(name, p):
+        """The eigenvalues of L(0) that L(0.3), L(0.7) and L(1) share, as
+        multisets, each to 1e-8 of L(0)'s largest |eigenvalue|."""
+        stack = superop.generator(name).matrices(p, {"q": [0.0, 0.3, 0.7, 1.0]})
+        ev0, *others = linalg.eigvals(stack)
+        tol = 1e-8 * np.abs(ev0).max()
+        free = np.ones(ev0.size, dtype=bool)
+        for ev in others:
+            rest = list(ev)
+            for k, lam in enumerate(ev0):
+                dist = np.abs(np.array(rest) - lam)
+                i = int(np.argmin(dist))
+                if dist[i] <= tol:
+                    rest.pop(i)
+                else:
+                    free[k] = False
+        return ev0[free]
+
+    @pytest.mark.parametrize("name,deltas,count", [
+        ("eff3", [0.0], 6), ("eff3", [1.0, 4.0, 11.0], 3),
+        ("full4", [0.0], 10), ("full4", [1.0, 4.0, 11.0], 6)])
+    def test_q_free_eigenvalue_counts(self, name, deltas, count):
+        # with gamma_g = delta_opt = 0, the eigenvalues that the jump term
+        # leaves in place: resonant eff3 keeps criterion 3b's six
+        extra = {"gamma_sp": 1e4} if name == "full4" else {}
+        for j in (5.0, 10.0, 17.0, 25.0):
+            for delta in deltas:
+                p = ModelParams(omega=30.0, j=j, delta_rf=delta, **extra)
+                fixed = self.q_free_eigenvalues(name, p)
+                assert fixed.size == count
+                if name == "eff3" and delta == 0.0:
+                    six = analytic.fixed_six(30.0, j)
+                    assert (spectra.match_distance(fixed, six)
+                            <= 1e-8 * np.abs(six).max())
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(p=model_params(), name=st.sampled_from(["eff3", "full4"]))
